@@ -2,7 +2,6 @@
 
 use crate::series::TimeSeries;
 use crate::AnalysisError;
-use serde::{Deserialize, Serialize};
 use std::io::Write;
 
 /// Writes aligned series as CSV: a `time` column followed by one
@@ -67,7 +66,7 @@ pub fn write_csv<W: Write>(writer: &mut W, series: &[&TimeSeries]) -> Result<(),
 /// One campaign cell, reduced to plain labels and scalars so the
 /// writer stays independent of the simulation crates (pn-sim's
 /// `persist` module does the reduction).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignRow {
     /// Weather-condition token (machine-readable slug).
     pub weather: String,
@@ -225,7 +224,7 @@ pub fn format_campaign_row(r: &CampaignRow) -> String {
 /// One campaign group (a weather condition or a governor), reduced to
 /// plain labels and scalars for the summary-only CSV (pn-sim's
 /// `persist` module does the reduction from `GroupSummary`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SummaryRow {
     /// Grouping axis the row belongs to (`weather` or `governor`).
     pub group: String,

@@ -1,7 +1,6 @@
 //! Time series: the central recorded artefact of every experiment.
 
 use crate::AnalysisError;
-use serde::{Deserialize, Serialize};
 
 /// A named, time-ordered series of `f64` samples.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     name: String,
     times: Vec<f64>,

@@ -1,31 +1,21 @@
 //! Criterion bench: campaign throughput versus executor width, and
-//! the shared-trace-cache win.
+//! the exact versus interpolated supply model.
 //!
 //! Runs the same fixed 12-cell matrix on 1, 2 and 4 worker threads.
 //! The cells are independent simulations, so wall time should fall
 //! near-linearly with thread count until the machine runs out of
 //! cores; comparing the three lines makes scaling regressions in the
 //! executor (or accidental serialisation in the campaign layer)
-//! visible.
+//! visible. The 6 distinct (weather, seed) days come from the
+//! process-wide day memo (`DayProfile::build_shared`), so after the
+//! first iteration every line times the simulations themselves.
 //!
-//! The `trace_cache` group runs the matrix with and without the
-//! per-campaign (weather, seed) trace cache. Since the process-wide
-//! day memo (`DayProfile::build_shared`) landed, both lines serve the
-//! 6 distinct days from the same rendered traces after the first
-//! iteration, so they sit together at steady-state throughput; the
-//! campaign cache still matters for day recipes the global memo
-//! evicts (it is capacity-capped) and keeps the comparison in place
-//! to catch either layer regressing.
-//!
-//! The `supply_model` group is the tentpole comparison: the same
-//! 12-cell matrix over a *pre-warmed* shared trace cache (steady-state
-//! campaign throughput, simulation-dominated) under the exact model
-//! versus the interpolated supply fast path. The interpolated line is
-//! the one the ≥2× target in the README's performance table tracks.
+//! The `supply_model` group compares the same 12-cell matrix with
+//! warm days (steady-state campaign throughput, simulation-dominated)
+//! under the exact model versus the interpolated supply fast path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pn_harvest::cache::TraceCache;
-use pn_sim::campaign::{run_campaign, run_campaign_with, CampaignSpec, GovernorSpec};
+use pn_sim::campaign::{run_campaign, CampaignSpec, GovernorSpec};
 use pn_sim::executor::Executor;
 use pn_sim::supply::SupplyModel;
 use pn_units::Seconds;
@@ -61,54 +51,31 @@ fn bench_campaign(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_trace_cache(c: &mut Criterion) {
-    let spec = matrix();
-    let executor = Executor::new(2);
-    let mut group = c.benchmark_group("trace_cache");
-    group.sample_size(10);
-    group.bench_function("12_cells_uncached", |b| {
-        b.iter(|| {
-            let report = run_campaign_with(&spec, &executor, None).unwrap();
-            black_box(report.brownout_count())
-        })
-    });
-    // A fresh cache per iteration: exactly what one campaign start-up
-    // pays (6 renders instead of 12).
-    group.bench_function("12_cells_cached", |b| {
-        b.iter(|| {
-            let report = run_campaign(&spec, &executor).unwrap();
-            black_box(report.brownout_count())
-        })
-    });
-    group.finish();
-}
-
 fn bench_supply_model(c: &mut Criterion) {
     let exact = matrix();
     let interp = matrix().with_supply_model(SupplyModel::interpolated());
     let executor = Executor::new(2);
-    // Pre-warm: render the 6 distinct day traces into a shared cache
-    // and build the interpolation surface, so both lines time the
-    // simulations themselves (steady-state campaign throughput).
-    let cache = TraceCache::new();
-    run_campaign_with(&exact, &executor, Some(&cache)).unwrap();
-    run_campaign_with(&interp, &executor, Some(&cache)).unwrap();
+    // Pre-warm: render the 6 distinct day traces into the day memo and
+    // build the interpolation surface, so both lines time the
+    // simulations themselves.
+    run_campaign(&exact, &executor).unwrap();
+    run_campaign(&interp, &executor).unwrap();
     let mut group = c.benchmark_group("supply_model");
     group.sample_size(10);
     group.bench_function("12_cells_exact", |b| {
         b.iter(|| {
-            let report = run_campaign_with(&exact, &executor, Some(&cache)).unwrap();
+            let report = run_campaign(&exact, &executor).unwrap();
             black_box(report.brownout_count())
         })
     });
     group.bench_function("12_cells_interpolated", |b| {
         b.iter(|| {
-            let report = run_campaign_with(&interp, &executor, Some(&cache)).unwrap();
+            let report = run_campaign(&interp, &executor).unwrap();
             black_box(report.brownout_count())
         })
     });
     group.finish();
 }
 
-criterion_group!(benches, bench_campaign, bench_trace_cache, bench_supply_model);
+criterion_group!(benches, bench_campaign, bench_supply_model);
 criterion_main!(benches);

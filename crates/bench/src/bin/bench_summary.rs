@@ -5,8 +5,7 @@
 //!
 //! ```sh
 //! cargo run --release -p pn-bench --bin bench_summary -- \
-//!     --out BENCH_engine.json --campaign-out BENCH_campaign.json \
-//!     [--runs 9] [--sim-seconds 10]
+//!     --out BENCH_engine.json [--runs 9] [--sim-seconds 10]
 //! ```
 //!
 //! The headline metric is the median wall-clock nanoseconds the engine
@@ -15,15 +14,7 @@
 //! reported for both supply models plus their ratio. Surfaces and the
 //! irradiance trace are warmed before timing, so the numbers measure
 //! the steady-state hot path, not one-time setup.
-//!
-//! `--campaign-out` additionally times the `sim_campaign` bench's
-//! fixed 12-cell matrix end to end (`run_campaign`, two worker
-//! threads) under the scalar oracle engine and the default batched
-//! lane engine, and writes the medians in milliseconds.
 
-use pn_sim::campaign::{run_campaign, CampaignSpec, GovernorSpec};
-use pn_sim::engine::EngineKind;
-use pn_sim::executor::Executor;
 use pn_sim::scenario;
 use pn_sim::supply::SupplyModel;
 use pn_units::{Seconds, WattsPerSquareMeter};
@@ -31,20 +22,18 @@ use std::time::Instant;
 
 struct Cli {
     out: Option<String>,
-    campaign_out: Option<String>,
     runs: usize,
     sim_seconds: f64,
 }
 
 fn parse_cli() -> Result<Cli, String> {
-    let mut cli = Cli { out: None, campaign_out: None, runs: 9, sim_seconds: 10.0 };
+    let mut cli = Cli { out: None, runs: 9, sim_seconds: 10.0 };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value =
             |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
         match arg.as_str() {
             "--out" => cli.out = Some(value("--out")?),
-            "--campaign-out" => cli.campaign_out = Some(value("--campaign-out")?),
             "--runs" => {
                 cli.runs = value("--runs")?.parse().map_err(|e| format!("--runs: {e}"))?;
                 if cli.runs == 0 {
@@ -95,41 +84,6 @@ fn measure(model: SupplyModel, cli: &Cli) -> Result<f64, pn_sim::SimError> {
     Ok(median(&mut samples) / cli.sim_seconds)
 }
 
-/// The `sim_campaign` criterion bench's fixed 12-cell matrix.
-fn campaign_matrix() -> CampaignSpec {
-    CampaignSpec::new()
-        .expect("paper preset valid")
-        .with_weathers(vec![
-            pn_harvest::weather::Weather::FullSun,
-            pn_harvest::weather::Weather::PartialSun,
-            pn_harvest::weather::Weather::Cloudy,
-        ])
-        .with_seeds(vec![1, 2])
-        .with_governors(vec![GovernorSpec::PowerNeutral, GovernorSpec::Powersave])
-        .with_duration(Seconds::new(5.0))
-}
-
-/// Median wall milliseconds for one full `run_campaign` of the
-/// 12-cell matrix under `engine`. The warm-up run renders the six
-/// distinct day traces into the process-wide day memo, so the timed
-/// runs measure steady-state campaign throughput.
-fn measure_campaign(
-    engine: EngineKind,
-    executor: &Executor,
-    runs: usize,
-) -> Result<f64, pn_sim::SimError> {
-    let spec = campaign_matrix().with_engine(engine);
-    run_campaign(&spec, executor)?;
-    let mut samples = Vec::with_capacity(runs);
-    for _ in 0..runs {
-        let t0 = Instant::now();
-        let report = run_campaign(&spec, executor)?;
-        samples.push(t0.elapsed().as_nanos() as f64);
-        assert_eq!(report.len(), 12, "bench matrix drifted");
-    }
-    Ok(median(&mut samples) / 1e6)
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cli = parse_cli()?;
     let interp = SupplyModel::interpolated();
@@ -150,25 +104,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     print!("{json}");
     if let Some(path) = &cli.out {
-        std::fs::write(path, &json).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = &cli.campaign_out {
-        let executor = Executor::new(2);
-        let scalar_ms = measure_campaign(EngineKind::Scalar, &executor, cli.runs)?;
-        let batched_ms = measure_campaign(EngineKind::Batched, &executor, cli.runs)?;
-        let json = format!(
-            "{{\n  \"bench\": \"sim_campaign\",\n  \"matrix_cells\": 12,\n  \
-             \"simulated_seconds_per_cell\": 5,\n  \"threads\": {},\n  \"runs\": {},\n  \
-             \"scalar_median_ms\": {:.3},\n  \"batched_median_ms\": {:.3},\n  \
-             \"speedup\": {:.3}\n}}\n",
-            executor.threads(),
-            cli.runs,
-            scalar_ms,
-            batched_ms,
-            scalar_ms / batched_ms
-        );
-        print!("{json}");
         std::fs::write(path, &json).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote {path}");
     }

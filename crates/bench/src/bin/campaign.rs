@@ -32,10 +32,6 @@
 //! cargo run --release -p pn-bench --bin campaign -- \
 //!     --supply-model interp --tolerance 0.0005 --out report.csv
 //!
-//! # force the scalar (one-cell-at-a-time) engine — the oracle the
-//! # default batched lane engine is bitwise-checked against:
-//! cargo run --release -p pn-bench --bin campaign -- --engine scalar --out report.csv
-//!
 //! # swap the governor axis (any GovernorSpec slug, comma-separated) —
 //! # e.g. the two DPM policies against the power-neutral controller:
 //! cargo run --release -p pn-bench --bin campaign -- \
@@ -81,11 +77,9 @@ use pn_sim::campaign::{
     resume_campaign_parts, run_campaign, CampaignReport, CampaignSpec, GovernorSpec,
 };
 use pn_sim::daemon;
-use pn_sim::engine::EngineKind;
 use pn_sim::executor::Executor;
 use pn_sim::persist;
 use pn_sim::supply::SupplyModel;
-use pn_harvest::cache::TraceCache;
 use pn_soc::thermal::ThermalSpec;
 use pn_workload::arrival::ArrivalSpec;
 
@@ -103,7 +97,6 @@ struct Cli {
     tolerance: Option<f64>,
     max_rounds: Option<usize>,
     supply_model: Option<SupplyModel>,
-    engine: Option<EngineKind>,
     governors: Option<Vec<GovernorSpec>>,
     idle: Option<bool>,
     thermal: bool,
@@ -148,7 +141,6 @@ fn parse_cli() -> Result<Cli, String> {
         tolerance: None,
         max_rounds: None,
         supply_model: None,
-        engine: None,
         governors: None,
         idle: None,
         thermal: false,
@@ -296,12 +288,6 @@ fn parse_cli() -> Result<Cli, String> {
                     format!("--adapt-axis wants buffer, thermal or fault, got {slug:?}")
                 })?);
             }
-            "--engine" => {
-                let slug = value(&mut args, "--engine")?;
-                cli.engine = Some(EngineKind::from_slug(&slug).ok_or_else(|| {
-                    format!("--engine wants scalar or batched, got {slug:?}")
-                })?);
-            }
             "--tolerance" => {
                 cli.tolerance = Some(
                     value(&mut args, "--tolerance")?
@@ -338,7 +324,6 @@ fn parse_cli() -> Result<Cli, String> {
             || !cli.resume.is_empty()
             || cli.adapt
             || cli.supply_model.is_some()
-            || cli.engine.is_some()
             || cli.governors.is_some()
             || cli.idle.is_some()
             || cli.thermal
@@ -348,7 +333,7 @@ fn parse_cli() -> Result<Cli, String> {
         return Err(
             "--merge recomposes saved reports without simulating; it cannot be combined \
              with --shard, --smoke, --seeds, --threads, --resume, --adapt, --supply-model, \
-             --engine, --governors, --idle, --thermal, --arrivals or --faults"
+             --governors, --idle, --thermal, --arrivals or --faults"
                 .into(),
         );
     }
@@ -408,7 +393,6 @@ fn parse_cli() -> Result<Cli, String> {
         && (cli.smoke
             || cli.seeds.is_some()
             || cli.supply_model.is_some()
-            || cli.engine.is_some()
             || cli.governors.is_some()
             || cli.idle.is_some()
             || cli.thermal
@@ -416,8 +400,8 @@ fn parse_cli() -> Result<Cli, String> {
             || cli.faults.is_some())
     {
         return Err("--watch streams a job already submitted; the spec flags (--smoke, \
-                    --seeds, --supply-model, --engine, --governors, --idle, --thermal, \
-                    --arrivals, --faults) only apply to --submit or local runs"
+                    --seeds, --supply-model, --governors, --idle, --thermal, --arrivals, \
+                    --faults) only apply to --submit or local runs"
             .into());
     }
     if cli.adapt && cli.shard.is_some() {
@@ -462,9 +446,6 @@ fn build_spec(cli: &Cli) -> CampaignSpec {
     if let Some(model) = cli.supply_model {
         spec = spec.with_supply_model(model);
     }
-    if let Some(engine) = cli.engine {
-        spec = spec.with_engine(engine);
-    }
     if let Some(governors) = &cli.governors {
         spec = spec.with_governors(governors.clone());
     }
@@ -486,9 +467,6 @@ fn build_spec(cli: &Cli) -> CampaignSpec {
 fn print_spec_settings(cli: &Cli) {
     if let Some(model) = cli.supply_model {
         println!("  supply model: {model}");
-    }
-    if let Some(engine) = cli.engine {
-        println!("  engine: {engine}");
     }
     if let Some(governors) = &cli.governors {
         let labels: Vec<String> = governors.iter().map(GovernorSpec::label).collect();
@@ -591,8 +569,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     executor.threads()
                 ),
             );
-            let cache = TraceCache::new();
-            resume_campaign_parts(&spec, &parts, &executor, Some(&cache))?
+            resume_campaign_parts(&spec, &parts, &executor)?
         } else {
             let shard = cli.shard.map(|(i, n)| spec.shard(n).swap_remove(i - 1));
             let what = match &shard {
@@ -692,9 +669,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..defaults
         };
         let mut adaptive = AdaptiveCampaign::from_report(&report, config)?;
-        let cache = TraceCache::new();
         let t0 = std::time::Instant::now();
-        let brackets = adaptive.run(&executor, Some(&cache))?;
+        let brackets = adaptive.run(&executor)?;
         // Survival is monotone *up* in buffer capacitance but *down*
         // in throttle ceiling and fault depth, so the bracket ends
         // swap meaning on the inverted axes.

@@ -12,9 +12,8 @@
 //! * [`clearsky`] — the macro envelope (solar elevation over the day),
 //! * [`clouds`] — a seeded stochastic occlusion field (micro),
 //! * [`weather`] — presets for the four conditions the paper tested
-//!   (full sun, partial sun, cloud, hail) and the day-profile builder,
-//! * [`cache`] — a shared (weather, seed) → trace cache so campaign
-//!   matrices render each distinct day once,
+//!   (full sun, partial sun, cloud, hail), the day-profile builder and
+//!   its process-wide day memo,
 //! * [`estimator`] — the open-circuit-voltage-based available-power
 //!   estimator used to draw Fig. 14.
 //!
@@ -32,7 +31,6 @@
 //! # }
 //! ```
 
-pub mod cache;
 pub mod clearsky;
 pub mod clouds;
 pub mod estimator;

@@ -16,7 +16,7 @@ use crate::HarvestError;
 use pn_units::Seconds;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// The four weather conditions the paper tested under, plus two
 /// harsher synthetic conditions for campaign matrices.
@@ -235,6 +235,11 @@ impl DayProfile {
     /// days keeps sharing its *recent* days instead of building every
     /// day past the cap from scratch on each request.
     ///
+    /// The memo is safe to share across threads: concurrent requests
+    /// for the same day render it once (the others wait for that
+    /// render), distinct days render in parallel, and a failed render
+    /// caches nothing.
+    ///
     /// # Errors
     ///
     /// Same contract as [`DayProfile::build`].
@@ -256,25 +261,7 @@ impl DayProfile {
         &self,
         dt: Seconds,
     ) -> Result<(Arc<IrradianceTrace>, bool), HarvestError> {
-        let key = self.cache_key(dt);
-        if let Some(hit) = day_cache_get(&lock_day_cache(), &key) {
-            return Ok((hit, true));
-        }
-        // Render outside the lock: distinct days build in parallel. A
-        // racing builder of the same key wastes one render; contents
-        // are deterministic, so whichever insert wins is identical.
-        let trace = Arc::new(self.build(dt)?);
-        let mut cache = lock_day_cache();
-        if let Some(hit) = day_cache_get(&cache, &key) {
-            return Ok((hit, true));
-        }
-        if cache.len() >= DAY_CACHE_CAPACITY {
-            // Evict the oldest entry; any simulation already holding
-            // its `Arc` keeps it alive independently of the memo.
-            cache.pop_front();
-        }
-        cache.push_back((key, Arc::clone(&trace)));
-        Ok((trace, false))
+        memoise(self.cache_key(dt), || self.build(dt))
     }
 
     fn cache_key(&self, dt: Seconds) -> DayKey {
@@ -313,21 +300,68 @@ struct DayKey {
 /// contents forever.
 pub const DAY_CACHE_CAPACITY: usize = 64;
 
+/// One memoised day: empty until its first render completes. Each day
+/// has its own lock, so a render blocks only requests for that day.
+type DaySlot = Mutex<Option<Arc<IrradianceTrace>>>;
+
 /// The memo is a FIFO deque rather than a map: at 64 entries a linear
 /// key scan is noise next to a day render, and the deque's order *is*
 /// the eviction order.
-type DayCache = VecDeque<(DayKey, Arc<IrradianceTrace>)>;
+type DayCache = VecDeque<(DayKey, Arc<DaySlot>)>;
 
-fn lock_day_cache() -> std::sync::MutexGuard<'static, DayCache> {
+fn lock_day_cache() -> MutexGuard<'static, DayCache> {
     static CACHE: OnceLock<Mutex<DayCache>> = OnceLock::new();
     CACHE
         .get_or_init(|| Mutex::new(VecDeque::new()))
         .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
-fn day_cache_get(cache: &DayCache, key: &DayKey) -> Option<Arc<IrradianceTrace>> {
-    cache.iter().find(|(k, _)| k == key).map(|(_, t)| Arc::clone(t))
+/// Returns the memoised trace for `key`, rendering it with `build` on
+/// the first request, plus whether the memo already held it.
+///
+/// The memo-wide lock is held only to find or reserve the day's slot;
+/// the render runs under the slot's own lock. Requests for one day
+/// therefore wait for a single render, while distinct days render in
+/// parallel. A failed render removes its reserved slot again, so the
+/// error is not cached and the day keeps no FIFO position.
+fn memoise(
+    key: DayKey,
+    build: impl FnOnce() -> Result<IrradianceTrace, HarvestError>,
+) -> Result<(Arc<IrradianceTrace>, bool), HarvestError> {
+    let slot = {
+        let mut cache = lock_day_cache();
+        match cache.iter().find(|(k, _)| *k == key) {
+            Some((_, slot)) => Arc::clone(slot),
+            None => {
+                if cache.len() >= DAY_CACHE_CAPACITY {
+                    // Evict the oldest day; any simulation already
+                    // holding its trace keeps it alive independently of
+                    // the memo.
+                    cache.pop_front();
+                }
+                let slot = Arc::new(DaySlot::default());
+                cache.push_back((key, Arc::clone(&slot)));
+                slot
+            }
+        }
+    };
+    let mut trace = slot.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(hit) = trace.as_ref() {
+        return Ok((Arc::clone(hit), true));
+    }
+    match build() {
+        Ok(built) => {
+            let built = Arc::new(built);
+            *trace = Some(Arc::clone(&built));
+            Ok((built, false))
+        }
+        Err(e) => {
+            drop(trace);
+            lock_day_cache().retain(|(_, s)| !Arc::ptr_eq(s, &slot));
+            Err(e)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -551,6 +585,96 @@ mod tests {
         profile(DAY_CACHE_CAPACITY as u64).build_shared(dt).unwrap();
         let (_, hit) = profile(0).build_shared_traced(dt).unwrap();
         assert!(!hit, "a hit refreshed day 0's position — FIFO became LRU");
+    }
+
+    fn test_profile(seed: u64) -> DayProfile {
+        DayProfile::new(Weather::PartialSun, seed)
+            .with_span(Seconds::from_hours(12.0), Seconds::from_hours(12.25))
+    }
+
+    #[test]
+    fn concurrent_requests_for_one_day_render_it_once() {
+        // Four threads ask for the same never-built day at once. Each
+        // render announces itself and waits for a second render of the
+        // day to begin: a memo that let racing requests render their
+        // own copies would see one start at once. All requests must
+        // share the one render instead.
+        use std::sync::{Barrier, Condvar};
+        use std::time::Duration;
+        let profile = test_profile(0x5A3E_0000);
+        let dt = Seconds::new(30.0);
+        let renders = (Mutex::new(0usize), Condvar::new());
+        let barrier = Barrier::new(4);
+        let results: Vec<(Arc<IrradianceTrace>, bool)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        memoise(profile.cache_key(dt), || {
+                            let (count, started) = &renders;
+                            *count.lock().unwrap() += 1;
+                            started.notify_all();
+                            let wait = Duration::from_millis(250);
+                            let _ = started
+                                .wait_timeout_while(count.lock().unwrap(), wait, |n| *n < 2)
+                                .unwrap();
+                            profile.build(dt)
+                        })
+                        .unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(*renders.0.lock().unwrap(), 1, "racing requests rendered the day twice");
+        assert_eq!(results.iter().filter(|(_, hit)| !hit).count(), 1);
+        assert!(results.iter().all(|(t, _)| Arc::ptr_eq(t, &results[0].0)));
+        assert_eq!(*results[0].0, profile.build(dt).unwrap());
+    }
+
+    #[test]
+    fn distinct_days_render_in_parallel() {
+        // Each render waits for the *other* day's render to have
+        // started. If the memo held one lock across renders, the second
+        // could never start and the first would time out — so a pass
+        // proves distinct days are not serialized.
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let dt = Seconds::new(30.0);
+        let (a, b) = (test_profile(0x5A3E_0001), test_profile(0x5A3E_0002));
+        let (tx_a, rx_a) = mpsc::channel();
+        let (tx_b, rx_b) = mpsc::channel();
+        let render = |profile: &DayProfile, started: mpsc::Sender<()>, other: mpsc::Receiver<()>| {
+            let (_, hit) = memoise(profile.cache_key(dt), || {
+                started.send(()).unwrap();
+                assert!(
+                    other.recv_timeout(Duration::from_secs(10)).is_ok(),
+                    "other day's render never started: renders are serialized"
+                );
+                profile.build(dt)
+            })
+            .unwrap();
+            assert!(!hit);
+        };
+        std::thread::scope(|scope| {
+            scope.spawn(|| render(&a, tx_a, rx_b));
+            scope.spawn(|| render(&b, tx_b, rx_a));
+        });
+    }
+
+    #[test]
+    fn failed_renders_are_not_memoised() {
+        let profile = test_profile(0x5A3E_0003);
+        let dt = Seconds::new(30.0);
+        let err = memoise(profile.cache_key(dt), || {
+            Err(HarvestError::InvalidParameter("synthetic failure"))
+        });
+        assert!(err.is_err());
+        // The day stays renderable, and the retry renders afresh.
+        let (first, hit) = profile.build_shared_traced(dt).unwrap();
+        assert!(!hit, "a failed render left a trace behind");
+        let (again, hit) = profile.build_shared_traced(dt).unwrap();
+        assert!(hit && Arc::ptr_eq(&first, &again));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! Every refinement round is emitted as a list of ordinary
 //! [`CampaignSpec`]s (one per still-active group), so rounds run on
-//! the existing executor and [`TraceCache`] unchanged — and, like any
+//! the existing executor and day memo unchanged — and, like any
 //! campaign, an adaptive run is bitwise-deterministic across thread
 //! counts.
 //!
@@ -79,7 +79,6 @@ use crate::engine::SimOverrides;
 use crate::executor::Executor;
 use crate::SimError;
 use pn_core::params::ControlParams;
-use pn_harvest::cache::TraceCache;
 use pn_harvest::faults::FaultSpec;
 use pn_harvest::weather::Weather;
 use pn_soc::thermal::{RcThermal, ThermalSpec};
@@ -645,8 +644,8 @@ impl AdaptiveCampaign {
         Some(specs)
     }
 
-    /// Runs refinement rounds on `executor` (sharing `cache` across
-    /// rounds) until every bracket settles, and returns the final
+    /// Runs refinement rounds on `executor` until every bracket
+    /// settles, and returns the final
     /// brackets. Each round's probe cells — across all groups — are
     /// evaluated as one batch, so independent groups refine in
     /// parallel; cells keep their round order, so the probe history
@@ -655,14 +654,10 @@ impl AdaptiveCampaign {
     /// # Errors
     ///
     /// Propagates the first engine failure.
-    pub fn run(
-        &mut self,
-        executor: &Executor,
-        cache: Option<&TraceCache>,
-    ) -> Result<Vec<BoundaryBracket>, SimError> {
+    pub fn run(&mut self, executor: &Executor) -> Result<Vec<BoundaryBracket>, SimError> {
         while let Some(specs) = self.next_round() {
             let cells: Vec<_> = specs.iter().flat_map(|spec| spec.cells()).collect();
-            let outcomes = crate::campaign::evaluate_cells(&cells, executor, cache)?;
+            let outcomes = crate::campaign::evaluate_cells(&cells, executor)?;
             self.observe(&CampaignReport::from_parts(0, outcomes));
         }
         Ok(self.brackets())

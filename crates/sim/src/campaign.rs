@@ -28,9 +28,8 @@
 //! # }
 //! ```
 
-use crate::engine::{EngineKind, SimOverrides, SimReport, Simulation};
+use crate::engine::{SimOverrides, SimReport};
 use crate::executor::Executor;
-use crate::lanes::run_batch;
 use crate::scenario::{self, Scenario};
 use crate::supply::SupplyModel;
 use crate::SimError;
@@ -42,7 +41,6 @@ use pn_governors::{
     BudgetShift, Conservative, Interactive, Ondemand, Performance, Powersave, RaceToIdle,
     Userspace,
 };
-use pn_harvest::cache::TraceCache;
 use pn_harvest::faults::FaultSpec;
 use pn_harvest::weather::Weather;
 use pn_soc::cores::CoreConfig;
@@ -50,7 +48,6 @@ use pn_soc::opp::Opp;
 use pn_soc::thermal::ThermalSpec;
 use pn_units::{Farads, Ohms, Seconds};
 use pn_workload::arrival::ArrivalSpec;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Which power-management policy drives a campaign cell.
@@ -58,7 +55,7 @@ use std::sync::Arc;
 /// Cells must be enumerable up front and shipped across worker
 /// threads, so governors are described by value here and instantiated
 /// inside the worker that runs the cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GovernorSpec {
     /// The paper's threshold-interrupt-driven power-neutral governor
     /// (uses the cell's [`ControlParams`]).
@@ -152,40 +149,27 @@ impl GovernorSpec {
     /// # Errors
     ///
     /// Propagates engine failures.
-    pub fn run(&self, scenario: &Scenario) -> Result<crate::engine::SimReport, SimError> {
-        self.simulation(scenario)?.run()
-    }
-
-    /// Assembles (without running) the simulation [`GovernorSpec::run`]
-    /// would execute — the handle the batched lane engine collects one
-    /// of per cell before stepping the whole group.
-    ///
-    /// # Errors
-    ///
-    /// Propagates assembly failures.
-    pub fn simulation(&self, scenario: &Scenario) -> Result<Simulation, SimError> {
+    pub fn run(&self, scenario: &Scenario) -> Result<SimReport, SimError> {
         let table = scenario.platform().frequencies();
         match self {
-            GovernorSpec::PowerNeutral => scenario.build_power_neutral(),
-            GovernorSpec::Performance => scenario.build_governor(Box::new(Performance::new())),
-            GovernorSpec::Powersave => scenario.build_governor(Box::new(Powersave::new())),
+            GovernorSpec::PowerNeutral => scenario.run_power_neutral(),
+            GovernorSpec::Performance => scenario.run_governor(Box::new(Performance::new())),
+            GovernorSpec::Powersave => scenario.run_governor(Box::new(Powersave::new())),
             GovernorSpec::Userspace(level) => {
-                scenario.build_governor(Box::new(Userspace::pinned(*level)))
+                scenario.run_governor(Box::new(Userspace::pinned(*level)))
             }
-            GovernorSpec::Ondemand => {
-                scenario.build_governor(Box::new(Ondemand::new(table.clone())))
-            }
+            GovernorSpec::Ondemand => scenario.run_governor(Box::new(Ondemand::new(table.clone()))),
             GovernorSpec::Conservative => {
-                scenario.build_governor(Box::new(Conservative::new(table.clone())))
+                scenario.run_governor(Box::new(Conservative::new(table.clone())))
             }
             GovernorSpec::Interactive => {
-                scenario.build_governor(Box::new(Interactive::new(table.clone())))
+                scenario.run_governor(Box::new(Interactive::new(table.clone())))
             }
-            GovernorSpec::RaceToIdle => scenario.build_governor(Box::new(RaceToIdle::new())),
+            GovernorSpec::RaceToIdle => scenario.run_governor(Box::new(RaceToIdle::new())),
             GovernorSpec::BudgetShift => {
-                scenario.build_governor(Box::new(BudgetShift::for_platform(scenario.platform())))
+                scenario.run_governor(Box::new(BudgetShift::for_platform(scenario.platform())))
             }
-            GovernorSpec::Hold(opp) => scenario.build_static(*opp),
+            GovernorSpec::Hold(opp) => scenario.run_static(*opp),
         }
     }
 }
@@ -194,7 +178,7 @@ impl GovernorSpec {
 ///
 /// Each axis is a list; [`CampaignSpec::cells`] enumerates the full
 /// product in a fixed (weather-major, params-minor) order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSpec {
     /// Day-profile weather conditions.
     pub weathers: Vec<Weather>,
@@ -337,16 +321,6 @@ impl CampaignSpec {
         self
     }
 
-    /// Selects the execution engine for every cell (builder style);
-    /// shorthand for the corresponding
-    /// [`CampaignSpec::with_cell_options`] override. `Scalar` forces
-    /// each cell to run alone — the oracle the batched lane engine is
-    /// checked against.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.options.engine = Some(engine);
-        self
-    }
-
     /// Enables or disables idle-state (DPM) requests for every cell
     /// (builder style); shorthand for the corresponding
     /// [`CampaignSpec::with_cell_options`] override. Disabling turns
@@ -388,8 +362,8 @@ impl CampaignSpec {
         let mut out = Vec::with_capacity(self.cell_count());
         let Some(first_params) = self.params.first() else { return out };
         // Stress axes nest inside (weather, seed) so every cell of one
-        // rendered day stays contiguous — lane grouping still batches a
-        // whole day into one executor item.
+        // rendered day stays contiguous: its day memo entry is reused by
+        // neighbouring cells before FIFO eviction can reach it.
         for &weather in &self.weathers {
             for &seed in &self.seeds {
                 for &thermal in &self.thermals {
@@ -458,7 +432,7 @@ impl CampaignSpec {
 /// Produced by [`CampaignSpec::shard`]; carries enough position
 /// metadata (`start`) for [`CampaignReport::merge`] to verify that the
 /// shard reports it is recomposing are disjoint and complete.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignShard {
     index: usize,
     count: usize,
@@ -488,37 +462,22 @@ impl CampaignShard {
         &self.cells
     }
 
-    /// Runs this shard's cells on `executor` (with a private trace
-    /// cache) and returns a partial report positioned for
-    /// [`CampaignReport::merge`]. Unlike [`run_campaign`], an empty
-    /// shard is legal and yields an empty report.
+    /// Runs this shard's cells on `executor` and returns a partial
+    /// report positioned for [`CampaignReport::merge`]. Unlike
+    /// [`run_campaign`], an empty shard is legal and yields an empty
+    /// report.
     ///
     /// # Errors
     ///
     /// Propagates the first engine failure in matrix order.
     pub fn run(&self, executor: &Executor) -> Result<CampaignReport, SimError> {
-        let cache = TraceCache::new();
-        self.run_with(executor, Some(&cache))
-    }
-
-    /// [`CampaignShard::run`] with an explicit (possibly shared, or
-    /// absent) trace cache.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first engine failure in matrix order.
-    pub fn run_with(
-        &self,
-        executor: &Executor,
-        cache: Option<&TraceCache>,
-    ) -> Result<CampaignReport, SimError> {
-        let outcomes = evaluate_cells(&self.cells, executor, cache)?;
+        let outcomes = evaluate_cells(&self.cells, executor)?;
         Ok(CampaignReport { start: self.start, cells: outcomes })
     }
 }
 
 /// One fully resolved cell of the matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CampaignCell {
     /// Weather condition of the day profile.
     pub weather: Weather,
@@ -570,26 +529,16 @@ impl CampaignCell {
         label
     }
 
-    /// Builds the runnable scenario for this cell.
+    /// Builds the runnable scenario for this cell. The day's irradiance
+    /// trace comes from the process-wide day memo
+    /// ([`scenario::weather_day_trace_shared`]), so every cell of one
+    /// `(weather, seed)` day shares a single rendered trace.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] for a non-positive buffer
     /// capacitance or duration.
     pub fn scenario(&self) -> Result<Scenario, SimError> {
-        self.scenario_with(None)
-    }
-
-    /// [`CampaignCell::scenario`], sourcing the day's irradiance trace
-    /// from `cache` when one is given. Cache hits are bitwise-identical
-    /// to the trace [`scenario::weather_day`] would render, so cached
-    /// and uncached scenarios replay identically.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] for a non-positive buffer
-    /// capacitance or duration.
-    pub fn scenario_with(&self, cache: Option<&TraceCache>) -> Result<Scenario, SimError> {
         if !(self.duration.value() > 0.0) {
             return Err(SimError::InvalidConfig("cell duration must be positive"));
         }
@@ -599,21 +548,8 @@ impl CampaignCell {
             Ohms::new(0.025),
             Ohms::new(40_000.0),
         )?;
-        let day = match cache {
-            Some(cache) => {
-                let shared = cache.get_or_build_shared(self.weather, self.seed, || {
-                    Ok(scenario::weather_day_trace_shared(self.weather, self.seed))
-                })?;
-                scenario::weather_day_with_trace(self.faulted_trace(shared)?)
-            }
-            None if self.fault == FaultSpec::None => {
-                scenario::weather_day(self.weather, self.seed)
-            }
-            None => {
-                let shared = scenario::weather_day_trace_shared(self.weather, self.seed);
-                scenario::weather_day_with_trace(self.faulted_trace(shared)?)
-            }
-        };
+        let shared = scenario::weather_day_trace_shared(self.weather, self.seed);
+        let day = scenario::weather_day_with_trace(self.faulted_trace(shared)?);
         let mut built =
             day.with_duration(self.duration).with_buffer(buffer).with_params(self.params);
         if self.thermal != ThermalSpec::Off || self.arrival != ArrivalSpec::Saturated {
@@ -651,38 +587,14 @@ impl CampaignCell {
         self.options.supply_model.unwrap_or_default()
     }
 
-    /// The execution engine this cell runs under (its override, or the
-    /// default batched lane engine). Scalar and batched runs produce
-    /// bitwise-identical outcomes; the knob exists to keep the scalar
-    /// path exercisable as the batched engine's oracle.
-    pub fn engine(&self) -> EngineKind {
-        self.options.engine.unwrap_or_default()
-    }
-
     /// Runs the cell and reduces the report to a [`CellOutcome`].
     ///
     /// # Errors
     ///
     /// Propagates engine and analysis failures.
     pub fn evaluate(&self) -> Result<CellOutcome, SimError> {
-        self.evaluate_with(None)
-    }
-
-    /// [`CampaignCell::evaluate`] with an optional shared trace cache.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine and analysis failures.
-    pub fn evaluate_with(&self, cache: Option<&TraceCache>) -> Result<CellOutcome, SimError> {
-        let scenario = self.scenario_with(cache)?;
+        let scenario = self.scenario()?;
         let report = self.governor.run(&scenario)?;
-        self.reduce(&scenario, report)
-    }
-
-    /// Reduces a finished simulation to this cell's [`CellOutcome`] —
-    /// the tail of [`CampaignCell::evaluate`], shared with the batched
-    /// lane engine (which separates running from reducing).
-    fn reduce(&self, scenario: &Scenario, report: SimReport) -> Result<CellOutcome, SimError> {
         let target = scenario.platform().target_voltage();
         let alive = report.lifetime_or_duration();
         let recorder = report.recorder();
@@ -714,7 +626,7 @@ impl CampaignCell {
 }
 
 /// The reduced verdict of one cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellOutcome {
     /// The cell that produced this outcome.
     pub cell: CampaignCell,
@@ -797,7 +709,7 @@ impl GroupSummary {
 
 /// Aggregated verdicts of a whole campaign (or, after
 /// [`CampaignShard::run`], of one shard of it).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport {
     /// Global matrix index of the first cell (0 for a full run).
     start: usize,
@@ -953,37 +865,19 @@ impl CampaignReport {
 
 /// Runs every cell of `spec` on `executor` and aggregates the
 /// verdicts. Each distinct (weather, seed) day profile is rendered
-/// once and shared across the matrix through a campaign-local
-/// [`TraceCache`]; the report is bitwise-identical to an uncached run
-/// ([`run_campaign_with`] with `None` opts out, for benchmarking).
+/// once and shared across the matrix through the process-wide day memo
+/// (see [`CampaignCell::scenario`]).
 ///
 /// # Errors
 ///
 /// Returns [`SimError::InvalidConfig`] for an empty matrix and
 /// propagates the first engine failure in matrix order.
 pub fn run_campaign(spec: &CampaignSpec, executor: &Executor) -> Result<CampaignReport, SimError> {
-    let cache = TraceCache::new();
-    run_campaign_with(spec, executor, Some(&cache))
-}
-
-/// [`run_campaign`] with an explicit trace cache (or none). Passing a
-/// longer-lived cache lets consecutive campaigns over the same
-/// (weather, seed) days skip rendering entirely.
-///
-/// # Errors
-///
-/// Returns [`SimError::InvalidConfig`] for an empty matrix and
-/// propagates the first engine failure in matrix order.
-pub fn run_campaign_with(
-    spec: &CampaignSpec,
-    executor: &Executor,
-    cache: Option<&TraceCache>,
-) -> Result<CampaignReport, SimError> {
     let cells = spec.cells();
     if cells.is_empty() {
         return Err(SimError::InvalidConfig("campaign matrix is empty"));
     }
-    Ok(CampaignReport { start: 0, cells: evaluate_cells(&cells, executor, cache)? })
+    Ok(CampaignReport { start: 0, cells: evaluate_cells(&cells, executor)? })
 }
 
 /// Resumes an interrupted campaign from a saved partial report: cells
@@ -1007,9 +901,8 @@ pub fn resume_campaign(
     spec: &CampaignSpec,
     saved: &CampaignReport,
     executor: &Executor,
-    cache: Option<&TraceCache>,
 ) -> Result<CampaignReport, SimError> {
-    resume_campaign_parts(spec, std::slice::from_ref(saved), executor, cache)
+    resume_campaign_parts(spec, std::slice::from_ref(saved), executor)
 }
 
 /// [`resume_campaign`] generalised to any number of saved partial
@@ -1030,7 +923,6 @@ pub fn resume_campaign_parts(
     spec: &CampaignSpec,
     saved: &[CampaignReport],
     executor: &Executor,
-    cache: Option<&TraceCache>,
 ) -> Result<CampaignReport, SimError> {
     let cells = spec.cells();
     if cells.is_empty() {
@@ -1045,14 +937,14 @@ pub fn resume_campaign_parts(
     let mut cursor = 0usize;
     for part in order {
         if part.start() > cursor {
-            let gap = evaluate_cells(&cells[cursor..part.start()], executor, cache)?;
+            let gap = evaluate_cells(&cells[cursor..part.start()], executor)?;
             parts.push(CampaignReport { start: cursor, cells: gap });
         }
         cursor = cursor.max(part.start() + part.len());
         parts.push(part.clone());
     }
     if cursor < cells.len() {
-        let tail = evaluate_cells(&cells[cursor..], executor, cache)?;
+        let tail = evaluate_cells(&cells[cursor..], executor)?;
         parts.push(CampaignReport { start: cursor, cells: tail });
     }
     // Overlapping saved parts survive to here (the gap walk only skips
@@ -1063,8 +955,8 @@ pub fn resume_campaign_parts(
 /// Validates that `saved` is exactly the spec's cells over its matrix
 /// range: same position, same labels, and — crucially — the same
 /// per-cell options, control parameters and duration. A stale
-/// checkpoint written under an edited spec (different engine, supply
-/// model, idle flag, governor set, …) therefore errors instead of
+/// checkpoint written under an edited spec (different supply model,
+/// idle flag, governor set, …) therefore errors instead of
 /// silently merging into a fresh run. Shared by
 /// [`resume_campaign_parts`] and the daemon's checkpoint-recovery
 /// path.
@@ -1103,9 +995,6 @@ fn cell_mismatch(expected: &CampaignCell, got: &CampaignCell) -> String {
     if got.label() != expected.label() {
         return format!("saved cell {} where the spec has {}", got.label(), expected.label());
     }
-    fn opt_slug(engine: Option<EngineKind>) -> String {
-        engine.map_or_else(|| "inherit".to_string(), |e| e.slug().to_string())
-    }
     fn opt_model(model: &Option<SupplyModel>) -> String {
         model.as_ref().map_or_else(|| "inherit".to_string(), SupplyModel::slug)
     }
@@ -1114,9 +1003,6 @@ fn cell_mismatch(expected: &CampaignCell, got: &CampaignCell) -> String {
     }
     let mut diffs: Vec<String> = Vec::new();
     let (saved, spec) = (&got.options, &expected.options);
-    if saved.engine != spec.engine {
-        diffs.push(format!("engine {} vs {}", opt_slug(saved.engine), opt_slug(spec.engine)));
-    }
     if saved.supply_model != spec.supply_model {
         diffs.push(format!(
             "supply model {} vs {}",
@@ -1162,92 +1048,16 @@ fn cell_mismatch(expected: &CampaignCell, got: &CampaignCell) -> String {
     )
 }
 
-/// Evaluates a slice of cells on the executor, failing on the first
-/// engine error in matrix order. Shared with the adaptive driver,
-/// which batches each refinement round's probe cells through it.
-///
-/// Dispatch is by *lane group*, not by cell: maximal contiguous runs
-/// of cells that share a `(weather, seed)` day and opt into the
-/// batched engine become one executor item each, and the worker that
-/// claims a group steps all its lanes together against the shared
-/// trace ([`run_batch`]). Scalar cells stay one item each. The
-/// executor returns groups in item order and every group's outcomes
-/// are in matrix order, so the flattened result — like the scalar
-/// path's — is bitwise independent of the thread count.
+/// Evaluates a slice of cells on the executor, one item per cell,
+/// failing on the first engine error in matrix order. Shared with the
+/// adaptive driver, which runs each refinement round's probe cells
+/// through it. The executor returns results in item order, so the
+/// outcomes are bitwise independent of the thread count.
 pub(crate) fn evaluate_cells(
     cells: &[CampaignCell],
     executor: &Executor,
-    cache: Option<&TraceCache>,
 ) -> Result<Vec<CellOutcome>, SimError> {
-    let groups = lane_groups(cells);
-    let outcomes = executor.map(&groups, |_, group| {
-        evaluate_group(&cells[group.start..group.end], cache)
-    });
-    let mut reduced = Vec::with_capacity(cells.len());
-    for group in outcomes {
-        reduced.extend(group?);
-    }
-    Ok(reduced)
-}
-
-/// One executor work item: a contiguous span of the cell slice that
-/// runs as a single lane batch (or a scalar singleton).
-#[derive(Debug, Clone, Copy)]
-struct LaneGroup {
-    start: usize,
-    end: usize,
-}
-
-/// Splits `cells` into maximal contiguous spans sharing one
-/// `(weather, seed)` day, breaking at every scalar-engine cell (which
-/// forms a singleton span of its own). The matrix enumeration is
-/// weather-major then seed, so all cells of one day land in one span.
-fn lane_groups(cells: &[CampaignCell]) -> Vec<LaneGroup> {
-    let mut groups: Vec<LaneGroup> = Vec::new();
-    for (i, cell) in cells.iter().enumerate() {
-        let batched = cell.engine() == EngineKind::Batched;
-        if batched {
-            if let Some(last) = groups.last_mut() {
-                let prev = &cells[last.end - 1];
-                if prev.engine() == EngineKind::Batched
-                    && prev.weather == cell.weather
-                    && prev.seed == cell.seed
-                {
-                    last.end = i + 1;
-                    continue;
-                }
-            }
-        }
-        groups.push(LaneGroup { start: i, end: i + 1 });
-    }
-    groups
-}
-
-/// Evaluates one lane group: scalar cells run alone through
-/// [`CampaignCell::evaluate_with`]; a batched group builds every
-/// lane's simulation first (all sharing the day's trace) and steps
-/// them together. Both paths produce bitwise-identical outcomes.
-fn evaluate_group(
-    group: &[CampaignCell],
-    cache: Option<&TraceCache>,
-) -> Result<Vec<CellOutcome>, SimError> {
-    if group.len() == 1 && group[0].engine() == EngineKind::Scalar {
-        return Ok(vec![group[0].evaluate_with(cache)?]);
-    }
-    let mut scenarios = Vec::with_capacity(group.len());
-    let mut sims = Vec::with_capacity(group.len());
-    for cell in group {
-        let scenario = cell.scenario_with(cache)?;
-        sims.push(cell.governor.simulation(&scenario)?);
-        scenarios.push(scenario);
-    }
-    let reports = run_batch(sims)?;
-    group
-        .iter()
-        .zip(scenarios.iter())
-        .zip(reports)
-        .map(|((cell, scenario), report)| cell.reduce(scenario, report))
-        .collect()
+    executor.map(cells, |_, cell| cell.evaluate()).into_iter().collect()
 }
 
 #[cfg(test)]
@@ -1510,7 +1320,7 @@ mod tests {
             for end in start..=n {
                 let saved =
                     CampaignReport::from_parts(start, full.cells()[start..end].to_vec());
-                let resumed = resume_campaign(&spec, &saved, &executor, None).unwrap();
+                let resumed = resume_campaign(&spec, &saved, &executor).unwrap();
                 assert_eq!(resumed, full, "resume from {start}..{end} diverged");
             }
         }
@@ -1523,13 +1333,13 @@ mod tests {
         let full = run_campaign(&spec, &executor).unwrap();
         // A saved report that extends past the matrix.
         let saved = CampaignReport::from_parts(2, full.cells().to_vec());
-        let err = resume_campaign(&spec, &saved, &executor, None).unwrap_err();
+        let err = resume_campaign(&spec, &saved, &executor).unwrap_err();
         assert!(matches!(err, SimError::Campaign(_)), "{err}");
         // A saved cell that is not the spec's cell at that index.
         let mut cells = full.cells().to_vec();
         cells.swap(0, 3);
         let saved = CampaignReport::from_parts(0, cells);
-        let err = resume_campaign(&spec, &saved, &executor, None).unwrap_err();
+        let err = resume_campaign(&spec, &saved, &executor).unwrap_err();
         assert!(err.to_string().contains("does not match"), "{err}");
     }
 
@@ -1545,12 +1355,12 @@ mod tests {
         let full = run_campaign(&spec, &executor).unwrap();
         let saved = CampaignReport::from_parts(0, full.cells()[..2].to_vec());
         let edits: [(CampaignSpec, &str); 3] = [
-            (spec.clone().with_cell_options(SimOverrides::none().with_engine(EngineKind::Scalar)), "engine"),
+            (spec.clone().with_cell_options(SimOverrides::none().with_max_step(Seconds::new(0.1))), "max_step"),
             (spec.clone().with_supply_model(SupplyModel::interpolated()), "supply model"),
             (spec.clone().with_cell_options(SimOverrides::none().with_idle(false)), "idle"),
         ];
         for (edited, field) in &edits {
-            let err = resume_campaign(edited, &saved, &executor, None).unwrap_err();
+            let err = resume_campaign(edited, &saved, &executor).unwrap_err();
             let msg = err.to_string();
             assert!(msg.contains("edited or stale spec"), "{field}: {msg}");
             assert!(msg.contains(field), "expected {field:?} named in: {msg}");
@@ -1559,7 +1369,7 @@ mod tests {
         let edited = spec
             .clone()
             .with_governors(vec![GovernorSpec::Performance, GovernorSpec::Powersave]);
-        let err = resume_campaign(&edited, &saved, &executor, None).unwrap_err();
+        let err = resume_campaign(&edited, &saved, &executor).unwrap_err();
         assert!(err.to_string().contains("where the spec has"), "{err}");
     }
 
@@ -1575,10 +1385,10 @@ mod tests {
             CampaignReport::from_parts(2, full.cells()[2..3].to_vec()),
             CampaignReport::from_parts(0, full.cells()[..1].to_vec()),
         ];
-        let resumed = resume_campaign_parts(&spec, &parts, &executor, None).unwrap();
+        let resumed = resume_campaign_parts(&spec, &parts, &executor).unwrap();
         assert_eq!(resumed, full);
         // No parts at all degenerates to a full run.
-        let resumed = resume_campaign_parts(&spec, &[], &executor, None).unwrap();
+        let resumed = resume_campaign_parts(&spec, &[], &executor).unwrap();
         assert_eq!(resumed, full);
         // Overlapping parts are rejected by the merge disjointness
         // check instead of double-counting cells.
@@ -1586,7 +1396,7 @@ mod tests {
             CampaignReport::from_parts(0, full.cells()[..2].to_vec()),
             CampaignReport::from_parts(1, full.cells()[1..n].to_vec()),
         ];
-        let err = resume_campaign_parts(&spec, &overlapping, &executor, None).unwrap_err();
+        let err = resume_campaign_parts(&spec, &overlapping, &executor).unwrap_err();
         assert!(matches!(err, SimError::Campaign(_)), "{err}");
     }
 
@@ -1666,88 +1476,13 @@ mod tests {
     }
 
     #[test]
-    fn lane_groups_split_on_day_and_engine() {
-        let base = CampaignCell {
-            weather: Weather::FullSun,
-            seed: 1,
-            thermal: ThermalSpec::Off,
-            arrival: ArrivalSpec::Saturated,
-            fault: FaultSpec::None,
-            buffer_mf: 47.0,
-            governor: GovernorSpec::Powersave,
-            params: ControlParams::paper_optimal().unwrap(),
-            duration: Seconds::new(5.0),
-            options: SimOverrides::none(),
-        };
-        let scalar = SimOverrides::none().with_engine(EngineKind::Scalar);
-        let cells = [
-            base,                                                // ┐ one FullSun/1 group
-            CampaignCell { governor: GovernorSpec::PowerNeutral, ..base }, // ┘
-            CampaignCell { seed: 2, ..base },                    // new day → new group
-            CampaignCell { options: scalar, seed: 2, ..base },   // scalar → singleton
-            CampaignCell { seed: 2, ..base },                    // batched again → new group
-            CampaignCell { weather: Weather::Cloudy, seed: 2, ..base }, // new weather
-        ];
-        let spans: Vec<(usize, usize)> =
-            lane_groups(&cells).iter().map(|g| (g.start, g.end)).collect();
-        assert_eq!(spans, vec![(0, 2), (2, 3), (3, 4), (4, 5), (5, 6)]);
-        // The full smoke matrix groups into one span per (weather, seed)
-        // day under the default batched engine.
-        let spec = CampaignSpec::smoke().with_seeds(vec![1, 2]);
-        let groups = lane_groups(&spec.cells());
-        assert_eq!(groups.len(), spec.weathers.len() * 2);
-    }
-
-    #[test]
-    fn batched_campaign_is_bitwise_the_scalar_one() {
-        let batched = CampaignSpec::smoke().with_duration(Seconds::new(5.0));
-        let scalar = batched
-            .clone()
-            .with_cell_options(SimOverrides::none().with_engine(EngineKind::Scalar));
-        assert!(batched.cells().iter().all(|c| c.engine() == EngineKind::Batched));
-        assert!(scalar.cells().iter().all(|c| c.engine() == EngineKind::Scalar));
-        let executor = Executor::sequential();
-        let b = run_campaign(&batched, &executor).unwrap();
-        let s = run_campaign(&scalar, &executor).unwrap();
-        // The engine knob must be the only difference between the
-        // outcome sets: compare everything but the recorded options.
-        assert_eq!(b.len(), s.len());
-        for (x, y) in b.cells().iter().zip(s.cells()) {
-            let mut y_cell = *y;
-            y_cell.cell.options.engine = x.cell.options.engine;
-            assert_eq!(*x, CellOutcome { cell: y_cell.cell, ..*y }, "{} diverged", x.cell.label());
-        }
-    }
-
-    #[test]
-    fn group_dispatch_is_thread_count_invariant() {
+    fn campaigns_are_thread_count_invariant() {
         let spec = CampaignSpec::smoke().with_seeds(vec![1, 2]).with_duration(Seconds::new(4.0));
         let sequential = run_campaign(&spec, &Executor::sequential()).unwrap();
         for threads in [2, 3, 8] {
             let parallel = run_campaign(&spec, &Executor::new(threads)).unwrap();
             assert_eq!(parallel, sequential, "{threads}-thread run diverged");
         }
-    }
-
-    #[test]
-    fn cached_and_uncached_cells_agree() {
-        let cell = CampaignCell {
-            weather: Weather::Cloudy,
-            seed: 4,
-            thermal: ThermalSpec::Off,
-            arrival: ArrivalSpec::Saturated,
-            fault: FaultSpec::None,
-            buffer_mf: 47.0,
-            governor: GovernorSpec::PowerNeutral,
-            params: ControlParams::paper_optimal().unwrap(),
-            duration: Seconds::new(8.0),
-            options: SimOverrides::none(),
-        };
-        let cache = TraceCache::new();
-        let cached = cell.evaluate_with(Some(&cache)).unwrap();
-        let uncached = cell.evaluate().unwrap();
-        assert_eq!(cached, uncached);
-        assert_eq!(cache.misses(), 1);
     }
 
     #[test]

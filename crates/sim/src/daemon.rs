@@ -119,7 +119,6 @@ use crate::executor::Executor;
 use crate::persist;
 use crate::SimError;
 use pn_analysis::csv::{format_campaign_row, CAMPAIGN_CSV_HEADER};
-use pn_harvest::cache::TraceCache;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, VecDeque};
@@ -274,8 +273,6 @@ struct Job {
     dir: PathBuf,
     cells: Vec<CampaignCell>,
     shards: Vec<CampaignShard>,
-    /// Day traces shared by every worker touching this job.
-    cache: TraceCache,
     state: Mutex<JobState>,
     /// Notified whenever rows are appended, the job finishes, or it
     /// fails — and on daemon shutdown, so watchers can unblock.
@@ -305,7 +302,7 @@ impl Job {
             failed: None,
             merged: None,
         };
-        Self { id, dir, cells, shards, cache: TraceCache::new(), state: Mutex::new(state), cond: Condvar::new() }
+        Self { id, dir, cells, shards, state: Mutex::new(state), cond: Condvar::new() }
     }
 }
 
@@ -632,11 +629,12 @@ fn run_task(task: &Task, shared: &Shared) -> bool {
     }
     let shard = &job.shards[task.shard];
     // One sequential executor per shard: parallelism comes from the
-    // worker pool (shards run concurrently), batching from the lane
-    // engine inside the shard. The catch_unwind contains a poisoned
-    // cell to its job — the daemon itself must survive any panic.
+    // worker pool (shards run concurrently), and shards of one day share
+    // its trace through the day memo. The catch_unwind contains a
+    // poisoned cell to its job — the daemon itself must survive any
+    // panic.
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        shard.run_with(&Executor::sequential(), Some(&job.cache))
+        shard.run(&Executor::sequential())
     }));
     match outcome {
         Ok(Ok(report)) => {

@@ -27,52 +27,6 @@ use pn_soc::transition::{plan_transition, TransitionStrategy};
 use pn_units::{Seconds, Volts, Watts};
 use pn_workload::arrival::{ArrivalSpec, ArrivalTimeline};
 use pn_workload::work::WorkAccount;
-use serde::{Deserialize, Serialize};
-
-/// Which execution path a campaign uses to run its cells.
-///
-/// Both paths produce bitwise-identical [`SimReport`]s — the batched
-/// lane engine interleaves the *same* per-cell state machines the
-/// scalar path runs one at a time, and lanes share no mutable state —
-/// so the choice is purely about throughput. `Scalar` remains the
-/// bit-exactness oracle for golden artifacts and debugging.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum EngineKind {
-    /// Run each campaign cell's simulation loop to completion on its
-    /// own — the reference path.
-    Scalar,
-    /// Group campaign cells sharing a `(weather, seed)` day and
-    /// advance the whole group's lanes together, time-ordered, against
-    /// one shared irradiance trace (see `pn_sim::lanes`).
-    #[default]
-    Batched,
-}
-
-impl EngineKind {
-    /// Stable machine token (`scalar` / `batched`) for persistence and
-    /// CLI flags. Round-trips through [`EngineKind::from_slug`].
-    pub fn slug(&self) -> &'static str {
-        match self {
-            EngineKind::Scalar => "scalar",
-            EngineKind::Batched => "batched",
-        }
-    }
-
-    /// Parses an [`EngineKind::slug`] token.
-    pub fn from_slug(slug: &str) -> Option<EngineKind> {
-        match slug {
-            "scalar" => Some(EngineKind::Scalar),
-            "batched" => Some(EngineKind::Batched),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.slug())
-    }
-}
 
 /// Engine tunables.
 #[derive(Debug, Clone, Copy)]
@@ -100,10 +54,6 @@ pub struct SimOptions {
     /// How the PV operating point is evaluated on the hot path (exact
     /// Newton, or the pretabulated interpolation surface).
     pub supply_model: SupplyModel,
-    /// Which campaign execution path runs this cell. A single
-    /// [`Simulation::run`] is unaffected — the knob decides whether
-    /// campaigns group this cell into lane batches.
-    pub engine: EngineKind,
     /// Die thermal model (throttle ceiling + boost). `Off` — the
     /// default — tracks no temperature and is bitwise-identical to the
     /// pre-thermal engine.
@@ -130,7 +80,6 @@ impl SimOptions {
             stop_on_brownout: true,
             idle_enabled: true,
             supply_model: SupplyModel::Exact,
-            engine: EngineKind::default(),
             thermal: ThermalSpec::Off,
             arrival: ArrivalSpec::Saturated,
             arrival_seed: 0,
@@ -159,12 +108,6 @@ impl SimOptions {
     /// Sets the supply evaluation model (builder style).
     pub fn with_supply_model(mut self, model: SupplyModel) -> Self {
         self.supply_model = model;
-        self
-    }
-
-    /// Selects the campaign execution path (builder style).
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -200,9 +143,6 @@ impl SimOptions {
         if let Some(model) = overrides.supply_model {
             self.supply_model = model;
         }
-        if let Some(engine) = overrides.engine {
-            self.engine = engine;
-        }
         if let Some(idle) = overrides.idle {
             self.idle_enabled = idle;
         }
@@ -214,7 +154,7 @@ impl SimOptions {
 /// specs and cells so one matrix can mix recording decimation (very
 /// long windows), step caps and supply models without forking the
 /// scenario builders. `None` fields inherit the scenario's options.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimOverrides {
     /// Override of [`SimOptions::record_dt`] (trace decimation).
     pub record_dt: Option<Seconds>,
@@ -222,8 +162,6 @@ pub struct SimOverrides {
     pub max_step: Option<Seconds>,
     /// Override of [`SimOptions::supply_model`].
     pub supply_model: Option<SupplyModel>,
-    /// Override of [`SimOptions::engine`].
-    pub engine: Option<EngineKind>,
     /// Override of [`SimOptions::idle_enabled`].
     pub idle: Option<bool>,
 }
@@ -254,12 +192,6 @@ impl SimOverrides {
     /// Sets the maximum ODE step (builder style).
     pub fn with_max_step(mut self, dt: Seconds) -> Self {
         self.max_step = Some(dt);
-        self
-    }
-
-    /// Selects the campaign execution path (builder style).
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = Some(engine);
         self
     }
 
@@ -455,11 +387,9 @@ impl Simulation {
     }
 
     /// Performs the one-time setup (governor start-up, initial
-    /// snapshot) and hands back the resumable per-simulation state
-    /// machine. `run()` is `start` + `step` to completion + `finish`;
-    /// the batched lane engine interleaves `step` calls across many
-    /// lanes instead.
-    pub(crate) fn start(mut self) -> Result<Lane, SimError> {
+    /// snapshot) and hands back the per-simulation loop state that
+    /// `run()` steps to completion.
+    fn start(mut self) -> Result<Lane, SimError> {
         let opts = self.options;
         let vmin = self.platform.voltage_window().min.value();
         let uses_irq = self.governor.uses_threshold_interrupts();
@@ -543,15 +473,10 @@ impl Simulation {
     }
 }
 
-/// One in-flight simulation, paused between loop iterations.
-///
-/// A `Lane` owns every variable of the classic simulation loop —
-/// runtime, recorder, solver, supply state, event bookkeeping — so a
-/// scheduler can interleave `step()` calls across many lanes. Lanes
-/// share no mutable state, so *any* interleaving produces exactly the
-/// floating-point sequence (and therefore the bitwise-identical
-/// [`SimReport`]) of running each lane to completion alone.
-pub(crate) struct Lane {
+/// One in-flight simulation between loop iterations: every variable of
+/// the simulation loop — runtime, recorder, solver, supply state, event
+/// bookkeeping. [`Simulation::run`] is its only driver.
+struct Lane {
     supply: Supply,
     buffer: Supercapacitor,
     monitor: VoltageMonitor,
@@ -584,7 +509,7 @@ pub(crate) struct Lane {
 impl Lane {
     /// `true` once the lane has reached its window end (or browned out
     /// under `stop_on_brownout`); `step` must not be called again.
-    pub(crate) fn done(&self) -> bool {
+    fn done(&self) -> bool {
         self.t >= self.t_end - 1e-12
             || (!self.runtime.is_alive() && self.opts.stop_on_brownout)
     }
@@ -593,7 +518,12 @@ impl Lane {
     /// discrete boundary (stopping early at threshold/brownout
     /// crossings, which resolve inline through the governor), then
     /// handle whichever discrete boundaries were reached.
-    pub(crate) fn step(&mut self) -> Result<(), SimError> {
+    ///
+    /// Kept out of line: with `run` as its only caller the compiler
+    /// may inline this large body into the loop, which measured a few
+    /// percent slower on the Table II hour.
+    #[inline(never)]
+    fn step(&mut self) -> Result<(), SimError> {
         // Load power at the top of the step: it is constant until the
         // next discontinuity, so it both drives the ODE and determines
         // when the thermal state next crosses a threshold.
@@ -857,7 +787,7 @@ impl Lane {
     }
 
     /// Takes the final snapshot and assembles the report.
-    pub(crate) fn finish(mut self) -> Result<SimReport, SimError> {
+    fn finish(mut self) -> Result<SimReport, SimError> {
         // Final snapshot at the stop time.
         self.snapshot()?;
         Ok(SimReport {
@@ -995,9 +925,8 @@ fn apply_action(
 
 /// The continuous-phase context of one lane: the integration resources
 /// (supply, fast-path state, buffer, solver) plus the load power and
-/// the armed threshold set. Shared by the scalar and batched paths —
-/// each `Lane::step` assembles one from its own fields, so batching
-/// cannot change what an advance sees.
+/// the armed threshold set, assembled by each `Lane::step` from its
+/// own fields.
 struct AdvanceCtx<'a> {
     supply: &'a Supply,
     supply_state: &'a mut SupplyState,
@@ -1371,70 +1300,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_kind_slugs_round_trip() {
-        for kind in [EngineKind::Scalar, EngineKind::Batched] {
-            assert_eq!(EngineKind::from_slug(kind.slug()), Some(kind));
-            assert_eq!(kind.to_string(), kind.slug());
-            assert!(!kind.slug().contains([' ', ',']), "slug {:?} not CSV-safe", kind.slug());
-        }
-        assert_eq!(EngineKind::from_slug("vector"), None);
-        assert_eq!(EngineKind::default(), EngineKind::Batched);
-        // Pinned spellings: persisted specs depend on them.
-        assert_eq!(EngineKind::Scalar.slug(), "scalar");
-        assert_eq!(EngineKind::Batched.slug(), "batched");
-    }
-
-    #[test]
-    fn engine_override_applies_sparsely() {
-        let base = SimOptions::new(Seconds::new(10.0));
-        assert_eq!(base.engine, EngineKind::Batched);
-        let merged = base.with_overrides(&SimOverrides::none().with_engine(EngineKind::Scalar));
-        assert_eq!(merged.engine, EngineKind::Scalar);
-        assert_eq!(base.with_overrides(&SimOverrides::none()).engine, EngineKind::Batched);
-        assert!(!SimOverrides::none().with_engine(EngineKind::Scalar).is_none());
-    }
-
-    #[test]
-    fn stepped_lane_matches_run_bitwise() {
-        let make = || build(pn_governor(), pv_supply(560.0, 15.0), 15.0, Opp::lowest());
-        let whole = make().run().unwrap();
-        let mut lane = make().start().unwrap();
-        while !lane.done() {
-            lane.step().unwrap();
-        }
-        assert_eq!(whole, lane.finish().unwrap());
-    }
-
-    #[test]
-    fn interleaved_lanes_match_solo_runs_bitwise() {
-        // Two different lanes stepped in strict alternation must each
-        // reproduce their solo run exactly: lanes share no state.
-        let a = || build(pn_governor(), pv_supply(560.0, 10.0), 10.0, Opp::lowest());
-        let b = || {
-            build(
-                Box::new(Powersave::new()),
-                pv_supply(420.0, 10.0),
-                10.0,
-                Opp::new(pn_soc::cores::CoreConfig::MAX, 0),
-            )
-        };
-        let solo_a = a().run().unwrap();
-        let solo_b = b().run().unwrap();
-        let mut lane_a = a().start().unwrap();
-        let mut lane_b = b().start().unwrap();
-        while !lane_a.done() || !lane_b.done() {
-            if !lane_a.done() {
-                lane_a.step().unwrap();
-            }
-            if !lane_b.done() {
-                lane_b.step().unwrap();
-            }
-        }
-        assert_eq!(solo_a, lane_a.finish().unwrap());
-        assert_eq!(solo_b, lane_b.finish().unwrap());
-    }
-
-    #[test]
     fn default_axes_are_bitwise_inert() {
         // Explicitly setting thermal Off + saturated arrivals must
         // reproduce the untouched-options run bit for bit: no scale,
@@ -1527,30 +1392,6 @@ mod tests {
         );
         other.options = other.options.with_arrival(ArrivalSpec::bursty_stress(), 18);
         assert_ne!(bursty, other.run().unwrap());
-    }
-
-    #[test]
-    fn stepped_thermal_lane_matches_run_bitwise() {
-        let make = || {
-            let mut sim = build(
-                pn_governor(),
-                pv_supply(700.0, 60.0),
-                60.0,
-                Opp::new(pn_soc::cores::CoreConfig::MAX, 7),
-            );
-            sim.options = sim
-                .options
-                .with_thermal(ThermalSpec::stress())
-                .with_arrival(ArrivalSpec::bursty_stress(), 5);
-            sim.options.stop_on_brownout = false;
-            sim
-        };
-        let whole = make().run().unwrap();
-        let mut lane = make().start().unwrap();
-        while !lane.done() {
-            lane.step().unwrap();
-        }
-        assert_eq!(whole, lane.finish().unwrap());
     }
 
     #[test]

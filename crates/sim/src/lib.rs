@@ -19,9 +19,6 @@
 //! * [`engine`] — the hybrid continuous/discrete simulation loop
 //!   (adaptive RK23 between events, bisection event location, interrupt
 //!   masking during transitions),
-//! * [`lanes`] — the batched structure-of-arrays lane engine: step a
-//!   whole group of simulations per sweep, bitwise identical to
-//!   running each alone,
 //! * [`chaos`] — the deterministic fault plane: a seeded `FaultPlan`
 //!   injecting I/O and network faults behind the `IoPolicy` seam, so
 //!   the persistence and daemon layers are testable under chaos,
@@ -66,7 +63,6 @@ pub mod daemon;
 pub mod engine;
 pub mod executor;
 pub mod experiments;
-pub mod lanes;
 pub mod persist;
 pub mod recorder;
 pub mod runtime;

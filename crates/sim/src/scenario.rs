@@ -115,18 +115,8 @@ impl Scenario {
     ///
     /// Propagates engine failures.
     pub fn run_power_neutral(&self) -> Result<SimReport, SimError> {
-        self.build_power_neutral()?.run()
-    }
-
-    /// Assembles (without running) the [`Scenario::run_power_neutral`]
-    /// simulation, for batched execution.
-    ///
-    /// # Errors
-    ///
-    /// Propagates assembly failures.
-    pub fn build_power_neutral(&self) -> Result<Simulation, SimError> {
         let gov = PowerNeutralGovernor::new(self.params, &self.platform)?;
-        self.build_governor(Box::new(gov))
+        self.run_governor(Box::new(gov))
     }
 
     /// Runs under an arbitrary governor. Baseline (non-hot-plugging)
@@ -137,16 +127,6 @@ impl Scenario {
     ///
     /// Propagates engine failures.
     pub fn run_governor(&self, governor: Box<dyn Governor>) -> Result<SimReport, SimError> {
-        self.build_governor(governor)?.run()
-    }
-
-    /// Assembles (without running) the [`Scenario::run_governor`]
-    /// simulation, for batched execution.
-    ///
-    /// # Errors
-    ///
-    /// Propagates assembly failures.
-    pub fn build_governor(&self, governor: Box<dyn Governor>) -> Result<Simulation, SimError> {
         let initial = if governor.uses_threshold_interrupts() {
             self.initial_opp
         } else {
@@ -161,7 +141,8 @@ impl Scenario {
             initial,
             self.initial_vc,
             self.options,
-        )
+        )?
+        .run()
     }
 
     /// Runs with a fixed OPP and no control at all (the red "small
@@ -171,16 +152,6 @@ impl Scenario {
     ///
     /// Propagates engine failures.
     pub fn run_static(&self, opp: Opp) -> Result<SimReport, SimError> {
-        self.build_static(opp)?.run()
-    }
-
-    /// Assembles (without running) the [`Scenario::run_static`]
-    /// simulation, for batched execution.
-    ///
-    /// # Errors
-    ///
-    /// Propagates assembly failures.
-    pub fn build_static(&self, opp: Opp) -> Result<Simulation, SimError> {
         Simulation::new(
             self.platform.clone(),
             self.supply.clone(),
@@ -190,7 +161,8 @@ impl Scenario {
             opp,
             self.initial_vc,
             self.options,
-        )
+        )?
+        .run()
     }
 
     /// Runs the paper's powersave baseline (Table II's only surviving
@@ -201,16 +173,6 @@ impl Scenario {
     /// Propagates engine failures.
     pub fn run_powersave(&self) -> Result<SimReport, SimError> {
         self.run_governor(Box::new(Powersave::new()))
-    }
-
-    /// Assembles (without running) the [`Scenario::run_powersave`]
-    /// simulation, for batched execution.
-    ///
-    /// # Errors
-    ///
-    /// Propagates assembly failures.
-    pub fn build_powersave(&self) -> Result<Simulation, SimError> {
-        self.build_governor(Box::new(Powersave::new()))
     }
 }
 
@@ -228,9 +190,8 @@ pub fn weather_day(weather: Weather, seed: u64) -> Scenario {
 
 /// The irradiance trace [`weather_day`] renders: the paper's test
 /// window (10:30–16:30) under the weak autumn sky, sampled every
-/// second. Split out so campaign runs can render each distinct
-/// (weather, seed) day once and share it through a
-/// [`TraceCache`](pn_harvest::cache::TraceCache).
+/// second. Always renders afresh; campaigns share each distinct
+/// (weather, seed) day through [`weather_day_trace_shared`] instead.
 pub fn weather_day_trace(weather: Weather, seed: u64) -> IrradianceTrace {
     weather_day_profile(weather, seed)
         .build(Seconds::new(1.0))
@@ -257,8 +218,8 @@ fn weather_day_profile(weather: Weather, seed: u64) -> DayProfile {
 
 /// Assembles the [`weather_day`] scenario around an already-rendered
 /// irradiance trace (the simulated window is the trace's span). The
-/// trace must come from [`weather_day_trace`] — or a cache of it — for
-/// the scenario to match `weather_day` bitwise.
+/// trace must come from [`weather_day_trace`] — or the day memo's copy
+/// of it — for the scenario to match `weather_day` bitwise.
 pub fn weather_day_with_trace(irradiance: impl Into<Arc<IrradianceTrace>>) -> Scenario {
     let irradiance = irradiance.into();
     let (start, end) = (irradiance.start(), irradiance.end());

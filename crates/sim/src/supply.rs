@@ -6,7 +6,6 @@ use pn_circuit::solar::SolarCell;
 use pn_circuit::surface::PanelSurface;
 use pn_harvest::irradiance::{IrradianceCursor, IrradianceTrace};
 use pn_units::{Amps, Seconds, Volts, WattsPerSquareMeter};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A prescribed supply-voltage waveform (the paper's §V-A bench test
@@ -167,7 +166,7 @@ impl Supply {
 /// against the exact model at build time. Use it for campaign sweeps
 /// and adaptive searches, where the verdict of a cell — not the
 /// trailing bits of its trace — is the product.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SupplyModel {
     /// Solve the single-diode equation exactly at every query.
     Exact,

@@ -8,7 +8,6 @@
 //! cargo run --release --example campaign
 //! ```
 
-use power_neutral::harvest::cache::TraceCache;
 use power_neutral::harvest::weather::Weather;
 use power_neutral::sim::adaptive::{AdaptiveCampaign, AdaptiveConfig};
 use power_neutral::sim::campaign::{
@@ -106,7 +105,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let saved = persist::report_from_str(&persist::report_to_string(
         &spec.shard(3)[0].run(&executor)?,
     ))?;
-    let resumed = resume_campaign(&spec, &saved, &executor, None)?;
+    let resumed = resume_campaign(&spec, &saved, &executor)?;
     assert_eq!(resumed, report, "resume must reproduce the uninterrupted run bitwise");
     println!(
         "  resumed the remaining {} cells from a {}-cell saved report — bitwise identical",
@@ -119,8 +118,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // round from the previous report.
     let config = AdaptiveConfig { tolerance_mf: 64.0, max_rounds: 24, ..Default::default() };
     let mut adaptive = AdaptiveCampaign::from_report(&report, config)?;
-    let cache = TraceCache::new();
-    let brackets = adaptive.run(&executor, Some(&cache))?;
+    let brackets = adaptive.run(&executor)?;
     println!(
         "\n  adaptive boundary search: {} rounds, {} probe cells",
         adaptive.rounds(),

@@ -15,7 +15,6 @@
 //!   Regenerate deliberately with
 //!   `PN_BLESS=1 cargo test --test campaign_adaptive`.
 
-use power_neutral::harvest::cache::TraceCache;
 use power_neutral::sim::adaptive::{AdaptiveAxis, AdaptiveCampaign, AdaptiveConfig, BracketStatus};
 use power_neutral::sim::campaign::{CampaignCell, CampaignReport, CampaignSpec, CellOutcome};
 use power_neutral::sim::executor::Executor;
@@ -38,12 +37,11 @@ fn golden_config() -> AdaptiveConfig {
 /// brackets on the given executor.
 fn run_adaptive(executor: &Executor) -> AdaptiveCampaign {
     let spec = CampaignSpec::smoke().with_duration(Seconds::new(10.0));
-    let cache = TraceCache::new();
-    let report = power_neutral::sim::campaign::run_campaign_with(&spec, executor, Some(&cache))
-        .expect("smoke campaign");
+    let report =
+        power_neutral::sim::campaign::run_campaign(&spec, executor).expect("smoke campaign");
     let mut adaptive =
         AdaptiveCampaign::from_report(&report, golden_config()).expect("seed report non-empty");
-    adaptive.run(executor, Some(&cache)).expect("refinement rounds");
+    adaptive.run(executor).expect("refinement rounds");
     adaptive
 }
 

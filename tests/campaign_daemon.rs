@@ -117,7 +117,7 @@ fn restart_after_torn_and_missing_checkpoints_is_byte_exact() {
 
 #[test]
 fn stale_checkpoints_from_an_edited_spec_are_recomputed_not_merged() {
-    use power_neutral::sim::engine::EngineKind;
+    use power_neutral::sim::supply::SupplyModel;
 
     let dir = checkpoint_dir("edited");
     let spec = spec();
@@ -129,11 +129,12 @@ fn stale_checkpoints_from_an_edited_spec_are_recomputed_not_merged() {
         daemon.stop();
     }
 
-    // Edit the persisted spec (scalar engine instead of the default):
-    // the existing checkpoints still match by label, but their options
-    // no longer match the spec, so recovery must discard them and
-    // recompute under the edited spec.
-    let edited = spec.with_engine(EngineKind::Scalar);
+    // Edit the persisted spec (interpolated supply instead of the
+    // default): the existing checkpoints still match by label, but
+    // their options no longer match the spec, so recovery must discard
+    // them and recompute under the edited spec — whose CSV names the
+    // new model in every row.
+    let edited = spec.with_supply_model(SupplyModel::interpolated());
     let job_dir = dir.join("job-1");
     std::fs::write(job_dir.join("spec.pnc"), persist::spec_to_string(&edited))
         .expect("edit spec");

@@ -11,29 +11,30 @@
 //!   and merging their reports (including through a serialize/decode
 //!   cycle) reproduces the unsharded [`CampaignReport`] bitwise;
 //!   property tests cover partitioning and merge order-insensitivity.
-//! * **Trace cache** — campaigns that share day-profile traces
-//!   through a [`TraceCache`] replay bitwise-identically to uncached
-//!   runs, and repeated (weather, seed) pairs are served from the
-//!   cache instead of re-rendered.
+//! * **Day memo** — every cell of one (weather, seed) day shares a
+//!   single trace from the process-wide day memo, and memo-served
+//!   campaigns replay bitwise-identically to runs on freshly rendered
+//!   days.
 
+use power_neutral::circuit::capacitor::Supercapacitor;
 use power_neutral::core::params::ControlParams;
-use power_neutral::harvest::cache::TraceCache;
 use power_neutral::harvest::faults::FaultSpec;
 use power_neutral::soc::thermal::{RcThermal, ThermalSpec};
 use power_neutral::workload::arrival::ArrivalSpec;
 use power_neutral::sim::engine::SimOverrides;
-use power_neutral::sim::supply::SupplyModel;
+use power_neutral::sim::scenario::{self, Scenario};
+use power_neutral::sim::supply::{Supply, SupplyModel};
 use power_neutral::harvest::weather::Weather;
 use power_neutral::sim::campaign::{
-    resume_campaign, run_campaign, run_campaign_with, CampaignCell, CampaignReport, CampaignSpec,
-    CellOutcome, GovernorSpec,
+    resume_campaign, run_campaign, CampaignCell, CampaignReport, CampaignSpec, CellOutcome,
+    GovernorSpec,
 };
 use power_neutral::sim::SimError;
 use power_neutral::sim::executor::Executor;
 use power_neutral::sim::persist;
 use power_neutral::units::Seconds;
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The smoke campaign, simulated once and shared across tests.
 fn smoke_report() -> &'static CampaignReport {
@@ -144,7 +145,7 @@ fn golden_stress_artifacts_pin_throttle_then_recover() {
 
 #[test]
 fn stress_spec_documents_re_emit_byte_identically() {
-    // Spec v5 determinism: parse → emit must reproduce the document
+    // Spec determinism: parse → emit must reproduce the document
     // byte for byte, so shard coordinators can fingerprint specs by
     // their serialized form.
     let wire = persist::spec_to_string(&stress_spec());
@@ -211,7 +212,7 @@ fn resuming_a_persisted_partial_report_matches_the_uninterrupted_run() {
     for (i, shard) in spec.shard(3).iter().enumerate() {
         let wire = persist::report_to_string(&shard.run(&executor).unwrap());
         let saved = persist::report_from_str(&wire).unwrap();
-        let resumed = resume_campaign(&spec, &saved, &executor, None).unwrap();
+        let resumed = resume_campaign(&spec, &saved, &executor).unwrap();
         assert_eq!(resumed, full, "resume from persisted shard {i} diverged");
         assert_eq!(persist::report_csv_string(&resumed).unwrap(), full_csv);
     }
@@ -237,7 +238,7 @@ fn resume_rejects_duplicate_cells_by_label() {
 
 #[test]
 fn interpolated_campaigns_round_trip_and_stay_self_describing() {
-    // The v3 wire contract end to end: per-cell options survive the
+    // The wire contract end to end: per-cell options survive the
     // file round trip bitwise, the CSV names the model per row, and a
     // saved interpolated report cannot silently resume an exact spec.
     let spec = quick_spec().with_supply_model(SupplyModel::interpolated());
@@ -253,25 +254,47 @@ fn interpolated_campaigns_round_trip_and_stay_self_describing() {
     for line in csv.lines().skip(1) {
         assert!(line.contains(",interp:0.001,"), "row lost its model slug: {line}");
     }
-    let err = resume_campaign(&quick_spec(), &report, &executor, None).unwrap_err();
+    let err = resume_campaign(&quick_spec(), &report, &executor).unwrap_err();
     assert!(matches!(err, SimError::Campaign(_)), "{err}");
     assert!(err.to_string().contains("does not match"), "{err}");
 }
 
+/// The scenario of a plain 47 mF cell (no stress axes, no option
+/// overrides) built around a freshly rendered day instead of the day
+/// memo's shared copy.
+fn fresh_scenario(cell: &CampaignCell) -> Scenario {
+    assert_eq!(cell.buffer_mf, 47.0, "fresh_scenario rebuilds the paper buffer only");
+    assert!(cell.options.is_none() && cell.fault == FaultSpec::None);
+    assert!(cell.thermal == ThermalSpec::Off && cell.arrival == ArrivalSpec::Saturated);
+    scenario::weather_day_with_trace(scenario::weather_day_trace(cell.weather, cell.seed))
+        .with_duration(cell.duration)
+        .with_buffer(Supercapacitor::paper_buffer())
+        .with_params(cell.params)
+}
+
 #[test]
 fn cached_and_uncached_campaigns_replay_bitwise_identically() {
+    // A campaign's days come from the day memo; rerunning every cell on
+    // a freshly rendered day must reproduce its outcome bitwise.
     let spec = quick_spec();
-    let executor = Executor::new(2);
-    let cached = run_campaign(&spec, &executor).unwrap();
-    let uncached = run_campaign_with(&spec, &executor, None).unwrap();
-    assert_eq!(cached, uncached);
+    let report = run_campaign(&spec, &Executor::new(2)).unwrap();
+    for outcome in report.cells() {
+        let fresh = outcome.cell.governor.run(&fresh_scenario(&outcome.cell)).unwrap();
+        let label = outcome.cell.label();
+        assert_eq!(outcome.survived, fresh.survived(), "{label}");
+        assert_eq!(outcome.lifetime_seconds, fresh.lifetime_or_duration().value(), "{label}");
+        assert_eq!(outcome.instructions_billions, fresh.work().instructions_billions(), "{label}");
+        assert_eq!(outcome.transitions, fresh.transitions(), "{label}");
+        assert_eq!(outcome.final_vc, fresh.final_vc().value(), "{label}");
+    }
 }
 
 #[test]
 fn cached_cells_record_bitwise_identical_traces() {
     // Recorder-level clause: CellOutcome equality above could in
     // principle hide compensating trace differences, so compare the
-    // full recorded traces of a cached and an uncached run.
+    // full reports, recorded traces included, of a memo-served and a
+    // freshly rendered run.
     let cell = CampaignCell {
         weather: Weather::PartialSun,
         seed: 11,
@@ -284,30 +307,37 @@ fn cached_cells_record_bitwise_identical_traces() {
         duration: Seconds::new(10.0),
         options: SimOverrides::none(),
     };
-    let cache = TraceCache::new();
-    let cached = cell.governor.run(&cell.scenario_with(Some(&cache)).unwrap()).unwrap();
-    let uncached = cell.governor.run(&cell.scenario().unwrap()).unwrap();
-    assert_eq!(cached.recorder(), uncached.recorder());
-    assert_eq!(cached.recorder().vc().times(), uncached.recorder().vc().times());
-    assert_eq!(cached.recorder().vc().values(), uncached.recorder().vc().values());
+    let cached = cell.governor.run(&cell.scenario().unwrap()).unwrap();
+    let fresh = cell.governor.run(&fresh_scenario(&cell)).unwrap();
+    assert_eq!(cached, fresh);
+    assert_eq!(cached.recorder().vc().times(), fresh.recorder().vc().times());
+    assert_eq!(cached.recorder().vc().values(), fresh.recorder().vc().values());
 }
 
 #[test]
 fn cache_serves_hits_for_repeated_weather_seed_pairs() {
-    // The smoke matrix is 2 weathers × 1 seed × 2 governors: four
-    // cells over two distinct days. A shared cache must render each
-    // day once and serve the other two lookups from memory.
-    let spec = quick_spec();
-    let cache = TraceCache::new();
-    let _ = run_campaign_with(&spec, &Executor::sequential(), Some(&cache)).unwrap();
-    assert_eq!(cache.misses(), 2, "one render per distinct (weather, seed) day");
-    assert_eq!(cache.hits(), 2, "repeated pairs must hit the cache");
-    assert_eq!(cache.len(), 2);
-    // A second campaign over the same days through the same cache
-    // renders nothing new.
-    let _ = run_campaign_with(&spec, &Executor::sequential(), Some(&cache)).unwrap();
-    assert_eq!(cache.misses(), 2);
-    assert_eq!(cache.hits(), 6);
+    // The matrix is 2 weathers × 2 seeds × 2 governors × 2 buffers:
+    // every cell of one (weather, seed) day must alias the same
+    // memo-served trace, and distinct days must not.
+    let spec = quick_spec().with_seeds(vec![1, 2]).with_buffers_mf(vec![47.0, 150.0]);
+    let trace = |cell: &CampaignCell| match cell.scenario().unwrap().supply() {
+        Supply::Photovoltaic { irradiance, .. } => Arc::clone(irradiance),
+        Supply::Controlled { .. } => panic!("campaign cells run on PV"),
+    };
+    let cells = spec.cells();
+    let traces: Vec<_> = cells.iter().map(trace).collect();
+    for (i, a) in cells.iter().enumerate() {
+        for (j, b) in cells.iter().enumerate() {
+            let same_day = (a.weather, a.seed) == (b.weather, b.seed);
+            assert_eq!(
+                Arc::ptr_eq(&traces[i], &traces[j]),
+                same_day,
+                "{} vs {}",
+                a.label(),
+                b.label()
+            );
+        }
+    }
 }
 
 /// Fabricates a cheap, distinctive outcome for merge property tests
@@ -397,20 +427,17 @@ proptest! {
         start in 0usize..=8,
         len in 0usize..=8,
     ) {
-        // One shared full run + trace cache across all sampled cases.
-        static FULL: OnceLock<(CampaignSpec, CampaignReport, TraceCache)> = OnceLock::new();
-        let (spec, full, cache) = FULL.get_or_init(|| {
+        // One shared full run across all sampled cases.
+        static FULL: OnceLock<(CampaignSpec, CampaignReport)> = OnceLock::new();
+        let (spec, full) = FULL.get_or_init(|| {
             let spec = quick_spec().with_seeds(vec![1, 2]); // 8 cells
-            let cache = TraceCache::new();
-            let full =
-                run_campaign_with(&spec, &Executor::sequential(), Some(&cache)).unwrap();
-            (spec, full, cache)
+            let full = run_campaign(&spec, &Executor::sequential()).unwrap();
+            (spec, full)
         });
         let start = start.min(full.len());
         let len = len.min(full.len() - start);
         let saved = CampaignReport::from_parts(start, full.cells()[start..start + len].to_vec());
-        let resumed =
-            resume_campaign(spec, &saved, &Executor::sequential(), Some(cache)).unwrap();
+        let resumed = resume_campaign(spec, &saved, &Executor::sequential()).unwrap();
         prop_assert_eq!(&resumed, full, "resume from slice {}..{} diverged", start, start + len);
     }
 
