@@ -6,9 +6,10 @@
 //! near-linearly with thread count until the machine runs out of
 //! cores; comparing the three lines makes scaling regressions in the
 //! executor (or accidental serialisation in the campaign layer)
-//! visible. The 6 distinct (weather, seed) days come from the
-//! process-wide day memo (`DayProfile::build_shared`), so after the
-//! first iteration every line times the simulations themselves.
+//! visible. The 5 s windows of the 6 distinct (weather, seed) days come
+//! from the process-wide day memo (`DayProfile::build_shared`), so
+//! after the first iteration every line times the simulations
+//! themselves.
 //!
 //! The `supply_model` group compares the same 12-cell matrix with
 //! warm days (steady-state campaign throughput, simulation-dominated)
@@ -55,7 +56,7 @@ fn bench_supply_model(c: &mut Criterion) {
     let exact = matrix();
     let interp = matrix().with_supply_model(SupplyModel::interpolated());
     let executor = Executor::new(2);
-    // Pre-warm: render the 6 distinct day traces into the day memo and
+    // Pre-warm: render the 6 distinct day windows into the day memo and
     // build the interpolation surface, so both lines time the
     // simulations themselves.
     run_campaign(&exact, &executor).unwrap();

@@ -172,6 +172,11 @@ impl CloudField {
 
     /// Combined transmittance at time `t` (product over active clouds
     /// times the persistent overcast factor), in `[0, 1]`.
+    ///
+    /// Random access: every call walks all clouds started by `t`. Day
+    /// renders sample forward in time through a `CloudSweep` instead,
+    /// which answers the same queries in time linear in the active
+    /// clouds, bitwise identically; this method is its oracle.
     pub fn transmittance(&self, t: Seconds) -> f64 {
         let mut tr = self.params.overcast_transmittance;
         for event in &self.events {
@@ -180,6 +185,57 @@ impl CloudField {
                 break;
             }
             tr *= event.transmittance(t, self.params.ramp);
+        }
+        tr.clamp(0.0, 1.0)
+    }
+
+    /// A sequential sampler positioned before the first cloud (see
+    /// [`CloudSweep`]).
+    pub(crate) fn sweep(&self) -> CloudSweep<'_> {
+        CloudSweep { field: self, next: 0, active: Vec::new(), last: f64::NEG_INFINITY }
+    }
+}
+
+/// Forward sampler over a [`CloudField`]: keeps the started, not yet
+/// ended clouds in start order, so a day of non-decreasing queries
+/// costs time linear in the clouds active at each query instead of in
+/// every cloud started so far.
+///
+/// Every query is bitwise identical to [`CloudField::transmittance`]:
+/// the product runs over the same clouds in the same order, and the
+/// clouds it skips have ended, so their factor is exactly `1.0`. A
+/// query earlier than the previous one restarts the sweep from the
+/// first cloud.
+#[derive(Debug)]
+pub(crate) struct CloudSweep<'a> {
+    field: &'a CloudField,
+    /// Index of the first cloud not yet started.
+    next: usize,
+    /// Started clouds that had not ended at the previous query.
+    active: Vec<CloudEvent>,
+    /// The previous query time.
+    last: f64,
+}
+
+impl CloudSweep<'_> {
+    /// Combined transmittance at time `t`.
+    pub(crate) fn transmittance(&mut self, t: Seconds) -> f64 {
+        if t.value() < self.last {
+            self.next = 0;
+            self.active.clear();
+        }
+        self.last = t.value();
+        let events = &self.field.events;
+        while self.next < events.len() && events[self.next].start <= t {
+            self.active.push(events[self.next]);
+            self.next += 1;
+        }
+        // The same end expression `CloudEvent::transmittance` tests.
+        self.active.retain(|e| t.value() < e.start.value() + e.duration.value());
+        let ramp = self.field.params.ramp;
+        let mut tr = self.field.params.overcast_transmittance;
+        for event in &self.active {
+            tr *= event.transmittance(t, ramp);
         }
         tr.clamp(0.0, 1.0)
     }
@@ -261,7 +317,70 @@ mod tests {
         assert!(CloudField::generate(params(), Seconds::new(10.0), Seconds::new(5.0), 0).is_err());
     }
 
+    #[test]
+    fn shorter_spans_generate_a_prefix_of_the_events() {
+        let long = CloudField::generate(params(), Seconds::ZERO, Seconds::from_hours(6.0), 9).unwrap();
+        for edge in long.events().iter().step_by(7) {
+            // A span ending exactly where this cloud starts leaves it
+            // out, yet agrees with the longer field at that instant:
+            // the cloud's factor there is exactly 1.0.
+            let short = CloudField::generate(params(), Seconds::ZERO, edge.start, 9).unwrap();
+            let n = short.events().len();
+            assert_eq!(short.events(), &long.events()[..n]);
+            assert_eq!(long.events()[n].start, edge.start);
+            assert_eq!(
+                short.transmittance(edge.start).to_bits(),
+                long.transmittance(edge.start).to_bits()
+            );
+        }
+    }
+
     proptest! {
+        #[test]
+        fn sweep_matches_random_access_bitwise(
+            seed in 0u64..1000,
+            rate in 0.0f64..120.0,
+            mean_s in 1.0f64..600.0,
+            lo in 0.0f64..=1.0,
+            width in 0.0f64..=1.0,
+            ramp in 0.0f64..30.0,
+            overcast in 0.0f64..=1.0,
+            shape in 0u8..4,
+            dt in 0.5f64..10.0,
+        ) {
+            // Bit 0 clear: a degenerate depth range; bit 1 clear: no ramp.
+            let hi = if shape & 1 == 0 { lo } else { (lo + width).min(1.0) };
+            let ramp = if shape & 2 == 0 { 0.0 } else { ramp };
+            let p = CloudParams {
+                events_per_hour: rate,
+                mean_duration: Seconds::new(mean_s),
+                depth_range: (lo, hi),
+                ramp: Seconds::new(ramp),
+                overcast_transmittance: overcast,
+            };
+            let (t0, t1) = (100.0, 3700.0);
+            let field = CloudField::generate(p, Seconds::new(t0), Seconds::new(t1), seed).unwrap();
+            // A sampling grid plus every cloud's start, ramp-top and end,
+            // so queries also land exactly on the edges.
+            let mut times: Vec<f64> =
+                (0..).map(|k| t0 + dt * k as f64).take_while(|t| *t <= t1).collect();
+            for e in field.events() {
+                let (start, end) = (e.start.value(), e.start.value() + e.duration.value());
+                times.extend([start, start + ramp, end]);
+            }
+            times.sort_by(f64::total_cmp);
+            let mut sweep = field.sweep();
+            for &t in &times {
+                let t = Seconds::new(t);
+                prop_assert_eq!(
+                    sweep.transmittance(t).to_bits(), field.transmittance(t).to_bits(), "t = {}", t
+                );
+            }
+            // A backward query restarts the sweep and still agrees.
+            let t = Seconds::new(times[times.len() / 2]);
+            prop_assert_eq!(sweep.transmittance(t).to_bits(), field.transmittance(t).to_bits());
+        }
+
         #[test]
         fn transmittance_always_in_unit_interval(seed in 0u64..50, hour in 0.0f64..10.0) {
             let field = CloudField::generate(

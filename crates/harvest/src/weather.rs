@@ -204,7 +204,16 @@ impl DayProfile {
         self
     }
 
-    /// Renders the trace, sampling every `dt`.
+    /// Renders the trace, sampling every `dt`. The cloud field is swept
+    /// forward, so each sample costs time in the clouds active at it,
+    /// not in every cloud started so far.
+    ///
+    /// A shorter span from the same start, ending on the `start + dt·k`
+    /// sample grid, renders a bitwise prefix of the longer one: sample
+    /// times come from the same grid, and the shorter span's cloud
+    /// events are a prefix of the longer span's (any cloud it lacks
+    /// starts at or after its end, where that cloud's factor is exactly
+    /// `1.0`).
     ///
     /// # Errors
     ///
@@ -217,8 +226,9 @@ impl DayProfile {
         };
         let clouds =
             CloudField::generate(self.weather.cloud_params(), self.start, self.end, self.seed)?;
+        let mut sweep = clouds.sweep();
         IrradianceTrace::from_fn(self.start, self.end, dt, |t| {
-            sky.irradiance(t) * clouds.transmittance(t)
+            sky.irradiance(t) * sweep.transmittance(t)
         })
     }
 
@@ -294,10 +304,11 @@ struct DayKey {
     dt: u64,
 }
 
-/// Upper bound on memoised day traces (a 6-hour day at 1 Hz is
-/// ≈350 KB, so the cap bounds the memo at ≈22 MB worst case). Reaching
-/// the cap evicts the oldest day rather than pinning the memo's
-/// contents forever.
+/// Upper bound on memoised day traces. A full 6-hour day at 1 Hz is
+/// ≈350 KB, so the cap bounds a memo of full days at ≈22 MB; a
+/// campaign cell's window (62 samples for a 60 s cell) is about 1 KB.
+/// Reaching the cap evicts the oldest entry rather than pinning the
+/// memo's contents forever.
 pub const DAY_CACHE_CAPACITY: usize = 64;
 
 /// One memoised day: empty until its first render completes. Each day
@@ -465,6 +476,41 @@ mod tests {
         assert!(stormy > winter, "stormy {stormy} vs winter {winter}");
         // Even the darkest day still harvests something at noon.
         assert!(winter > 0.0);
+    }
+
+    #[test]
+    fn full_day_render_matches_the_random_access_clouds() {
+        // The swept render against the per-sample `transmittance` oracle.
+        let (start, end) = (Seconds::from_hours(10.5), Seconds::from_hours(16.5));
+        let sky = ClearSky::paper_test_day().unwrap();
+        let dt = Seconds::new(1.0);
+        for w in Weather::all() {
+            let clouds = CloudField::generate(w.cloud_params(), start, end, 5).unwrap();
+            let oracle = IrradianceTrace::from_fn(start, end, dt, |t| {
+                sky.irradiance(t) * clouds.transmittance(t)
+            })
+            .unwrap();
+            let day = DayProfile::new(w, 5).with_sky(sky).with_span(start, end).build(dt).unwrap();
+            assert_eq!(day, oracle, "{w}");
+        }
+    }
+
+    #[test]
+    fn windows_render_the_full_days_leading_samples_bitwise() {
+        let start = Seconds::from_hours(10.5);
+        let sky = ClearSky::paper_test_day().unwrap();
+        for dt in [Seconds::new(1.0), Seconds::new(0.7)] {
+            for w in Weather::all() {
+                let profile = |end| DayProfile::new(w, 21).with_sky(sky).with_span(start, end);
+                let day = profile(Seconds::from_hours(16.5)).build(dt).unwrap();
+                // Windows end on the day's grid, as campaign windows do.
+                for k in [1usize, 2, 62, 601, 10_000] {
+                    let window = profile(start + dt * k as f64).build(dt).unwrap();
+                    assert_eq!(window.len(), k + 1, "{w}, dt {dt}, k {k}");
+                    assert!(window.iter().eq(day.iter().take(k + 1)), "{w}, dt {dt}, k {k}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -529,10 +529,13 @@ impl CampaignCell {
         label
     }
 
-    /// Builds the runnable scenario for this cell. The day's irradiance
-    /// trace comes from the process-wide day memo
+    /// Builds the runnable scenario for this cell. The irradiance trace
+    /// covers only the leading window of the day the cell simulates,
+    /// and comes from the process-wide day memo
     /// ([`scenario::weather_day_trace_shared`]), so every cell of one
-    /// `(weather, seed)` day shares a single rendered trace.
+    /// `(weather, seed, duration)` shares a single rendered window. The
+    /// window's samples are bitwise the full day's, so the cell runs
+    /// exactly as it would on the full [`scenario::weather_day`] trace.
     ///
     /// # Errors
     ///
@@ -548,7 +551,7 @@ impl CampaignCell {
             Ohms::new(0.025),
             Ohms::new(40_000.0),
         )?;
-        let shared = scenario::weather_day_trace_shared(self.weather, self.seed);
+        let shared = scenario::weather_day_trace_shared(self.weather, self.seed, self.duration);
         let day = scenario::weather_day_with_trace(self.faulted_trace(shared)?);
         let mut built =
             day.with_duration(self.duration).with_buffer(buffer).with_params(self.params);
@@ -566,10 +569,13 @@ impl CampaignCell {
         Ok(built)
     }
 
-    /// Applies this cell's fault injection to the day's rendered
-    /// irradiance. `FaultSpec::None` hands the shared trace straight
+    /// Applies this cell's fault injection to the cell's rendered
+    /// window. `FaultSpec::None` hands the shared trace straight
     /// through (same `Arc`, zero copies); an active fault derives an
-    /// attenuated private copy with bitwise-untouched sample times.
+    /// attenuated private copy of the window with bitwise-untouched
+    /// sample times. Fault events of a shorter window are a prefix of
+    /// the full day's, so the engine samples the same irradiance as on
+    /// the attenuated full day.
     fn faulted_trace(
         &self,
         shared: Arc<pn_harvest::irradiance::IrradianceTrace>,
@@ -593,8 +599,19 @@ impl CampaignCell {
     ///
     /// Propagates engine and analysis failures.
     pub fn evaluate(&self) -> Result<CellOutcome, SimError> {
-        let scenario = self.scenario()?;
-        let report = self.governor.run(&scenario)?;
+        self.evaluate_on(&self.scenario()?)
+    }
+
+    /// Runs this cell's governor on a caller-built `scenario` and
+    /// reduces the report to a [`CellOutcome`] — the seam an oracle
+    /// uses to replay a cell on a scenario built another way (for
+    /// example around a freshly rendered full day).
+    ///
+    /// # Errors
+    ///
+    /// Propagates engine and analysis failures.
+    pub fn evaluate_on(&self, scenario: &Scenario) -> Result<CellOutcome, SimError> {
+        let report = self.governor.run(scenario)?;
         let target = scenario.platform().target_voltage();
         let alive = report.lifetime_or_duration();
         let recorder = report.recorder();
@@ -864,9 +881,9 @@ impl CampaignReport {
 }
 
 /// Runs every cell of `spec` on `executor` and aggregates the
-/// verdicts. Each distinct (weather, seed) day profile is rendered
-/// once and shared across the matrix through the process-wide day memo
-/// (see [`CampaignCell::scenario`]).
+/// verdicts. Each distinct (weather, seed) day is rendered once, over
+/// the window the cells simulate, and shared across the matrix through
+/// the process-wide day memo (see [`CampaignCell::scenario`]).
 ///
 /// # Errors
 ///

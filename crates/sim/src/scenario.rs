@@ -183,43 +183,68 @@ pub fn full_sun_day(seed: u64) -> Scenario {
     weather_day(Weather::FullSun, seed)
 }
 
+/// The paper's test window, 10:30–16:30, that [`weather_day`] simulates.
+fn test_window() -> (Seconds, Seconds) {
+    (Seconds::from_hours(10.5), Seconds::from_hours(16.5))
+}
+
+/// Sample period of weather-day traces.
+const DAY_DT: Seconds = Seconds::new(1.0);
+
 /// A PV day in the given weather over the paper's test window.
 pub fn weather_day(weather: Weather, seed: u64) -> Scenario {
-    weather_day_with_trace(weather_day_trace_shared(weather, seed))
+    let (start, end) = test_window();
+    weather_day_with_trace(weather_day_trace_shared(weather, seed, end - start))
 }
 
 /// The irradiance trace [`weather_day`] renders: the paper's test
 /// window (10:30–16:30) under the weak autumn sky, sampled every
-/// second. Always renders afresh; campaigns share each distinct
-/// (weather, seed) day through [`weather_day_trace_shared`] instead.
+/// second. Always renders the full day afresh; campaigns share each
+/// distinct window through [`weather_day_trace_shared`] instead.
 pub fn weather_day_trace(weather: Weather, seed: u64) -> IrradianceTrace {
-    weather_day_profile(weather, seed)
-        .build(Seconds::new(1.0))
-        .expect("day profile valid")
+    weather_day_profile(weather, seed, test_window().1).build(DAY_DT).expect("day profile valid")
 }
 
-/// [`weather_day_trace`] through the process-wide day memo
-/// ([`DayProfile::build_shared`]): bitwise-identical samples, but
-/// repeated requests for the same `(weather, seed)` day — within one
-/// campaign or across runs in the same process — share a single
-/// rendered trace instead of re-rendering ~21 600 samples each.
-pub fn weather_day_trace_shared(weather: Weather, seed: u64) -> Arc<IrradianceTrace> {
-    weather_day_profile(weather, seed)
-        .build_shared(Seconds::new(1.0))
-        .expect("day profile valid")
+/// The leading part of [`weather_day_trace`] that a simulation of
+/// `duration` from 10:30 reads, through the process-wide day memo
+/// ([`DayProfile::build_shared`]). Repeated requests for the same
+/// `(weather, seed, duration)` — within one campaign or across runs in
+/// the same process — share a single rendered trace.
+///
+/// The window ends on the full day's sample grid, one padding sample
+/// past the first sample at or after the simulation's end:
+/// `10:30 + dt·(⌈duration/dt⌉ + 1)`. Its samples are bitwise the full
+/// day's leading samples, and the padding sample keeps the engine's
+/// last read, at `10:30 + duration`, interpolating between the same
+/// two samples as on the full day. A window reaching 16:30 is the full
+/// day itself, the same memo entry [`weather_day`] uses.
+pub fn weather_day_trace_shared(
+    weather: Weather,
+    seed: u64,
+    duration: Seconds,
+) -> Arc<IrradianceTrace> {
+    let (start, day_end) = test_window();
+    // `start + dt·k` is the expression `IrradianceTrace::from_fn` puts
+    // sample k at, so `end` is exactly a sample time of the full day.
+    let k = (duration / DAY_DT).ceil().max(0.0) + 1.0;
+    let end = start + DAY_DT * k;
+    let end = if end < day_end { end } else { day_end };
+    weather_day_profile(weather, seed, end).build_shared(DAY_DT).expect("day profile valid")
 }
 
-fn weather_day_profile(weather: Weather, seed: u64) -> DayProfile {
-    let start = Seconds::from_hours(10.5);
-    let end = Seconds::from_hours(16.5);
+fn weather_day_profile(weather: Weather, seed: u64, end: Seconds) -> DayProfile {
     let sky = ClearSky::paper_test_day().expect("preset sky valid");
-    DayProfile::new(weather, seed).with_sky(sky).with_span(start, end)
+    DayProfile::new(weather, seed).with_sky(sky).with_span(test_window().0, end)
 }
 
 /// Assembles the [`weather_day`] scenario around an already-rendered
-/// irradiance trace (the simulated window is the trace's span). The
+/// irradiance trace: the simulated window is the trace's span. The
 /// trace must come from [`weather_day_trace`] — or the day memo's copy
-/// of it — for the scenario to match `weather_day` bitwise.
+/// of it, or of a leading window of it — for the scenario to match
+/// `weather_day` bitwise over that window. A window from
+/// [`weather_day_trace_shared`] spans one padding sample past the
+/// duration it was rendered for, so set the simulated window with
+/// [`Scenario::with_duration`].
 pub fn weather_day_with_trace(irradiance: impl Into<Arc<IrradianceTrace>>) -> Scenario {
     let irradiance = irradiance.into();
     let (start, end) = (irradiance.start(), irradiance.end());

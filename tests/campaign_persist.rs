@@ -11,10 +11,10 @@
 //!   and merging their reports (including through a serialize/decode
 //!   cycle) reproduces the unsharded [`CampaignReport`] bitwise;
 //!   property tests cover partitioning and merge order-insensitivity.
-//! * **Day memo** — every cell of one (weather, seed) day shares a
-//!   single trace from the process-wide day memo, and memo-served
-//!   campaigns replay bitwise-identically to runs on freshly rendered
-//!   days.
+//! * **Day memo** — every cell of one (weather, seed, duration) shares
+//!   a single window of its day from the process-wide day memo, and
+//!   memo-served windowed campaigns replay bitwise-identically to runs
+//!   on freshly rendered full days.
 
 use power_neutral::circuit::capacitor::Supercapacitor;
 use power_neutral::core::params::ControlParams;
@@ -32,7 +32,8 @@ use power_neutral::sim::campaign::{
 use power_neutral::sim::SimError;
 use power_neutral::sim::executor::Executor;
 use power_neutral::sim::persist;
-use power_neutral::units::Seconds;
+use power_neutral::harvest::irradiance::IrradianceTrace;
+use power_neutral::units::{Farads, Ohms, Seconds};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
@@ -259,17 +260,131 @@ fn interpolated_campaigns_round_trip_and_stay_self_describing() {
     assert!(err.to_string().contains("does not match"), "{err}");
 }
 
-/// The scenario of a plain 47 mF cell (no stress axes, no option
-/// overrides) built around a freshly rendered day instead of the day
-/// memo's shared copy.
+/// The scenario of `cell` built around a freshly rendered full day
+/// (attenuated by the cell's faults) instead of the day memo's shared
+/// window, with the cell's buffer, stress axes and option overrides
+/// applied as `CampaignCell::scenario` applies them.
 fn fresh_scenario(cell: &CampaignCell) -> Scenario {
-    assert_eq!(cell.buffer_mf, 47.0, "fresh_scenario rebuilds the paper buffer only");
-    assert!(cell.options.is_none() && cell.fault == FaultSpec::None);
-    assert!(cell.thermal == ThermalSpec::Off && cell.arrival == ArrivalSpec::Saturated);
-    scenario::weather_day_with_trace(scenario::weather_day_trace(cell.weather, cell.seed))
+    let day = scenario::weather_day_trace(cell.weather, cell.seed);
+    let day = match cell.fault {
+        FaultSpec::None => day,
+        fault => fault.attenuate(&day, cell.seed).unwrap(),
+    };
+    let buffer = Supercapacitor::new(
+        Farads::from_millifarads(cell.buffer_mf),
+        Ohms::new(0.025),
+        Ohms::new(40_000.0),
+    )
+    .unwrap();
+    let mut built = scenario::weather_day_with_trace(day)
         .with_duration(cell.duration)
-        .with_buffer(Supercapacitor::paper_buffer())
-        .with_params(cell.params)
+        .with_buffer(buffer)
+        .with_params(cell.params);
+    if cell.thermal != ThermalSpec::Off || cell.arrival != ArrivalSpec::Saturated {
+        let options =
+            built.options().with_thermal(cell.thermal).with_arrival(cell.arrival, cell.seed);
+        built = built.with_options(options);
+    }
+    if !cell.options.is_none() {
+        let options = built.options().with_overrides(&cell.options);
+        built = built.with_options(options);
+    }
+    built
+}
+
+/// The irradiance trace a scenario's PV supply samples.
+fn supply_trace(scenario: &Scenario) -> Arc<IrradianceTrace> {
+    match scenario.supply() {
+        Supply::Photovoltaic { irradiance, .. } => Arc::clone(irradiance),
+        Supply::Controlled { .. } => panic!("campaign cells run on PV"),
+    }
+}
+
+#[test]
+fn windowed_cells_replay_the_full_day_bitwise() {
+    // A cell renders only the leading window of its day; replaying it
+    // on the freshly rendered full day must give the same outcome.
+    // Shading starts on 10:31:01, the padding sample of the 59.5 s and
+    // 60 s windows and the last sample the 61 s cells read: the full
+    // day's fault list holds that shade and the 60 s window's does not.
+    let shading = FaultSpec::Shading { start_s: 37_861.0, period_s: 600.0, duty: 0.25, depth: 0.7 };
+    let faults = vec![FaultSpec::None, shading, FaultSpec::brownout_stress()];
+    let short = |duration: f64| {
+        CampaignSpec::new()
+            .unwrap()
+            .with_weathers(Weather::all().to_vec())
+            .with_seeds(vec![3])
+            .with_faults(faults.clone())
+            .with_governors(vec![GovernorSpec::PowerNeutral, GovernorSpec::Powersave])
+            .with_duration(Seconds::new(duration))
+    };
+    // 7 h runs past the 16:30 end of the day, so the window is the full
+    // day; a coarse step cap and recording interval keep it cheap.
+    let past_the_day = CampaignSpec::new()
+        .unwrap()
+        .with_weathers(Weather::all().to_vec())
+        .with_seeds(vec![3])
+        .with_faults(faults.clone())
+        .with_governors(vec![GovernorSpec::Powersave])
+        .with_cell_options(
+            SimOverrides::none()
+                .with_max_step(Seconds::new(5.0))
+                .with_record_dt(Seconds::new(60.0)),
+        )
+        .with_duration(Seconds::from_hours(7.0));
+    let specs = [
+        short(0.3),
+        short(59.5),
+        short(60.0),
+        short(61.0),
+        past_the_day,
+        stress_spec().with_duration(Seconds::new(60.0)),
+    ];
+    for spec in specs {
+        let cells = spec.cells();
+        for cell in &cells {
+            let fresh = fresh_scenario(cell);
+            let windowed = cell.scenario().unwrap();
+            let label = format!("{} for {} s", cell.label(), cell.duration.value());
+            assert_eq!(windowed.options().t_end, fresh.options().t_end, "{label}");
+            // Most dark-weather cells brown out within a second, so
+            // check the whole window against the day, not just what the
+            // engine reads: every sample but the padding one is the
+            // (attenuated) day's, and the padding sample differs only
+            // when a fault edge starts exactly on it.
+            let (window, day) = (supply_trace(&windowed), supply_trace(&fresh));
+            let last = window.len() - 1;
+            assert!(window.iter().take(last).eq(day.iter().take(last)), "{label}");
+            let (padding, day_padding) = (window.iter().last(), day.iter().nth(last));
+            assert_eq!(padding.map(|s| s.0), day_padding.map(|s| s.0), "{label}");
+            if cell.fault == FaultSpec::None {
+                assert_eq!(padding, day_padding, "{label}");
+            } else if cell.fault == shading && cell.duration == Seconds::new(60.0) {
+                assert_ne!(padding, day_padding, "{label}: the shading edge missed the window end");
+            }
+            assert_eq!(
+                cell.evaluate().unwrap(),
+                cell.evaluate_on(&fresh).unwrap(),
+                "{label}: the window diverged from the full day"
+            );
+        }
+        // Recorder-level clause, once per duration, on the first
+        // faulted cell.
+        if let Some(cell) = cells.iter().find(|c| c.fault != FaultSpec::None) {
+            let windowed = cell.governor.run(&cell.scenario().unwrap()).unwrap();
+            let fresh = cell.governor.run(&fresh_scenario(cell)).unwrap();
+            assert_eq!(windowed, fresh, "{}", cell.label());
+            assert_eq!(windowed.recorder().vc().times(), fresh.recorder().vc().times());
+            assert_eq!(windowed.recorder().vc().values(), fresh.recorder().vc().values());
+        }
+    }
+}
+
+#[test]
+fn windows_past_the_day_end_are_the_full_day() {
+    let cell = CampaignSpec::new().unwrap().with_duration(Seconds::from_hours(7.0)).cells()[0];
+    let trace = supply_trace(&cell.scenario().unwrap());
+    assert_eq!(*trace, scenario::weather_day_trace(cell.weather, cell.seed));
 }
 
 #[test]
@@ -320,12 +435,18 @@ fn cache_serves_hits_for_repeated_weather_seed_pairs() {
     // every cell of one (weather, seed) day must alias the same
     // memo-served trace, and distinct days must not.
     let spec = quick_spec().with_seeds(vec![1, 2]).with_buffers_mf(vec![47.0, 150.0]);
-    let trace = |cell: &CampaignCell| match cell.scenario().unwrap().supply() {
-        Supply::Photovoltaic { irradiance, .. } => Arc::clone(irradiance),
-        Supply::Controlled { .. } => panic!("campaign cells run on PV"),
-    };
+    let trace = |cell: &CampaignCell| supply_trace(&cell.scenario().unwrap());
     let cells = spec.cells();
     let traces: Vec<_> = cells.iter().map(trace).collect();
+    // A cell's trace is its window: 0..=10 s plus one padding sample.
+    assert_eq!(traces[0].len(), 12);
+    // Another duration of the same day is another window: 0..=60 s
+    // plus one padding sample, not aliasing the 10 s window.
+    let minute = quick_spec().with_duration(Seconds::new(60.0)).cells();
+    let (a, b) = (trace(&minute[0]), trace(&minute[1]));
+    assert_eq!(a.len(), 62);
+    assert!(Arc::ptr_eq(&a, &b), "cells of one (weather, seed, duration) must share");
+    assert!(!Arc::ptr_eq(&a, &traces[0]), "windows of different durations aliased");
     for (i, a) in cells.iter().enumerate() {
         for (j, b) in cells.iter().enumerate() {
             let same_day = (a.weather, a.seed) == (b.weather, b.seed);
