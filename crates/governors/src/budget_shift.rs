@@ -9,16 +9,23 @@
 //! the big domain; deficit shrinks it — the big cluster drains first
 //! and the remaining budget concentrates in the efficient LITTLE
 //! domain.
+//!
+//! A decision is a lookup: the governor holds the platform's
+//! [`OppTable`], whose budget frontier lists, in ascending watts, every
+//! budget at which the best allocation changes. Each tick binary-searches
+//! it instead of rescanning all (config, level) candidates. A candidate
+//! is admitted once the budget covers its config's running maximum
+//! power over levels `0..=level`; among those the highest instruction
+//! throughput wins, then the lower power, then the earlier candidate.
 
 use pn_core::events::{Governor, GovernorAction, GovernorEvent};
 use pn_soc::domain::PowerBudget;
-use pn_soc::freq::FrequencyTable;
 use pn_soc::opp::Opp;
-use pn_soc::perf::PerfModel;
+use pn_soc::opp_table::OppTable;
 use pn_soc::platform::Platform;
-use pn_soc::power::PowerModel;
 use pn_soc::transition::TransitionStrategy;
 use pn_units::{Seconds, Volts, Watts};
+use std::sync::Arc;
 
 /// Default proportional gain: watts of budget per volt of charge held
 /// above the reserve voltage.
@@ -58,9 +65,7 @@ pub const DEFAULT_PERIOD: Seconds = Seconds::new(0.1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct BudgetShift {
-    power: PowerModel,
-    perf: PerfModel,
-    table: FrequencyTable,
+    points: Arc<OppTable>,
     target_voltage: Volts,
     reserve_voltage: Volts,
     gain_w_per_v: f64,
@@ -68,25 +73,16 @@ pub struct BudgetShift {
 }
 
 impl BudgetShift {
-    /// Creates the governor from its planning models.
-    pub fn new(power: PowerModel, perf: PerfModel, table: FrequencyTable) -> Self {
+    /// Creates the governor planning with `platform`'s operating-point
+    /// table, servoing around its target voltage.
+    pub fn for_platform(platform: &Platform) -> Self {
         Self {
-            power,
-            perf,
-            table,
-            target_voltage: Volts::new(5.3),
+            points: Arc::clone(platform.opp_table()),
+            target_voltage: platform.target_voltage(),
             reserve_voltage: DEFAULT_RESERVE,
             gain_w_per_v: DEFAULT_GAIN_W_PER_V,
             period: DEFAULT_PERIOD,
         }
-    }
-
-    /// Creates the governor planning with `platform`'s models.
-    pub fn for_platform(platform: &Platform) -> Self {
-        let mut gov =
-            Self::new(platform.power().clone(), *platform.perf(), platform.frequencies().clone());
-        gov.target_voltage = platform.target_voltage();
-        gov
     }
 
     /// Overrides the voltage the budget servos around.
@@ -117,7 +113,7 @@ impl BudgetShift {
         let headroom = vc.value() - self.reserve_voltage.value();
         let budget_w = (self.gain_w_per_v * headroom).max(0.0);
         let budget = PowerBudget::new(Watts::new(budget_w)).expect("budget is clamped finite");
-        let target = match budget.allocate(&self.power, &self.perf, &self.table) {
+        let target = match budget.allocate(&self.points) {
             Some((opp, _)) => opp,
             // Even the floor point is over budget: retreat to it and
             // let harvest refill the buffer.
@@ -196,9 +192,8 @@ mod tests {
     fn surplus_grows_the_allocation_deficit_shrinks_it() {
         let mut g = gov();
         let base = settled(&mut g, 5.3);
-        let power = PowerModel::odroid_xu4();
-        let table = FrequencyTable::paper_levels();
-        let p = |opp: Opp| opp.power(&power, &table).unwrap();
+        let platform = Platform::odroid_xu4();
+        let p = |opp: Opp| opp.power(platform.power(), platform.frequencies()).unwrap();
         let up = g.on_event(&tick(5.9), base).target_opp.expect("surplus moves the plan");
         assert!(p(up) > p(base), "surplus should buy a hungrier point");
         assert_eq!(g.on_event(&tick(5.9), base).strategy, Some(TransitionStrategy::FrequencyFirst));

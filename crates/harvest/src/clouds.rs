@@ -10,6 +10,8 @@
 //! All randomness is drawn from a caller-seeded [`rand::rngs::StdRng`],
 //! so every experiment in this workspace is reproducible.
 
+use crate::clearsky::ClearSky;
+use crate::irradiance::IrradianceTrace;
 use crate::HarvestError;
 use pn_units::Seconds;
 use rand::rngs::StdRng;
@@ -173,10 +175,11 @@ impl CloudField {
     /// Combined transmittance at time `t` (product over active clouds
     /// times the persistent overcast factor), in `[0, 1]`.
     ///
-    /// Random access: every call walks all clouds started by `t`. Day
-    /// renders sample forward in time through a `CloudSweep` instead,
-    /// which answers the same queries in time linear in the active
-    /// clouds, bitwise identically; this method is its oracle.
+    /// Random access: every call walks all clouds started by `t`.
+    /// [`CloudField::render`] samples forward in time through a
+    /// `CloudSweep` instead, which answers the same queries in time
+    /// linear in the active clouds, bitwise identically; this method is
+    /// its oracle.
     pub fn transmittance(&self, t: Seconds) -> f64 {
         let mut tr = self.params.overcast_transmittance;
         for event in &self.events {
@@ -189,9 +192,30 @@ impl CloudField {
         tr.clamp(0.0, 1.0)
     }
 
+    /// Renders `sky`'s irradiance under this field over `[start, end]`,
+    /// sampling every `dt`. The field is swept forward, so each sample
+    /// costs time in the clouds active at it, not in every cloud
+    /// started so far; every sample is bitwise
+    /// `sky.irradiance(t) * self.transmittance(t)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HarvestError::InvalidParameter`] for an empty span or
+    /// non-positive `dt`.
+    pub fn render(
+        &self,
+        sky: &ClearSky,
+        start: Seconds,
+        end: Seconds,
+        dt: Seconds,
+    ) -> Result<IrradianceTrace, HarvestError> {
+        let mut sweep = self.sweep();
+        IrradianceTrace::from_fn(start, end, dt, |t| sky.irradiance(t) * sweep.transmittance(t))
+    }
+
     /// A sequential sampler positioned before the first cloud (see
     /// [`CloudSweep`]).
-    pub(crate) fn sweep(&self) -> CloudSweep<'_> {
+    fn sweep(&self) -> CloudSweep<'_> {
         CloudSweep { field: self, next: 0, active: Vec::new(), last: f64::NEG_INFINITY }
     }
 }
@@ -207,7 +231,7 @@ impl CloudField {
 /// query earlier than the previous one restarts the sweep from the
 /// first cloud.
 #[derive(Debug)]
-pub(crate) struct CloudSweep<'a> {
+struct CloudSweep<'a> {
     field: &'a CloudField,
     /// Index of the first cloud not yet started.
     next: usize,
@@ -219,7 +243,7 @@ pub(crate) struct CloudSweep<'a> {
 
 impl CloudSweep<'_> {
     /// Combined transmittance at time `t`.
-    pub(crate) fn transmittance(&mut self, t: Seconds) -> f64 {
+    fn transmittance(&mut self, t: Seconds) -> f64 {
         if t.value() < self.last {
             self.next = 0;
             self.active.clear();

@@ -204,9 +204,8 @@ impl DayProfile {
         self
     }
 
-    /// Renders the trace, sampling every `dt`. The cloud field is swept
-    /// forward, so each sample costs time in the clouds active at it,
-    /// not in every cloud started so far.
+    /// Renders the trace, sampling every `dt`, through
+    /// [`CloudField::render`].
     ///
     /// A shorter span from the same start, ending on the `start + dt·k`
     /// sample grid, renders a bitwise prefix of the longer one: sample
@@ -224,12 +223,8 @@ impl DayProfile {
             Some(s) => s,
             None => ClearSky::temperate_day()?,
         };
-        let clouds =
-            CloudField::generate(self.weather.cloud_params(), self.start, self.end, self.seed)?;
-        let mut sweep = clouds.sweep();
-        IrradianceTrace::from_fn(self.start, self.end, dt, |t| {
-            sky.irradiance(t) * sweep.transmittance(t)
-        })
+        CloudField::generate(self.weather.cloud_params(), self.start, self.end, self.seed)?
+            .render(&sky, self.start, self.end, dt)
     }
 
     /// Renders the trace through a process-wide memo, so repeated

@@ -599,19 +599,8 @@ impl CampaignCell {
     ///
     /// Propagates engine and analysis failures.
     pub fn evaluate(&self) -> Result<CellOutcome, SimError> {
-        self.evaluate_on(&self.scenario()?)
-    }
-
-    /// Runs this cell's governor on a caller-built `scenario` and
-    /// reduces the report to a [`CellOutcome`] — the seam an oracle
-    /// uses to replay a cell on a scenario built another way (for
-    /// example around a freshly rendered full day).
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine and analysis failures.
-    pub fn evaluate_on(&self, scenario: &Scenario) -> Result<CellOutcome, SimError> {
-        let report = self.governor.run(scenario)?;
+        let scenario = self.scenario()?;
+        let report = self.governor.run(&scenario)?;
         let target = scenario.platform().target_voltage();
         let alive = report.lifetime_or_duration();
         let recorder = report.recorder();

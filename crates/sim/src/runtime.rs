@@ -188,21 +188,20 @@ impl SocRuntime {
                     } else {
                         0.0
                     };
-                    let opp = self.effective_opp();
-                    return opp
-                        .power(self.platform.power(), self.platform.frequencies())
-                        .unwrap_or(Watts::ZERO)
-                        + Watts::new(extra);
+                    return self.active_power() + Watts::new(extra);
                 }
             }
         }
-        let opp = self.effective_opp();
-        let p = opp
-            .power(self.platform.power(), self.platform.frequencies())
-            .unwrap_or(Watts::ZERO);
+        let p = self.active_power();
         // `power_scale` is exactly 1.0 outside boost, and x·1.0 is the
         // bitwise identity — the default path is unchanged.
         Watts::new(p.value() * self.power_scale)
+    }
+
+    /// Board power of the effective OPP, read from the platform's
+    /// operating-point table; zero for a level the table lacks.
+    fn active_power(&self) -> Watts {
+        self.platform.opp_table().row(self.effective_opp()).map_or(Watts::ZERO, |row| row.power)
     }
 
     /// Starts dropping into the platform idle state at ladder index
@@ -303,14 +302,15 @@ impl SocRuntime {
             }
             return;
         }
-        let opp = self.effective_opp();
-        let table = self.platform.frequencies();
-        let Ok(f) = table.frequency(opp.level()) else { return };
-        let fps = self.platform.perf().frames_per_second(opp.config(), f);
-        let ips = self.platform.perf().instructions_per_second(opp.config(), f);
+        let Some(row) = self.platform.opp_table().row(self.effective_opp()) else { return };
         // `perf_scale` is exactly 1.0 for the saturated, unboosted
         // default, so the multiplication is a bitwise no-op there.
-        self.work.accrue(dt.value(), fps * self.perf_scale, ips * self.perf_scale);
+        let scale = self.perf_scale;
+        self.work.accrue(
+            dt.value(),
+            row.frames_per_second * scale,
+            row.instructions_per_second * scale,
+        );
         self.control_cpu += control_dt.min(dt);
     }
 
@@ -424,6 +424,30 @@ mod tests {
         let before = rt.work().instructions();
         rt.accrue(Seconds::new(10.0), Seconds::ZERO);
         assert_eq!(rt.work().instructions(), before);
+    }
+
+    #[test]
+    fn out_of_range_levels_draw_nothing_and_accrue_nothing() {
+        let mut rt = SocRuntime::new(Platform::odroid_xu4(), Opp::new(CoreConfig::MAX, 8));
+        assert_eq!(rt.power(), Watts::ZERO);
+        rt.accrue(Seconds::new(10.0), Seconds::new(0.01));
+        assert_eq!(rt.work().instructions(), 0.0);
+        assert_eq!(rt.work().benchmark_frames(), 0.0);
+        assert_eq!(rt.control_cpu_time(), Seconds::ZERO);
+    }
+
+    #[test]
+    fn table_rows_match_the_models_bitwise() {
+        let platform = Platform::odroid_xu4();
+        let opp = Opp::new(CoreConfig::new(3, 2).unwrap(), 5);
+        let f = platform.frequencies().frequency(5).unwrap();
+        let mut rt = SocRuntime::new(platform.clone(), opp);
+        assert_eq!(rt.power(), platform.power().board_power(opp.config(), f));
+        rt.accrue(Seconds::new(1.0), Seconds::ZERO);
+        let ips = platform.perf().instructions_per_second(opp.config(), f);
+        let fps = platform.perf().frames_per_second(opp.config(), f);
+        assert_eq!(rt.work().instructions().to_bits(), ips.to_bits());
+        assert_eq!(rt.work().benchmark_frames().to_bits(), fps.to_bits());
     }
 
     #[test]

@@ -268,12 +268,10 @@ pub fn table2_hour(seed: u64) -> Scenario {
     // cloud depth so the powersave baseline is viable, as it was on
     // the real rig.
     params.depth_range = (0.02, 0.06);
-    let clouds =
-        pn_harvest::clouds::CloudField::generate(params, start, end, seed).expect("params valid");
-    let irradiance = IrradianceTrace::from_fn(start, end, Seconds::new(1.0), |t| {
-        sky.irradiance(t) * clouds.transmittance(t)
-    })
-    .expect("trace valid");
+    let irradiance = pn_harvest::clouds::CloudField::generate(params, start, end, seed)
+        .expect("params valid")
+        .render(&sky, start, end, Seconds::new(1.0))
+        .expect("trace valid");
     let supply = Supply::photovoltaic(SolarCell::odroid_array(), irradiance);
     let options = SimOptions::new(end)
         .with_span(start, end)

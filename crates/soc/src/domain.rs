@@ -12,10 +12,10 @@
 use crate::cores::{CoreConfig, CoreType, CORES_PER_CLUSTER};
 use crate::freq::FrequencyTable;
 use crate::opp::Opp;
-use crate::perf::PerfModel;
+use crate::opp_table::OppTable;
 use crate::power::PowerModel;
 use crate::SocError;
-use pn_units::Watts;
+use pn_units::{Hertz, Watts};
 use std::fmt;
 
 /// A named voltage/frequency domain of the SoC.
@@ -169,8 +169,7 @@ impl PowerBudget {
         power: &PowerModel,
         table: &FrequencyTable,
     ) -> Result<[Watts; 2], SocError> {
-        let f = table.frequency(opp.level())?;
-        Ok(Domain::ALL.map(|d| power.domain_power(d, d.cores_in(opp.config()), f)))
+        Ok(domain_split(power, opp.config(), table.frequency(opp.level())?))
     }
 
     /// Finds the throughput-maximal combined OPP whose board power fits
@@ -180,51 +179,34 @@ impl PowerBudget {
     /// per-domain split, or `None` when even the floor point
     /// (`Opp::lowest`) exceeds the budget.
     ///
-    /// Deterministic: ties in throughput resolve to the lower-power
-    /// candidate, then to the enumeration order (LITTLE capacity grows
-    /// before big capacity, level grows last).
-    pub fn allocate(
-        &self,
-        power: &PowerModel,
-        perf: &PerfModel,
-        table: &FrequencyTable,
-    ) -> Option<(Opp, [Watts; 2])> {
-        let mut best: Option<(Opp, f64, f64)> = None; // (opp, ips, watts)
-        for big in Domain::Big.min_cores()..=Domain::Big.max_cores() {
-            for little in Domain::Little.min_cores()..=Domain::Little.max_cores() {
-                let Ok(config) = CoreConfig::new(little, big) else { continue };
-                for (level, f) in table.iter() {
-                    let p = power.board_power(config, f).value();
-                    if p > self.total.value() {
-                        // Power is monotone in level: higher levels of
-                        // this config cannot fit either.
-                        break;
-                    }
-                    let ips = perf.instructions_per_second(config, f);
-                    let better = match best {
-                        None => true,
-                        Some((_, best_ips, best_p)) => {
-                            ips > best_ips || (ips == best_ips && p < best_p)
-                        }
-                    };
-                    if better {
-                        best = Some((Opp::new(config, level), ips, p));
-                    }
-                }
-            }
-        }
-        best.map(|(opp, _, _)| {
-            let split = self
-                .split(opp, power, table)
-                .expect("allocated level exists in the table");
-            (opp, split)
-        })
+    /// The candidates are enumerated big core count outermost, LITTLE
+    /// core count inside it and level innermost. A config's levels are
+    /// admitted in order up to its first level over budget, so a level
+    /// fits only when the running maximum of the config's power over
+    /// levels `0..=level` does — power need not rise with level, since
+    /// a rail voltage may fall with frequency. Among the admitted
+    /// candidates the highest instruction throughput wins, ties going
+    /// to the lower power, then to the earlier enumeration.
+    ///
+    /// Cost: one binary search of the budget frontier that `points`
+    /// precomputes (at most one step per candidate, so under 8
+    /// comparisons on the 160-candidate XU4 grid) instead of a scan of
+    /// every (config, level) candidate.
+    pub fn allocate(&self, points: &OppTable) -> Option<(Opp, [Watts; 2])> {
+        points.allocation(self.total.value())
     }
+}
+
+/// Per-domain power of `config` at frequency `f` (board base excluded).
+pub(crate) fn domain_split(power: &PowerModel, config: CoreConfig, f: Hertz) -> [Watts; 2] {
+    Domain::ALL.map(|d| power.domain_power(d, d.cores_in(config), f))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use crate::perf::PerfModel;
 
     fn models() -> (PowerModel, PerfModel, FrequencyTable) {
         (PowerModel::odroid_xu4(), PerfModel::odroid_xu4(), FrequencyTable::paper_levels())
@@ -268,10 +250,11 @@ mod tests {
     #[test]
     fn allocation_saturates_the_budget_monotonically() {
         let (power, perf, table) = models();
+        let points = OppTable::new(&power, &perf, &table);
         let mut last_ips = 0.0;
         for budget_w in [2.0, 3.0, 4.0, 5.0, 6.0, 7.5] {
             let budget = PowerBudget::new(Watts::new(budget_w)).unwrap();
-            let (opp, split) = budget.allocate(&power, &perf, &table).expect("fits");
+            let (opp, split) = budget.allocate(&points).expect("fits");
             let p = opp.power(&power, &table).unwrap();
             assert!(p <= budget.total(), "{opp} at {p} over {budget_w} W");
             assert!(power.base_power() + split[0] + split[1] <= budget.total() + Watts::new(1e-12));
@@ -285,10 +268,11 @@ mod tests {
     #[test]
     fn abundant_budget_shifts_watts_into_the_big_domain() {
         let (power, perf, table) = models();
+        let points = OppTable::new(&power, &perf, &table);
         let lean = PowerBudget::new(Watts::new(2.0)).unwrap();
         let rich = PowerBudget::new(Watts::new(7.0)).unwrap();
-        let (lean_opp, lean_split) = lean.allocate(&power, &perf, &table).unwrap();
-        let (rich_opp, rich_split) = rich.allocate(&power, &perf, &table).unwrap();
+        let (lean_opp, lean_split) = lean.allocate(&points).unwrap();
+        let (rich_opp, rich_split) = rich.allocate(&points).unwrap();
         // A lean budget is spent entirely in the efficient LITTLE
         // domain; abundance shifts watts across to the big domain.
         assert_eq!(lean_opp.config().big(), 0, "lean: {lean_opp}");
@@ -301,7 +285,7 @@ mod tests {
     fn impossible_budget_allocates_nothing() {
         let (power, perf, table) = models();
         let starved = PowerBudget::new(Watts::new(0.5)).unwrap();
-        assert!(starved.allocate(&power, &perf, &table).is_none());
+        assert!(starved.allocate(&OppTable::new(&power, &perf, &table)).is_none());
         assert!(PowerBudget::new(Watts::new(-1.0)).is_err());
         assert!(PowerBudget::new(Watts::new(f64::NAN)).is_err());
     }

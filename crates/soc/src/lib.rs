@@ -10,6 +10,8 @@
 //! * [`freq`] — the 8-level DVFS frequency table (paper §III) with
 //!   cpufreq-style resolution,
 //! * [`opp`] — operating performance points (config × frequency level),
+//! * [`opp_table`] — per-OPP power/throughput rows and the budget
+//!   frontier, tabulated once per platform,
 //! * [`power`] — the board power model calibrated to the paper's Fig. 4,
 //! * [`perf`] — raytrace FPS and instruction-throughput models
 //!   calibrated to Fig. 7 and Table II,
@@ -39,6 +41,7 @@ pub mod domain;
 pub mod freq;
 pub mod latency;
 pub mod opp;
+pub mod opp_table;
 pub mod perf;
 pub mod platform;
 pub mod power;

@@ -6,10 +6,12 @@
 
 use crate::freq::FrequencyTable;
 use crate::latency::{odroid_xu4_idle_states, IdleState, LatencyModel};
+use crate::opp_table::OppTable;
 use crate::perf::PerfModel;
 use crate::power::PowerModel;
 use crate::SocError;
 use pn_units::Volts;
+use std::sync::{Arc, OnceLock};
 
 /// The safe electrical operating window of the board's supply input.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,6 +41,9 @@ impl VoltageWindow {
 
 /// A complete platform description.
 ///
+/// It also carries its [`OppTable`], built once from its models, so
+/// the simulation reads OPP power and throughput by lookup.
+///
 /// # Examples
 ///
 /// ```
@@ -59,6 +64,9 @@ pub struct Platform {
     voltage_window: VoltageWindow,
     target_voltage: Volts,
     idle_states: Vec<IdleState>,
+    /// Derived from the models above, which no method changes; shared
+    /// so clones stay cheap.
+    opp_table: Arc<OppTable>,
 }
 
 impl Platform {
@@ -83,6 +91,7 @@ impl Platform {
         if !voltage_window.contains(target_voltage) {
             return Err(SocError::InvalidParameter("target voltage outside operating window"));
         }
+        let opp_table = Arc::new(OppTable::new(&power, &perf, &frequencies));
         Ok(Self {
             name: name.into(),
             frequencies,
@@ -92,6 +101,7 @@ impl Platform {
             voltage_window,
             target_voltage,
             idle_states: odroid_xu4_idle_states(),
+            opp_table,
         })
     }
 
@@ -104,18 +114,24 @@ impl Platform {
 
     /// The ODROID XU4 preset used throughout the paper, with the target
     /// voltage set to the PV array's calibrated maximum power point
-    /// (5.3 V, §V-B).
+    /// (5.3 V, §V-B). The preset is assembled once per process, so
+    /// every call shares one [`OppTable`].
     pub fn odroid_xu4() -> Self {
-        Self::new(
-            "ODROID XU4 (Exynos5422)",
-            FrequencyTable::paper_levels(),
-            PowerModel::odroid_xu4(),
-            PerfModel::odroid_xu4(),
-            LatencyModel::odroid_xu4(),
-            VoltageWindow::odroid_xu4(),
-            Volts::new(5.3),
-        )
-        .expect("preset platform is valid")
+        static PRESET: OnceLock<Platform> = OnceLock::new();
+        PRESET
+            .get_or_init(|| {
+                Self::new(
+                    "ODROID XU4 (Exynos5422)",
+                    FrequencyTable::paper_levels(),
+                    PowerModel::odroid_xu4(),
+                    PerfModel::odroid_xu4(),
+                    LatencyModel::odroid_xu4(),
+                    VoltageWindow::odroid_xu4(),
+                    Volts::new(5.3),
+                )
+                .expect("preset platform is valid")
+            })
+            .clone()
     }
 
     /// Human-readable platform name.
@@ -136,6 +152,13 @@ impl Platform {
     /// The performance model.
     pub fn perf(&self) -> &PerfModel {
         &self.perf
+    }
+
+    /// The operating-point table: every OPP's board power and
+    /// throughput, plus the budget frontier, computed once from the
+    /// models above.
+    pub fn opp_table(&self) -> &Arc<OppTable> {
+        &self.opp_table
     }
 
     /// The transition-latency model.

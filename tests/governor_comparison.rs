@@ -124,3 +124,22 @@ fn different_seeds_preserve_the_qualitative_outcome() {
         );
     }
 }
+
+#[test]
+fn the_table2_hour_is_pinned_bitwise() {
+    use power_neutral::sim::campaign::GovernorSpec;
+    // (governor, transitions, instructions bits, final VC bits): any
+    // change to the numerics of the Table II hour moves one of these.
+    let pins = [
+        (GovernorSpec::PowerNeutral, 49_003, 0x4291_3ecd_67e9_1912_u64, 0x4015_fcf2_3c1d_f370_u64),
+        (GovernorSpec::BudgetShift, 28_101, 0x429b_a6ec_6f24_96da, 0x4015_2a4b_a2f2_6953),
+    ];
+    let hour = scenario::table2_hour(1);
+    for (governor, transitions, instructions, final_vc) in pins {
+        let report = governor.run(&hour).expect("the Table II hour runs");
+        let name = governor.slug();
+        assert_eq!(report.transitions(), transitions, "{name}");
+        assert_eq!(report.work().instructions().to_bits(), instructions, "{name}");
+        assert_eq!(report.final_vc().value().to_bits(), final_vc, "{name}");
+    }
+}
