@@ -18,8 +18,6 @@ pub enum AnalysisError {
     UnsortedSamples,
     /// A parameter was out of its domain.
     InvalidParameter(&'static str),
-    /// Writing CSV output failed.
-    Io(String),
 }
 
 impl fmt::Display for AnalysisError {
@@ -30,18 +28,11 @@ impl fmt::Display for AnalysisError {
             }
             AnalysisError::UnsortedSamples => write!(f, "samples must strictly increase in time"),
             AnalysisError::InvalidParameter(why) => write!(f, "invalid parameter: {why}"),
-            AnalysisError::Io(why) => write!(f, "io error: {why}"),
         }
     }
 }
 
 impl Error for AnalysisError {}
-
-impl From<std::io::Error> for AnalysisError {
-    fn from(e: std::io::Error) -> Self {
-        AnalysisError::Io(e.to_string())
-    }
-}
 
 #[cfg(test)]
 mod tests {

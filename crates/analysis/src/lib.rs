@@ -1,5 +1,5 @@
-//! Trace analysis: time series, band metrics, histograms, CSV export
-//! and ASCII charts.
+//! Trace analysis: time series, band metrics, histograms, summary
+//! statistics and ASCII charts.
 //!
 //! Every quantitative claim in the paper's evaluation reduces to a
 //! statistic over a recorded time series:
@@ -15,7 +15,6 @@
 //! binaries can *show* each figure, not just print numbers.
 
 pub mod ascii;
-pub mod csv;
 pub mod histogram;
 pub mod metrics;
 pub mod series;

@@ -58,23 +58,6 @@ impl Aggregate {
         Self { count, sum, min, max }
     }
 
-    /// Folds another accumulator's observations into this one, as if
-    /// every observation had been [`Aggregate::push`]ed here — the
-    /// reducer campaign shards use to recompose group statistics.
-    pub fn merge(&mut self, other: &Aggregate) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.sum += other.sum;
-        self.count += other.count;
-    }
-
     /// Adds one observation.
     pub fn push(&mut self, value: f64) {
         if self.count == 0 {
@@ -244,21 +227,5 @@ mod tests {
         assert_eq!(rebuilt, acc);
         // A zero count ignores the scalar fields entirely.
         assert_eq!(Aggregate::from_parts(0, 99.0, 1.0, 2.0), Aggregate::new());
-    }
-
-    #[test]
-    fn merge_matches_pushing_everything_into_one() {
-        let (left, right) = ([3.0, -1.0], [7.0, 1.0, 0.5]);
-        let mut merged = Aggregate::of(left);
-        merged.merge(&Aggregate::of(right));
-        let direct = Aggregate::of(left.into_iter().chain(right));
-        assert_eq!(merged, direct);
-        // Empty operands are identities on either side.
-        let mut a = Aggregate::of(left);
-        a.merge(&Aggregate::new());
-        assert_eq!(a, Aggregate::of(left));
-        let mut e = Aggregate::new();
-        e.merge(&Aggregate::of(left));
-        assert_eq!(e, Aggregate::of(left));
     }
 }

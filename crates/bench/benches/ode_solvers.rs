@@ -1,8 +1,8 @@
-//! Criterion bench: ODE solver step throughput (Euler vs RK4 vs the
-//! adaptive RK23 the co-simulation uses).
+//! Criterion bench: throughput of the adaptive RK23 the co-simulation
+//! uses, integrating a one-second decay.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pn_circuit::ode::{AdaptiveOptions, Euler, FixedStepMethod, Rk23, Rk4};
+use pn_circuit::ode::{AdaptiveOptions, Rk23};
 use std::hint::black_box;
 
 fn decay(_t: f64, y: &[f64; 1]) -> [f64; 1] {
@@ -11,12 +11,6 @@ fn decay(_t: f64, y: &[f64; 1]) -> [f64; 1] {
 
 fn bench_solvers(c: &mut Criterion) {
     let mut group = c.benchmark_group("ode_integrate_1s");
-    group.bench_function("euler_h1ms", |b| {
-        b.iter(|| Euler.integrate(&mut decay, 0.0, [black_box(1.0)], 1.0, 1e-3).unwrap())
-    });
-    group.bench_function("rk4_h1ms", |b| {
-        b.iter(|| Rk4.integrate(&mut decay, 0.0, [black_box(1.0)], 1.0, 1e-3).unwrap())
-    });
     group.bench_function("rk23_adaptive", |b| {
         b.iter(|| {
             let mut solver = Rk23::new(AdaptiveOptions::new().with_max_step(0.05));

@@ -743,7 +743,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!();
         println!(
             "  wrote summary CSV ({} groups over {} cells) to {path}",
-            persist::summary_rows(summarised).len(),
+            summarised.by_weather().len() + summarised.by_governor().len(),
             summarised.len()
         );
     }

@@ -7,8 +7,8 @@
 //!
 //! * [`newton`] — a safeguarded Newton–Raphson scalar root finder (the
 //!   single-diode equation is implicit in the cell current),
-//! * [`ode`] — fixed-step Euler / RK4 and the adaptive Bogacki–Shampine
-//!   2(3) pair ([`ode::Rk23`], the same method family as Matlab `ode23`),
+//! * [`ode`] — the adaptive Bogacki–Shampine 2(3) pair ([`ode::Rk23`],
+//!   the same method family as Matlab `ode23`),
 //! * [`events`] — zero-crossing location on continuous trajectories
 //!   (the replacement for Simulink's zero-crossing detection),
 //! * [`solar`] — the paper's Eq. (4) solar-cell equivalent circuit with

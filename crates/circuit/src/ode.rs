@@ -1,18 +1,13 @@
-//! Ordinary differential equation solvers.
+//! Ordinary differential equation solver: [`Rk23`], the adaptive
+//! Bogacki–Shampine 2(3) embedded pair with proportional step-size
+//! control and cubic Hermite dense output. This is the same method
+//! family as Matlab's `ode23`, which the paper used for its Simulink
+//! model (§III).
 //!
-//! Three integrators are provided:
-//!
-//! * [`Euler`] — explicit first order (reference / worst case),
-//! * [`Rk4`] — classic fourth-order Runge–Kutta, fixed step,
-//! * [`Rk23`] — the adaptive Bogacki–Shampine 2(3) embedded pair with
-//!   proportional step-size control and cubic Hermite dense output. This
-//!   is the same method family as Matlab's `ode23`, which the paper used
-//!   for its Simulink model (§III).
-//!
-//! All solvers operate on fixed-size state vectors `[f64; N]`; the
+//! The solver operates on fixed-size state vectors `[f64; N]`; the
 //! power-neutral co-simulation only needs `N = 1` (the buffer-capacitor
-//! voltage), but the solvers are written for arbitrary small systems and
-//! are tested on 2-dimensional oscillators.
+//! voltage), but it is written for arbitrary small systems and is
+//! tested on 2-dimensional oscillators.
 
 use crate::CircuitError;
 
@@ -40,116 +35,6 @@ fn axpy<const N: usize>(y: &[f64; N], h: f64, k: &[f64; N]) -> [f64; N] {
         out[i] += h * k[i];
     }
     out
-}
-
-/// A fixed-step one-step integration method.
-pub trait FixedStepMethod {
-    /// Advances `y` from `t` to `t + h` and returns the new state.
-    fn step<const N: usize>(
-        &self,
-        system: &mut impl OdeSystem<N>,
-        t: f64,
-        y: &[f64; N],
-        h: f64,
-    ) -> [f64; N];
-
-    /// Classical order of accuracy of the method.
-    fn order(&self) -> usize;
-
-    /// Integrates from `t0` to `t_end` with a fixed step `h`, returning
-    /// the final state. The last step is shortened to land on `t_end`
-    /// exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::InvalidArgument`] when `h` is not a
-    /// positive finite number or `t_end < t0`.
-    fn integrate<const N: usize>(
-        &self,
-        system: &mut impl OdeSystem<N>,
-        t0: f64,
-        y0: [f64; N],
-        t_end: f64,
-        h: f64,
-    ) -> Result<[f64; N], CircuitError> {
-        if !(h > 0.0) || !h.is_finite() {
-            return Err(CircuitError::InvalidArgument("step size must be positive and finite"));
-        }
-        if t_end < t0 {
-            return Err(CircuitError::InvalidArgument("t_end must not precede t0"));
-        }
-        let mut t = t0;
-        let mut y = y0;
-        while t < t_end {
-            let step = h.min(t_end - t);
-            y = self.step(system, t, &y, step);
-            t += step;
-        }
-        Ok(y)
-    }
-}
-
-/// Explicit (forward) Euler method. First order.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Euler;
-
-impl Euler {
-    /// Creates the Euler method.
-    pub fn new() -> Self {
-        Euler
-    }
-}
-
-impl FixedStepMethod for Euler {
-    fn step<const N: usize>(
-        &self,
-        system: &mut impl OdeSystem<N>,
-        t: f64,
-        y: &[f64; N],
-        h: f64,
-    ) -> [f64; N] {
-        let k = system.eval(t, y);
-        axpy(y, h, &k)
-    }
-
-    fn order(&self) -> usize {
-        1
-    }
-}
-
-/// Classic fourth-order Runge–Kutta method, fixed step.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Rk4;
-
-impl Rk4 {
-    /// Creates the RK4 method.
-    pub fn new() -> Self {
-        Rk4
-    }
-}
-
-impl FixedStepMethod for Rk4 {
-    fn step<const N: usize>(
-        &self,
-        system: &mut impl OdeSystem<N>,
-        t: f64,
-        y: &[f64; N],
-        h: f64,
-    ) -> [f64; N] {
-        let k1 = system.eval(t, y);
-        let k2 = system.eval(t + 0.5 * h, &axpy(y, 0.5 * h, &k1));
-        let k3 = system.eval(t + 0.5 * h, &axpy(y, 0.5 * h, &k2));
-        let k4 = system.eval(t + h, &axpy(y, h, &k3));
-        let mut out = *y;
-        for i in 0..N {
-            out[i] += (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-        }
-        out
-    }
-
-    fn order(&self) -> usize {
-        4
-    }
 }
 
 /// Tolerances and step bounds for the adaptive [`Rk23`] solver.
@@ -412,31 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn euler_first_order_convergence() {
-        // Halving h should roughly halve the error for Euler.
-        let e1 = (Euler.integrate(&mut exp_decay, 0.0, [1.0], 1.0, 1e-2).unwrap()[0]
-            - (-1.0f64).exp())
-        .abs();
-        let e2 = (Euler.integrate(&mut exp_decay, 0.0, [1.0], 1.0, 5e-3).unwrap()[0]
-            - (-1.0f64).exp())
-        .abs();
-        let ratio = e1 / e2;
-        assert!(ratio > 1.7 && ratio < 2.3, "order-1 ratio was {ratio}");
-    }
-
-    #[test]
-    fn rk4_fourth_order_convergence() {
-        let e1 = (Rk4.integrate(&mut exp_decay, 0.0, [1.0], 1.0, 1e-1).unwrap()[0]
-            - (-1.0f64).exp())
-        .abs();
-        let e2 = (Rk4.integrate(&mut exp_decay, 0.0, [1.0], 1.0, 5e-2).unwrap()[0]
-            - (-1.0f64).exp())
-        .abs();
-        let ratio = e1 / e2;
-        assert!(ratio > 12.0 && ratio < 20.0, "order-4 ratio was {ratio}");
-    }
-
-    #[test]
     fn rk23_matches_analytic_exponential() {
         let mut solver = Rk23::new(AdaptiveOptions::new().with_max_step(0.5));
         let y = solver.integrate(&mut exp_decay, 0.0, [1.0], 3.0).unwrap();
@@ -492,12 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_step_rejects_bad_h() {
-        assert!(Euler.integrate(&mut exp_decay, 0.0, [1.0], 1.0, 0.0).is_err());
-        assert!(Rk4.integrate(&mut exp_decay, 0.0, [1.0], 1.0, f64::NAN).is_err());
-    }
-
-    #[test]
     fn dense_output_endpoints_match() {
         let mut solver = Rk23::new(AdaptiveOptions::new());
         let step = solver.step(&mut exp_decay, 0.0, &[1.0], 0.5).unwrap();
@@ -524,14 +378,6 @@ mod tests {
             let y = solver.integrate(&mut f, 0.0, [1.0], t_end).unwrap();
             let exact = (rate * t_end).exp();
             prop_assert!((y[0] - exact).abs() < 1e-4 * (1.0 + exact.abs()));
-        }
-
-        #[test]
-        fn rk4_beats_euler(h in 1e-3f64..5e-2) {
-            let exact = (-1.0f64).exp();
-            let e_euler = (Euler.integrate(&mut exp_decay, 0.0, [1.0], 1.0, h).unwrap()[0] - exact).abs();
-            let e_rk4 = (Rk4.integrate(&mut exp_decay, 0.0, [1.0], 1.0, h).unwrap()[0] - exact).abs();
-            prop_assert!(e_rk4 <= e_euler);
         }
     }
 }

@@ -67,9 +67,6 @@ pub const DEFAULT_PERIOD: Seconds = Seconds::new(0.1);
 pub struct BudgetShift {
     points: Arc<OppTable>,
     target_voltage: Volts,
-    reserve_voltage: Volts,
-    gain_w_per_v: f64,
-    period: Seconds,
 }
 
 impl BudgetShift {
@@ -79,39 +76,12 @@ impl BudgetShift {
         Self {
             points: Arc::clone(platform.opp_table()),
             target_voltage: platform.target_voltage(),
-            reserve_voltage: DEFAULT_RESERVE,
-            gain_w_per_v: DEFAULT_GAIN_W_PER_V,
-            period: DEFAULT_PERIOD,
         }
     }
 
-    /// Overrides the voltage the budget servos around.
-    pub fn with_target_voltage(mut self, target: Volts) -> Self {
-        self.target_voltage = target;
-        self
-    }
-
-    /// Overrides the reserve voltage (the zero-budget point).
-    pub fn with_reserve_voltage(mut self, reserve: Volts) -> Self {
-        self.reserve_voltage = reserve;
-        self
-    }
-
-    /// Overrides the proportional gain (watts per volt).
-    pub fn with_gain(mut self, w_per_v: f64) -> Self {
-        self.gain_w_per_v = w_per_v.max(0.0);
-        self
-    }
-
-    /// Overrides the sampling period.
-    pub fn with_period(mut self, period: Seconds) -> Self {
-        self.period = period;
-        self
-    }
-
     fn plan(&self, vc: Volts, current: Opp) -> GovernorAction {
-        let headroom = vc.value() - self.reserve_voltage.value();
-        let budget_w = (self.gain_w_per_v * headroom).max(0.0);
+        let headroom = vc.value() - DEFAULT_RESERVE.value();
+        let budget_w = (DEFAULT_GAIN_W_PER_V * headroom).max(0.0);
         let budget = PowerBudget::new(Watts::new(budget_w)).expect("budget is clamped finite");
         let target = match budget.allocate(&self.points) {
             Some((opp, _)) => opp,
@@ -154,7 +124,7 @@ impl Governor for BudgetShift {
     }
 
     fn tick_period(&self) -> Option<Seconds> {
-        Some(self.period)
+        Some(DEFAULT_PERIOD)
     }
 }
 

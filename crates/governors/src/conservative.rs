@@ -1,8 +1,8 @@
 //! The `conservative` governor: step gradually toward the load.
 //!
-//! Unlike `ondemand`, `conservative` never jumps: above `up_threshold`
-//! it raises the target by `freq_step` (default 5 % of `f_max`) per
-//! sample, below `down_threshold` it lowers it by the same step. On a
+//! Unlike `ondemand`, `conservative` never jumps: above the kernel's
+//! `up_threshold` it raises the target by `freq_step` (5 % of `f_max`)
+//! per sample, below `down_threshold` it lowers it by the same step. On a
 //! CPU-bound workload this produces the slow ramp that let the paper's
 //! rig survive about five seconds (Table II: lifetime 00:05, 24 G
 //! instructions) before the ramp outran the harvest.
@@ -42,39 +42,16 @@ pub const DEFAULT_SAMPLING_PERIOD: Seconds = Seconds::new(0.2);
 #[derive(Debug, Clone)]
 pub struct Conservative {
     table: FrequencyTable,
-    up_threshold: f64,
-    down_threshold: f64,
-    freq_step: f64,
-    sampling_period: Seconds,
     /// The governor's internal continuous target (the kernel tracks
     /// `requested_freq` separately from the resolved level).
     requested: Hertz,
 }
 
 impl Conservative {
-    /// Creates the governor with kernel-default tunables.
+    /// Creates the governor with the kernel-default tunables.
     pub fn new(table: FrequencyTable) -> Self {
         let requested = table.min_frequency();
-        Self {
-            table,
-            up_threshold: DEFAULT_UP_THRESHOLD,
-            down_threshold: DEFAULT_DOWN_THRESHOLD,
-            freq_step: DEFAULT_FREQ_STEP,
-            sampling_period: DEFAULT_SAMPLING_PERIOD,
-            requested,
-        }
-    }
-
-    /// Overrides `freq_step` (fraction of `f_max` per sample).
-    pub fn with_freq_step(mut self, step: f64) -> Self {
-        self.freq_step = step.clamp(0.001, 1.0);
-        self
-    }
-
-    /// Overrides the sampling period.
-    pub fn with_sampling_period(mut self, period: Seconds) -> Self {
-        self.sampling_period = period;
-        self
+        Self { table, requested }
     }
 
     /// The internally tracked requested frequency.
@@ -97,11 +74,11 @@ impl Governor for Conservative {
         let GovernorEvent::Tick { load, .. } = *event else {
             return GovernorAction::none();
         };
-        let step = self.table.max_frequency() * self.freq_step;
-        if load >= self.up_threshold {
+        let step = self.table.max_frequency() * DEFAULT_FREQ_STEP;
+        if load >= DEFAULT_UP_THRESHOLD {
             self.requested =
                 (self.requested + step).min(self.table.max_frequency());
-        } else if load <= self.down_threshold {
+        } else if load <= DEFAULT_DOWN_THRESHOLD {
             self.requested =
                 (self.requested - step).max(self.table.min_frequency());
         }
@@ -114,7 +91,7 @@ impl Governor for Conservative {
     }
 
     fn tick_period(&self) -> Option<Seconds> {
-        Some(self.sampling_period)
+        Some(DEFAULT_SAMPLING_PERIOD)
     }
 }
 

@@ -41,28 +41,17 @@ pub const DEFAULT_SAMPLING_PERIOD: Seconds = Seconds::new(0.1);
 pub struct Ondemand {
     table: FrequencyTable,
     up_threshold: f64,
-    sampling_period: Seconds,
 }
 
 impl Ondemand {
     /// Creates the governor with kernel-default tunables.
     pub fn new(table: FrequencyTable) -> Self {
-        Self {
-            table,
-            up_threshold: DEFAULT_UP_THRESHOLD,
-            sampling_period: DEFAULT_SAMPLING_PERIOD,
-        }
+        Self { table, up_threshold: DEFAULT_UP_THRESHOLD }
     }
 
     /// Overrides `up_threshold` (fraction of full load).
     pub fn with_up_threshold(mut self, up_threshold: f64) -> Self {
         self.up_threshold = up_threshold.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Overrides the sampling period.
-    pub fn with_sampling_period(mut self, period: Seconds) -> Self {
-        self.sampling_period = period;
         self
     }
 
@@ -100,7 +89,7 @@ impl Governor for Ondemand {
     }
 
     fn tick_period(&self) -> Option<Seconds> {
-        Some(self.sampling_period)
+        Some(DEFAULT_SAMPLING_PERIOD)
     }
 }
 

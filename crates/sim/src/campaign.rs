@@ -687,32 +687,6 @@ pub struct GroupSummary {
     pub energy_utilisation: Aggregate,
 }
 
-impl GroupSummary {
-    /// Folds another shard's statistics for the *same* group into this
-    /// one (via [`Aggregate::merge`]), as if every cell had been
-    /// aggregated here — the reducer that recomposes per-group
-    /// statistics from shard reports without touching the cells.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Campaign`] when the labels differ (the
-    /// summaries describe different groups).
-    pub fn merge(&mut self, other: &GroupSummary) -> Result<(), SimError> {
-        if self.label != other.label {
-            return Err(SimError::Campaign(format!(
-                "cannot merge group summary {:?} into {:?}: different groups",
-                other.label, self.label,
-            )));
-        }
-        self.cells += other.cells;
-        self.brownouts += other.brownouts;
-        self.vc_stability.merge(&other.vc_stability);
-        self.instructions_billions.merge(&other.instructions_billions);
-        self.energy_utilisation.merge(&other.energy_utilisation);
-        Ok(())
-    }
-}
-
 /// Aggregated verdicts of a whole campaign (or, after
 /// [`CampaignShard::run`], of one shard of it).
 #[derive(Debug, Clone, PartialEq)]
@@ -1266,53 +1240,6 @@ mod tests {
         let label = parts[1].cells()[0].cell.label();
         assert!(msg.contains("duplicate cell"), "{msg}");
         assert!(msg.contains(&label), "message {msg:?} does not name cell {label:?}");
-    }
-
-    #[test]
-    fn group_summaries_merge_across_shards() {
-        let spec = CampaignSpec::smoke().with_seeds(vec![1, 2]);
-        let reports: Vec<CampaignReport> = spec
-            .shard(3)
-            .iter()
-            .map(|s| {
-                CampaignReport::from_parts(
-                    s.start(),
-                    s.cells().iter().map(|&c| outcome(c, s.start() as f64)).collect(),
-                )
-            })
-            .collect();
-        let full = CampaignReport::merge(reports.clone()).unwrap();
-        let check = |full_groups: Vec<GroupSummary>, shard_groups: Vec<Vec<GroupSummary>>| {
-            // Fold each shard's group summaries into one list by label.
-            let mut folded: Vec<GroupSummary> = Vec::new();
-            for groups in shard_groups {
-                for summary in groups {
-                    match folded.iter_mut().find(|g| g.label == summary.label) {
-                        Some(g) => g.merge(&summary).unwrap(),
-                        None => folded.push(summary),
-                    }
-                }
-            }
-            assert_eq!(folded.len(), full_groups.len());
-            for (f, g) in folded.iter().zip(&full_groups) {
-                assert_eq!(f.label, g.label);
-                assert_eq!(f.cells, g.cells);
-                assert_eq!(f.brownouts, g.brownouts);
-                assert_eq!(f.vc_stability.count(), g.vc_stability.count());
-                assert_eq!(f.vc_stability.min(), g.vc_stability.min());
-                assert_eq!(f.vc_stability.max(), g.vc_stability.max());
-                // Sums recompose up to float re-association.
-                let err =
-                    (f.instructions_billions.sum() - g.instructions_billions.sum()).abs();
-                assert!(err < 1e-9, "{}: sum drifted by {err}", f.label);
-            }
-        };
-        check(full.by_weather(), reports.iter().map(|r| r.by_weather()).collect());
-        check(full.by_governor(), reports.iter().map(|r| r.by_governor()).collect());
-        // Merging summaries of different groups is rejected.
-        let mut a = full.by_weather().swap_remove(0);
-        let b = full.by_governor().swap_remove(0);
-        assert!(matches!(a.merge(&b), Err(SimError::Campaign(_))));
     }
 
     #[test]

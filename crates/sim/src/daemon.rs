@@ -27,7 +27,7 @@
 //! their global matrix index; [`rows_to_csv`] reassembles them into a
 //! document byte-identical to [`crate::persist::report_csv_string`] of
 //! the merged report, because both sides share
-//! [`pn_analysis::csv::format_campaign_row`].
+//! [`crate::persist::csv_row`].
 //!
 //! `watch <id> from <row>` resumes the stream at position `row` of
 //! the job's completion-ordered row stream — a watcher that lost its
@@ -45,9 +45,8 @@
 //! neither a handler thread nor a watch stream: a watcher that stops
 //! draining rows is disconnected (with a best-effort
 //! `error watcher stalled ...` line) once a row write blocks past the
-//! deadline, and rows are streamed in bounded chunks
-//! ([`DaemonConfig::with_watch_chunk`]). Client helpers connect with
-//! a timeout and honour a [`RetryPolicy`].
+//! deadline, and rows are streamed in bounded chunks of 256. Client
+//! helpers connect with a timeout and honour a [`RetryPolicy`].
 //!
 //! The daemon's own fault behaviour is testable under the seeded
 //! chaos plane ([`crate::chaos`]): install a
@@ -118,7 +117,6 @@ use crate::chaos::{self, IoPolicy, StreamAction};
 use crate::executor::Executor;
 use crate::persist;
 use crate::SimError;
-use pn_analysis::csv::{format_campaign_row, CAMPAIGN_CSV_HEADER};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, VecDeque};
@@ -141,8 +139,8 @@ const DEFAULT_DEADLINE: Duration = Duration::from_secs(10);
 /// Default per-shard budget of retried *injected* checkpoint-write
 /// faults before the job is failed.
 const DEFAULT_RETRY_BUDGET: u32 = 8;
-/// Default bound on rows cloned out of the job state per watch
-/// iteration.
+/// Bound on rows cloned out of the job state per watch iteration —
+/// the slow-watcher backpressure buffer.
 const DEFAULT_WATCH_CHUNK: usize = 256;
 
 /// Configuration for [`Daemon::start`].
@@ -175,9 +173,6 @@ pub struct DaemonConfig {
     /// before its job is failed. Deterministic failures are never
     /// retried.
     pub retry_budget: u32,
-    /// Bound on rows cloned out of the job state per watch iteration —
-    /// the slow-watcher backpressure buffer.
-    pub watch_chunk: usize,
 }
 
 impl DaemonConfig {
@@ -193,7 +188,6 @@ impl DaemonConfig {
             read_timeout: DEFAULT_DEADLINE,
             write_timeout: DEFAULT_DEADLINE,
             retry_budget: DEFAULT_RETRY_BUDGET,
-            watch_chunk: DEFAULT_WATCH_CHUNK,
         }
     }
 
@@ -248,14 +242,6 @@ impl DaemonConfig {
     #[must_use]
     pub fn with_retry_budget(mut self, budget: u32) -> Self {
         self.retry_budget = budget;
-        self
-    }
-
-    /// Sets the watch-stream chunk bound (builder style); clamped to
-    /// at least 1.
-    #[must_use]
-    pub fn with_watch_chunk(mut self, rows: usize) -> Self {
-        self.watch_chunk = rows.max(1);
         self
     }
 }
@@ -315,7 +301,6 @@ struct Shared {
     read_timeout: Duration,
     write_timeout: Duration,
     retry_budget: u32,
-    watch_chunk: usize,
     jobs: Mutex<Vec<Arc<Job>>>,
     queue: Mutex<VecDeque<Task>>,
     queue_cond: Condvar,
@@ -381,7 +366,6 @@ impl Daemon {
             read_timeout: config.read_timeout,
             write_timeout: config.write_timeout,
             retry_budget: config.retry_budget,
-            watch_chunk: config.watch_chunk.max(1),
             jobs: Mutex::new(Vec::new()),
             queue: Mutex::new(VecDeque::new()),
             queue_cond: Condvar::new(),
@@ -668,8 +652,8 @@ fn run_task(task: &Task, shared: &Shared) -> bool {
 /// Formats the finished shard's cells as CSV rows tagged with their
 /// global matrix indices and appends them to the watch stream.
 fn push_shard_rows(state: &mut JobState, start: usize, report: &CampaignReport) {
-    for (offset, row) in persist::campaign_rows(report).iter().enumerate() {
-        state.rows.push((start + offset, format_campaign_row(row)));
+    for (offset, cell) in report.cells().iter().enumerate() {
+        state.rows.push((start + offset, persist::csv_row(cell)));
     }
 }
 
@@ -921,7 +905,7 @@ fn handle_watch(id: u64, from: usize, out: &mut TcpStream, shared: &Arc<Shared>)
         return writeln!(out, "error watch offset {from} beyond {} cells", job.cells.len());
     }
     let policy = Arc::clone(&shared.policy);
-    stream_line(out, policy.as_ref(), &format!("header {CAMPAIGN_CSV_HEADER}"))?;
+    stream_line(out, policy.as_ref(), &format!("header {}", persist::CAMPAIGN_CSV_HEADER))?;
     out.flush()?;
     // `from` is an offset into the completion-ordered row stream —
     // valid within one daemon life. A resuming client that spans a
@@ -939,9 +923,9 @@ fn handle_watch(id: u64, from: usize, out: &mut TcpStream, shared: &Arc<Shared>)
             loop {
                 if cursor < state.rows.len() {
                     // Bounded chunks: a slow watcher holds at most
-                    // `watch_chunk` rows of copied backlog at a time
-                    // instead of cloning the whole tail in one go.
-                    let upto = state.rows.len().min(cursor + shared.watch_chunk);
+                    // `DEFAULT_WATCH_CHUNK` rows of copied backlog at a
+                    // time instead of cloning the whole tail in one go.
+                    let upto = state.rows.len().min(cursor + DEFAULT_WATCH_CHUNK);
                     break Step::Rows(state.rows[cursor..upto].to_vec());
                 }
                 if let Some(why) = &state.failed {
@@ -1105,15 +1089,6 @@ impl RetryPolicy {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the connect / read / write deadlines.
-    #[must_use]
-    pub fn with_timeouts(mut self, connect: Duration, read: Duration, write: Duration) -> Self {
-        self.connect_timeout = connect;
-        self.read_timeout = read;
-        self.write_timeout = write;
         self
     }
 }
@@ -1348,7 +1323,7 @@ fn watch_conn(
         .and_then(|()| out.flush())
         .map_err(|e| ClientFailure::Net(format!("cannot send watch: {e}")))?;
     let header = read_stream_line(&mut reader)?;
-    if header != format!("header {CAMPAIGN_CSV_HEADER}") {
+    if header != format!("header {}", persist::CAMPAIGN_CSV_HEADER) {
         return Err(ClientFailure::Typed(SimError::Daemon(format!(
             "malformed watch header: {header:?}"
         ))));
@@ -1490,7 +1465,7 @@ pub fn watch_csv(addr: &str, id: u64) -> Result<String, SimError> {
 /// Reassembles streamed `(matrix index, row)` pairs into the canonical
 /// campaign CSV document: header first, rows in matrix order. The
 /// result is byte-identical to the batch-written CSV of the merged
-/// report because both share [`format_campaign_row`].
+/// report because both share [`persist::csv_row`].
 ///
 /// # Errors
 ///
@@ -1505,7 +1480,7 @@ pub fn rows_to_csv(cells: usize, mut rows: Vec<(usize, String)>) -> Result<Strin
         )));
     }
     let mut doc = String::with_capacity((cells + 1) * 96);
-    doc.push_str(CAMPAIGN_CSV_HEADER);
+    doc.push_str(persist::CAMPAIGN_CSV_HEADER);
     doc.push('\n');
     for (_, row) in rows {
         doc.push_str(&row);

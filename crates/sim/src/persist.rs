@@ -12,9 +12,11 @@
 //!   with Rust's shortest-round-trip formatting, so decoding
 //!   reproduces every `f64` bitwise and a decode–encode cycle is the
 //!   identity;
-//! * the campaign CSV bridge ([`campaign_rows`] /
-//!   [`report_csv_string`]) onto
-//!   [`pn_analysis::csv::write_campaign_csv`];
+//! * the campaign CSV export, the format's only encoder:
+//!   [`CAMPAIGN_CSV_HEADER`] and [`csv_row`] (one row per cell, shared
+//!   by the batch [`report_csv_string`] and the daemon's watch stream),
+//!   plus the per-group [`report_summary_csv_string`] under
+//!   [`SUMMARY_CSV_HEADER`];
 //! * the atomic artifact writer ([`write_atomic`]): temp file in the
 //!   target's directory, fsync, rename into place. Every campaign
 //!   artifact this workspace writes (the `campaign` bin's
@@ -54,7 +56,6 @@ use crate::chaos;
 use crate::engine::SimOverrides;
 use crate::supply::SupplyModel;
 use crate::SimError;
-use pn_analysis::csv::{write_campaign_csv, write_summary_csv, CampaignRow, SummaryRow};
 use pn_analysis::summary::Aggregate;
 use pn_core::params::ControlParams;
 use pn_harvest::faults::FaultSpec;
@@ -636,86 +637,105 @@ fn parse_overrides(no: usize, tokens: &[&str]) -> Result<SimOverrides, SimError>
     })
 }
 
-/// Reduces a report to plain CSV rows (one per cell, matrix order),
-/// using the stable [`Weather::slug`] / [`GovernorSpec::slug`] tokens.
-pub fn campaign_rows(report: &CampaignReport) -> Vec<CampaignRow> {
-    report
-        .cells()
-        .iter()
-        .map(|c| CampaignRow {
-            weather: c.cell.weather.slug().to_string(),
-            seed: c.cell.seed,
-            buffer_mf: c.cell.buffer_mf,
-            governor: c.cell.governor.slug(),
-            supply_model: c.cell.supply_model().slug(),
-            survived: c.survived,
-            lifetime_seconds: c.lifetime_seconds,
-            vc_stability: c.vc_stability,
-            instructions_billions: c.instructions_billions,
-            renders_per_minute: c.renders_per_minute,
-            energy_in_joules: c.energy_in_joules,
-            energy_out_joules: c.energy_out_joules,
-            transitions: c.transitions,
-            final_vc: c.final_vc,
-            idle_time_seconds: c.idle_time_seconds,
-            idle_entries: c.idle_entries,
-            thermal: c.cell.thermal.slug(),
-            arrival: c.cell.arrival.slug(),
-            fault: c.cell.fault.slug(),
-            peak_temp_c: c.peak_temp_c,
-            throttle_time_seconds: c.throttle_time_seconds,
-            boost_time_seconds: c.boost_time_seconds,
-            faults_injected: c.faults_injected,
-        })
-        .collect()
+/// Header row of the campaign CSV document. Pinned: golden-file tests
+/// and downstream plots depend on these column names and their order.
+pub const CAMPAIGN_CSV_HEADER: &str = "weather,seed,buffer_mf,governor,supply_model,survived,\
+lifetime_s,vc_stability,instructions_g,renders_per_min,energy_in_j,energy_out_j,transitions,\
+final_vc,idle_time_s,idle_entries,thermal,arrival,fault,peak_temp_c,throttle_time_s,\
+boost_time_s,faults_injected";
+
+/// Header row of the summary-only CSV document. Pinned: golden-file
+/// tests and downstream plots depend on these column names and their
+/// order.
+pub const SUMMARY_CSV_HEADER: &str = "group,label,cells,brownouts,vc_stability_mean,\
+vc_stability_min,vc_stability_max,instructions_g,energy_utilisation_mean";
+
+/// Formats one cell as a campaign CSV row under [`CAMPAIGN_CSV_HEADER`],
+/// without the trailing newline.
+///
+/// Axis columns use the stable machine slugs ([`Weather::slug`],
+/// [`GovernorSpec::slug`], the effective [`SupplyModel::slug`], ...),
+/// `survived` is `1`/`0`, and floats use Rust's shortest-round-trip
+/// formatting, so the row is deterministic across build profiles and
+/// parses back to the exact values. This is the only row encoder: the
+/// batch document ([`report_csv_string`]) and the daemon's watch
+/// stream both emit through it, so a document reassembled from
+/// streamed rows is byte-identical to the batch-written one.
+pub fn csv_row(c: &CellOutcome) -> String {
+    let cell = &c.cell;
+    format!(
+        "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+        cell.weather.slug(),
+        cell.seed,
+        cell.buffer_mf,
+        cell.governor.slug(),
+        cell.supply_model().slug(),
+        u8::from(c.survived),
+        c.lifetime_seconds,
+        c.vc_stability,
+        c.instructions_billions,
+        c.renders_per_minute,
+        c.energy_in_joules,
+        c.energy_out_joules,
+        c.transitions,
+        c.final_vc,
+        c.idle_time_seconds,
+        c.idle_entries,
+        cell.thermal.slug(),
+        cell.arrival.slug(),
+        cell.fault.slug(),
+        c.peak_temp_c,
+        c.throttle_time_seconds,
+        c.boost_time_seconds,
+        c.faults_injected,
+    )
 }
 
-/// The report's campaign CSV document (header plus one row per cell).
+/// The report's campaign CSV document: [`CAMPAIGN_CSV_HEADER`] plus one
+/// [`csv_row`] per cell, in matrix order. An empty report exports a
+/// header-only document.
 ///
 /// # Errors
 ///
-/// Propagates CSV-writer failures.
+/// None today; the `Result` keeps the export's call sites uniform
+/// with the other persistence entry points.
 pub fn report_csv_string(report: &CampaignReport) -> Result<String, SimError> {
-    let mut out = Vec::new();
-    write_campaign_csv(&mut out, &campaign_rows(report))?;
-    String::from_utf8(out).map_err(|_| SimError::Persist("campaign CSV was not UTF-8".into()))
+    let mut out = format!("{CAMPAIGN_CSV_HEADER}\n");
+    for c in report.cells() {
+        out.push_str(&csv_row(c));
+        out.push('\n');
+    }
+    Ok(out)
 }
 
-/// Reduces a report's per-weather and per-governor [`GroupSummary`]
-/// aggregates to plain summary rows (weather groups first, each axis
-/// in first-seen order).
-pub fn summary_rows(report: &CampaignReport) -> Vec<SummaryRow> {
-    let reduce = |kind: &str, groups: Vec<GroupSummary>| -> Vec<SummaryRow> {
-        groups
-            .into_iter()
-            .map(|g| SummaryRow {
-                group: kind.to_string(),
-                label: g.label,
-                cells: g.cells as u64,
-                brownouts: g.brownouts as u64,
-                vc_stability_mean: g.vc_stability.mean().unwrap_or(0.0),
-                vc_stability_min: g.vc_stability.min().unwrap_or(0.0),
-                vc_stability_max: g.vc_stability.max().unwrap_or(0.0),
-                instructions_billions: g.instructions_billions.sum(),
-                energy_utilisation_mean: g.energy_utilisation.mean().unwrap_or(0.0),
-            })
-            .collect()
-    };
-    let mut rows = reduce("weather", report.by_weather());
-    rows.extend(reduce("governor", report.by_governor()));
-    rows
-}
-
-/// The report's summary-only CSV document (header plus one row per
-/// weather and governor group).
+/// The report's summary-only CSV document: [`SUMMARY_CSV_HEADER`] plus
+/// one row per [`GroupSummary`], weather groups first, each axis in
+/// first-seen order. Empty aggregates export as 0; floats use
+/// shortest-round-trip formatting.
 ///
 /// # Errors
 ///
-/// Propagates CSV-writer failures.
+/// None today; see [`report_csv_string`].
 pub fn report_summary_csv_string(report: &CampaignReport) -> Result<String, SimError> {
-    let mut out = Vec::new();
-    write_summary_csv(&mut out, &summary_rows(report))?;
-    String::from_utf8(out).map_err(|_| SimError::Persist("summary CSV was not UTF-8".into()))
+    let mut out = format!("{SUMMARY_CSV_HEADER}\n");
+    for (group, summaries) in [("weather", report.by_weather()), ("governor", report.by_governor())]
+    {
+        for g in summaries {
+            let _ = writeln!(
+                out,
+                "{group},{},{},{},{},{},{},{},{}",
+                g.label,
+                g.cells,
+                g.brownouts,
+                g.vc_stability.mean().unwrap_or(0.0),
+                g.vc_stability.min().unwrap_or(0.0),
+                g.vc_stability.max().unwrap_or(0.0),
+                g.instructions_billions.sum(),
+                g.energy_utilisation.mean().unwrap_or(0.0),
+            );
+        }
+    }
+    Ok(out)
 }
 
 fn persist_err(line: usize, why: String) -> SimError {
@@ -1050,9 +1070,9 @@ mod tests {
             (0.1f64 + 0.2).to_bits(),
             "options floats must survive the trip bitwise"
         );
-        // The CSV bridge exports the effective supply model slug.
-        let rows = campaign_rows(&report);
-        assert!(rows.iter().all(|r| r.supply_model == overrides.supply_model.unwrap().slug()));
+        // The CSV exports the effective supply model slug.
+        let slug = overrides.supply_model.unwrap().slug();
+        assert!(report.cells().iter().all(|c| csv_row(c).split(',').nth(4) == Some(slug.as_str())));
     }
 
     #[test]
@@ -1102,13 +1122,17 @@ mod tests {
         let decoded = report_from_str(&wire).unwrap();
         assert_eq!(decoded, report);
         assert_eq!(report_to_string(&decoded), wire);
-        // The CSV bridge exports the axis slugs and stress metrics.
-        let rows = campaign_rows(&decoded);
-        assert!(rows.iter().all(|r| r.fault.starts_with("brownout:")));
-        assert!(rows.iter().any(|r| r.thermal != "off"));
-        assert!(rows.iter().any(|r| r.arrival.starts_with("bursty:")));
-        assert_eq!(rows[0].peak_temp_c.to_bits(), 61.0f64.to_bits());
-        assert_eq!(rows[0].boost_time_seconds.to_bits(), (0.1f64 + 0.2).to_bits());
+        // The CSV exports the axis slugs and stress metrics.
+        let rows: Vec<Vec<String>> = decoded
+            .cells()
+            .iter()
+            .map(|c| csv_row(c).split(',').map(str::to_string).collect())
+            .collect();
+        assert!(rows.iter().all(|r| r[18].starts_with("brownout:")));
+        assert!(rows.iter().any(|r| r[16] != "off"));
+        assert!(rows.iter().any(|r| r[17].starts_with("bursty:")));
+        assert_eq!(rows[0][19].parse::<f64>().unwrap().to_bits(), 61.0f64.to_bits());
+        assert_eq!(rows[0][21].parse::<f64>().unwrap().to_bits(), (0.1f64 + 0.2).to_bits());
     }
 
     #[test]
@@ -1225,19 +1249,43 @@ mod tests {
         let lines: Vec<&str> = csv.lines().collect();
         let expected = report.by_weather().len() + report.by_governor().len();
         assert_eq!(lines.len(), expected + 1);
-        assert_eq!(lines[0], pn_analysis::csv::SUMMARY_CSV_HEADER);
+        assert_eq!(lines[0], SUMMARY_CSV_HEADER);
         assert!(lines[1].starts_with("weather,"));
         assert!(lines.last().unwrap().starts_with("governor,"));
         // Rows mirror the in-memory aggregates bitwise.
-        let rows = summary_rows(&report);
-        assert_eq!(rows.len(), expected);
         let weather = report.by_weather();
-        assert_eq!(rows[0].label, weather[0].label);
-        assert_eq!(rows[0].cells, weather[0].cells as u64);
+        let fields: Vec<&str> = lines[1].split(',').collect();
+        assert_eq!(fields.len(), SUMMARY_CSV_HEADER.split(',').count());
+        assert_eq!(fields[1], weather[0].label);
+        assert_eq!(fields[2], weather[0].cells.to_string());
         assert_eq!(
-            rows[0].vc_stability_mean.to_bits(),
+            fields[4].parse::<f64>().unwrap().to_bits(),
             weather[0].vc_stability.mean().unwrap().to_bits()
         );
+        // A mean of exactly 1/3 (stabilities 0, 1, 0) survives the trip
+        // bitwise, under the display label.
+        let spec = CampaignSpec::smoke()
+            .with_weathers(vec![Weather::PartialSun])
+            .with_governors(vec![GovernorSpec::PowerNeutral])
+            .with_seeds(vec![1, 2, 3]);
+        let base = report.cells()[0];
+        let thirds = CampaignReport::from_parts(
+            0,
+            spec.cells()
+                .iter()
+                .enumerate()
+                .map(|(i, &cell)| CellOutcome {
+                    cell,
+                    survived: true,
+                    vc_stability: if i == 1 { 1.0 } else { 0.0 },
+                    ..base
+                })
+                .collect(),
+        );
+        let csv = report_summary_csv_string(&thirds).unwrap();
+        let fields: Vec<&str> = csv.lines().nth(1).unwrap().split(',').collect();
+        assert_eq!(&fields[..4], ["weather", "partial sun", "3", "0"]);
+        assert_eq!(fields[4].parse::<f64>().unwrap().to_bits(), (1.0f64 / 3.0).to_bits());
     }
 
     #[test]
@@ -1246,11 +1294,61 @@ mod tests {
         let csv = report_csv_string(&report).unwrap();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), report.len() + 1);
-        assert_eq!(lines[0], pn_analysis::csv::CAMPAIGN_CSV_HEADER);
+        assert_eq!(lines[0], CAMPAIGN_CSV_HEADER);
         assert!(lines[1].starts_with("full-sun,1,47,power-neutral,"));
-        // Governor column uses the lossless slug, not the display label.
-        let rows = campaign_rows(&report);
-        assert!(rows.iter().all(|r| GovernorSpec::from_slug(&r.governor).is_some()));
+        // The header and every row have the same 23 columns.
+        assert!(lines.iter().all(|l| l.split(',').count() == 23), "{csv}");
+        for (line, c) in lines[1..].iter().zip(report.cells()) {
+            assert_eq!(*line, csv_row(c), "the document is the row encoder's output");
+            let fields: Vec<&str> = line.split(',').collect();
+            // Governor column uses the lossless slug, not the display label.
+            assert!(GovernorSpec::from_slug(fields[3]).is_some());
+            assert_eq!(fields[5], if c.survived { "1" } else { "0" });
+        }
+        // Every column of a cell whose fields all differ, in pinned
+        // order: swapping any two columns breaks this row.
+        let spec = CampaignSpec::smoke()
+            .with_weathers(vec![Weather::PartialSun])
+            .with_seeds(vec![7])
+            .with_thermals(vec![ThermalSpec::stress()])
+            .with_arrivals(vec![ArrivalSpec::bursty_stress()])
+            .with_faults(vec![FaultSpec::brownout_stress()])
+            .with_cell_options(
+                SimOverrides::none().with_supply_model(SupplyModel::Interpolated { tol: 1e-3 }),
+            );
+        let outcome = CellOutcome {
+            cell: spec.cells()[0],
+            survived: true,
+            lifetime_seconds: 0.1 + 0.2, // 0.30000000000000004: must survive the trip
+            vc_stability: 0.925,
+            instructions_billions: 1.5,
+            renders_per_minute: 12.0,
+            energy_in_joules: 30.25,
+            energy_out_joules: 15.125,
+            transitions: 9,
+            final_vc: 5.3,
+            idle_time_seconds: 1.75,
+            idle_entries: 6,
+            peak_temp_c: 76.5,
+            throttle_time_seconds: 12.25,
+            boost_time_seconds: 3.5,
+            faults_injected: 4,
+        };
+        let row = csv_row(&outcome);
+        assert_eq!(
+            row,
+            "partial-sun,7,47,power-neutral,interp:0.001,1,0.30000000000000004,0.925,1.5,12,\
+             30.25,15.125,9,5.3,1.75,6,rc:25:8:5:75:70:2:boost:1.35:1.2:10:45:55,\
+             bursty:0.08:8:0.2,brownout:0.004:20:0.95,76.5,12.25,3.5,4"
+        );
+        let fields: Vec<&str> = row.split(',').collect();
+        assert_eq!(fields.len(), 23);
+        assert_eq!(fields[4], "interp:0.001", "supply model rides along");
+        assert_eq!(fields[5], "1", "survived encodes as 1/0");
+        // Shortest-round-trip float formatting parses back bitwise.
+        assert_eq!(fields[6].parse::<f64>().unwrap().to_bits(), (0.1f64 + 0.2).to_bits());
+        let died = csv_row(&CellOutcome { survived: false, ..outcome });
+        assert_eq!(died.split(',').nth(5), Some("0"));
     }
 
     #[test]

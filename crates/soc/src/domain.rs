@@ -6,11 +6,10 @@
 //! one ladder); multi-domain policies — SysScale-style budget shifting,
 //! per-cluster race-to-idle — instead reason about *per-domain*
 //! operating points competing for one shared power budget. This module
-//! names the domains, enumerates their per-domain OPP ladders, and
-//! provides the shared-budget allocator those policies plan with.
+//! names the domains, splits board power across them, and provides the
+//! shared-budget allocator those policies plan with.
 
 use crate::cores::{CoreConfig, CoreType, CORES_PER_CLUSTER};
-use crate::freq::FrequencyTable;
 use crate::opp::Opp;
 use crate::opp_table::OppTable;
 use crate::power::PowerModel;
@@ -73,61 +72,6 @@ impl fmt::Display for Domain {
     }
 }
 
-/// A per-domain operating point: how many of the domain's cores are
-/// online and which frequency level they run at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DomainOpp {
-    /// The domain this point belongs to.
-    pub domain: Domain,
-    /// Online cores in the domain.
-    pub cores: u8,
-    /// Frequency-level index into the domain's ladder.
-    pub level: usize,
-}
-
-impl DomainOpp {
-    /// Power drawn by this domain alone (excluding the board base).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SocError::LevelOutOfRange`] when the level does not
-    /// exist in `table`.
-    pub fn power(&self, power: &PowerModel, table: &FrequencyTable) -> Result<Watts, SocError> {
-        Ok(power.domain_power(self.domain, self.cores, table.frequency(self.level)?))
-    }
-}
-
-impl fmt::Display for DomainOpp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}x{} @ L{}", self.cores, self.domain, self.level)
-    }
-}
-
-/// Enumerates one domain's OPP ladder: every admissible core count of
-/// the domain crossed with every frequency level of `table`, lowest
-/// first.
-pub fn domain_ladder(domain: Domain, table: &FrequencyTable) -> Vec<DomainOpp> {
-    let mut out = Vec::with_capacity(
-        usize::from(domain.max_cores() - domain.min_cores() + 1) * table.len(),
-    );
-    for cores in domain.min_cores()..=domain.max_cores() {
-        for (level, _) in table.iter() {
-            out.push(DomainOpp { domain, cores, level });
-        }
-    }
-    out
-}
-
-/// Splits a combined OPP into its per-domain points (both domains share
-/// one clock level in the combined model).
-pub fn domain_opps(opp: Opp) -> [DomainOpp; 2] {
-    Domain::ALL.map(|domain| DomainOpp {
-        domain,
-        cores: domain.cores_in(opp.config()),
-        level: opp.level(),
-    })
-}
-
 /// A power budget shared by every domain of the SoC.
 ///
 /// The budget is what multi-domain governors trade between clusters:
@@ -155,21 +99,6 @@ impl PowerBudget {
     /// The total budget.
     pub fn total(&self) -> Watts {
         self.total
-    }
-
-    /// Per-domain power split of a combined OPP (board base excluded).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SocError::LevelOutOfRange`] when the OPP's level does
-    /// not exist in `table`.
-    pub fn split(
-        &self,
-        opp: Opp,
-        power: &PowerModel,
-        table: &FrequencyTable,
-    ) -> Result<[Watts; 2], SocError> {
-        Ok(domain_split(power, opp.config(), table.frequency(opp.level())?))
     }
 
     /// Finds the throughput-maximal combined OPP whose board power fits
@@ -206,6 +135,7 @@ pub(crate) fn domain_split(power: &PowerModel, config: CoreConfig, f: Hertz) -> 
 mod tests {
     use super::*;
 
+    use crate::freq::FrequencyTable;
     use crate::perf::PerfModel;
 
     fn models() -> (PowerModel, PerfModel, FrequencyTable) {
@@ -213,37 +143,13 @@ mod tests {
     }
 
     #[test]
-    fn ladders_cover_the_domain_grids() {
-        let table = FrequencyTable::paper_levels();
-        // LITTLE: cores 1..=4 × 8 levels; big: cores 0..=4 × 8 levels.
-        assert_eq!(domain_ladder(Domain::Little, &table).len(), 32);
-        assert_eq!(domain_ladder(Domain::Big, &table).len(), 40);
-        for opp in domain_ladder(Domain::Little, &table) {
-            assert_eq!(opp.domain, Domain::Little);
-            assert!(opp.cores >= 1);
-        }
-    }
-
-    #[test]
     fn domain_split_reassembles_board_power() {
         let (power, _, table) = models();
-        let budget = PowerBudget::new(Watts::new(5.0)).unwrap();
         for opp in crate::opp::ladder_opps(&table) {
-            let split = budget.split(opp, &power, &table).unwrap();
+            let split = domain_split(&power, opp.config(), table.frequency(opp.level()).unwrap());
             let total = power.base_power() + split[0] + split[1];
             let direct = opp.power(&power, &table).unwrap();
             assert!((total - direct).abs() < Watts::new(1e-12), "{opp}");
-        }
-    }
-
-    #[test]
-    fn split_matches_per_domain_opp_power() {
-        let (power, _, table) = models();
-        let budget = PowerBudget::new(Watts::new(4.0)).unwrap();
-        let opp = Opp::new(CoreConfig::new(3, 2).unwrap(), 4);
-        let split = budget.split(opp, &power, &table).unwrap();
-        for (i, d) in domain_opps(opp).iter().enumerate() {
-            assert_eq!(split[i], d.power(&power, &table).unwrap());
         }
     }
 
@@ -294,10 +200,8 @@ mod tests {
     fn domain_names_and_views() {
         assert_eq!(Domain::Little.to_string(), "LITTLE");
         assert_eq!(Domain::Big.to_string(), "big");
-        let opp = Opp::new(CoreConfig::new(2, 3).unwrap(), 5);
-        let [l, b] = domain_opps(opp);
-        assert_eq!((l.cores, l.level), (2, 5));
-        assert_eq!((b.cores, b.level), (3, 5));
-        assert_eq!(DomainOpp { domain: Domain::Big, cores: 2, level: 1 }.to_string(), "2xbig @ L1");
+        let config = CoreConfig::new(2, 3).unwrap();
+        assert_eq!(Domain::Little.cores_in(config), 2);
+        assert_eq!(Domain::Big.cores_in(config), 3);
     }
 }
