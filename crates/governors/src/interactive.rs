@@ -10,7 +10,7 @@
 use pn_core::events::{Governor, GovernorAction, GovernorEvent};
 use pn_soc::freq::FrequencyTable;
 use pn_soc::opp::Opp;
-use pn_units::{Hertz, Seconds, Volts};
+use pn_units::{Seconds, Volts};
 
 /// Default load fraction that triggers the hispeed burst.
 pub const DEFAULT_GO_HISPEED_LOAD: f64 = 0.85;
@@ -42,37 +42,18 @@ pub const DEFAULT_SAMPLING_PERIOD: Seconds = Seconds::new(0.05);
 #[derive(Debug, Clone)]
 pub struct Interactive {
     table: FrequencyTable,
-    go_hispeed_load: f64,
     hispeed_level: usize,
-    above_hispeed_delay: Seconds,
-    min_sample_time: Seconds,
-    sampling_period: Seconds,
     hispeed_since: Option<Seconds>,
     last_increase: Seconds,
 }
 
 impl Interactive {
-    /// Creates the governor; `hispeed_freq` defaults to ~80 % of max,
-    /// matching common Android device trees.
+    /// Creates the governor; `hispeed_freq` is the lowest level at or
+    /// above 80 % of max, matching common Android device trees.
     pub fn new(table: FrequencyTable) -> Self {
         let hispeed_target = table.max_frequency() * 0.8;
         let hispeed_level = table.resolve_at_least(hispeed_target);
-        Self {
-            table,
-            go_hispeed_load: DEFAULT_GO_HISPEED_LOAD,
-            hispeed_level,
-            above_hispeed_delay: DEFAULT_ABOVE_HISPEED_DELAY,
-            min_sample_time: DEFAULT_MIN_SAMPLE_TIME,
-            sampling_period: DEFAULT_SAMPLING_PERIOD,
-            hispeed_since: None,
-            last_increase: Seconds::ZERO,
-        }
-    }
-
-    /// Overrides the hispeed frequency.
-    pub fn with_hispeed_freq(mut self, f: Hertz) -> Self {
-        self.hispeed_level = self.table.resolve_at_least(f);
-        self
+        Self { table, hispeed_level, hispeed_since: None, last_increase: Seconds::ZERO }
     }
 
     /// The hispeed level index.
@@ -97,7 +78,7 @@ impl Governor for Interactive {
             return GovernorAction::none();
         };
         let mut level = current.level();
-        if load >= self.go_hispeed_load {
+        if load >= DEFAULT_GO_HISPEED_LOAD {
             if level < self.hispeed_level {
                 // Burst.
                 level = self.hispeed_level;
@@ -107,7 +88,7 @@ impl Governor for Interactive {
                 // Already at/above hispeed: may climb further after the
                 // dwell.
                 let since = self.hispeed_since.get_or_insert(t);
-                if (t - *since) >= self.above_hispeed_delay && level < self.table.max_level() {
+                if (t - *since) >= DEFAULT_ABOVE_HISPEED_DELAY && level < self.table.max_level() {
                     level = self.table.step_up(level);
                     self.last_increase = t;
                 }
@@ -115,7 +96,7 @@ impl Governor for Interactive {
         } else {
             self.hispeed_since = None;
             // Proportional slow-down, gated by min_sample_time.
-            if (t - self.last_increase) >= self.min_sample_time {
+            if (t - self.last_increase) >= DEFAULT_MIN_SAMPLE_TIME {
                 let target = self.table.max_frequency() * load.clamp(0.0, 1.0);
                 level = self.table.resolve_at_least(target);
             }
@@ -128,7 +109,7 @@ impl Governor for Interactive {
     }
 
     fn tick_period(&self) -> Option<Seconds> {
-        Some(self.sampling_period)
+        Some(DEFAULT_SAMPLING_PERIOD)
     }
 }
 
@@ -176,12 +157,5 @@ mod tests {
         let action = g.on_event(&tick(0.30, 0.1), high);
         let opp = action.target_opp.unwrap();
         assert!(opp.level() < g.hispeed_level());
-    }
-
-    #[test]
-    fn hispeed_is_configurable() {
-        let g = Interactive::new(FrequencyTable::paper_levels())
-            .with_hispeed_freq(Hertz::from_gigahertz(0.92));
-        assert_eq!(g.hispeed_level(), 3);
     }
 }

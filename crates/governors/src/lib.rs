@@ -3,8 +3,8 @@
 //! The paper compares its power-neutral scheme against the default
 //! Linux power-management governors while harvesting from the PV
 //! array. This crate reimplements the *policy semantics* of each
-//! governor against the same [`Governor`](pn_core::events::Governor)
-//! interface the power-neutral controller uses:
+//! governor against the same [`Governor`] interface the power-neutral
+//! controller uses:
 //!
 //! * [`hold`] — pin the starting OPP entirely (the "static"
 //!   comparator of Figs. 3 and 6, no management at all),

@@ -40,23 +40,16 @@ pub const DEFAULT_SAMPLING_PERIOD: Seconds = Seconds::new(0.1);
 #[derive(Debug, Clone)]
 pub struct Ondemand {
     table: FrequencyTable,
-    up_threshold: f64,
 }
 
 impl Ondemand {
     /// Creates the governor with kernel-default tunables.
     pub fn new(table: FrequencyTable) -> Self {
-        Self { table, up_threshold: DEFAULT_UP_THRESHOLD }
-    }
-
-    /// Overrides `up_threshold` (fraction of full load).
-    pub fn with_up_threshold(mut self, up_threshold: f64) -> Self {
-        self.up_threshold = up_threshold.clamp(0.0, 1.0);
-        self
+        Self { table }
     }
 
     fn select_level(&self, load: f64) -> usize {
-        if load >= self.up_threshold {
+        if load >= DEFAULT_UP_THRESHOLD {
             return self.table.max_level();
         }
         // freq_next = load × max_freq, resolved upward.
@@ -122,14 +115,6 @@ mod tests {
         let mut g = Ondemand::new(FrequencyTable::paper_levels());
         let action = g.on_event(&tick(1.0), Opp::lowest().with_level(7));
         assert!(action.is_none());
-    }
-
-    #[test]
-    fn threshold_is_configurable() {
-        let mut g = Ondemand::new(FrequencyTable::paper_levels()).with_up_threshold(0.95);
-        let action = g.on_event(&tick(0.9), Opp::lowest());
-        // 0.9 < 0.95 ⇒ proportional: 1.26 GHz → level 6 (1.3 GHz).
-        assert_eq!(action.target_opp.unwrap().level(), 6);
     }
 
     proptest! {

@@ -37,29 +37,13 @@ pub const DEFAULT_LOW_THRESHOLD: Volts = Volts::new(4.6);
 /// assert_eq!(action.target_opp.unwrap().level(), usize::MAX); // race flat out
 /// assert!(action.thresholds.is_some());
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct RaceToIdle {
-    high: Volts,
-    low: Volts,
-}
-
-impl Default for RaceToIdle {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RaceToIdle;
 
 impl RaceToIdle {
     /// Creates the governor with the default hysteresis band.
     pub fn new() -> Self {
-        Self { high: DEFAULT_HIGH_THRESHOLD, low: DEFAULT_LOW_THRESHOLD }
-    }
-
-    /// Overrides the hysteresis band (`high` must exceed `low`; the
-    /// pair is swapped into order if not).
-    pub fn with_band(mut self, high: Volts, low: Volts) -> Self {
-        (self.high, self.low) = if high >= low { (high, low) } else { (low, high) };
-        self
+        Self
     }
 
     fn race(current: Opp) -> GovernorAction {
@@ -76,7 +60,7 @@ impl Governor for RaceToIdle {
 
     fn start(&mut self, _t: Seconds, _vc: Volts, current: Opp) -> GovernorAction {
         GovernorAction {
-            thresholds: Some((self.high, self.low)),
+            thresholds: Some((DEFAULT_HIGH_THRESHOLD, DEFAULT_LOW_THRESHOLD)),
             ..Self::race(current)
         }
     }
@@ -148,12 +132,5 @@ mod tests {
         assert!(g.on_event(&tick, Opp::lowest()).is_none());
         assert!(g.uses_threshold_interrupts());
         assert_eq!(g.tick_period(), None);
-    }
-
-    #[test]
-    fn band_override_keeps_the_pair_ordered() {
-        let g = RaceToIdle::new().with_band(Volts::new(4.0), Volts::new(5.0));
-        assert_eq!(g.high, Volts::new(5.0));
-        assert_eq!(g.low, Volts::new(4.0));
     }
 }

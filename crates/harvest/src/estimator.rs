@@ -5,7 +5,7 @@
 //! contiguous PV array and mapping it to `Pmax(t)` through
 //! experimentally obtained IV data. [`PowerEstimator`] reproduces that
 //! pipeline: it is calibrated with `(Voc, Pmax)` pairs (generated, in
-//! this workspace, by sweeping the [`pn-circuit`] solar model over
+//! this workspace, by sweeping the `pn-circuit` solar model over
 //! irradiance) and answers monotone-interpolated power estimates.
 
 use crate::HarvestError;

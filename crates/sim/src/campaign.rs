@@ -4,7 +4,7 @@
 //! conditions. A [`CampaignSpec`] instead enumerates a full
 //! (weather × seed × buffer × governor × control-params) matrix of
 //! [`CampaignCell`]s, [`run_campaign`] evaluates every cell on the
-//! shared work-stealing [`Executor`](crate::executor::Executor), and
+//! shared-counter [`Executor`], and
 //! the aggregated [`CampaignReport`] answers fleet-level questions —
 //! brownout counts, `VC` stability and work done per weather condition
 //! or per governor — rather than single-trace ones.
@@ -888,7 +888,7 @@ pub fn resume_campaign(
 /// [`resume_campaign`] generalised to any number of saved partial
 /// reports — e.g. the per-shard checkpoints a campaign daemon wrote
 /// before it was killed. Every part is validated against the spec
-/// ([`validate_saved_slice`]: position, labels, AND per-cell options),
+/// (position, labels, AND per-cell options),
 /// the uncovered gaps between and around the parts are simulated, and
 /// the whole set merges into a report bitwise-identical to an
 /// uninterrupted [`run_campaign`].

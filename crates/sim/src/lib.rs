@@ -23,7 +23,8 @@
 //!   injecting I/O and network faults behind the `IoPolicy` seam, so
 //!   the persistence and daemon layers are testable under chaos,
 //! * [`scenario`] — canned scenarios for each paper experiment,
-//! * [`executor`] — the shared work-stealing batch executor,
+//! * [`executor`] — the shared batch executor (workers claim items one
+//!   at a time from a shared counter),
 //! * [`sweep`] — the §III parameter sweep,
 //! * [`campaign`] — batch campaigns over a cartesian scenario matrix,
 //!   including sharded runs whose reports merge bitwise and

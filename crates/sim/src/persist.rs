@@ -105,7 +105,7 @@ pub fn write_atomic(path: impl AsRef<Path>, contents: &str) -> Result<(), SimErr
 
 /// [`write_atomic`] behind the chaos seam: `policy` is consulted once
 /// per call and may inject one of the write path's real failure modes
-/// ([`IoFault`]) instead of completing the faulted step. With the
+/// ([`IoFault`](chaos::IoFault)) instead of completing the faulted step. With the
 /// default [`chaos::Passthrough`] policy this is exactly
 /// [`write_atomic`].
 ///

@@ -181,20 +181,6 @@ impl Platform {
     pub fn idle_states(&self) -> &[IdleState] {
         &self.idle_states
     }
-
-    /// Returns a copy with a different target voltage.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SocError::InvalidParameter`] when the target lies
-    /// outside the operating window.
-    pub fn with_target_voltage(mut self, target: Volts) -> Result<Self, SocError> {
-        if !self.voltage_window.contains(target) {
-            return Err(SocError::InvalidParameter("target voltage outside operating window"));
-        }
-        self.target_voltage = target;
-        Ok(self)
-    }
 }
 
 impl Default for Platform {
@@ -222,9 +208,21 @@ mod tests {
 
     #[test]
     fn rejects_target_outside_window() {
-        let p = Platform::odroid_xu4();
-        assert!(p.clone().with_target_voltage(Volts::new(3.0)).is_err());
-        assert!(p.with_target_voltage(Volts::new(5.0)).is_ok());
+        let with_target = |target: f64| {
+            Platform::new(
+                "xu4",
+                FrequencyTable::paper_levels(),
+                PowerModel::odroid_xu4(),
+                PerfModel::odroid_xu4(),
+                LatencyModel::odroid_xu4(),
+                VoltageWindow::odroid_xu4(),
+                Volts::new(target),
+            )
+        };
+        assert!(with_target(3.0).is_err());
+        assert!(with_target(5.0).is_ok());
+        let preset = Platform::odroid_xu4();
+        assert!(preset.voltage_window().contains(preset.target_voltage()));
     }
 
     #[test]

@@ -212,9 +212,10 @@ pub fn transition_cost(
 /// rather than staying up at active draw `active`: negative when the
 /// gap is too short to amortize the state's transition overheads.
 ///
-/// This is the costing dual of [`IdleState::break_even`]: the saving
-/// crosses zero exactly at the break-even gap (when the payback term
-/// dominates the residency floor).
+/// This is the costing dual of
+/// [`IdleState::break_even`](crate::latency::IdleState::break_even):
+/// the saving crosses zero exactly at the break-even gap (when the
+/// payback term dominates the residency floor).
 pub fn idle_savings(state: &crate::latency::IdleState, active: Watts, gap: Seconds) -> Joules {
     let resident = Seconds::new((gap.value() - state.overhead().value()).max(0.0));
     let margin = Watts::new(active.value() - state.power().value());

@@ -2,7 +2,7 @@
 //!
 //! Inside the co-simulation the ray tracer is represented by its
 //! throughput models (benchmark frames/s and instructions/s per OPP,
-//! from [`pn-soc`]'s Fig. 7 / Table II calibration). [`WorkAccount`]
+//! from `pn-soc`'s Fig. 7 / Table II calibration). [`WorkAccount`]
 //! integrates those rates over simulated time into the quantities the
 //! paper's Table II reports: completed renders, average renders per
 //! minute, and total executed instructions.

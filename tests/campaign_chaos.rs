@@ -93,7 +93,7 @@ proptest! {
         let daemon = Daemon::start(
             DaemonConfig::new(&dir)
                 .with_workers(2)
-                .with_chaos(plan)
+                .with_io_policy(Arc::new(plan))
                 .with_retry_budget(64),
         )
         .expect("start");

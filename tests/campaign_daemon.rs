@@ -6,7 +6,7 @@
 //! the daemon down.
 
 use power_neutral::sim::campaign::{run_campaign, CampaignSpec};
-use power_neutral::sim::daemon::{self, Daemon, DaemonConfig};
+use power_neutral::sim::daemon::{self, Daemon, DaemonConfig, RetryPolicy};
 use power_neutral::sim::executor::Executor;
 use power_neutral::sim::persist;
 use power_neutral::units::Seconds;
@@ -342,7 +342,8 @@ fn watch_from_resumes_the_stream_byte_identically() {
     // Second connection resumes at the stream offset: no row is
     // re-streamed, and the combined document is byte-identical to an
     // uninterrupted watch.
-    let cells = daemon::watch_from(&addr, ticket.id, taken, &mut |index, row| {
+    let once = RetryPolicy::no_retry();
+    let cells = daemon::watch_rows_with(&addr, ticket.id, taken, &once, &mut |index, row| {
         rows.push((index, row.to_string()));
     })
     .expect("resumed watch");
@@ -352,12 +353,13 @@ fn watch_from_resumes_the_stream_byte_identically() {
 
     // Resuming exactly at the end yields the terminal line and nothing
     // else; resuming beyond the matrix is a typed protocol error.
-    let cells = daemon::watch_from(&addr, ticket.id, spec.cell_count(), &mut |index, row| {
+    let end = spec.cell_count();
+    let cells = daemon::watch_rows_with(&addr, ticket.id, end, &once, &mut |index, row| {
         panic!("no rows expected past the end, got {index}: {row}");
     })
     .expect("watch from the end");
     assert_eq!(cells, spec.cell_count());
-    let err = daemon::watch_from(&addr, ticket.id, spec.cell_count() + 1, &mut |_, _| {})
+    let err = daemon::watch_rows_with(&addr, ticket.id, end + 1, &once, &mut |_, _| {})
         .expect_err("offset beyond the matrix");
     assert!(err.to_string().contains("beyond"), "{err}");
 
