@@ -1,7 +1,7 @@
 //! Campaign runner: simulate a (weather × seed × buffer × governor)
 //! scenario matrix in parallel and print the aggregated verdicts.
 //!
-//! Supports sharded runs (disjoint chunks of the matrix for separate
+//! Supports sharded runs (disjoint matrix-index ranges for separate
 //! machines), persisted reports that merge bitwise back into the
 //! unsharded report, shard-aware resume of interrupted runs, adaptive
 //! brown-out boundary refinement, and CSV export:
@@ -61,20 +61,18 @@
 //!     --watch 127.0.0.1:7070 --job 1 --out report.csv
 //!
 //! # harden the client against a flaky daemon or network: up to 16
-//! # connection attempts with seeded exponential backoff, the watch
-//! # resuming mid-stream (`watch <id> from <row>`) after every drop;
-//! # --from skips rows an earlier connection already delivered:
+//! # connection attempts with seeded exponential backoff; after every
+//! # drop the watch starts again from the top and skips the rows (by
+//! # matrix index) an earlier connection already delivered:
 //! cargo run --release -p pn-bench --bin campaign -- \
 //!     --watch 127.0.0.1:7070 --job 1 --retry 16 --out report.csv
-//! cargo run --release -p pn-bench --bin campaign -- \
-//!     --watch 127.0.0.1:7070 --job 1 --from 12
 //! ```
 
 use pn_bench::{banner, print_table};
 use pn_harvest::faults::FaultSpec;
 use pn_sim::adaptive::{AdaptiveAxis, AdaptiveCampaign, AdaptiveConfig};
 use pn_sim::campaign::{
-    resume_campaign_parts, run_campaign, CampaignReport, CampaignSpec, GovernorSpec,
+    resume_campaign, run_campaign, run_cells, CampaignReport, CampaignSpec, GovernorSpec,
 };
 use pn_sim::daemon;
 use pn_sim::executor::Executor;
@@ -109,7 +107,6 @@ struct Cli {
     shards: Option<usize>,  // daemon-side shard count for --submit
     detach: bool,           // --submit without waiting for completion
     retry: Option<u32>,     // client connection attempts (default 1)
-    from: Option<usize>,    // --watch resume offset into the row stream
 }
 
 fn parse_shard(arg: &str) -> Result<(usize, usize), String> {
@@ -153,7 +150,6 @@ fn parse_cli() -> Result<Cli, String> {
         shards: None,
         detach: false,
         retry: None,
-        from: None,
     };
     let mut args = std::env::args().skip(1).peekable();
     let value = |args: &mut std::iter::Peekable<std::iter::Skip<std::env::Args>>,
@@ -211,11 +207,6 @@ fn parse_cli() -> Result<Cli, String> {
                     value(&mut args, "--retry")?
                         .parse()
                         .map_err(|e| format!("--retry: {e}"))?,
-                );
-            }
-            "--from" => {
-                cli.from = Some(
-                    value(&mut args, "--from")?.parse().map_err(|e| format!("--from: {e}"))?,
                 );
             }
             "--supply-model" => {
@@ -381,14 +372,6 @@ fn parse_cli() -> Result<Cli, String> {
     if cli.retry == Some(0) {
         return Err("--retry wants at least 1 attempt".into());
     }
-    if cli.from.is_some() && cli.watch.is_none() {
-        return Err("--from only applies to --watch (resume offset into the row stream)".into());
-    }
-    if cli.from.is_some_and(|from| from > 0) && cli.out.is_some() {
-        return Err("--from resumes mid-stream, so the rows cannot assemble a complete \
-                    CSV; drop --out or watch from 0"
-            .into());
-    }
     if cli.watch.is_some()
         && (cli.smoke
             || cli.seeds.is_some()
@@ -493,7 +476,8 @@ fn print_spec_settings(cli: &Cli) {
 /// the one a local `--out` run of the same spec writes.
 fn run_client(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
     // One attempt by default; `--retry n` arms reconnects with seeded
-    // exponential backoff, and a dropped watch resumes mid-stream.
+    // exponential backoff, and a dropped watch starts again from the
+    // top, deduplicated by matrix index.
     let policy = daemon::RetryPolicy::no_retry().with_attempts(cli.retry.unwrap_or(1));
     let (addr, job) = if let Some(addr) = &cli.watch {
         (addr.clone(), cli.job.expect("validated by parse_cli"))
@@ -515,14 +499,9 @@ fn run_client(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
         }
         (addr, ticket.id)
     };
-    let from = cli.from.unwrap_or(0);
-    if from == 0 {
-        println!("  streaming job {job} from {addr}:");
-    } else {
-        println!("  streaming job {job} from {addr} (resuming at stream row {from}):");
-    }
+    println!("  streaming job {job} from {addr}:");
     let mut rows: Vec<(usize, String)> = Vec::new();
-    let cells = daemon::watch_rows_with(&addr, job, from, &policy, &mut |index, row| {
+    let cells = daemon::watch_rows_with(&addr, job, &policy, &mut |index, row| {
         println!("  row {index:>4}  {row}");
         rows.push((index, row.to_string()));
     })?;
@@ -561,7 +540,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 &format!(
                     "resuming {} of {} cells ({} saved report(s) carry {}) on {} worker threads",
                     // Saturate: saved reports larger than the matrix are
-                    // rejected by resume_campaign_parts just below.
+                    // rejected by resume_campaign just below.
                     spec.cell_count().saturating_sub(saved_cells),
                     spec.cell_count(),
                     parts.len(),
@@ -569,20 +548,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     executor.threads()
                 ),
             );
-            resume_campaign_parts(&spec, &parts, &executor)?
-        } else {
-            let shard = cli.shard.map(|(i, n)| spec.shard(n).swap_remove(i - 1));
-            let what = match &shard {
-                Some(s) => {
-                    format!("shard {}/{} ({} cells)", s.index() + 1, s.count(), s.cells().len())
-                }
-                None => format!("{} scenario cells", spec.cell_count()),
-            };
+            resume_campaign(&spec, &parts, &executor)?
+        } else if let Some((i, n)) = cli.shard {
+            let range = spec.shard(n).swap_remove(i - 1);
+            let what = format!("shard {i}/{n} ({} cells)", range.len());
             banner("campaign", &format!("{what} on {} worker threads", executor.threads()));
-            match &shard {
-                Some(s) => s.run(&executor)?,
-                None => run_campaign(&spec, &executor)?,
-            }
+            run_cells(&spec.cells(), range, &executor)?
+        } else {
+            let what = format!("{} scenario cells", spec.cell_count());
+            banner("campaign", &format!("{what} on {} worker threads", executor.threads()));
+            run_campaign(&spec, &executor)?
         };
         (report, Some(t0.elapsed()))
     } else {

@@ -74,7 +74,9 @@
 //! # }
 //! ```
 
-use crate::campaign::{CampaignCell, CampaignReport, CampaignSpec, CellOutcome, GovernorSpec};
+use crate::campaign::{
+    run_cells, CampaignCell, CampaignReport, CampaignSpec, CellOutcome, GovernorSpec,
+};
 use crate::engine::SimOverrides;
 use crate::executor::Executor;
 use crate::SimError;
@@ -657,8 +659,7 @@ impl AdaptiveCampaign {
     pub fn run(&mut self, executor: &Executor) -> Result<Vec<BoundaryBracket>, SimError> {
         while let Some(specs) = self.next_round() {
             let cells: Vec<_> = specs.iter().flat_map(|spec| spec.cells()).collect();
-            let outcomes = crate::campaign::evaluate_cells(&cells, executor)?;
-            self.observe(&CampaignReport::from_parts(0, outcomes));
+            self.observe(&run_cells(&cells, 0..cells.len(), executor)?);
         }
         Ok(self.brackets())
     }

@@ -14,6 +14,13 @@
 //! order, so a report is bitwise-identical across repeated runs and
 //! across thread counts.
 //!
+//! A result is identified by its matrix index alone — its position in
+//! [`CampaignSpec::cells`]. A shard is an index range
+//! ([`CampaignSpec::shard`]), [`run_cells`] runs any range into a
+//! report positioned at its first index, [`CampaignReport::merge`]
+//! recomposes reports by position, and [`resume_campaign`] simulates
+//! only the indices no saved report covers.
+//!
 //! # Examples
 //!
 //! ```
@@ -48,6 +55,7 @@ use pn_soc::opp::Opp;
 use pn_soc::thermal::ThermalSpec;
 use pn_units::{Farads, Ohms, Seconds};
 use pn_workload::arrival::ArrivalSpec;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Which power-management policy drives a campaign cell.
@@ -402,77 +410,18 @@ impl CampaignSpec {
     }
 
     /// Splits the matrix into `count` disjoint, contiguous shards that
-    /// can run on separate machines; merging their reports with
+    /// can run on separate machines. A shard is the range of matrix
+    /// indices it covers into [`CampaignSpec::cells`]; run it with
+    /// [`run_cells`], and merging the shard reports with
     /// [`CampaignReport::merge`] reproduces the unsharded run bitwise.
     ///
     /// Every cell lands in exactly one shard for any `count ≥ 1`
-    /// (counts above the cell count yield trailing empty shards, which
+    /// (counts above the cell count yield trailing empty ranges, which
     /// run and merge as empty reports). `count == 0` is treated as 1.
-    pub fn shard(&self, count: usize) -> Vec<CampaignShard> {
+    pub fn shard(&self, count: usize) -> Vec<Range<usize>> {
         let count = count.max(1);
-        let cells = self.cells();
-        let n = cells.len();
-        (0..count)
-            .map(|i| {
-                let start = n * i / count;
-                let end = n * (i + 1) / count;
-                CampaignShard {
-                    index: i,
-                    count,
-                    start,
-                    cells: cells[start..end].to_vec(),
-                }
-            })
-            .collect()
-    }
-}
-
-/// One contiguous chunk of a sharded campaign matrix.
-///
-/// Produced by [`CampaignSpec::shard`]; carries enough position
-/// metadata (`start`) for [`CampaignReport::merge`] to verify that the
-/// shard reports it is recomposing are disjoint and complete.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignShard {
-    index: usize,
-    count: usize,
-    start: usize,
-    cells: Vec<CampaignCell>,
-}
-
-impl CampaignShard {
-    /// This shard's position in the split (`0..count`).
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Total number of shards in the split.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Global matrix index of this shard's first cell (its offset even
-    /// when the shard itself is empty).
-    pub fn start(&self) -> usize {
-        self.start
-    }
-
-    /// The cells of this shard, in matrix order.
-    pub fn cells(&self) -> &[CampaignCell] {
-        &self.cells
-    }
-
-    /// Runs this shard's cells on `executor` and returns a partial
-    /// report positioned for [`CampaignReport::merge`]. Unlike
-    /// [`run_campaign`], an empty shard is legal and yields an empty
-    /// report.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first engine failure in matrix order.
-    pub fn run(&self, executor: &Executor) -> Result<CampaignReport, SimError> {
-        let outcomes = evaluate_cells(&self.cells, executor)?;
-        Ok(CampaignReport { start: self.start, cells: outcomes })
+        let n = self.cell_count();
+        (0..count).map(|i| n * i / count..n * (i + 1) / count).collect()
     }
 }
 
@@ -687,8 +636,8 @@ pub struct GroupSummary {
     pub energy_utilisation: Aggregate,
 }
 
-/// Aggregated verdicts of a whole campaign (or, after
-/// [`CampaignShard::run`], of one shard of it).
+/// Aggregated verdicts of a whole campaign (or, after [`run_cells`],
+/// of one index range of it).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport {
     /// Global matrix index of the first cell (0 for a full run).
@@ -857,49 +806,48 @@ pub fn run_campaign(spec: &CampaignSpec, executor: &Executor) -> Result<Campaign
     if cells.is_empty() {
         return Err(SimError::InvalidConfig("campaign matrix is empty"));
     }
-    Ok(CampaignReport { start: 0, cells: evaluate_cells(&cells, executor)? })
+    run_cells(&cells, 0..cells.len(), executor)
 }
 
-/// Resumes an interrupted campaign from a saved partial report: cells
-/// whose outcomes `saved` already carries are skipped, only the
-/// remaining cells of `spec` are simulated, and the parts are merged —
-/// the result is bitwise-identical to an uninterrupted [`run_campaign`]
-/// over the same spec.
-///
-/// `saved` may be any contiguous slice of the matrix (a prefix saved
-/// before an interruption, or one shard of a sharded run); the cells
-/// before and after it are evaluated and [`CampaignReport::merge`]
-/// recomposes the full report.
+/// Runs the cells at matrix indices `range` on `executor`, one item per
+/// cell, and returns a report positioned at `range.start` for
+/// [`CampaignReport::merge`]. An empty range is legal and yields an
+/// empty report. The executor returns results in item order, so the
+/// outcomes are bitwise independent of the thread count.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::InvalidConfig`] for an empty matrix,
-/// [`SimError::Campaign`] when the saved outcomes do not line up with
-/// the spec's cells (naming the first mismatching cell), and
-/// propagates the first engine failure in matrix order.
-pub fn resume_campaign(
-    spec: &CampaignSpec,
-    saved: &CampaignReport,
+/// Propagates the first engine failure in matrix order.
+///
+/// # Panics
+///
+/// Panics when `range` does not lie within `cells`.
+pub fn run_cells(
+    cells: &[CampaignCell],
+    range: Range<usize>,
     executor: &Executor,
 ) -> Result<CampaignReport, SimError> {
-    resume_campaign_parts(spec, std::slice::from_ref(saved), executor)
+    let start = range.start;
+    let outcomes = executor.map(&cells[range], |_, cell| cell.evaluate());
+    Ok(CampaignReport { start, cells: outcomes.into_iter().collect::<Result<_, _>>()? })
 }
 
-/// [`resume_campaign`] generalised to any number of saved partial
-/// reports — e.g. the per-shard checkpoints a campaign daemon wrote
-/// before it was killed. Every part is validated against the spec
-/// (position, labels, AND per-cell options),
-/// the uncovered gaps between and around the parts are simulated, and
-/// the whole set merges into a report bitwise-identical to an
-/// uninterrupted [`run_campaign`].
+/// Resumes an interrupted campaign from saved partial reports — a
+/// prefix saved before an interruption, one shard of a sharded run, or
+/// the per-shard checkpoints a campaign daemon wrote before it was
+/// killed. Every part is validated against the spec (position, labels
+/// and per-cell options), only the matrix indices no part covers are
+/// simulated, and the whole set merges into a report bitwise-identical
+/// to an uninterrupted [`run_campaign`] over the same spec. With no
+/// parts it is a full run.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::InvalidConfig`] for an empty matrix,
 /// [`SimError::Campaign`] when a part does not line up with the spec's
-/// cells (or two parts overlap), and propagates the first engine
-/// failure in matrix order.
-pub fn resume_campaign_parts(
+/// cells (naming the first mismatching cell) or two parts overlap, and
+/// propagates the first engine failure in matrix order.
+pub fn resume_campaign(
     spec: &CampaignSpec,
     saved: &[CampaignReport],
     executor: &Executor,
@@ -917,15 +865,13 @@ pub fn resume_campaign_parts(
     let mut cursor = 0usize;
     for part in order {
         if part.start() > cursor {
-            let gap = evaluate_cells(&cells[cursor..part.start()], executor)?;
-            parts.push(CampaignReport { start: cursor, cells: gap });
+            parts.push(run_cells(&cells, cursor..part.start(), executor)?);
         }
         cursor = cursor.max(part.start() + part.len());
         parts.push(part.clone());
     }
     if cursor < cells.len() {
-        let tail = evaluate_cells(&cells[cursor..], executor)?;
-        parts.push(CampaignReport { start: cursor, cells: tail });
+        parts.push(run_cells(&cells, cursor..cells.len(), executor)?);
     }
     // Overlapping saved parts survive to here (the gap walk only skips
     // past them); merge's disjointness check rejects them.
@@ -937,9 +883,8 @@ pub fn resume_campaign_parts(
 /// per-cell options, control parameters and duration. A stale
 /// checkpoint written under an edited spec (different supply model,
 /// idle flag, governor set, …) therefore errors instead of
-/// silently merging into a fresh run. Shared by
-/// [`resume_campaign_parts`] and the daemon's checkpoint-recovery
-/// path.
+/// silently merging into a fresh run. Shared by [`resume_campaign`]
+/// and the daemon's checkpoint-recovery path.
 pub(crate) fn validate_saved_slice(
     cells: &[CampaignCell],
     saved: &CampaignReport,
@@ -1026,18 +971,6 @@ fn cell_mismatch(expected: &CampaignCell, got: &CampaignCell) -> String {
         got.label(),
         diffs.join(", "),
     )
-}
-
-/// Evaluates a slice of cells on the executor, one item per cell,
-/// failing on the first engine error in matrix order. Shared with the
-/// adaptive driver, which runs each refinement round's probe cells
-/// through it. The executor returns results in item order, so the
-/// outcomes are bitwise independent of the thread count.
-pub(crate) fn evaluate_cells(
-    cells: &[CampaignCell],
-    executor: &Executor,
-) -> Result<Vec<CellOutcome>, SimError> {
-    executor.map(cells, |_, cell| cell.evaluate()).into_iter().collect()
 }
 
 #[cfg(test)]
@@ -1177,11 +1110,9 @@ mod tests {
             let shards = spec.shard(count);
             assert_eq!(shards.len(), count);
             let mut seen = Vec::new();
-            for (i, s) in shards.iter().enumerate() {
-                assert_eq!(s.index(), i);
-                assert_eq!(s.count(), count);
-                assert_eq!(s.start(), seen.len());
-                seen.extend_from_slice(s.cells());
+            for range in shards {
+                assert_eq!(range.start, seen.len());
+                seen.extend_from_slice(&all[range]);
             }
             assert_eq!(seen, all, "shard({count}) lost or duplicated cells");
         }
@@ -1192,13 +1123,15 @@ mod tests {
     #[test]
     fn merge_recomposes_permuted_shards() {
         let spec = CampaignSpec::smoke().with_seeds(vec![1, 2]);
+        let cells = spec.cells();
         let parts: Vec<CampaignReport> = spec
             .shard(3)
-            .iter()
-            .map(|s| {
+            .into_iter()
+            .map(|r| {
+                let work = r.start as f64;
                 CampaignReport::from_parts(
-                    s.start(),
-                    s.cells().iter().map(|&c| outcome(c, s.start() as f64)).collect(),
+                    r.start,
+                    cells[r].iter().map(|&c| outcome(c, work)).collect(),
                 )
             })
             .collect();
@@ -1218,14 +1151,13 @@ mod tests {
     #[test]
     fn merge_rejects_gaps_overlaps_and_nothing() {
         let spec = CampaignSpec::smoke();
+        let cells = spec.cells();
         let parts: Vec<CampaignReport> = spec
             .shard(4)
-            .iter()
-            .map(|s| {
-                CampaignReport::from_parts(
-                    s.start(),
-                    s.cells().iter().map(|&c| outcome(c, 1.0)).collect(),
-                )
+            .into_iter()
+            .map(|r| {
+                let start = r.start;
+                CampaignReport::from_parts(start, cells[r].iter().map(|&c| outcome(c, 1.0)).collect())
             })
             .collect();
         assert!(CampaignReport::merge([]).is_err());
@@ -1253,7 +1185,7 @@ mod tests {
             for end in start..=n {
                 let saved =
                     CampaignReport::from_parts(start, full.cells()[start..end].to_vec());
-                let resumed = resume_campaign(&spec, &saved, &executor).unwrap();
+                let resumed = resume_campaign(&spec, &[saved], &executor).unwrap();
                 assert_eq!(resumed, full, "resume from {start}..{end} diverged");
             }
         }
@@ -1266,13 +1198,13 @@ mod tests {
         let full = run_campaign(&spec, &executor).unwrap();
         // A saved report that extends past the matrix.
         let saved = CampaignReport::from_parts(2, full.cells().to_vec());
-        let err = resume_campaign(&spec, &saved, &executor).unwrap_err();
+        let err = resume_campaign(&spec, &[saved], &executor).unwrap_err();
         assert!(matches!(err, SimError::Campaign(_)), "{err}");
         // A saved cell that is not the spec's cell at that index.
         let mut cells = full.cells().to_vec();
         cells.swap(0, 3);
         let saved = CampaignReport::from_parts(0, cells);
-        let err = resume_campaign(&spec, &saved, &executor).unwrap_err();
+        let err = resume_campaign(&spec, &[saved], &executor).unwrap_err();
         assert!(err.to_string().contains("does not match"), "{err}");
     }
 
@@ -1293,7 +1225,7 @@ mod tests {
             (spec.clone().with_cell_options(SimOverrides::none().with_idle(false)), "idle"),
         ];
         for (edited, field) in &edits {
-            let err = resume_campaign(edited, &saved, &executor).unwrap_err();
+            let err = resume_campaign(edited, std::slice::from_ref(&saved), &executor).unwrap_err();
             let msg = err.to_string();
             assert!(msg.contains("edited or stale spec"), "{field}: {msg}");
             assert!(msg.contains(field), "expected {field:?} named in: {msg}");
@@ -1302,7 +1234,7 @@ mod tests {
         let edited = spec
             .clone()
             .with_governors(vec![GovernorSpec::Performance, GovernorSpec::Powersave]);
-        let err = resume_campaign(&edited, &saved, &executor).unwrap_err();
+        let err = resume_campaign(&edited, std::slice::from_ref(&saved), &executor).unwrap_err();
         assert!(err.to_string().contains("where the spec has"), "{err}");
     }
 
@@ -1318,10 +1250,10 @@ mod tests {
             CampaignReport::from_parts(2, full.cells()[2..3].to_vec()),
             CampaignReport::from_parts(0, full.cells()[..1].to_vec()),
         ];
-        let resumed = resume_campaign_parts(&spec, &parts, &executor).unwrap();
+        let resumed = resume_campaign(&spec, &parts, &executor).unwrap();
         assert_eq!(resumed, full);
         // No parts at all degenerates to a full run.
-        let resumed = resume_campaign_parts(&spec, &[], &executor).unwrap();
+        let resumed = resume_campaign(&spec, &[], &executor).unwrap();
         assert_eq!(resumed, full);
         // Overlapping parts are rejected by the merge disjointness
         // check instead of double-counting cells.
@@ -1329,7 +1261,7 @@ mod tests {
             CampaignReport::from_parts(0, full.cells()[..2].to_vec()),
             CampaignReport::from_parts(1, full.cells()[1..n].to_vec()),
         ];
-        let err = resume_campaign_parts(&spec, &overlapping, &executor).unwrap_err();
+        let err = resume_campaign(&spec, &overlapping, &executor).unwrap_err();
         assert!(matches!(err, SimError::Campaign(_)), "{err}");
     }
 

@@ -18,26 +18,25 @@
 //! | Client sends                           | Daemon replies |
 //! |----------------------------------------|----------------|
 //! | `submit shards <n>` + a spec document  | `job <id> cells <c> shards <s>` |
-//! | `watch <id> [from <row>]`              | `header <csv-header>`, then `row <matrix-index> <csv-row>` per cell, then `done <id> cells <c>` (or `failed <id> <why>`) |
+//! | `watch <id>`                           | `header <csv-header>`, then `row <matrix-index> <csv-row>` per cell, then `done <id> cells <c>` (or `failed <id> <why>`) |
 //! | `status <id>`                          | `status <id> <state> <done-cells> <total-cells>` |
 //! | `shutdown`                             | `bye` |
 //!
 //! `submit shards 0` asks for one shard per cell — the finest
 //! streaming granularity. Any error is reported as a single
-//! `error <why>` line. Rows stream in completion order, tagged with
+//! `error <why>` line. A connection may send at most
+//! [`MAX_REQUEST_BYTES`]. Rows stream in completion order, tagged with
 //! their global matrix index; [`rows_to_csv`] reassembles them into a
 //! document byte-identical to [`crate::persist::report_csv_string`] of
 //! the merged report, because both sides share
 //! [`crate::persist::csv_row`].
 //!
-//! `watch <id> from <row>` resumes the stream at position `row` of
-//! the job's completion-ordered row stream — a watcher that lost its
-//! connection after receiving `k` row lines reconnects with `from k`
-//! and continues without duplicate rows (within one daemon life; the
-//! stream only ever appends). [`watch_rows_with`] wraps the whole
-//! reconnect dance — exponential backoff with seeded jitter, resume,
-//! per-matrix-index dedup, and a full refetch if a daemon restart
-//! reordered the stream underneath the resume point.
+//! The matrix index is a row's only identity. Every `watch` streams
+//! the job from its first finished row, so a watcher that lost its
+//! connection — even across a daemon restart, which may finish cells
+//! in another order — simply watches again and drops the indices it
+//! already holds. [`watch_rows_with`] wraps that reconnect loop:
+//! exponential backoff with seeded jitter, then per-matrix-index dedup.
 //!
 //! # Robustness
 //!
@@ -78,8 +77,11 @@
 //! options check [`resume_campaign`](crate::campaign::resume_campaign)
 //! applies, so a checkpoint from an edited spec is discarded instead
 //! of silently merged), and only the missing shards are re-enqueued.
-//! Because every cell is bitwise deterministic, the recovered run's
-//! merged report and CSV are byte-identical to an uninterrupted run's.
+//! A shard is a matrix-index range into the job's one cell vector, and
+//! its checkpoint must cover exactly that range. The merged report
+//! lives only on disk. Because every cell is bitwise deterministic, the
+//! recovered run's merged report and CSV are byte-identical to an
+//! uninterrupted run's.
 //!
 //! A panicking cell is contained by the worker (the panic is caught,
 //! the job is marked failed, watchers are told why) without taking the
@@ -113,7 +115,7 @@
 //! # }
 //! ```
 
-use crate::campaign::{validate_saved_slice, CampaignCell, CampaignReport, CampaignShard, CampaignSpec};
+use crate::campaign::{run_cells, validate_saved_slice, CampaignCell, CampaignReport, CampaignSpec};
 use crate::chaos::{self, IoPolicy, StreamAction};
 use crate::executor::Executor;
 use crate::persist;
@@ -121,10 +123,11 @@ use crate::SimError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Take, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -143,6 +146,11 @@ const DEFAULT_RETRY_BUDGET: u32 = 8;
 /// Bound on rows cloned out of the job state per watch iteration —
 /// the slow-watcher backpressure buffer.
 const DEFAULT_WATCH_CHUNK: usize = 256;
+/// Bytes the daemon reads from one connection, command line and spec
+/// document together. A client that keeps sending past it gets an
+/// `error` reply instead of growing the daemon's memory. Spec
+/// documents are a few hundred bytes.
+pub const MAX_REQUEST_BYTES: u64 = 1 << 20;
 
 /// Configuration for [`Daemon::start`].
 #[derive(Debug, Clone)]
@@ -252,7 +260,8 @@ struct Job {
     id: u64,
     dir: PathBuf,
     cells: Vec<CampaignCell>,
-    shards: Vec<CampaignShard>,
+    /// Each shard's matrix-index range into `cells`.
+    shards: Vec<Range<usize>>,
     state: Mutex<JobState>,
     /// Notified whenever rows are appended, the job finishes, or it
     /// fails — and on daemon shutdown, so watchers can unblock.
@@ -268,8 +277,9 @@ struct JobState {
     rows: Vec<(usize, String)>,
     /// First failure (engine error or contained worker panic).
     failed: Option<String>,
-    /// The validated merged report, once every shard is done.
-    merged: Option<CampaignReport>,
+    /// Every shard is done and the validated merged report is on disk
+    /// as `report.pnc`.
+    done: bool,
 }
 
 impl Job {
@@ -280,7 +290,7 @@ impl Job {
             shard_reports: vec![None; shards.len()],
             rows: Vec::with_capacity(cells.len()),
             failed: None,
-            merged: None,
+            done: false,
         };
         Self { id, dir, cells, shards, state: Mutex::new(state), cond: Condvar::new() }
     }
@@ -296,6 +306,9 @@ struct Shared {
     write_timeout: Duration,
     retry_budget: u32,
     jobs: Mutex<Vec<Arc<Job>>>,
+    /// The id the next submitted job gets. Recovery raises it past
+    /// every `job-<id>` directory on disk, loadable or not.
+    next_id: AtomicU64,
     queue: Mutex<VecDeque<Task>>,
     queue_cond: Condvar,
     shutdown: AtomicBool,
@@ -361,6 +374,7 @@ impl Daemon {
             write_timeout: config.write_timeout,
             retry_budget: config.retry_budget,
             jobs: Mutex::new(Vec::new()),
+            next_id: AtomicU64::new(1),
             queue: Mutex::new(VecDeque::new()),
             queue_cond: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -452,6 +466,8 @@ fn recover_jobs(shared: &Arc<Shared>) {
         .collect();
     found.sort_by_key(|&(id, _)| id);
     for (id, dir) in found {
+        // A skipped directory still holds files; never hand its id out.
+        shared.next_id.fetch_max(id + 1, Ordering::SeqCst);
         match load_job(id, &dir) {
             Ok(job) => register_job(shared, &job),
             Err(e) => eprintln!("campaignd: skipping {}: {e}", dir.display()),
@@ -472,14 +488,14 @@ fn load_job(id: u64, dir: &Path) -> Result<Arc<Job>, SimError> {
     let shard_count = parse_job_meta(&read("job.meta")?)?;
     let job = Arc::new(Job::new(id, dir.to_path_buf(), &spec, shard_count));
     let mut state = job.state.lock().expect("job state lock");
-    for (i, shard) in job.shards.iter().enumerate() {
+    for (i, range) in job.shards.iter().enumerate() {
         let path = dir.join(format!("shard-{i}.pnc"));
         let Ok(text) = std::fs::read_to_string(&path) else {
             continue; // missing: the shard never checkpointed
         };
-        match decode_checkpoint(&text, &job.cells, shard) {
+        match decode_checkpoint(&text, &job.cells, range) {
             Ok(report) => {
-                push_shard_rows(&mut state, shard.start(), &report);
+                push_shard_rows(&mut state, &report);
                 state.shard_reports[i] = Some(report);
             }
             Err(e) => {
@@ -496,23 +512,20 @@ fn load_job(id: u64, dir: &Path) -> Result<Arc<Job>, SimError> {
 }
 
 /// Decodes one shard checkpoint and validates it against the job's
-/// spec: it must sit exactly at its shard's offset and carry exactly
-/// the spec's cells there — the same check `resume_campaign` applies,
-/// so an edited spec orphans its stale checkpoints instead of merging
-/// them.
+/// spec: it must cover exactly its shard's matrix-index range and
+/// carry exactly the spec's cells there — the same check
+/// `resume_campaign` applies, so an edited spec orphans its stale
+/// checkpoints instead of merging them.
 fn decode_checkpoint(
     text: &str,
     cells: &[CampaignCell],
-    shard: &CampaignShard,
+    range: &Range<usize>,
 ) -> Result<CampaignReport, SimError> {
     let report = persist::report_from_str(text)?;
-    if report.start() != shard.start() || report.len() != shard.cells().len() {
+    let covered = report.start()..report.start() + report.len();
+    if covered != *range {
         return Err(SimError::Campaign(format!(
-            "checkpoint covers matrix indices {}..{} but the shard is {}..{}",
-            report.start(),
-            report.start() + report.len(),
-            shard.start(),
-            shard.start() + shard.cells().len(),
+            "checkpoint covers matrix indices {covered:?} but the shard is {range:?}"
         )));
     }
     validate_saved_slice(cells, &report)?;
@@ -543,7 +556,7 @@ fn register_job(shared: &Arc<Shared>, job: &Arc<Job>) {
     maybe_finish(shared, job);
     let missing: Vec<usize> = {
         let state = job.state.lock().expect("job state lock");
-        if state.merged.is_some() {
+        if state.done {
             Vec::new()
         } else {
             (0..job.shards.len()).filter(|&i| state.shard_reports[i].is_none()).collect()
@@ -604,14 +617,14 @@ fn run_task(task: &Task, shared: &Shared) -> bool {
             return false;
         }
     }
-    let shard = &job.shards[task.shard];
+    let range = job.shards[task.shard].clone();
     // One sequential executor per shard: parallelism comes from the
     // worker pool (shards run concurrently), and shards of one day share
     // its trace through the day memo. The catch_unwind contains a
     // poisoned cell to its job — the daemon itself must survive any
     // panic.
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        shard.run(&Executor::sequential())
+        run_cells(&job.cells, range, &Executor::sequential())
     }));
     match outcome {
         Ok(Ok(report)) => {
@@ -624,7 +637,7 @@ fn run_task(task: &Task, shared: &Shared) -> bool {
                 return true;
             }
             let mut state = job.state.lock().expect("job state lock");
-            push_shard_rows(&mut state, shard.start(), &report);
+            push_shard_rows(&mut state, &report);
             state.shard_reports[task.shard] = Some(report);
             drop(state);
             job.cond.notify_all();
@@ -644,16 +657,16 @@ fn run_task(task: &Task, shared: &Shared) -> bool {
 
 /// Formats the finished shard's cells as CSV rows tagged with their
 /// global matrix indices and appends them to the watch stream.
-fn push_shard_rows(state: &mut JobState, start: usize, report: &CampaignReport) {
+fn push_shard_rows(state: &mut JobState, report: &CampaignReport) {
     for (offset, cell) in report.cells().iter().enumerate() {
-        state.rows.push((start + offset, persist::csv_row(cell)));
+        state.rows.push((report.start() + offset, persist::csv_row(cell)));
     }
 }
 
 /// Merges and persists the final report once every shard is done.
 fn maybe_finish(shared: &Shared, job: &Arc<Job>) {
     let mut state = job.state.lock().expect("job state lock");
-    if state.merged.is_some() || state.failed.is_some() {
+    if state.done || state.failed.is_some() {
         return;
     }
     if state.shard_reports.iter().any(Option::is_none) {
@@ -669,7 +682,7 @@ fn maybe_finish(shared: &Shared, job: &Arc<Job>) {
                 &job.dir.join("report.pnc"),
                 &persist::report_to_string(&report),
             ) {
-                Ok(()) => state.merged = Some(report),
+                Ok(()) => state.done = true,
                 Err(e) => state.failed = Some(format!("cannot persist merged report: {e}")),
             }
         }
@@ -725,13 +738,10 @@ pub enum Request {
         /// Requested shard count (`0` → one shard per cell).
         shards: usize,
     },
-    /// `watch <id> [from <row>]` — stream rows, optionally resuming
-    /// at an offset into the completion-ordered row stream.
+    /// `watch <id>` — stream every finished row of the job.
     Watch {
         /// Job id to watch.
         id: u64,
-        /// Stream offset to resume from (0 = the whole stream).
-        from: usize,
     },
     /// `status <id>`.
     Status {
@@ -761,18 +771,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             },
             None => Err("submit wants: submit shards <n>".into()),
         },
-        "watch" => {
-            let mut words = rest.split_whitespace();
-            let id = words.next().and_then(|w| w.parse::<u64>().ok());
-            match (id, words.next(), words.next(), words.next()) {
-                (Some(id), None, None, None) => Ok(Request::Watch { id, from: 0 }),
-                (Some(id), Some("from"), Some(row), None) => match row.parse::<usize>() {
-                    Ok(from) => Ok(Request::Watch { id, from }),
-                    Err(_) => Err("watch wants: watch <job-id> [from <row>]".into()),
-                },
-                _ => Err("watch wants: watch <job-id> [from <row>]".into()),
-            }
-        }
+        "watch" => match rest.parse::<u64>() {
+            Ok(id) => Ok(Request::Watch { id }),
+            Err(_) => Err("watch wants: watch <job-id>".into()),
+        },
         "status" => match rest.parse::<u64>() {
             Ok(id) if rest.split_whitespace().count() == 1 => Ok(Request::Status { id }),
             _ => Err("status wants: status <job-id>".into()),
@@ -789,15 +791,20 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result
     // of pinning this handler thread forever.
     stream.set_read_timeout(Some(shared.read_timeout))?;
     stream.set_write_timeout(Some(shared.write_timeout))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    // The byte cap bounds what one connection can make the daemon
+    // buffer: past it every read sees end-of-file.
+    let mut reader = BufReader::new(stream.try_clone()?.take(MAX_REQUEST_BYTES));
     let mut out = stream;
     let mut line = String::new();
     if reader.read_line(&mut line)? == 0 {
         return Ok(()); // the shutdown poke, or a client that gave up
     }
+    if reader.get_ref().limit() == 0 {
+        return writeln!(out, "error {}", over_cap());
+    }
     match parse_request(&line) {
         Ok(Request::Submit { shards }) => handle_submit(shards, &mut reader, &mut out, shared),
-        Ok(Request::Watch { id, from }) => handle_watch(id, from, &mut out, shared),
+        Ok(Request::Watch { id }) => handle_watch(id, &mut out, shared),
         Ok(Request::Status { id }) => handle_status(id, &mut out, shared),
         Ok(Request::Shutdown) => {
             writeln!(out, "bye")?;
@@ -809,9 +816,13 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result
     }
 }
 
+fn over_cap() -> String {
+    format!("request exceeds the {MAX_REQUEST_BYTES}-byte limit")
+}
+
 fn handle_submit(
     shards: usize,
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut BufReader<Take<TcpStream>>,
     out: &mut TcpStream,
     shared: &Arc<Shared>,
 ) -> std::io::Result<()> {
@@ -820,6 +831,9 @@ fn handle_submit(
     loop {
         let mut line = String::new();
         if reader.read_line(&mut line)? == 0 {
+            if reader.get_ref().limit() == 0 {
+                return writeln!(out, "error {}", over_cap());
+            }
             return writeln!(out, "error submit ended before the spec document's end line");
         }
         let done = line.trim() == "end";
@@ -840,23 +854,21 @@ fn handle_submit(
     }
 }
 
-/// Registers a new job: allocate the next id, persist meta + spec
-/// (both atomic, both before the submit reply), enqueue every shard.
+/// Registers a new job: take a fresh id, persist meta + spec (both
+/// atomic, both before the submit reply), enqueue every shard. Ids come
+/// from one counter, so concurrent submits never share a job directory.
 fn submit_job(
     shared: &Arc<Shared>,
     spec: &CampaignSpec,
     shard_request: usize,
 ) -> Result<Arc<Job>, SimError> {
-    let cells = spec.cells();
-    if cells.is_empty() {
+    let cells = spec.cell_count();
+    if cells == 0 {
         return Err(SimError::InvalidConfig("campaign matrix is empty"));
     }
-    let shard_count =
-        if shard_request == 0 { cells.len() } else { shard_request.min(cells.len()) };
+    let shard_count = if shard_request == 0 { cells } else { shard_request.min(cells) };
     let job = {
-        let jobs = shared.jobs.lock().expect("jobs lock");
-        let id = jobs.iter().map(|j| j.id).max().unwrap_or(0) + 1;
-        drop(jobs);
+        let id = shared.next_id.fetch_add(1, Ordering::SeqCst);
         let dir = shared.dir.join(format!("job-{id}"));
         std::fs::create_dir_all(&dir).map_err(|e| {
             SimError::Daemon(format!("cannot create job dir {}: {e}", dir.display()))
@@ -890,20 +902,17 @@ fn stream_line(out: &mut TcpStream, policy: &dyn IoPolicy, line: &str) -> std::i
     }
 }
 
-fn handle_watch(id: u64, from: usize, out: &mut TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
+/// Streams every finished row of job `id` from the top, then waits for
+/// more until the job is done or failed. Rows carry their matrix index,
+/// which is all a reconnecting client needs to drop rows it already has.
+fn handle_watch(id: u64, out: &mut TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
     let Some(job) = find_job(shared, id) else {
         return writeln!(out, "error unknown job {id}");
     };
-    if from > job.cells.len() {
-        return writeln!(out, "error watch offset {from} beyond {} cells", job.cells.len());
-    }
     let policy = Arc::clone(&shared.policy);
     stream_line(out, policy.as_ref(), &format!("header {}", persist::CAMPAIGN_CSV_HEADER))?;
     out.flush()?;
-    // `from` is an offset into the completion-ordered row stream —
-    // valid within one daemon life. A resuming client that spans a
-    // restart detects the coverage gap itself and refetches from 0.
-    let mut cursor = from;
+    let mut cursor = 0;
     loop {
         enum Step {
             Rows(Vec<(usize, String)>),
@@ -924,7 +933,7 @@ fn handle_watch(id: u64, from: usize, out: &mut TcpStream, shared: &Arc<Shared>)
                 if let Some(why) = &state.failed {
                     break Step::Failed(why.clone());
                 }
-                if state.merged.is_some() {
+                if state.done {
                     break Step::Done(job.cells.len());
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -977,7 +986,7 @@ fn handle_status(id: u64, out: &mut TcpStream, shared: &Arc<Shared>) -> std::io:
     let state = job.state.lock().expect("job state lock");
     let label = if state.failed.is_some() {
         "failed"
-    } else if state.merged.is_some() {
+    } else if state.done {
         "done"
     } else {
         "running"
@@ -1271,7 +1280,7 @@ pub fn submit_with(
 /// Watches job `id` on the daemon at `addr`, invoking `on_row` with
 /// every streamed cell (global matrix index, formatted CSV row) until
 /// the job completes. Returns the final cell count. This is
-/// [`watch_rows_with`] from offset 0 with a single attempt.
+/// [`watch_rows_with`] with a single attempt.
 ///
 /// # Errors
 ///
@@ -1283,30 +1292,23 @@ pub fn watch(
     id: u64,
     on_row: &mut dyn FnMut(usize, &str),
 ) -> Result<usize, SimError> {
-    watch_rows_with(addr, id, 0, &RetryPolicy::no_retry(), on_row)
+    watch_rows_with(addr, id, &RetryPolicy::no_retry(), on_row)
 }
 
-/// One watch connection: sends `watch <id> [from <offset>]`, streams
-/// rows into `seen` (deduplicated by matrix index — the engine is
-/// bitwise deterministic, so identical duplicates are harmless while
-/// conflicting bytes for one index are a typed protocol error), and
-/// advances `offset` past every stream row received so a retry resumes
-/// where this connection died.
+/// One watch connection: sends `watch <id>` and streams rows into
+/// `seen`, deduplicated by matrix index. The engine is bitwise
+/// deterministic, so a row an earlier connection already delivered is
+/// dropped, while conflicting bytes for one index are a typed protocol
+/// error.
 fn watch_conn(
     addr: &str,
     id: u64,
     policy: &RetryPolicy,
-    offset: &mut usize,
     seen: &mut BTreeMap<usize, String>,
     on_row: &mut dyn FnMut(usize, &str),
 ) -> Result<usize, ClientFailure> {
     let (mut reader, mut out) = connect_once(addr, policy)?;
-    let command = if *offset == 0 {
-        format!("watch {id}")
-    } else {
-        format!("watch {id} from {offset}")
-    };
-    writeln!(out, "{command}")
+    writeln!(out, "watch {id}")
         .and_then(|()| out.flush())
         .map_err(|e| ClientFailure::Net(format!("cannot send watch: {e}")))?;
     let header = read_stream_line(&mut reader)?;
@@ -1326,7 +1328,6 @@ fn watch_conn(
             let index = index.parse::<usize>().map_err(|_| {
                 ClientFailure::Typed(SimError::Daemon(format!("malformed row index: {line:?}")))
             })?;
-            *offset += 1;
             match seen.get(&index) {
                 None => {
                     seen.insert(index, row.to_string());
@@ -1356,58 +1357,37 @@ fn watch_conn(
     }
 }
 
-/// [`watch`] from stream offset `from`, with reconnect: transport
-/// failures (dropped connections, torn lines, deadlines, refused
-/// connects) back off and resume with `watch <id> from <offset>`;
-/// deterministic failures (job failed, unknown id, protocol
-/// violations) surface immediately. Each cell is handed to `on_row`
-/// exactly once even when the stream re-plays rows.
-///
-/// The offset counts completion-ordered stream rows, so `from > 0`
-/// skips rows already received on an earlier connection; it is only
-/// meaningful within one daemon life. A tail watch (`from > 0`) cannot
-/// judge coverage, because the caller holds the earlier rows.
-///
-/// If the stream completes with a coverage gap — the signature of a
-/// daemon restart re-ordering completion behind the resume offset —
-/// the client refetches the whole stream from 0; the engine's bitwise
-/// determinism makes the re-fetched rows identical, so deduplication
-/// is safe.
+/// [`watch`] with reconnect: transport failures (dropped connections,
+/// torn lines, deadlines, refused connects) back off and watch again
+/// from the top; deterministic failures (job failed, unknown id,
+/// protocol violations) surface immediately. Rows are deduplicated by
+/// matrix index, so each cell reaches `on_row` exactly once even when a
+/// reconnect — possibly to a restarted daemon that completes cells in
+/// another order — streams rows again.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::Daemon`] when the job fails, the id is unknown,
-/// `from` lies beyond the job's cell count, a stream from offset 0
-/// does not cover the matrix, or the transport keeps failing past the
-/// policy's attempt budget.
+/// the finished stream does not cover the matrix, or the transport
+/// keeps failing past the policy's attempt budget.
 pub fn watch_rows_with(
     addr: &str,
     id: u64,
-    from: usize,
     policy: &RetryPolicy,
     on_row: &mut dyn FnMut(usize, &str),
 ) -> Result<usize, SimError> {
-    let mut offset = from;
     let mut seen = BTreeMap::new();
     retrying(policy, || {
-        let start = offset;
-        let cells = watch_conn(addr, id, policy, &mut offset, &mut seen, on_row)?;
-        if from > 0 || (seen.len() == cells && seen.keys().copied().eq(0..cells)) {
+        let cells = watch_conn(addr, id, policy, &mut seen, on_row)?;
+        if seen.len() == cells && seen.keys().copied().eq(0..cells) {
             return Ok(cells);
         }
-        if start == 0 {
-            // A full stream from 0 that still leaves a gap is a
-            // deterministic protocol violation, not a transport fault.
-            return Err(ClientFailure::Typed(SimError::Daemon(format!(
-                "streamed rows do not cover the matrix: got {} rows for {cells} cells",
-                seen.len(),
-            ))));
-        }
-        // Coverage gap after a resumed stream: the daemon restarted
-        // and completed cells in a different order. Refetch everything;
-        // dedup keeps emission exactly-once.
-        offset = 0;
-        Err(ClientFailure::Net(format!("resumed stream left a coverage gap for job {id}")))
+        // A finished stream from the top that still leaves a gap is a
+        // deterministic protocol violation, not a transport fault.
+        Err(ClientFailure::Typed(SimError::Daemon(format!(
+            "streamed rows do not cover the matrix: got {} rows for {cells} cells",
+            seen.len(),
+        ))))
     })
     .map_err(|failure| match failure {
         ClientFailure::Net(why) => SimError::Daemon(format!(
@@ -1418,8 +1398,8 @@ pub fn watch_rows_with(
     })
 }
 
-/// [`watch_rows_with`] from offset 0, assembled into the canonical CSV
-/// document — byte-identical to the fault-free [`watch_csv`].
+/// [`watch_rows_with`], assembled into the canonical CSV document —
+/// byte-identical to the fault-free [`watch_csv`].
 ///
 /// # Errors
 ///
@@ -1427,7 +1407,7 @@ pub fn watch_rows_with(
 pub fn watch_csv_with(addr: &str, id: u64, policy: &RetryPolicy) -> Result<String, SimError> {
     let mut rows: Vec<(usize, String)> = Vec::new();
     let cells =
-        watch_rows_with(addr, id, 0, policy, &mut |index, row| rows.push((index, row.to_string())))?;
+        watch_rows_with(addr, id, policy, &mut |index, row| rows.push((index, row.to_string())))?;
     rows_to_csv(cells, rows)
 }
 
@@ -1535,11 +1515,10 @@ mod tests {
     #[test]
     fn parse_request_accepts_the_protocol() {
         assert_eq!(parse_request("submit shards 4\n"), Ok(Request::Submit { shards: 4 }));
-        assert_eq!(parse_request("watch 7"), Ok(Request::Watch { id: 7, from: 0 }));
-        assert_eq!(parse_request("watch 7 from 12"), Ok(Request::Watch { id: 7, from: 12 }));
+        assert_eq!(parse_request("watch 7"), Ok(Request::Watch { id: 7 }));
         assert_eq!(parse_request("status 3"), Ok(Request::Status { id: 3 }));
         assert_eq!(parse_request("shutdown"), Ok(Request::Shutdown));
-        assert_eq!(parse_request("  watch 7  "), Ok(Request::Watch { id: 7, from: 0 }));
+        assert_eq!(parse_request("  watch 7  "), Ok(Request::Watch { id: 7 }));
     }
 
     #[test]
@@ -1555,6 +1534,7 @@ mod tests {
             "watch x",
             "watch 7 from",
             "watch 7 from x",
+            "watch 7 from 12",
             "watch 7 from 1 2",
             "watch 7 upto 9",
             "status",

@@ -11,7 +11,7 @@
 use power_neutral::harvest::weather::Weather;
 use power_neutral::sim::adaptive::{AdaptiveCampaign, AdaptiveConfig};
 use power_neutral::sim::campaign::{
-    resume_campaign, run_campaign, CampaignReport, CampaignSpec, GovernorSpec,
+    resume_campaign, run_campaign, run_cells, CampaignReport, CampaignSpec, GovernorSpec,
 };
 use power_neutral::sim::executor::Executor;
 use power_neutral::sim::persist;
@@ -80,13 +80,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The persistence layer: the same matrix run as three shards (as
-    // three machines would), each partial report serialized and
-    // decoded, merges back to the exact report computed above.
+    // three machines would), each an index range into the one cell
+    // vector, each partial report serialized and decoded, merges back
+    // to the exact report computed above.
+    let cells = spec.cells();
     let parts: Result<Vec<CampaignReport>, _> = spec
         .shard(3)
-        .iter()
-        .map(|shard| {
-            let partial = shard.run(&executor)?;
+        .into_iter()
+        .map(|range| {
+            let partial = run_cells(&cells, range, &executor)?;
             persist::report_from_str(&persist::report_to_string(&partial))
         })
         .collect();
@@ -102,10 +104,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Shard-aware resume: pretend the run died after the first shard.
     // Resuming from its saved partial report simulates only the
     // missing cells and recomposes the full report bitwise.
-    let saved = persist::report_from_str(&persist::report_to_string(
-        &spec.shard(3)[0].run(&executor)?,
-    ))?;
-    let resumed = resume_campaign(&spec, &saved, &executor)?;
+    let first = spec.shard(3).swap_remove(0);
+    let saved = persist::report_from_str(&persist::report_to_string(&run_cells(
+        &cells, first, &executor,
+    )?))?;
+    let resumed = resume_campaign(&spec, std::slice::from_ref(&saved), &executor)?;
     assert_eq!(resumed, report, "resume must reproduce the uninterrupted run bitwise");
     println!(
         "  resumed the remaining {} cells from a {}-cell saved report — bitwise identical",

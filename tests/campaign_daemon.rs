@@ -1,9 +1,10 @@
 //! End-to-end contracts of the campaign daemon: streamed rows are
 //! byte-identical to a one-shot run's CSV for any number of concurrent
-//! watchers, a killed daemon restarted on the same checkpoint
-//! directory finishes byte-identically (including after a torn or
-//! stale checkpoint), and a failing job is contained without taking
-//! the daemon down.
+//! watchers and concurrent submits, a killed daemon restarted on the
+//! same checkpoint directory finishes byte-identically (including
+//! after a torn or stale checkpoint, and for a retrying watcher that
+//! spans the restart), and a failing job or an oversized request is
+//! contained without taking the daemon down.
 
 use power_neutral::sim::campaign::{run_campaign, CampaignSpec};
 use power_neutral::sim::daemon::{self, Daemon, DaemonConfig, RetryPolicy};
@@ -172,7 +173,7 @@ fn a_failing_job_is_contained_and_the_daemon_keeps_serving() {
 }
 
 // ---------------------------------------------------------------------
-// Robustness: deadlines, protocol noise, resumable watch
+// Robustness: deadlines, protocol noise, request cap, retrying watch
 // ---------------------------------------------------------------------
 
 use proptest::prelude::*;
@@ -248,6 +249,7 @@ fn protocol_noise_gets_an_error_reply_or_a_clean_disconnect() {
         b"watch 1 from\n",
         b"watch 1 from x\n",
         b"watch 1 from 1 2\n",
+        b"watch 1 from 3\n",
         b"submit\n",
         b"submit shards many\n",
         b"status\n",
@@ -296,73 +298,125 @@ proptest! {
         let _ = daemon::parse_request(&line);
     }
 
-    /// Legal watch lines round-trip through the parser for any id and
-    /// offset, including the extremes.
+    /// Legal watch lines round-trip through the parser for any id,
+    /// including the extremes.
     #[test]
-    fn parse_request_accepts_every_watch_offset(id in 0u64..u64::MAX, from in 0usize..usize::MAX) {
+    fn parse_request_accepts_every_watch_id(id in 0u64..=u64::MAX) {
         prop_assert_eq!(
-            daemon::parse_request(&format!("watch {id} from {from}")),
-            Ok(daemon::Request::Watch { id, from })
+            daemon::parse_request(&format!("watch {id}")),
+            Ok(daemon::Request::Watch { id })
         );
     }
 }
 
 #[test]
-fn watch_from_resumes_the_stream_byte_identically() {
-    let dir = checkpoint_dir("resume");
+fn an_over_cap_request_is_rejected_and_the_daemon_keeps_serving() {
+    let dir = checkpoint_dir("cap");
+    let daemon = Daemon::start(DaemonConfig::new(&dir).with_workers(1)).expect("start");
+    let addr = daemon.addr().to_string();
+
+    // Exactly the cap, so the daemon reads every byte sent and its
+    // reply is not raced by a reset: once inside a spec document that
+    // never reaches its `end` line, once as a single command line.
+    let cap = usize::try_from(daemon::MAX_REQUEST_BYTES).expect("cap fits usize");
+    let mut in_document = b"submit shards 0\npn-campaign-spec v6\n".to_vec();
+    in_document.resize(cap, b'x');
+    let mut in_command = b"status ".to_vec();
+    in_command.resize(cap, b'1');
+    for payload in [in_document, in_command] {
+        let reply = poke(&addr, &payload, false).expect("an error reply, not a disconnect");
+        assert!(reply.starts_with("error request exceeds"), "{reply:?}");
+    }
+
+    // Nothing was registered, and the same daemon still serves a
+    // normal submit and watch byte-identically.
+    let err = daemon::status(&addr, 1).expect_err("no job from an over-cap submit");
+    assert!(err.to_string().contains("unknown job"), "{err}");
+    let spec = spec();
+    let ticket = daemon::submit(&addr, &spec, 0).expect("submit");
+    assert_eq!(ticket.id, 1);
+    assert_eq!(daemon::watch_csv(&addr, ticket.id).expect("watch"), oneshot_csv(&spec));
+    daemon.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn concurrent_submits_get_distinct_jobs_that_stream_their_own_csv() {
+    let dir = checkpoint_dir("submits");
     let daemon = Daemon::start(DaemonConfig::new(&dir).with_workers(2)).expect("start");
+    let addr = daemon.addr().to_string();
+
+    // Eight clients submit eight different matrices at the same
+    // instant. Each must get its own id and job directory, and each
+    // job must stream its own one-shot CSV.
+    let specs: Vec<CampaignSpec> = (1..=8u64)
+        .map(|seed| CampaignSpec::smoke().with_seeds(vec![seed]).with_duration(Seconds::new(1.0)))
+        .collect();
+    let barrier = std::sync::Barrier::new(specs.len());
+    let tickets: Vec<daemon::JobTicket> = std::thread::scope(|scope| {
+        let handles: Vec<_> = specs
+            .iter()
+            .map(|spec| {
+                let (addr, barrier) = (&addr, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    daemon::submit(addr, spec, 0).expect("concurrent submit")
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("submit thread")).collect()
+    });
+    let mut ids: Vec<u64> = tickets.iter().map(|t| t.id).collect();
+    ids.sort_unstable();
+    assert_eq!(ids, (1..=8).collect::<Vec<u64>>(), "job ids collided");
+    for (spec, ticket) in specs.iter().zip(&tickets) {
+        let streamed = daemon::watch_csv(&addr, ticket.id).expect("watch");
+        assert_eq!(streamed, oneshot_csv(spec), "job {} streamed another job's rows", ticket.id);
+    }
+    daemon.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_retrying_watch_spans_a_daemon_restart_and_delivers_each_cell_once() {
+    let dir = checkpoint_dir("span");
+    let config =
+        || DaemonConfig::new(&dir).with_workers(1).with_throttle(Duration::from_millis(50));
+    let daemon = Daemon::start(config()).expect("start");
     let addr = daemon.addr().to_string();
     let spec = spec();
     let ticket = daemon::submit(&addr, &spec, 0).expect("submit");
 
-    // First connection: take the header and exactly three rows, then
-    // drop mid-stream (the client crashed / the network reset).
-    let taken = 3usize;
-    let mut rows: Vec<(usize, String)> = Vec::new();
-    {
-        let out = TcpStream::connect(&addr).expect("connect");
-        out.set_read_timeout(Some(Duration::from_secs(30))).expect("client timeout");
-        let mut reader = BufReader::new(out.try_clone().expect("clone"));
-        let mut out = out;
-        writeln!(out, "watch {}", ticket.id).expect("send watch");
-        out.flush().expect("flush");
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("header");
-        assert!(line.starts_with("header "), "{line:?}");
-        for _ in 0..taken {
-            let mut line = String::new();
-            reader.read_line(&mut line).expect("row");
-            let rest = line.trim_end().strip_prefix("row ").expect("row line");
-            let (index, row) = rest.split_once(' ').expect("row fields");
-            rows.push((index.parse().expect("index"), row.to_string()));
-        }
-        // dropping the connection here abandons the stream at offset 3
-    }
+    // The watcher retries through the gap between the two daemon lives
+    // and watches the second life from the top; dedup by matrix index
+    // must hand every cell to the callback exactly once.
+    let (first_row, on_first_row) = std::sync::mpsc::channel();
+    let watcher = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let policy = RetryPolicy::default()
+                .with_attempts(400)
+                .with_backoff(Duration::from_millis(10), Duration::from_millis(40));
+            let mut rows: Vec<(usize, String)> = Vec::new();
+            let cells = daemon::watch_rows_with(&addr, ticket.id, &policy, &mut |index, row| {
+                if rows.is_empty() {
+                    first_row.send(()).expect("signal the first row");
+                }
+                rows.push((index, row.to_string()));
+            });
+            (cells, rows)
+        })
+    };
+    on_first_row.recv().expect("the first row arrives");
+    daemon.stop();
+    assert!(!dir.join("job-1").join("report.pnc").exists(), "the first life must stop mid-run");
+    let daemon = Daemon::start(config().with_addr(addr.clone())).expect("restart");
 
-    // Second connection resumes at the stream offset: no row is
-    // re-streamed, and the combined document is byte-identical to an
-    // uninterrupted watch.
-    let once = RetryPolicy::no_retry();
-    let cells = daemon::watch_rows_with(&addr, ticket.id, taken, &once, &mut |index, row| {
-        rows.push((index, row.to_string()));
-    })
-    .expect("resumed watch");
+    let (cells, rows) = watcher.join().expect("watcher thread");
+    let cells = cells.expect("the watch converges across the restart");
     assert_eq!(cells, spec.cell_count());
-    let combined = daemon::rows_to_csv(cells, rows).expect("combined csv");
-    assert_eq!(combined, oneshot_csv(&spec), "resumed stream diverged from the one-shot CSV");
-
-    // Resuming exactly at the end yields the terminal line and nothing
-    // else; resuming beyond the matrix is a typed protocol error.
-    let end = spec.cell_count();
-    let cells = daemon::watch_rows_with(&addr, ticket.id, end, &once, &mut |index, row| {
-        panic!("no rows expected past the end, got {index}: {row}");
-    })
-    .expect("watch from the end");
-    assert_eq!(cells, spec.cell_count());
-    let err = daemon::watch_rows_with(&addr, ticket.id, end + 1, &once, &mut |_, _| {})
-        .expect_err("offset beyond the matrix");
-    assert!(err.to_string().contains("beyond"), "{err}");
-
+    assert_eq!(rows.len(), cells, "a cell reached the callback more than once");
+    assert_eq!(daemon::rows_to_csv(cells, rows).expect("csv"), oneshot_csv(&spec));
     daemon.stop();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -26,8 +26,8 @@ use power_neutral::sim::scenario::{self, Scenario};
 use power_neutral::sim::supply::{Supply, SupplyModel};
 use power_neutral::harvest::weather::Weather;
 use power_neutral::sim::campaign::{
-    resume_campaign, run_campaign, CampaignCell, CampaignReport, CampaignSpec, CellOutcome,
-    GovernorSpec,
+    resume_campaign, run_campaign, run_cells, CampaignCell, CampaignReport, CampaignSpec,
+    CellOutcome, GovernorSpec,
 };
 use power_neutral::sim::SimError;
 use power_neutral::sim::executor::Executor;
@@ -161,18 +161,25 @@ fn shard_and_merge_reproduce_the_unsharded_report_bitwise() {
     let executor = Executor::sequential();
     let full = run_campaign(&spec, &executor).unwrap();
     let full_csv = persist::report_csv_string(&full).unwrap();
+    let cells = spec.cells();
     // Shard counts from trivial through one-cell-per-shard to more
     // shards than cells (trailing empties).
     for count in 1..=4 {
-        let parts: Vec<CampaignReport> =
-            spec.shard(count).iter().map(|s| s.run(&executor).unwrap()).collect();
+        let parts: Vec<CampaignReport> = spec
+            .shard(count)
+            .into_iter()
+            .map(|range| run_cells(&cells, range, &executor).unwrap())
+            .collect();
         let merged = CampaignReport::merge(parts).unwrap();
         assert_eq!(merged, full, "shard({count})+merge diverged from the unsharded run");
         assert_eq!(persist::report_csv_string(&merged).unwrap(), full_csv);
     }
     let count = spec.cell_count() + 3;
-    let mut parts: Vec<CampaignReport> =
-        spec.shard(count).iter().map(|s| s.run(&executor).unwrap()).collect();
+    let mut parts: Vec<CampaignReport> = spec
+        .shard(count)
+        .into_iter()
+        .map(|range| run_cells(&cells, range, &executor).unwrap())
+        .collect();
     assert_eq!(CampaignReport::merge(parts.clone()).unwrap(), full);
     // Regression: with more shards than cells, empty shards share
     // their start offset with non-empty ones; merge must stay
@@ -189,11 +196,12 @@ fn shard_reports_survive_a_persistence_round_trip_before_merging() {
     let spec = quick_spec();
     let executor = Executor::sequential();
     let full = run_campaign(&spec, &executor).unwrap();
+    let cells = spec.cells();
     let decoded: Vec<CampaignReport> = spec
         .shard(3)
-        .iter()
-        .map(|s| {
-            let wire = persist::report_to_string(&s.run(&executor).unwrap());
+        .into_iter()
+        .map(|range| {
+            let wire = persist::report_to_string(&run_cells(&cells, range, &executor).unwrap());
             persist::report_from_str(&wire).unwrap()
         })
         .collect();
@@ -210,10 +218,11 @@ fn resuming_a_persisted_partial_report_matches_the_uninterrupted_run() {
     let executor = Executor::sequential();
     let full = run_campaign(&spec, &executor).unwrap();
     let full_csv = persist::report_csv_string(&full).unwrap();
-    for (i, shard) in spec.shard(3).iter().enumerate() {
-        let wire = persist::report_to_string(&shard.run(&executor).unwrap());
+    let cells = spec.cells();
+    for (i, range) in spec.shard(3).into_iter().enumerate() {
+        let wire = persist::report_to_string(&run_cells(&cells, range, &executor).unwrap());
         let saved = persist::report_from_str(&wire).unwrap();
-        let resumed = resume_campaign(&spec, &saved, &executor).unwrap();
+        let resumed = resume_campaign(&spec, &[saved], &executor).unwrap();
         assert_eq!(resumed, full, "resume from persisted shard {i} diverged");
         assert_eq!(persist::report_csv_string(&resumed).unwrap(), full_csv);
     }
@@ -255,7 +264,7 @@ fn interpolated_campaigns_round_trip_and_stay_self_describing() {
     for line in csv.lines().skip(1) {
         assert!(line.contains(",interp:0.001,"), "row lost its model slug: {line}");
     }
-    let err = resume_campaign(&quick_spec(), &report, &executor).unwrap_err();
+    let err = resume_campaign(&quick_spec(), std::slice::from_ref(&report), &executor).unwrap_err();
     assert!(matches!(err, SimError::Campaign(_)), "{err}");
     assert!(err.to_string().contains("does not match"), "{err}");
 }
@@ -484,14 +493,15 @@ proptest! {
     #[test]
     fn every_cell_lands_in_exactly_one_shard(count in 1usize..=40) {
         let spec = prop_spec();
+        let cells = spec.cells();
         let shards = spec.shard(count);
         prop_assert_eq!(shards.len(), count);
         let mut recomposed = Vec::new();
-        for shard in &shards {
-            prop_assert_eq!(shard.start(), recomposed.len());
-            recomposed.extend_from_slice(shard.cells());
+        for range in shards {
+            prop_assert_eq!(range.start, recomposed.len());
+            recomposed.extend_from_slice(&cells[range]);
         }
-        prop_assert_eq!(recomposed, spec.cells());
+        prop_assert_eq!(recomposed, cells);
     }
 
     #[test]
@@ -501,16 +511,13 @@ proptest! {
         split in 1usize..=9,
     ) {
         let spec = prop_spec();
+        let cells = spec.cells();
         let parts: Vec<CampaignReport> = spec
             .shard(count)
-            .iter()
-            .map(|s| CampaignReport::from_parts(
-                s.start(),
-                s.cells()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &c)| fake_outcome(c, ((s.start() + i) as f64) / 24.0))
-                    .collect(),
+            .into_iter()
+            .map(|range| CampaignReport::from_parts(
+                range.start,
+                range.map(|i| fake_outcome(cells[i], (i as f64) / 24.0)).collect(),
             ))
             .collect();
         let reference = CampaignReport::merge(parts.clone()).unwrap();
@@ -548,19 +555,20 @@ proptest! {
         let start = start.min(full.len());
         let len = len.min(full.len() - start);
         let saved = CampaignReport::from_parts(start, full.cells()[start..start + len].to_vec());
-        let resumed = resume_campaign(spec, &saved, &Executor::sequential()).unwrap();
+        let resumed = resume_campaign(spec, &[saved], &Executor::sequential()).unwrap();
         prop_assert_eq!(&resumed, full, "resume from slice {}..{} diverged", start, start + len);
     }
 
     #[test]
     fn merge_rejects_incomplete_recompositions(count in 2usize..=6, drop in 0usize..6) {
         let spec = prop_spec();
+        let cells = spec.cells();
         let mut parts: Vec<CampaignReport> = spec
             .shard(count)
-            .iter()
-            .map(|s| CampaignReport::from_parts(
-                s.start(),
-                s.cells().iter().map(|&c| fake_outcome(c, 0.25)).collect(),
+            .into_iter()
+            .map(|range| CampaignReport::from_parts(
+                range.start,
+                cells[range].iter().map(|&c| fake_outcome(c, 0.25)).collect(),
             ))
             .collect();
         // Dropping an interior shard must be detected as a gap.
