@@ -25,17 +25,15 @@ fn bench_engine(c: &mut Criterion) {
     // Same scenario on the interpolated supply fast path. Build the
     // shared surface outside the timed region: campaigns pay it once
     // per process, not once per cell.
-    let _ = scenario::constant_sun(WattsPerSquareMeter::new(560.0), Seconds::new(0.5))
-        .with_supply_model(SupplyModel::interpolated())
-        .run_power_neutral()
-        .unwrap();
+    let interpolated = |duration: f64| {
+        let sun = scenario::constant_sun(WattsPerSquareMeter::new(560.0), Seconds::new(duration));
+        let options = sun.options().with_supply_model(SupplyModel::interpolated());
+        sun.with_options(options)
+    };
+    let _ = interpolated(0.5).run_power_neutral().unwrap();
     group.bench_function("power_neutral_10s_constant_sun_interpolated", |b| {
         b.iter(|| {
-            let report =
-                scenario::constant_sun(WattsPerSquareMeter::new(560.0), Seconds::new(10.0))
-                    .with_supply_model(SupplyModel::interpolated())
-                    .run_power_neutral()
-                    .unwrap();
+            let report = interpolated(10.0).run_power_neutral().unwrap();
             black_box(report.transitions())
         })
     });

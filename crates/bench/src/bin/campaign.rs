@@ -28,9 +28,9 @@
 //!     --smoke --adapt --tolerance 8 --max-rounds 16 --summary-out summary.csv
 //!
 //! # run the whole matrix on the interpolated supply fast path
-//! # (--tolerance, in amps, sharpens the surface when given):
+//! # (interp:<tol-amps> sharpens the surface):
 //! cargo run --release -p pn-bench --bin campaign -- \
-//!     --supply-model interp --tolerance 0.0005 --out report.csv
+//!     --supply-model interp:0.0005 --out report.csv
 //!
 //! # swap the governor axis (any GovernorSpec slug, comma-separated) —
 //! # e.g. the two DPM policies against the power-neutral controller:
@@ -398,22 +398,8 @@ fn parse_cli() -> Result<Cli, String> {
     if cli.adapt_axis.is_some() && !cli.adapt {
         return Err("--adapt-axis only applies to --adapt".into());
     }
-    let interp = matches!(cli.supply_model, Some(SupplyModel::Interpolated { .. }));
-    if cli.tolerance.is_some() && !cli.adapt && !interp {
-        return Err("--tolerance applies to --adapt (millifarads) or to \
-                    --supply-model interp (amps)"
-            .into());
-    }
-    // `--tolerance` reuse: without --adapt it sharpens the surface
-    // tolerance of `--supply-model interp` (with --adapt it keeps its
-    // bracket-width meaning and the interp tolerance stays as given).
-    if let (false, Some(tol), Some(SupplyModel::Interpolated { .. })) =
-        (cli.adapt, cli.tolerance, cli.supply_model)
-    {
-        if !(tol > 0.0) || !tol.is_finite() {
-            return Err(format!("--tolerance wants a positive surface tolerance, got {tol}"));
-        }
-        cli.supply_model = Some(SupplyModel::Interpolated { tol });
+    if cli.tolerance.is_some() && !cli.adapt {
+        return Err("--tolerance only applies to --adapt".into());
     }
     Ok(cli)
 }

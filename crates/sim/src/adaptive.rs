@@ -77,8 +77,8 @@
 use crate::campaign::{
     run_cells, CampaignCell, CampaignReport, CampaignSpec, CellOutcome, GovernorSpec,
 };
-use crate::engine::SimOverrides;
 use crate::executor::Executor;
+use crate::supply::SupplyModel;
 use crate::SimError;
 use pn_core::params::ControlParams;
 use pn_harvest::faults::FaultSpec;
@@ -339,7 +339,8 @@ struct Probe {
     arrivals: Vec<ArrivalSpec>,
     faults: Vec<FaultSpec>,
     duration: Seconds,
-    options: Option<SimOverrides>,
+    supply_model: SupplyModel,
+    idle: bool,
     lo_mf: Option<f64>,
     hi_mf: Option<f64>,
     status: BracketStatus,
@@ -353,10 +354,12 @@ enum Action {
 }
 
 impl Probe {
-    fn new(weather: Weather, governor: GovernorSpec, axis: AdaptiveAxis) -> Self {
+    /// Opens the group of `cell`, whose weather, governor, duration
+    /// and engine options every probe of the group replays.
+    fn new(cell: &CampaignCell, axis: AdaptiveAxis) -> Self {
         Self {
-            weather,
-            governor,
+            weather: cell.weather,
+            governor: cell.governor,
             axis,
             seeds: Vec::new(),
             params: Vec::new(),
@@ -364,8 +367,9 @@ impl Probe {
             thermals: Vec::new(),
             arrivals: Vec::new(),
             faults: Vec::new(),
-            duration: Seconds::ZERO,
-            options: None,
+            duration: cell.duration,
+            supply_model: cell.supply_model,
+            idle: cell.idle,
             lo_mf: None,
             hi_mf: None,
             status: BracketStatus::Bisecting,
@@ -439,7 +443,8 @@ impl Probe {
             duration: self.duration,
             // Probe cells replay the seed report's engine options, so
             // a fast interpolated sweep refines with the same model.
-            options: self.options.unwrap_or_default(),
+            supply_model: self.supply_model,
+            idle: self.idle,
         };
         match self.axis {
             AdaptiveAxis::BufferMf => spec.buffers_mf = vec![value],
@@ -573,7 +578,7 @@ impl AdaptiveCampaign {
         {
             Some(i) => i,
             None => {
-                self.probes.push(Probe::new(cell.weather, cell.governor, self.config.axis));
+                self.probes.push(Probe::new(cell, self.config.axis));
                 self.probes.len() - 1
             }
         };
@@ -595,12 +600,6 @@ impl AdaptiveCampaign {
         }
         if !probe.faults.contains(&cell.fault) {
             probe.faults.push(cell.fault);
-        }
-        if probe.duration.value() == 0.0 {
-            probe.duration = cell.duration;
-        }
-        if probe.options.is_none() {
-            probe.options = Some(cell.options);
         }
         index
     }

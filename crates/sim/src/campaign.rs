@@ -21,6 +21,12 @@
 //! recomposes reports by position, and [`resume_campaign`] simulates
 //! only the indices no saved report covers.
 //!
+//! Besides its axis values, every cell carries the two engine options
+//! a spec sets for the whole matrix, resolved: its supply model and
+//! its idle flag ([`CampaignSpec::with_supply_model`],
+//! [`CampaignSpec::with_idle`]). Two cells therefore compare equal
+//! exactly when they simulate the same scenario.
+//!
 //! # Examples
 //!
 //! ```
@@ -35,7 +41,7 @@
 //! # }
 //! ```
 
-use crate::engine::{SimOverrides, SimReport};
+use crate::engine::SimReport;
 use crate::executor::Executor;
 use crate::scenario::{self, Scenario};
 use crate::supply::SupplyModel;
@@ -213,10 +219,12 @@ pub struct CampaignSpec {
     /// Simulated window per cell, measured from the day profile's
     /// start (10:30).
     pub duration: Seconds,
-    /// Per-cell [`SimOptions`](crate::engine::SimOptions) overrides
-    /// applied to every cell: supply model (exact vs interpolated),
-    /// recording decimation for very long windows, ODE step cap.
-    pub options: SimOverrides,
+    /// How every cell evaluates the PV operating point (exact Newton
+    /// or the interpolated surface). Defaults to `Exact`.
+    pub supply_model: SupplyModel,
+    /// Whether every cell honours governor idle (DPM) requests.
+    /// Defaults to `true`.
+    pub idle: bool,
 }
 
 impl CampaignSpec {
@@ -237,7 +245,8 @@ impl CampaignSpec {
             governors: vec![GovernorSpec::PowerNeutral],
             params: vec![ControlParams::paper_optimal()?],
             duration: Seconds::new(60.0),
-            options: SimOverrides::none(),
+            supply_model: SupplyModel::Exact,
+            idle: true,
         })
     }
 
@@ -315,27 +324,19 @@ impl CampaignSpec {
         self
     }
 
-    /// Replaces the per-cell engine-option overrides (builder style).
-    pub fn with_cell_options(mut self, options: SimOverrides) -> Self {
-        self.options = options;
-        self
-    }
-
     /// Selects the supply evaluation model for every cell (builder
-    /// style); shorthand for the corresponding
-    /// [`CampaignSpec::with_cell_options`] override.
+    /// style).
     pub fn with_supply_model(mut self, model: SupplyModel) -> Self {
-        self.options.supply_model = Some(model);
+        self.supply_model = model;
         self
     }
 
     /// Enables or disables idle-state (DPM) requests for every cell
-    /// (builder style); shorthand for the corresponding
-    /// [`CampaignSpec::with_cell_options`] override. Disabling turns
-    /// idle-capable governors into their always-on counterparts —
-    /// useful for isolating how much of a verdict the idle ladder buys.
+    /// (builder style). Disabling turns idle-capable governors into
+    /// their always-on counterparts — useful for isolating how much of
+    /// a verdict the idle ladder buys.
     pub fn with_idle(mut self, enabled: bool) -> Self {
-        self.options.idle = Some(enabled);
+        self.idle = enabled;
         self
     }
 
@@ -345,7 +346,8 @@ impl CampaignSpec {
     /// the params axis multiplies power-neutral cells only; every
     /// baseline governor contributes one cell per
     /// (weather, seed, buffer) point regardless of how many parameter
-    /// sets are listed.
+    /// sets are listed. A product too large for `usize` saturates to
+    /// `usize::MAX` instead of wrapping.
     pub fn cell_count(&self) -> usize {
         if self.params.is_empty() {
             return 0;
@@ -355,13 +357,16 @@ impl CampaignSpec {
             .iter()
             .map(|g| if matches!(g, GovernorSpec::PowerNeutral) { self.params.len() } else { 1 })
             .sum();
-        self.weathers.len()
-            * self.seeds.len()
-            * self.thermals.len()
-            * self.arrivals.len()
-            * self.faults.len()
-            * self.buffers_mf.len()
-            * per_point
+        [
+            self.weathers.len(),
+            self.seeds.len(),
+            self.thermals.len(),
+            self.arrivals.len(),
+            self.faults.len(),
+            self.buffers_mf.len(),
+        ]
+        .into_iter()
+        .fold(per_point, usize::saturating_mul)
     }
 
     /// Enumerates every cell of the matrix in a fixed order (see
@@ -396,7 +401,8 @@ impl CampaignSpec {
                                             governor,
                                             params,
                                             duration: self.duration,
-                                            options: self.options,
+                                            supply_model: self.supply_model,
+                                            idle: self.idle,
                                         });
                                     }
                                 }
@@ -446,10 +452,12 @@ pub struct CampaignCell {
     pub params: ControlParams,
     /// Simulated window.
     pub duration: Seconds,
-    /// Engine-option overrides for this cell (supply model, recording
-    /// decimation, step cap); unset fields inherit the scenario's
-    /// defaults.
-    pub options: SimOverrides,
+    /// Supply evaluation model — the token exported to campaign CSVs,
+    /// so merged documents from mixed-model shards stay
+    /// self-describing.
+    pub supply_model: SupplyModel,
+    /// Whether the cell honours governor idle (DPM) requests.
+    pub idle: bool,
 }
 
 impl CampaignCell {
@@ -502,20 +510,14 @@ impl CampaignCell {
         )?;
         let shared = scenario::weather_day_trace_shared(self.weather, self.seed, self.duration);
         let day = scenario::weather_day_with_trace(self.faulted_trace(shared)?);
-        let mut built =
-            day.with_duration(self.duration).with_buffer(buffer).with_params(self.params);
-        if self.thermal != ThermalSpec::Off || self.arrival != ArrivalSpec::Saturated {
-            let options = built
-                .options()
-                .with_thermal(self.thermal)
-                .with_arrival(self.arrival, self.seed);
-            built = built.with_options(options);
-        }
-        if !self.options.is_none() {
-            let options = built.options().with_overrides(&self.options);
-            built = built.with_options(options);
-        }
-        Ok(built)
+        let built = day.with_duration(self.duration).with_buffer(buffer).with_params(self.params);
+        let options = built
+            .options()
+            .with_thermal(self.thermal)
+            .with_arrival(self.arrival, self.seed)
+            .with_supply_model(self.supply_model)
+            .with_idle(self.idle);
+        Ok(built.with_options(options))
     }
 
     /// Applies this cell's fault injection to the cell's rendered
@@ -533,13 +535,6 @@ impl CampaignCell {
             return Ok(shared);
         }
         Ok(Arc::new(self.fault.attenuate(&shared, self.seed)?))
-    }
-
-    /// The supply model this cell runs under (its override, or the
-    /// engine default) — the token exported to campaign CSVs so merged
-    /// documents from mixed-model shards stay self-describing.
-    pub fn supply_model(&self) -> SupplyModel {
-        self.options.supply_model.unwrap_or_default()
     }
 
     /// Runs the cell and reduces the report to a [`CellOutcome`].
@@ -920,37 +915,16 @@ fn cell_mismatch(expected: &CampaignCell, got: &CampaignCell) -> String {
     if got.label() != expected.label() {
         return format!("saved cell {} where the spec has {}", got.label(), expected.label());
     }
-    fn opt_model(model: &Option<SupplyModel>) -> String {
-        model.as_ref().map_or_else(|| "inherit".to_string(), SupplyModel::slug)
-    }
-    fn opt_seconds(s: &Option<Seconds>) -> String {
-        s.as_ref().map_or_else(|| "inherit".to_string(), |v| v.value().to_string())
-    }
     let mut diffs: Vec<String> = Vec::new();
-    let (saved, spec) = (&got.options, &expected.options);
-    if saved.supply_model != spec.supply_model {
+    if got.supply_model != expected.supply_model {
         diffs.push(format!(
             "supply model {} vs {}",
-            opt_model(&saved.supply_model),
-            opt_model(&spec.supply_model)
+            got.supply_model.slug(),
+            expected.supply_model.slug()
         ));
     }
-    if saved.idle != spec.idle {
-        diffs.push(format!("idle {:?} vs {:?}", saved.idle, spec.idle));
-    }
-    if saved.record_dt != spec.record_dt {
-        diffs.push(format!(
-            "record_dt {} vs {}",
-            opt_seconds(&saved.record_dt),
-            opt_seconds(&spec.record_dt)
-        ));
-    }
-    if saved.max_step != spec.max_step {
-        diffs.push(format!(
-            "max_step {} vs {}",
-            opt_seconds(&saved.max_step),
-            opt_seconds(&spec.max_step)
-        ));
+    if got.idle != expected.idle {
+        diffs.push(format!("idle {} vs {}", got.idle, expected.idle));
     }
     if got.params != expected.params {
         diffs.push("control params differ".to_string());
@@ -1076,7 +1050,8 @@ mod tests {
             governor: GovernorSpec::Powersave,
             params: ControlParams::paper_optimal().unwrap(),
             duration: Seconds::ZERO,
-            options: SimOverrides::none(),
+            supply_model: SupplyModel::Exact,
+            idle: true,
         };
         assert!(bad_duration.scenario().is_err());
     }
@@ -1219,10 +1194,9 @@ mod tests {
         let executor = Executor::sequential();
         let full = run_campaign(&spec, &executor).unwrap();
         let saved = CampaignReport::from_parts(0, full.cells()[..2].to_vec());
-        let edits: [(CampaignSpec, &str); 3] = [
-            (spec.clone().with_cell_options(SimOverrides::none().with_max_step(Seconds::new(0.1))), "max_step"),
+        let edits: [(CampaignSpec, &str); 2] = [
             (spec.clone().with_supply_model(SupplyModel::interpolated()), "supply model"),
-            (spec.clone().with_cell_options(SimOverrides::none().with_idle(false)), "idle"),
+            (spec.clone().with_idle(false), "idle"),
         ];
         for (edited, field) in &edits {
             let err = resume_campaign(edited, std::slice::from_ref(&saved), &executor).unwrap_err();
@@ -1289,11 +1263,8 @@ mod tests {
     fn per_cell_options_propagate_and_mixed_model_merges_are_rejected() {
         let exact = CampaignSpec::smoke().with_duration(Seconds::new(3.0));
         let interp = exact.clone().with_supply_model(SupplyModel::interpolated());
-        assert!(exact.cells().iter().all(|c| c.supply_model() == SupplyModel::Exact));
-        assert!(interp
-            .cells()
-            .iter()
-            .all(|c| c.supply_model() == SupplyModel::interpolated()));
+        assert!(exact.cells().iter().all(|c| c.supply_model == SupplyModel::Exact));
+        assert!(interp.cells().iter().all(|c| c.supply_model == SupplyModel::interpolated()));
         let executor = Executor::sequential();
         let a = run_campaign(&exact, &executor).unwrap();
         let b = run_campaign(&interp, &executor).unwrap();
@@ -1311,33 +1282,32 @@ mod tests {
     }
 
     #[test]
-    fn record_dt_override_reaches_the_recorder() {
-        let cell = CampaignCell {
-            weather: Weather::FullSun,
-            seed: 1,
-            thermal: ThermalSpec::Off,
-            arrival: ArrivalSpec::Saturated,
-            fault: FaultSpec::None,
-            buffer_mf: 47.0,
-            governor: GovernorSpec::Powersave,
-            params: ControlParams::paper_optimal().unwrap(),
-            duration: Seconds::new(20.0),
-            options: SimOverrides::none(),
-        };
-        let dense = cell.scenario().unwrap();
-        // weather_day records every 5 s by default; decimate to 10 s.
-        let sparse_cell = CampaignCell {
-            options: SimOverrides::none().with_record_dt(Seconds::new(10.0)),
-            ..cell
-        };
-        let sparse = sparse_cell.scenario().unwrap();
-        assert_eq!(sparse.options().record_dt, Seconds::new(10.0));
-        assert_eq!(dense.options().record_dt, Seconds::new(5.0));
-        assert_eq!(
-            sparse.options().max_step,
-            dense.options().max_step,
-            "unset override fields must inherit"
-        );
+    fn idle_off_reaches_the_engine() {
+        let spec = CampaignSpec::smoke().with_governors(vec![GovernorSpec::RaceToIdle]);
+        let executor = Executor::sequential();
+        let on = run_campaign(&spec, &executor).unwrap();
+        assert!(on.cells().iter().any(|o| o.idle_entries >= 1), "no cell ever idled");
+        let off = run_campaign(&spec.with_idle(false), &executor).unwrap();
+        for o in off.cells() {
+            assert_eq!(o.idle_entries, 0, "{} idled with idle off", o.cell.label());
+            assert_eq!(o.idle_time_seconds, 0.0, "{} idled with idle off", o.cell.label());
+        }
+    }
+
+    #[test]
+    fn cell_count_saturates_instead_of_wrapping() {
+        // Seven axes of 600 entries each: 600^7 ≈ 2.8e19 > u64::MAX.
+        let n = 600;
+        let spec = CampaignSpec::new()
+            .unwrap()
+            .with_weathers(vec![Weather::FullSun; n])
+            .with_seeds((0..n as u64).collect())
+            .with_thermals(vec![ThermalSpec::Off; n])
+            .with_arrivals(vec![ArrivalSpec::Saturated; n])
+            .with_faults(vec![FaultSpec::None; n])
+            .with_buffers_mf(vec![47.0; n])
+            .with_governors(vec![GovernorSpec::Powersave; n]);
+        assert_eq!(spec.cell_count(), usize::MAX);
     }
 
     #[test]
@@ -1362,7 +1332,8 @@ mod tests {
             governor: GovernorSpec::PowerNeutral,
             params: ControlParams::paper_optimal().unwrap(),
             duration: Seconds::new(10.0),
-            options: SimOverrides::none(),
+            supply_model: SupplyModel::Exact,
+            idle: true,
         };
         let label = cell.label();
         assert!(label.contains("storm"));

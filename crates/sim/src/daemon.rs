@@ -25,7 +25,8 @@
 //! `submit shards 0` asks for one shard per cell — the finest
 //! streaming granularity. Any error is reported as a single
 //! `error <why>` line. A connection may send at most
-//! [`MAX_REQUEST_BYTES`]. Rows stream in completion order, tagged with
+//! [`MAX_REQUEST_BYTES`], and a submitted matrix may hold at most
+//! [`MAX_JOB_CELLS`] cells. Rows stream in completion order, tagged with
 //! their global matrix index; [`rows_to_csv`] reassembles them into a
 //! document byte-identical to [`crate::persist::report_csv_string`] of
 //! the merged report, because both sides share
@@ -151,6 +152,10 @@ const DEFAULT_WATCH_CHUNK: usize = 256;
 /// `error` reply instead of growing the daemon's memory. Spec
 /// documents are a few hundred bytes.
 pub const MAX_REQUEST_BYTES: u64 = 1 << 20;
+/// Cells one submitted job may enumerate. A spec document of a few KB
+/// can describe a matrix far too large to hold in memory; a submit
+/// past this cap gets an `error` reply before any job file is written.
+pub const MAX_JOB_CELLS: usize = 1 << 20;
 
 /// Configuration for [`Daemon::start`].
 #[derive(Debug, Clone)]
@@ -865,6 +870,11 @@ fn submit_job(
     let cells = spec.cell_count();
     if cells == 0 {
         return Err(SimError::InvalidConfig("campaign matrix is empty"));
+    }
+    if cells > MAX_JOB_CELLS {
+        return Err(SimError::Daemon(format!(
+            "campaign matrix of {cells} cells exceeds the {MAX_JOB_CELLS}-cell job limit"
+        )));
     }
     let shard_count = if shard_request == 0 { cells } else { shard_request.min(cells) };
     let job = {

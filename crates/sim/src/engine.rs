@@ -125,76 +125,6 @@ impl SimOptions {
         self.arrival_seed = seed;
         self
     }
-
-    /// Applies per-cell overrides on top of these options (builder
-    /// style); unset override fields leave the option untouched.
-    pub fn with_overrides(mut self, overrides: &SimOverrides) -> Self {
-        if let Some(dt) = overrides.record_dt {
-            self.record_dt = dt;
-        }
-        if let Some(dt) = overrides.max_step {
-            self.max_step = dt;
-        }
-        if let Some(model) = overrides.supply_model {
-            self.supply_model = model;
-        }
-        if let Some(idle) = overrides.idle {
-            self.idle_enabled = idle;
-        }
-        self
-    }
-}
-
-/// Sparse per-cell overrides of [`SimOptions`], carried by campaign
-/// specs and cells so one matrix can mix recording decimation (very
-/// long windows), step caps and supply models without forking the
-/// scenario builders. `None` fields inherit the scenario's options.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct SimOverrides {
-    /// Override of [`SimOptions::record_dt`] (trace decimation).
-    pub record_dt: Option<Seconds>,
-    /// Override of [`SimOptions::max_step`].
-    pub max_step: Option<Seconds>,
-    /// Override of [`SimOptions::supply_model`].
-    pub supply_model: Option<SupplyModel>,
-    /// Override of [`SimOptions::idle_enabled`].
-    pub idle: Option<bool>,
-}
-
-impl SimOverrides {
-    /// No overrides: every cell inherits its scenario's options.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// `true` when no field overrides anything.
-    pub fn is_none(&self) -> bool {
-        *self == Self::default()
-    }
-
-    /// Sets the supply model (builder style).
-    pub fn with_supply_model(mut self, model: SupplyModel) -> Self {
-        self.supply_model = Some(model);
-        self
-    }
-
-    /// Sets the recording interval (builder style).
-    pub fn with_record_dt(mut self, dt: Seconds) -> Self {
-        self.record_dt = Some(dt);
-        self
-    }
-
-    /// Sets the maximum ODE step (builder style).
-    pub fn with_max_step(mut self, dt: Seconds) -> Self {
-        self.max_step = Some(dt);
-        self
-    }
-
-    /// Enables or disables idle (DPM) requests (builder style).
-    pub fn with_idle(mut self, enabled: bool) -> Self {
-        self.idle = Some(enabled);
-        self
-    }
 }
 
 /// Outcome of a completed simulation.
@@ -1197,25 +1127,8 @@ mod tests {
     }
 
     #[test]
-    fn sim_overrides_apply_sparsely() {
-        let base = SimOptions::new(Seconds::new(10.0));
-        assert_eq!(base.supply_model, SupplyModel::Exact);
-        let overrides = SimOverrides::none()
-            .with_record_dt(Seconds::new(2.0))
-            .with_supply_model(SupplyModel::interpolated());
-        assert!(!overrides.is_none());
-        assert!(SimOverrides::none().is_none());
-        let merged = base.with_overrides(&overrides);
-        assert_eq!(merged.record_dt, Seconds::new(2.0));
-        assert_eq!(merged.supply_model, SupplyModel::interpolated());
-        // Unset fields inherit.
-        assert_eq!(merged.max_step, base.max_step);
-        assert_eq!(merged.t_end, base.t_end);
-    }
-
-    #[test]
     fn record_dt_override_decimates_the_trace() {
-        let run = |overrides: SimOverrides| {
+        let run = |options: SimOptions| {
             Simulation::new(
                 Platform::odroid_xu4(),
                 pv_supply(560.0, 10.0),
@@ -1224,14 +1137,15 @@ mod tests {
                 Box::new(Powersave::new()),
                 Opp::new(pn_soc::cores::CoreConfig::MAX, 0),
                 Volts::new(5.3),
-                SimOptions::new(Seconds::new(10.0)).with_overrides(&overrides),
+                options,
             )
             .unwrap()
             .run()
             .unwrap()
         };
-        let dense = run(SimOverrides::none()); // default 0.5 s grid
-        let sparse = run(SimOverrides::none().with_record_dt(Seconds::new(5.0)));
+        let options = SimOptions::new(Seconds::new(10.0));
+        let dense = run(options); // default 0.5 s grid
+        let sparse = run(options.with_record_dt(Seconds::new(5.0)));
         assert!(
             sparse.recorder().len() * 2 < dense.recorder().len(),
             "decimation had no effect: {} vs {}",

@@ -30,8 +30,11 @@
 //!   every failure mode deterministically.
 //!
 //! Each document has exactly one dialect: this build writes and reads
-//! `pn-campaign-spec v6` and `pn-campaign-report v7`, and rejects any
-//! other version of either header with a version-skew error.
+//! `pn-campaign-spec v7` and `pn-campaign-report v8`, and rejects any
+//! other version of either header with a version-skew error. The spec's
+//! `options` line and each report cell line end in the same two-token
+//! options section, `<supply-model-slug> <on|off>`: the supply model
+//! and idle flag every cell runs under, always written explicitly.
 //!
 //! # Examples
 //!
@@ -53,7 +56,6 @@ use crate::campaign::{
     CampaignCell, CampaignReport, CampaignSpec, CellOutcome, GovernorSpec, GroupSummary,
 };
 use crate::chaos;
-use crate::engine::SimOverrides;
 use crate::supply::SupplyModel;
 use crate::SimError;
 use pn_analysis::summary::Aggregate;
@@ -67,11 +69,12 @@ use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
 
-/// Spec header. v6 dropped the engine token from the `options` line.
-const SPEC_HEADER: &str = "pn-campaign-spec v6";
-/// Report header. v7 dropped the engine token from each cell line's
-/// options suffix.
-const REPORT_HEADER: &str = "pn-campaign-report v7";
+/// Spec header: the first dialect whose `options` line is the
+/// two-token options section.
+const SPEC_HEADER: &str = "pn-campaign-spec v7";
+/// Report header: the first dialect whose cell lines end in the
+/// two-token options section.
+const REPORT_HEADER: &str = "pn-campaign-report v8";
 
 /// Writes `contents` to `path` atomically: the bytes go to a fresh
 /// temp file in the same directory (same filesystem, so the final
@@ -209,7 +212,7 @@ pub fn spec_to_string(spec: &CampaignSpec) -> String {
         );
     }
     let _ = writeln!(out, "duration {}", spec.duration.value());
-    let _ = writeln!(out, "options {}", overrides_fields(&spec.options));
+    let _ = writeln!(out, "options {}", options_fields(spec.supply_model, spec.idle));
     out.push_str("end\n");
     out
 }
@@ -235,7 +238,8 @@ pub fn spec_from_str(text: &str) -> Result<CampaignSpec, SimError> {
         governors: Vec::new(),
         params: Vec::new(),
         duration: Seconds::ZERO,
-        options: SimOverrides::none(),
+        supply_model: SupplyModel::Exact,
+        idle: true,
     };
     loop {
         let (no, line) = lines.next_line()?;
@@ -284,7 +288,7 @@ pub fn spec_from_str(text: &str) -> Result<CampaignSpec, SimError> {
             }
             "options" => {
                 let tokens: Vec<&str> = rest.split_whitespace().collect();
-                spec.options = parse_overrides(no, &tokens)?;
+                (spec.supply_model, spec.idle) = parse_options(no, &tokens)?;
             }
             other => return Err(persist_err(no, format!("unknown spec key {other:?}"))),
         }
@@ -296,8 +300,8 @@ pub fn spec_from_str(text: &str) -> Result<CampaignSpec, SimError> {
 ///
 /// Besides one `cell` line per outcome — each carrying its idle
 /// counters, its stress-axis tokens (thermal/arrival/fault slugs plus
-/// heat and fault metrics) and its per-cell [`SimOverrides`] as a
-/// four-token options suffix — the document carries the report's
+/// heat and fault metrics) and its supply model and idle flag as a
+/// two-token options suffix — the document carries the report's
 /// per-weather and per-governor [`GroupSummary`] aggregates as
 /// `summary` lines, so a consumer can read fleet-level statistics
 /// without re-reducing the cells (the decoder cross-checks them
@@ -338,7 +342,7 @@ pub fn report_to_string(report: &CampaignReport) -> String {
             c.throttle_time_seconds,
             c.boost_time_seconds,
             c.faults_injected,
-            overrides_fields(&c.cell.options),
+            options_fields(c.cell.supply_model, c.cell.idle),
         );
     }
     for (kind, groups) in
@@ -547,7 +551,7 @@ fn parse_cell_line(no: usize, line: &str) -> Result<CellOutcome, SimError> {
     if rest.is_empty() {
         return Err(persist_err(no, "cell line missing its options section".into()));
     }
-    let options = parse_overrides(no, &rest)?;
+    let (supply_model, idle) = parse_options(no, &rest)?;
     Ok(CellOutcome {
         cell: CampaignCell {
             weather,
@@ -559,7 +563,8 @@ fn parse_cell_line(no: usize, line: &str) -> Result<CellOutcome, SimError> {
             governor,
             params,
             duration,
-            options,
+            supply_model,
+            idle,
         },
         survived,
         lifetime_seconds,
@@ -579,62 +584,33 @@ fn parse_cell_line(no: usize, line: &str) -> Result<CellOutcome, SimError> {
     })
 }
 
-/// Number of wire tokens in a [`SimOverrides`] section.
-const OPTION_TOKENS: usize = 4;
+/// Number of wire tokens in an options section.
+const OPTION_TOKENS: usize = 2;
 
-/// The four wire tokens of a [`SimOverrides`] (`record_dt max_step
-/// supply_model idle`, each `-` when unset).
-fn overrides_fields(options: &SimOverrides) -> String {
-    let seconds = |s: Option<Seconds>| s.map_or("-".to_string(), |v| v.value().to_string());
-    format!(
-        "{} {} {} {}",
-        seconds(options.record_dt),
-        seconds(options.max_step),
-        options.supply_model.map_or("-".to_string(), |m| m.slug()),
-        options.idle.map_or("-", |i| if i { "on" } else { "off" }),
-    )
+/// The two wire tokens of an options section: `<supply-model-slug>
+/// <on|off>`.
+fn options_fields(supply_model: SupplyModel, idle: bool) -> String {
+    format!("{} {}", supply_model.slug(), if idle { "on" } else { "off" })
 }
 
 /// Parses the options section of a `cell` line or the spec's
-/// `options` line. The token count is exact — a mismatch is a torn or
-/// tampered line.
-fn parse_overrides(no: usize, tokens: &[&str]) -> Result<SimOverrides, SimError> {
-    let [record_dt, max_step, model, idle] = *tokens else {
+/// `options` line into its supply model and idle flag. The token count
+/// is exact — a mismatch is a torn or tampered line.
+fn parse_options(no: usize, tokens: &[&str]) -> Result<(SupplyModel, bool), SimError> {
+    let [model, idle] = *tokens else {
         return Err(persist_err(
             no,
             format!("options section wants {OPTION_TOKENS} tokens, found {}", tokens.len()),
         ));
     };
-    let seconds = |token: &str| -> Result<Option<Seconds>, SimError> {
-        if token == "-" {
-            return Ok(None);
-        }
-        let value: f64 = parse_token(no, token)?;
-        if !(value > 0.0) || !value.is_finite() {
-            return Err(persist_err(no, format!("options interval {token:?} must be positive")));
-        }
-        Ok(Some(Seconds::new(value)))
-    };
-    let supply_model = if model == "-" {
-        None
-    } else {
-        Some(
-            SupplyModel::from_slug(model)
-                .ok_or_else(|| persist_err(no, format!("unknown supply model {model:?}")))?,
-        )
-    };
+    let supply_model = SupplyModel::from_slug(model)
+        .ok_or_else(|| persist_err(no, format!("unknown supply model {model:?}")))?;
     let idle = match idle {
-        "-" => None,
-        "on" => Some(true),
-        "off" => Some(false),
+        "on" => true,
+        "off" => false,
         other => return Err(persist_err(no, format!("unknown idle flag {other:?}"))),
     };
-    Ok(SimOverrides {
-        record_dt: seconds(record_dt)?,
-        max_step: seconds(max_step)?,
-        supply_model,
-        idle,
-    })
+    Ok((supply_model, idle))
 }
 
 /// Header row of the campaign CSV document. Pinned: golden-file tests
@@ -669,7 +645,7 @@ pub fn csv_row(c: &CellOutcome) -> String {
         cell.seed,
         cell.buffer_mf,
         cell.governor.slug(),
-        cell.supply_model().slug(),
+        cell.supply_model.slug(),
         u8::from(c.survived),
         c.lifetime_seconds,
         c.vc_stability,
@@ -903,10 +879,10 @@ mod tests {
     fn malformed_documents_are_rejected_with_line_numbers() {
         let cases = [
             ("", "unexpected end"),
-            ("pn-campaign-spec v6\nend\n", "expected \"pn-campaign-report v7\""),
-            ("pn-campaign-report v7\nstart 0\ncells 1\nend\n", "expected a cell line"),
-            ("pn-campaign-report v7\nstart 0\ncells 0\nEND\n", "end marker"),
-            ("pn-campaign-report v7\nstart zero\ncells 0\nend\n", "undecodable token"),
+            ("pn-campaign-spec v7\nend\n", "expected \"pn-campaign-report v8\""),
+            ("pn-campaign-report v8\nstart 0\ncells 1\nend\n", "expected a cell line"),
+            ("pn-campaign-report v8\nstart 0\ncells 0\nEND\n", "end marker"),
+            ("pn-campaign-report v8\nstart zero\ncells 0\nend\n", "undecodable token"),
         ];
         for (doc, needle) in cases {
             let err = report_from_str(doc).unwrap_err();
@@ -976,33 +952,33 @@ mod tests {
         let torn = spec_doc.trim_end_matches("end\n").trim_end();
         let torn = torn.rsplit_once(' ').unwrap().0;
         let err = spec_from_str(torn).unwrap_err();
-        assert!(err.to_string().contains("options section wants 4 tokens"), "{err}");
+        assert!(err.to_string().contains("options section wants 2 tokens"), "{err}");
     }
 
     #[test]
     fn version_skew_is_reported_as_a_persist_error() {
         // Both newer and older versions are rejected — earlier dialects
-        // (report v6 still carried an engine token) are not decoded.
+        // (report v7 still carried four option tokens) are not decoded.
         let wire = report_to_string(&sample_report());
-        for version in ["v8", "v6", "v1"] {
+        for version in ["v9", "v7", "v1"] {
             let header = format!("pn-campaign-report {version}");
             let skewed = wire.replacen(REPORT_HEADER, &header, 1);
             let err = report_from_str(&skewed).unwrap_err();
             assert!(matches!(err, SimError::Persist(_)), "{err}");
             let msg = err.to_string();
             assert!(msg.contains("unsupported"), "{msg}");
-            assert!(msg.contains("v7"), "message {msg:?} does not name the supported version");
+            assert!(msg.contains("v8"), "message {msg:?} does not name the supported version");
         }
         // Specs skew independently.
         let spec_doc = spec_to_string(&CampaignSpec::smoke());
-        for version in ["v9", "v5", "v1"] {
+        for version in ["v8", "v6", "v1"] {
             let header = format!("pn-campaign-spec {version}");
             let skewed = spec_doc.replacen(SPEC_HEADER, &header, 1);
             let err = spec_from_str(&skewed).unwrap_err();
             assert!(matches!(err, SimError::Persist(_)), "{err}");
             let msg = err.to_string();
             assert!(msg.contains("unsupported"), "{msg}");
-            assert!(msg.contains("v6"), "message {msg:?} does not name the supported version");
+            assert!(msg.contains("v7"), "message {msg:?} does not name the supported version");
         }
     }
 
@@ -1030,11 +1006,8 @@ mod tests {
 
     #[test]
     fn per_cell_options_round_trip_bitwise() {
-        let overrides = SimOverrides::none()
-            .with_record_dt(Seconds::new(0.1 + 0.2)) // awkward float
-            .with_supply_model(SupplyModel::Interpolated { tol: 1.0 / 3.0 })
-            .with_idle(false);
-        let spec = CampaignSpec::smoke().with_cell_options(overrides);
+        let model = SupplyModel::Interpolated { tol: 1.0 / 3.0 }; // awkward float
+        let spec = CampaignSpec::smoke().with_supply_model(model).with_idle(false);
         assert_eq!(spec_from_str(&spec_to_string(&spec)).unwrap(), spec);
         let cells: Vec<CellOutcome> = spec
             .cells()
@@ -1062,16 +1035,11 @@ mod tests {
         let decoded = report_from_str(&report_to_string(&report)).unwrap();
         assert_eq!(decoded, report);
         let cell = decoded.cells()[0].cell;
-        assert_eq!(cell.options, overrides);
-        assert_eq!(cell.options.idle, Some(false));
+        assert_eq!(cell.supply_model, model, "options floats must survive the trip bitwise");
+        assert!(!cell.idle);
         assert_eq!(decoded.cells()[0].idle_entries, 3);
-        assert_eq!(
-            cell.options.record_dt.unwrap().value().to_bits(),
-            (0.1f64 + 0.2).to_bits(),
-            "options floats must survive the trip bitwise"
-        );
-        // The CSV exports the effective supply model slug.
-        let slug = overrides.supply_model.unwrap().slug();
+        // The CSV exports the supply model slug.
+        let slug = model.slug();
         assert!(report.cells().iter().all(|c| csv_row(c).split(',').nth(4) == Some(slug.as_str())));
     }
 
@@ -1137,9 +1105,8 @@ mod tests {
 
     #[test]
     fn corrupted_options_sections_are_rejected() {
-        let overrides =
-            SimOverrides::none().with_supply_model(SupplyModel::Interpolated { tol: 1e-3 });
-        let spec = CampaignSpec::smoke().with_cell_options(overrides);
+        let spec =
+            CampaignSpec::smoke().with_supply_model(SupplyModel::Interpolated { tol: 1e-3 });
         let cells: Vec<CellOutcome> = spec
             .cells()
             .iter()
@@ -1166,14 +1133,10 @@ mod tests {
         let cases = [
             // Unknown supply-model token.
             ("interp:0.001", "interp:fast", "unknown supply model"),
-            // Non-numeric record_dt in the options slot.
-            ("- - interp:0.001", "x - interp:0.001", "undecodable token"),
-            // Negative interval.
-            ("- - interp:0.001", "-4 - interp:0.001", "must be positive"),
             // Wrong token count (options suffix torn in half).
-            ("- - interp:0.001 -", "- interp:0.001 -", "options section wants 4 tokens"),
+            (" interp:0.001 on", " on", "options section wants 2 tokens"),
             // Unknown idle token.
-            ("interp:0.001 -", "interp:0.001 maybe", "unknown idle flag"),
+            ("interp:0.001 on", "interp:0.001 maybe", "unknown idle flag"),
             // Unknown stress-axis slugs.
             (" off saturated none ", " lava saturated none ", "unknown thermal spec"),
             (" off saturated none ", " off sporadic none ", "unknown arrival spec"),
@@ -1188,26 +1151,26 @@ mod tests {
         }
         // A cell line torn right after the stress tokens must be
         // rejected too.
-        let torn = wire.replacen(" - - interp:0.001 -", "", 1);
+        let torn = wire.replacen(" interp:0.001 on", "", 1);
         assert_ne!(torn, wire, "tamper target not found");
         let err = report_from_str(&torn).unwrap_err();
         assert!(err.to_string().contains("missing its options section"), "{err}");
         // Torn before the stress tokens — the thermal slug lost.
-        let torn = wire.replacen(" off saturated none 0 0 0 0 - - interp:0.001 -", "", 1);
+        let torn = wire.replacen(" off saturated none 0 0 0 0 interp:0.001 on", "", 1);
         assert_ne!(torn, wire, "tamper target not found");
         let err = report_from_str(&torn).unwrap_err();
         assert!(err.to_string().contains("missing thermal"), "{err}");
         // Torn even earlier — the idle counters themselves lost.
-        let torn = wire.replacen(" 0 0 off saturated none 0 0 0 0 - - interp:0.001 -", "", 1);
+        let torn = wire.replacen(" 0 0 off saturated none 0 0 0 0 interp:0.001 on", "", 1);
         assert_ne!(torn, wire, "tamper target not found");
         let err = report_from_str(&torn).unwrap_err();
         assert!(err.to_string().contains("missing idle_time"), "{err}");
         // Spec options lines are validated the same way.
         let spec_doc = spec_to_string(&spec);
-        let bad = spec_doc.replacen("options - - interp:0.001 -", "options - -", 1);
+        let bad = spec_doc.replacen("options interp:0.001 on", "options interp:0.001", 1);
         assert_ne!(bad, spec_doc);
         let err = spec_from_str(&bad).unwrap_err();
-        assert!(err.to_string().contains("options section wants 4 tokens"), "{err}");
+        assert!(err.to_string().contains("options section wants 2 tokens"), "{err}");
     }
 
     #[test]
@@ -1313,9 +1276,7 @@ mod tests {
             .with_thermals(vec![ThermalSpec::stress()])
             .with_arrivals(vec![ArrivalSpec::bursty_stress()])
             .with_faults(vec![FaultSpec::brownout_stress()])
-            .with_cell_options(
-                SimOverrides::none().with_supply_model(SupplyModel::Interpolated { tol: 1e-3 }),
-            );
+            .with_supply_model(SupplyModel::Interpolated { tol: 1e-3 });
         let outcome = CellOutcome {
             cell: spec.cells()[0],
             survived: true,

@@ -79,14 +79,6 @@ impl Scenario {
         self
     }
 
-    /// Selects the supply evaluation model (builder style) — see
-    /// [`pn_sim::supply::SupplyModel`](crate::supply::SupplyModel) for
-    /// when interpolation is safe.
-    pub fn with_supply_model(mut self, model: crate::supply::SupplyModel) -> Self {
-        self.options.supply_model = model;
-        self
-    }
-
     /// Shortens (or lengthens) the simulated window to `duration` from
     /// its start (builder style).
     pub fn with_duration(mut self, duration: Seconds) -> Self {

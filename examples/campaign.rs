@@ -76,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\n  interpolated fast path agrees on all {} verdicts (rows tagged {})",
         fast.len(),
-        fast.cells()[0].cell.supply_model().slug()
+        fast.cells()[0].cell.supply_model.slug()
     );
 
     // The persistence layer: the same matrix run as three shards (as

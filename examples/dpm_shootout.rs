@@ -14,7 +14,7 @@ use power_neutral::core::params::ControlParams;
 use power_neutral::harvest::faults::FaultSpec;
 use power_neutral::harvest::weather::Weather;
 use power_neutral::sim::campaign::{CampaignCell, GovernorSpec};
-use power_neutral::sim::engine::SimOverrides;
+use power_neutral::sim::supply::SupplyModel;
 use power_neutral::soc::thermal::ThermalSpec;
 use power_neutral::units::Seconds;
 use power_neutral::workload::arrival::ArrivalSpec;
@@ -41,7 +41,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 governor: gov,
                 params: ControlParams::paper_optimal()?,
                 duration: Seconds::new(seconds),
-                options: SimOverrides::none(),
+                supply_model: SupplyModel::Exact,
+                idle: true,
             };
             let out = cell.evaluate()?;
             println!(

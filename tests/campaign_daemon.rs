@@ -3,10 +3,10 @@
 //! watchers and concurrent submits, a killed daemon restarted on the
 //! same checkpoint directory finishes byte-identically (including
 //! after a torn or stale checkpoint, and for a retrying watcher that
-//! spans the restart), and a failing job or an oversized request is
-//! contained without taking the daemon down.
+//! spans the restart), and a failing job, an oversized request or an
+//! oversized matrix is contained without taking the daemon down.
 
-use power_neutral::sim::campaign::{run_campaign, CampaignSpec};
+use power_neutral::sim::campaign::{run_campaign, CampaignSpec, GovernorSpec};
 use power_neutral::sim::daemon::{self, Daemon, DaemonConfig, RetryPolicy};
 use power_neutral::sim::executor::Executor;
 use power_neutral::sim::persist;
@@ -319,7 +319,7 @@ fn an_over_cap_request_is_rejected_and_the_daemon_keeps_serving() {
     // reply is not raced by a reset: once inside a spec document that
     // never reaches its `end` line, once as a single command line.
     let cap = usize::try_from(daemon::MAX_REQUEST_BYTES).expect("cap fits usize");
-    let mut in_document = b"submit shards 0\npn-campaign-spec v6\n".to_vec();
+    let mut in_document = b"submit shards 0\npn-campaign-spec v7\n".to_vec();
     in_document.resize(cap, b'x');
     let mut in_command = b"status ".to_vec();
     in_command.resize(cap, b'1');
@@ -335,6 +335,46 @@ fn an_over_cap_request_is_rejected_and_the_daemon_keeps_serving() {
     let spec = spec();
     let ticket = daemon::submit(&addr, &spec, 0).expect("submit");
     assert_eq!(ticket.id, 1);
+    assert_eq!(daemon::watch_csv(&addr, ticket.id).expect("watch"), oneshot_csv(&spec));
+    daemon.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_over_cap_matrix_is_rejected_before_any_job_file_and_the_daemon_keeps_serving() {
+    let dir = checkpoint_dir("cells");
+    let daemon = Daemon::start(DaemonConfig::new(&dir).with_workers(1)).expect("start");
+    let addr = daemon.addr().to_string();
+
+    // A spec document of a few KB describing 10⁹ cells: enumerating
+    // them would need hundreds of GB, so the submit must be refused
+    // before the daemon builds the job.
+    let huge = CampaignSpec::smoke()
+        .with_weathers(vec![power_neutral::harvest::weather::Weather::FullSun])
+        .with_seeds((1..=1000).collect())
+        .with_buffers_mf((1..=1000).map(f64::from).collect())
+        .with_governors(vec![GovernorSpec::Powersave; 1000]);
+    assert_eq!(huge.cell_count(), 1_000_000_000);
+    let doc = persist::spec_to_string(&huge);
+    assert!(doc.len() < 64 * 1024, "the document itself is small: {} bytes", doc.len());
+    let request = format!("submit shards 0\n{doc}");
+    let reply = poke(&addr, request.as_bytes(), false).expect("an error reply, not a disconnect");
+    assert!(reply.starts_with("error "), "{reply:?}");
+    assert!(reply.contains(&daemon::MAX_JOB_CELLS.to_string()), "{reply:?}");
+    let job_dirs = std::fs::read_dir(&dir)
+        .map(|entries| {
+            entries
+                .filter_map(Result::ok)
+                .filter(|e| e.file_name().to_string_lossy().starts_with("job-"))
+                .count()
+        })
+        .unwrap_or(0);
+    assert_eq!(job_dirs, 0, "an over-cap submit left a job directory behind");
+
+    // The same daemon still serves a normal submit and watch
+    // byte-identically.
+    let spec = spec();
+    let ticket = daemon::submit(&addr, &spec, 0).expect("submit");
     assert_eq!(daemon::watch_csv(&addr, ticket.id).expect("watch"), oneshot_csv(&spec));
     daemon.stop();
     std::fs::remove_dir_all(&dir).ok();

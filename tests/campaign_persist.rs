@@ -21,7 +21,6 @@ use power_neutral::core::params::ControlParams;
 use power_neutral::harvest::faults::FaultSpec;
 use power_neutral::soc::thermal::{RcThermal, ThermalSpec};
 use power_neutral::workload::arrival::ArrivalSpec;
-use power_neutral::sim::engine::SimOverrides;
 use power_neutral::sim::scenario::{self, Scenario};
 use power_neutral::sim::supply::{Supply, SupplyModel};
 use power_neutral::harvest::weather::Weather;
@@ -259,7 +258,7 @@ fn interpolated_campaigns_round_trip_and_stay_self_describing() {
     assert!(decoded
         .cells()
         .iter()
-        .all(|c| c.cell.supply_model() == SupplyModel::interpolated()));
+        .all(|c| c.cell.supply_model == SupplyModel::interpolated()));
     let csv = persist::report_csv_string(&report).unwrap();
     for line in csv.lines().skip(1) {
         assert!(line.contains(",interp:0.001,"), "row lost its model slug: {line}");
@@ -271,8 +270,8 @@ fn interpolated_campaigns_round_trip_and_stay_self_describing() {
 
 /// The scenario of `cell` built around a freshly rendered full day
 /// (attenuated by the cell's faults) instead of the day memo's shared
-/// window, with the cell's buffer, stress axes and option overrides
-/// applied as `CampaignCell::scenario` applies them.
+/// window, with the cell's buffer, stress axes, supply model and idle
+/// flag applied as `CampaignCell::scenario` applies them.
 fn fresh_scenario(cell: &CampaignCell) -> Scenario {
     let day = scenario::weather_day_trace(cell.weather, cell.seed);
     let day = match cell.fault {
@@ -285,20 +284,17 @@ fn fresh_scenario(cell: &CampaignCell) -> Scenario {
         Ohms::new(40_000.0),
     )
     .unwrap();
-    let mut built = scenario::weather_day_with_trace(day)
+    let built = scenario::weather_day_with_trace(day)
         .with_duration(cell.duration)
         .with_buffer(buffer)
         .with_params(cell.params);
-    if cell.thermal != ThermalSpec::Off || cell.arrival != ArrivalSpec::Saturated {
-        let options =
-            built.options().with_thermal(cell.thermal).with_arrival(cell.arrival, cell.seed);
-        built = built.with_options(options);
-    }
-    if !cell.options.is_none() {
-        let options = built.options().with_overrides(&cell.options);
-        built = built.with_options(options);
-    }
-    built
+    let options = built
+        .options()
+        .with_thermal(cell.thermal)
+        .with_arrival(cell.arrival, cell.seed)
+        .with_supply_model(cell.supply_model)
+        .with_idle(cell.idle);
+    built.with_options(options)
 }
 
 /// The irradiance trace a scenario's PV supply samples.
@@ -328,19 +324,24 @@ fn windowed_cells_replay_the_full_day_bitwise() {
             .with_duration(Seconds::new(duration))
     };
     // 7 h runs past the 16:30 end of the day, so the window is the full
-    // day; a coarse step cap and recording interval keep it cheap.
+    // day; a coarse step cap and recording interval, applied to both
+    // scenarios below, keep it cheap.
+    let seven_hours = Seconds::from_hours(7.0);
     let past_the_day = CampaignSpec::new()
         .unwrap()
         .with_weathers(Weather::all().to_vec())
         .with_seeds(vec![3])
         .with_faults(faults.clone())
         .with_governors(vec![GovernorSpec::Powersave])
-        .with_cell_options(
-            SimOverrides::none()
-                .with_max_step(Seconds::new(5.0))
-                .with_record_dt(Seconds::new(60.0)),
-        )
-        .with_duration(Seconds::from_hours(7.0));
+        .with_duration(seven_hours);
+    let coarse = |cell: &CampaignCell, built: Scenario| {
+        if cell.duration != seven_hours {
+            return built;
+        }
+        let options =
+            built.options().with_max_step(Seconds::new(5.0)).with_record_dt(Seconds::new(60.0));
+        built.with_options(options)
+    };
     let specs = [
         short(0.3),
         short(59.5),
@@ -352,8 +353,8 @@ fn windowed_cells_replay_the_full_day_bitwise() {
     for spec in specs {
         let cells = spec.cells();
         for cell in &cells {
-            let fresh = fresh_scenario(cell);
-            let windowed = cell.scenario().unwrap();
+            let fresh = coarse(cell, fresh_scenario(cell));
+            let windowed = coarse(cell, cell.scenario().unwrap());
             let label = format!("{} for {} s", cell.label(), cell.duration.value());
             assert_eq!(windowed.options().t_end, fresh.options().t_end, "{label}");
             // Most dark-weather cells brown out within a second, so
@@ -419,7 +420,8 @@ fn cached_cells_record_bitwise_identical_traces() {
         governor: GovernorSpec::PowerNeutral,
         params: ControlParams::paper_optimal().unwrap(),
         duration: Seconds::new(10.0),
-        options: SimOverrides::none(),
+        supply_model: SupplyModel::Exact,
+        idle: true,
     };
     let cached = cell.governor.run(&cell.scenario().unwrap()).unwrap();
     let fresh = cell.governor.run(&fresh_scenario(&cell)).unwrap();
