@@ -1,6 +1,6 @@
 //! ASCII line charts for terminal figure output.
 //!
-//! The `pn-bench` figure binaries use these to *draw* each reproduced
+//! `pn-bench`'s `repro` binary uses these to *draw* each reproduced
 //! figure in the terminal, so a reader can eyeball the shape against
 //! the paper without a plotting stack.
 

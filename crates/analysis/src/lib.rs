@@ -11,8 +11,8 @@
 //! * Fig. 14 — consumed vs available power → series integration,
 //! * Fig. 15 — CPU usage of the control software → series means.
 //!
-//! The [`ascii`] module renders series as terminal charts so the bench
-//! binaries can *show* each figure, not just print numbers.
+//! The [`ascii`] module renders series as terminal charts so `repro`
+//! can *show* each figure, not just print numbers.
 
 pub mod ascii;
 pub mod histogram;

@@ -1,8 +1,9 @@
-//! Shared helpers for the figure/table regeneration binaries.
+//! Shared printing helpers for the `pn-bench` binaries.
 //!
-//! Every binary in `src/bin/` regenerates one figure or table of the
-//! paper (see `DESIGN.md` for the index) and prints the same rows or
-//! series the paper reports, plus an ASCII rendition of the figure.
+//! The `repro` binary prints every figure and table of the paper (the
+//! artefact index is the module table of `pn_sim::experiments`) with
+//! the same rows or series the paper reports, plus an ASCII rendition
+//! of the figure.
 
 use std::fmt::Display;
 

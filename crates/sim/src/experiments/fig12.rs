@@ -20,22 +20,13 @@ pub struct Fig12 {
     pub survived: bool,
 }
 
-/// Regenerates Fig. 12 over the paper's 10:30–16:30 window.
+/// Regenerates Fig. 12 from a full-sun run of `duration`, starting at
+/// 10:30 (the paper's window is six hours).
 ///
 /// # Errors
 ///
 /// Propagates engine failures.
-pub fn run(seed: u64) -> Result<Fig12, SimError> {
-    run_with_duration(seed, Seconds::from_hours(6.0))
-}
-
-/// Shortened variant for tests: only the first `duration` of the
-/// window is simulated.
-///
-/// # Errors
-///
-/// Propagates engine failures.
-pub fn run_with_duration(seed: u64, duration: Seconds) -> Result<Fig12, SimError> {
+pub fn run(seed: u64, duration: Seconds) -> Result<Fig12, SimError> {
     let scenario = scenario::full_sun_day(seed).with_duration(duration);
     let target = scenario.platform().target_voltage().value();
     let report = scenario.run_power_neutral()?;
@@ -51,8 +42,8 @@ mod tests {
     #[test]
     fn fig12_short_window_stabilises_vc() {
         // Ten simulated minutes is enough to verify the claim's shape;
-        // the bench binary runs the full six hours.
-        let fig = run_with_duration(7, Seconds::from_minutes(10.0)).unwrap();
+        // `repro fig12` runs the full six hours.
+        let fig = run(7, Seconds::from_minutes(10.0)).unwrap();
         assert!(fig.survived);
         assert!(
             fig.within_5pct > 0.60,

@@ -1,8 +1,9 @@
 //! One module per figure/table of the paper's evaluation.
 //!
 //! Each experiment produces the rows or series the paper reports, in a
-//! structured form that the `pn-bench` binaries print and the
-//! integration tests assert shape claims against:
+//! structured form that the integration tests assert shape claims
+//! against and that `pn-bench`'s `repro` binary prints at the paper's
+//! windows, one artefact per module name below (`repro fig12 table2`):
 //!
 //! | Module | Paper artefact |
 //! |---|---|

@@ -2,6 +2,7 @@
 //! optimal `Vwidth` = 144 mV, `Vq` = 47.9 mV, `α` = 0.120 V/s,
 //! `β` = 0.479 V/s.
 
+use crate::executor::Executor;
 use crate::scenario;
 use crate::sweep::{run_sweep, SweepGrid, SweepResult};
 use crate::SimError;
@@ -30,7 +31,7 @@ impl ParamsSweep {
 /// Propagates engine failures.
 pub fn run(grid: &SweepGrid) -> Result<ParamsSweep, SimError> {
     let scenario = scenario::shadowing(Seconds::new(2.0), Seconds::new(10.0));
-    let results = run_sweep(&scenario, grid, Volts::new(5.3))?;
+    let results = run_sweep(&scenario, grid, Volts::new(5.3), &Executor::default())?;
     Ok(ParamsSweep { results })
 }
 

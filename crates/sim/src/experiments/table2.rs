@@ -47,23 +47,14 @@ impl Table2 {
     }
 }
 
-/// Regenerates Table II over the full hour.
+/// Regenerates Table II over a comparison window of `duration` (the
+/// paper's is one hour; rates are normalised per minute either way).
+/// The six schemes are evaluated in parallel on the shared executor.
 ///
 /// # Errors
 ///
 /// Propagates engine failures.
-pub fn run(seed: u64) -> Result<Table2, SimError> {
-    run_with_duration(seed, Seconds::from_hours(1.0))
-}
-
-/// Shortened variant for tests: the comparison window is `duration`
-/// (rates are normalised per minute either way). The six schemes are
-/// evaluated in parallel on the shared executor.
-///
-/// # Errors
-///
-/// Propagates engine failures.
-pub fn run_with_duration(seed: u64, duration: Seconds) -> Result<Table2, SimError> {
+pub fn run(seed: u64, duration: Seconds) -> Result<Table2, SimError> {
     let base = scenario::table2_hour(seed).with_duration(duration);
     // The paper's order: baselines first, proposed approach last.
     let schemes = [
@@ -103,7 +94,7 @@ mod tests {
     fn table2_short_window_reproduces_the_ordering() {
         // Five simulated minutes: long enough for every behaviour the
         // paper reports to manifest (deaths happen within seconds).
-        let t = run_with_duration(3, Seconds::from_minutes(5.0)).unwrap();
+        let t = run(3, Seconds::from_minutes(5.0)).unwrap();
         assert_eq!(t.rows.len(), 6);
 
         // Performance / ondemand / interactive cannot support operation.

@@ -72,28 +72,14 @@ pub struct SweepResult {
     pub survived: bool,
 }
 
-/// Runs the sweep over `scenario` on the default executor, scoring
-/// each candidate by ±5 % band residency around `target`. Results are
+/// Runs the sweep over `scenario` on `executor`, scoring each
+/// candidate by ±5 % band residency around `target`. Results are
 /// sorted best-first (survivors before casualties, then by stability).
 ///
 /// # Errors
 ///
 /// Propagates engine failures from individual runs.
 pub fn run_sweep(
-    scenario: &Scenario,
-    grid: &SweepGrid,
-    target: Volts,
-) -> Result<Vec<SweepResult>, SimError> {
-    run_sweep_on(scenario, grid, target, &Executor::default())
-}
-
-/// [`run_sweep`] with an explicit executor (thread-count control for
-/// benches and determinism tests).
-///
-/// # Errors
-///
-/// Propagates engine failures from individual runs.
-pub fn run_sweep_on(
     scenario: &Scenario,
     grid: &SweepGrid,
     target: Volts,
@@ -147,7 +133,7 @@ mod tests {
         };
         let scenario =
             scenario::constant_sun(WattsPerSquareMeter::new(560.0), Seconds::new(12.0));
-        let results = run_sweep(&scenario, &grid, Volts::new(5.3)).unwrap();
+        let results = run_sweep(&scenario, &grid, Volts::new(5.3), &Executor::default()).unwrap();
         assert_eq!(results.len(), 2);
         // Sorted best-first.
         assert!(results[0].stability >= results[1].stability || results[0].survived);
@@ -156,7 +142,7 @@ mod tests {
         }
         // The sweep is deterministic across executor widths.
         let sequential =
-            run_sweep_on(&scenario, &grid, Volts::new(5.3), &Executor::sequential()).unwrap();
+            run_sweep(&scenario, &grid, Volts::new(5.3), &Executor::sequential()).unwrap();
         assert_eq!(results, sequential);
     }
 }

@@ -13,7 +13,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let seed: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(3);
 
     println!("governor shoot-out over {minutes:.0} simulated minutes (seed {seed})…\n");
-    let t = table2::run_with_duration(seed, Seconds::from_minutes(minutes))?;
+    let t = table2::run(seed, Seconds::from_minutes(minutes))?;
 
     println!(
         "  {:<14} {:>16} {:>12} {:>18}",

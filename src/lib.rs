@@ -2,8 +2,8 @@
 //!
 //! This is a reproduction of *Power Neutral Performance Scaling for
 //! Energy Harvesting MP-SoCs* (Fletcher, Balsamo, Merrett — DATE 2017).
-//! See the README for the architecture overview and `DESIGN.md` for the
-//! per-experiment index.
+//! See the README for the architecture overview and [`sim::experiments`]
+//! for the per-experiment index.
 //!
 //! # Examples
 //!

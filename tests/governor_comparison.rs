@@ -8,7 +8,7 @@ use power_neutral::units::{Seconds, WattsPerSquareMeter};
 
 #[test]
 fn table2_ordering_holds() {
-    let t = table2::run_with_duration(3, Seconds::from_minutes(5.0)).expect("table runs");
+    let t = table2::run(3, Seconds::from_minutes(5.0)).expect("table runs");
 
     // The paper: Performance, Ondemand and Interactive "could not
     // support any operation".
@@ -38,7 +38,7 @@ fn table2_ordering_holds() {
 
 #[test]
 fn renders_per_minute_magnitudes_match_the_paper() {
-    let t = table2::run_with_duration(8, Seconds::from_minutes(5.0)).expect("table runs");
+    let t = table2::run(8, Seconds::from_minutes(5.0)).expect("table runs");
     // Paper: powersave 0.1456 r/min, proposed 0.2460 r/min. Accept a
     // generous band around those magnitudes.
     let powersave = t.row("powersave").expect("row").renders_per_minute;
@@ -50,7 +50,7 @@ fn renders_per_minute_magnitudes_match_the_paper() {
 #[test]
 fn table2_cells_are_internally_consistent() {
     let duration = Seconds::from_minutes(2.0);
-    let t = table2::run_with_duration(12, duration).expect("table runs");
+    let t = table2::run(12, duration).expect("table runs");
 
     for row in &t.rows {
         // A lifetime can never exceed the observation window, and the
@@ -114,7 +114,7 @@ fn static_work_is_monotone_in_average_opp() {
 #[test]
 fn different_seeds_preserve_the_qualitative_outcome() {
     for seed in [1, 2, 5] {
-        let t = table2::run_with_duration(seed, Seconds::from_minutes(3.0)).expect("table runs");
+        let t = table2::run(seed, Seconds::from_minutes(3.0)).expect("table runs");
         assert!(t.row("power-neutral").expect("row").survived, "seed {seed}");
         assert!(t.row("powersave").expect("row").survived, "seed {seed}");
         assert!(!t.row("performance").expect("row").survived, "seed {seed}");

@@ -8,7 +8,7 @@ use power_neutral::units::Seconds;
 
 #[test]
 fn vc_stabilises_near_the_target_voltage() {
-    let fig = fig12::run_with_duration(7, Seconds::from_minutes(15.0)).expect("fig12 runs");
+    let fig = fig12::run(7, Seconds::from_minutes(15.0)).expect("fig12 runs");
     assert!(fig.survived);
     assert!(
         fig.within_5pct > 0.6,
@@ -75,6 +75,6 @@ fn stability_metric_agrees_with_an_independent_computation() {
     let base = scenario::full_sun_day(7).with_duration(Seconds::from_minutes(10.0));
     let report = base.run_power_neutral().expect("run");
     let direct = fraction_within_band(report.recorder().vc(), 5.3, 0.05).expect("metric");
-    let fig = fig12::run_with_duration(7, Seconds::from_minutes(10.0)).expect("fig12");
+    let fig = fig12::run(7, Seconds::from_minutes(10.0)).expect("fig12");
     assert!((direct - fig.within_5pct).abs() < 1e-9);
 }
