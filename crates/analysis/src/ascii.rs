@@ -4,7 +4,7 @@
 //! figure in the terminal, so a reader can eyeball the shape against
 //! the paper without a plotting stack.
 
-use crate::series::TimeSeries;
+use crate::series::SeriesView;
 
 /// Chart geometry and labelling.
 #[derive(Debug, Clone)]
@@ -67,9 +67,13 @@ impl ChartOptions {
 /// # Ok(())
 /// # }
 /// ```
-pub fn chart(series: &[&TimeSeries], options: &ChartOptions) -> String {
+pub fn chart<'a, S>(series: &[S], options: &ChartOptions) -> String
+where
+    S: Into<SeriesView<'a>> + Copy,
+{
     const GLYPHS: [char; 6] = ['*', '+', 'o', 'x', '#', '@'];
-    let populated: Vec<&&TimeSeries> = series.iter().filter(|s| !s.is_empty()).collect();
+    let populated: Vec<SeriesView<'a>> =
+        series.iter().map(|&s| s.into()).filter(|s| !s.is_empty()).collect();
     if populated.is_empty() {
         return String::new();
     }
@@ -151,6 +155,7 @@ pub fn bar_chart(rows: &[(String, f64)], width: usize, title: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::series::TimeSeries;
 
     #[test]
     fn chart_contains_all_glyphs_and_legend() {

@@ -1,6 +1,6 @@
 //! Time-weighted histograms (Fig. 13's residency-per-voltage plot).
 
-use crate::series::TimeSeries;
+use crate::series::SeriesView;
 use crate::AnalysisError;
 
 /// A uniform-bin histogram with weighted accumulation.
@@ -86,7 +86,8 @@ impl Histogram {
 
     /// Accumulates a time series with per-segment time weights (the
     /// value of each segment's midpoint, weighted by its duration).
-    pub fn add_series(&mut self, series: &TimeSeries) {
+    pub fn add_series<'a>(&mut self, series: impl Into<SeriesView<'a>>) {
+        let series = series.into();
         let times = series.times();
         let values = series.values();
         for i in 1..series.len() {
@@ -151,6 +152,7 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::series::TimeSeries;
     use proptest::prelude::*;
 
     #[test]

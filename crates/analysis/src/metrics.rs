@@ -1,6 +1,6 @@
 //! Band-residency and tracking metrics.
 
-use crate::series::TimeSeries;
+use crate::series::SeriesView;
 use crate::AnalysisError;
 
 /// Fraction of (time-weighted) samples of `series` lying within
@@ -34,11 +34,12 @@ use crate::AnalysisError;
 /// # Ok(())
 /// # }
 /// ```
-pub fn fraction_within_band(
-    series: &TimeSeries,
+pub fn fraction_within_band<'a>(
+    series: impl Into<SeriesView<'a>>,
     target: f64,
     tolerance: f64,
 ) -> Result<f64, AnalysisError> {
+    let series = series.into();
     if !(target > 0.0) {
         return Err(AnalysisError::InvalidParameter("target must be positive"));
     }
@@ -102,7 +103,8 @@ fn segment_time_within(t0: f64, v0: f64, t1: f64, v1: f64, lo: f64, hi: f64) -> 
 /// # Ok(())
 /// # }
 /// ```
-pub fn time_integral(series: &TimeSeries) -> Result<f64, AnalysisError> {
+pub fn time_integral<'a>(series: impl Into<SeriesView<'a>>) -> Result<f64, AnalysisError> {
+    let series = series.into();
     if series.len() < 2 {
         return Err(AnalysisError::NotEnoughSamples { needed: 2, available: series.len() });
     }
@@ -122,7 +124,8 @@ pub fn time_integral(series: &TimeSeries) -> Result<f64, AnalysisError> {
 ///
 /// Returns [`AnalysisError::NotEnoughSamples`] for fewer than two
 /// samples.
-pub fn rms_error(series: &TimeSeries, target: f64) -> Result<f64, AnalysisError> {
+pub fn rms_error<'a>(series: impl Into<SeriesView<'a>>, target: f64) -> Result<f64, AnalysisError> {
+    let series = series.into();
     if series.len() < 2 {
         return Err(AnalysisError::NotEnoughSamples { needed: 2, available: series.len() });
     }
@@ -141,7 +144,8 @@ pub fn rms_error(series: &TimeSeries, target: f64) -> Result<f64, AnalysisError>
 
 /// The first time `series` falls below `threshold`, or `None` if it
 /// never does — the Table II "lifetime" detector (brownout time).
-pub fn first_time_below(series: &TimeSeries, threshold: f64) -> Option<f64> {
+pub fn first_time_below<'a>(series: impl Into<SeriesView<'a>>, threshold: f64) -> Option<f64> {
+    let series = series.into();
     let times = series.times();
     let values = series.values();
     if values.is_empty() {
@@ -172,11 +176,12 @@ pub fn first_time_below(series: &TimeSeries, threshold: f64) -> Option<f64> {
 ///
 /// Returns [`AnalysisError::NotEnoughSamples`] when either series has
 /// fewer than two samples.
-pub fn mean_utilisation(
-    consumed: &TimeSeries,
-    available: &TimeSeries,
+pub fn mean_utilisation<'a, 'b>(
+    consumed: impl Into<SeriesView<'a>>,
+    available: impl Into<SeriesView<'b>>,
     floor: f64,
 ) -> Result<f64, AnalysisError> {
+    let (consumed, available) = (consumed.into(), available.into());
     if consumed.len() < 2 || available.len() < 2 {
         return Err(AnalysisError::NotEnoughSamples {
             needed: 2,
@@ -202,6 +207,7 @@ pub fn mean_utilisation(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::series::TimeSeries;
     use proptest::prelude::*;
 
     #[test]

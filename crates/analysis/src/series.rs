@@ -1,89 +1,71 @@
 //! Time series: the central recorded artefact of every experiment.
+//!
+//! Two types share one set of read operations:
+//!
+//! * [`SeriesView`] borrows a name, a time column and a value column.
+//!   It is `Copy`, so a store that keeps one time column for many
+//!   quantities (the simulator's recorder) hands out a view per
+//!   quantity without copying the shared column. Every read-only
+//!   operation — length, iteration, span, interpolation, integral,
+//!   mean, extrema, resampling — is implemented once, here.
+//! * [`TimeSeries`] owns its name and both columns and grows by
+//!   [`TimeSeries::push`]. Its read methods delegate to
+//!   [`TimeSeries::as_series`].
+//!
+//! The metric, summary, histogram and chart functions take
+//! `impl Into<SeriesView>`, so they accept a `&TimeSeries` and a view
+//! alike. [`TimeSeries::from`] makes an owned copy of a view.
 
 use crate::AnalysisError;
 
-/// A named, time-ordered series of `f64` samples.
+/// A borrowed, time-ordered series: a name plus parallel time and
+/// value columns.
+///
+/// Slices returned by [`SeriesView::times`] and [`SeriesView::values`]
+/// borrow the underlying columns, not the view, so they outlive a
+/// temporary view.
 ///
 /// # Examples
 ///
 /// ```
-/// use pn_analysis::series::TimeSeries;
+/// use pn_analysis::series::SeriesView;
 ///
 /// # fn main() -> Result<(), pn_analysis::AnalysisError> {
-/// let mut vc = TimeSeries::new("vc");
-/// vc.push(0.0, 5.3)?;
-/// vc.push(1.0, 5.25)?;
-/// vc.push(2.0, 5.32)?;
-/// assert_eq!(vc.len(), 3);
-/// assert!((vc.mean()? - 5.28).abs() < 1e-6); // time-weighted trapezoids
+/// let times = [0.0, 1.0, 2.0];
+/// let vc = SeriesView::new("vc", &times, &[5.3, 5.25, 5.32]);
+/// let power = SeriesView::new("power", &times, &[4.0, 4.0, 4.0]);
+/// assert_eq!(vc.times(), power.times());
+/// assert!((power.integrate()? - 8.0).abs() < 1e-12);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimeSeries {
-    name: String,
-    times: Vec<f64>,
-    values: Vec<f64>,
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SeriesView<'a> {
+    name: &'a str,
+    times: &'a [f64],
+    values: &'a [f64],
 }
 
-impl TimeSeries {
-    /// Creates an empty series.
-    pub fn new(name: impl Into<String>) -> Self {
-        Self { name: name.into(), times: Vec::new(), values: Vec::new() }
-    }
-
-    /// Creates an empty series with pre-allocated room for `capacity`
-    /// samples — recorders that know their window and sampling interval
-    /// up front avoid reallocating mid-trace.
-    pub fn with_capacity(name: impl Into<String>, capacity: usize) -> Self {
-        Self {
-            name: name.into(),
-            times: Vec::with_capacity(capacity),
-            values: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Creates a series from parallel sample vectors.
+impl<'a> SeriesView<'a> {
+    /// Views parallel sample columns under `name`. `times` must
+    /// strictly increase, as [`TimeSeries::from_samples`] requires;
+    /// debug builds check it.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`AnalysisError::UnsortedSamples`] for non-increasing
-    /// times and [`AnalysisError::InvalidParameter`] for mismatched
-    /// lengths.
-    pub fn from_samples(
-        name: impl Into<String>,
-        times: Vec<f64>,
-        values: Vec<f64>,
-    ) -> Result<Self, AnalysisError> {
-        if times.len() != values.len() {
-            return Err(AnalysisError::InvalidParameter("times and values differ in length"));
-        }
-        if times.windows(2).any(|w| w[1] <= w[0]) {
-            return Err(AnalysisError::UnsortedSamples);
-        }
-        Ok(Self { name: name.into(), times, values })
+    /// Panics when the columns differ in length.
+    pub fn new(name: &'a str, times: &'a [f64], values: &'a [f64]) -> Self {
+        assert_eq!(times.len(), values.len(), "series columns differ in length");
+        debug_assert!(
+            !times.windows(2).any(|w| w[1] <= w[0]),
+            "series times must strictly increase"
+        );
+        Self { name, times, values }
     }
 
     /// The series name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Appends a sample.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalysisError::UnsortedSamples`] when `t` does not
-    /// strictly follow the last sample.
-    pub fn push(&mut self, t: f64, value: f64) -> Result<(), AnalysisError> {
-        if let Some(last) = self.times.last() {
-            if t <= *last {
-                return Err(AnalysisError::UnsortedSamples);
-            }
-        }
-        self.times.push(t);
-        self.values.push(value);
-        Ok(())
+    pub fn name(&self) -> &'a str {
+        self.name
     }
 
     /// Number of samples.
@@ -97,18 +79,18 @@ impl TimeSeries {
     }
 
     /// Iterates over `(t, value)` samples.
-    pub fn iter(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (f64, f64)> + 'a {
         self.times.iter().copied().zip(self.values.iter().copied())
     }
 
     /// Sample times.
-    pub fn times(&self) -> &[f64] {
-        &self.times
+    pub fn times(&self) -> &'a [f64] {
+        self.times
     }
 
     /// Sample values.
-    pub fn values(&self) -> &[f64] {
-        &self.values
+    pub fn values(&self) -> &'a [f64] {
+        self.values
     }
 
     /// First sample time.
@@ -202,7 +184,7 @@ impl TimeSeries {
         let (Some(a), Some(b)) = (self.start(), self.end()) else {
             return Err(AnalysisError::NotEnoughSamples { needed: 1, available: 0 });
         };
-        let mut out = TimeSeries::new(self.name.clone());
+        let mut out = TimeSeries::with_capacity(self.name, n);
         for k in 0..n {
             let t = a + (b - a) * k as f64 / (n - 1) as f64;
             let v = self.sample(t)?;
@@ -211,6 +193,202 @@ impl TimeSeries {
             out.values.push(v);
         }
         Ok(out)
+    }
+}
+
+/// A named, time-ordered series of `f64` samples that owns its columns.
+///
+/// # Examples
+///
+/// ```
+/// use pn_analysis::series::TimeSeries;
+///
+/// # fn main() -> Result<(), pn_analysis::AnalysisError> {
+/// let mut vc = TimeSeries::new("vc");
+/// vc.push(0.0, 5.3)?;
+/// vc.push(1.0, 5.25)?;
+/// vc.push(2.0, 5.32)?;
+/// assert_eq!(vc.len(), 3);
+/// assert!((vc.mean()? - 5.28).abs() < 1e-6); // time-weighted trapezoids
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct TimeSeries {
+    name: String,
+    times: Vec<f64>,
+    values: Vec<f64>,
+}
+
+impl TimeSeries {
+    /// Creates an empty series.
+    pub fn new(name: impl Into<String>) -> Self {
+        Self { name: name.into(), times: Vec::new(), values: Vec::new() }
+    }
+
+    /// Creates an empty series with pre-allocated room for `capacity`
+    /// samples.
+    pub fn with_capacity(name: impl Into<String>, capacity: usize) -> Self {
+        Self {
+            name: name.into(),
+            times: Vec::with_capacity(capacity),
+            values: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// Creates a series from parallel sample vectors.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AnalysisError::UnsortedSamples`] for non-increasing
+    /// times and [`AnalysisError::InvalidParameter`] for mismatched
+    /// lengths.
+    pub fn from_samples(
+        name: impl Into<String>,
+        times: Vec<f64>,
+        values: Vec<f64>,
+    ) -> Result<Self, AnalysisError> {
+        if times.len() != values.len() {
+            return Err(AnalysisError::InvalidParameter("times and values differ in length"));
+        }
+        if times.windows(2).any(|w| w[1] <= w[0]) {
+            return Err(AnalysisError::UnsortedSamples);
+        }
+        Ok(Self { name: name.into(), times, values })
+    }
+
+    /// Appends a sample.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AnalysisError::UnsortedSamples`] when `t` does not
+    /// strictly follow the last sample.
+    pub fn push(&mut self, t: f64, value: f64) -> Result<(), AnalysisError> {
+        if let Some(last) = self.times.last() {
+            if t <= *last {
+                return Err(AnalysisError::UnsortedSamples);
+            }
+        }
+        self.times.push(t);
+        self.values.push(value);
+        Ok(())
+    }
+
+    /// A borrowed view of this series.
+    pub fn as_series(&self) -> SeriesView<'_> {
+        // `push` and `from_samples` keep the columns parallel and sorted.
+        SeriesView { name: &self.name, times: &self.times, values: &self.values }
+    }
+
+    /// The series name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.as_series().len()
+    }
+
+    /// `true` when the series has no samples.
+    pub fn is_empty(&self) -> bool {
+        self.as_series().is_empty()
+    }
+
+    /// Iterates over `(t, value)` samples.
+    pub fn iter(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
+        self.as_series().iter()
+    }
+
+    /// Sample times.
+    pub fn times(&self) -> &[f64] {
+        self.as_series().times()
+    }
+
+    /// Sample values.
+    pub fn values(&self) -> &[f64] {
+        self.as_series().values()
+    }
+
+    /// First sample time.
+    pub fn start(&self) -> Option<f64> {
+        self.as_series().start()
+    }
+
+    /// Last sample time.
+    pub fn end(&self) -> Option<f64> {
+        self.as_series().end()
+    }
+
+    /// Duration between the first and last sample.
+    pub fn duration(&self) -> f64 {
+        self.as_series().duration()
+    }
+
+    /// Linear interpolation at `t`; see [`SeriesView::sample`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AnalysisError::NotEnoughSamples`] for an empty series.
+    pub fn sample(&self, t: f64) -> Result<f64, AnalysisError> {
+        self.as_series().sample(t)
+    }
+
+    /// Trapezoidal integral; see [`SeriesView::integrate`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AnalysisError::NotEnoughSamples`] for fewer than two
+    /// samples.
+    pub fn integrate(&self) -> Result<f64, AnalysisError> {
+        self.as_series().integrate()
+    }
+
+    /// Time-weighted mean value.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AnalysisError::NotEnoughSamples`] for fewer than two
+    /// samples.
+    pub fn mean(&self) -> Result<f64, AnalysisError> {
+        self.as_series().mean()
+    }
+
+    /// Minimum value.
+    pub fn min(&self) -> Option<f64> {
+        self.as_series().min()
+    }
+
+    /// Maximum value.
+    pub fn max(&self) -> Option<f64> {
+        self.as_series().max()
+    }
+
+    /// Resamples onto a uniform grid; see [`SeriesView::resample`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AnalysisError::InvalidParameter`] for `n < 2` and
+    /// [`AnalysisError::NotEnoughSamples`] for an empty series.
+    pub fn resample(&self, n: usize) -> Result<TimeSeries, AnalysisError> {
+        self.as_series().resample(n)
+    }
+}
+
+impl<'a> From<&'a TimeSeries> for SeriesView<'a> {
+    fn from(series: &'a TimeSeries) -> Self {
+        series.as_series()
+    }
+}
+
+impl From<SeriesView<'_>> for TimeSeries {
+    /// An owned copy of the view's name and columns.
+    fn from(view: SeriesView<'_>) -> Self {
+        Self {
+            name: view.name.to_string(),
+            times: view.times.to_vec(),
+            values: view.values.to_vec(),
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! Scalar summary statistics.
 
-use crate::series::TimeSeries;
+use crate::series::SeriesView;
 use crate::AnalysisError;
 
 /// Streaming accumulator over scalar observations: count, sum, mean
@@ -135,7 +135,8 @@ impl Summary {
     /// # Ok(())
     /// # }
     /// ```
-    pub fn of(series: &TimeSeries) -> Result<Self, AnalysisError> {
+    pub fn of<'a>(series: impl Into<SeriesView<'a>>) -> Result<Self, AnalysisError> {
+        let series = series.into();
         let mean = series.mean()?;
         let times = series.times();
         let values = series.values();
@@ -162,6 +163,7 @@ impl Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::series::TimeSeries;
 
     #[test]
     fn constant_series_has_zero_deviation() {

@@ -20,7 +20,7 @@
 //! * [`SolarCell::small_cell`] — the 250 cm² cell whose day-long output
 //!   trace appears in Fig. 1 (peak ≈ 1 W).
 
-use crate::newton::{solve, solve_bracketed, NewtonOptions};
+use crate::newton::{solve, solve_bracketed, NewtonOptions, NewtonSolution};
 use crate::CircuitError;
 use pn_units::{Amps, Ohms, Volts, Watts, WattsPerSquareMeter};
 
@@ -231,6 +231,25 @@ impl SolarCell {
         g: WattsPerSquareMeter,
         seed: Option<f64>,
     ) -> Result<Amps, CircuitError> {
+        Ok(Amps::new(self.solve_seeded(v, g, seed)?.root))
+    }
+
+    /// [`SolarCell::current_seeded`] returning the whole
+    /// [`NewtonSolution`]: the root (the current in amps) and the
+    /// residual there. Both solves run with [`NewtonOptions::new`], so
+    /// when the residual is within its `residual_tolerance`, solving
+    /// the same `(v, g)` again seeded with this root returns the root
+    /// unchanged.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`SolarCell::current`].
+    pub fn solve_seeded(
+        &self,
+        v: Volts,
+        g: WattsPerSquareMeter,
+        seed: Option<f64>,
+    ) -> Result<NewtonSolution, CircuitError> {
         if !v.is_finite() {
             return Err(CircuitError::InvalidArgument("terminal voltage must be finite"));
         }
@@ -250,7 +269,7 @@ impl SolarCell {
             if seed.is_finite() {
                 if let Ok(sol) = solve(&mut residual, seed, NewtonOptions::new()) {
                     if sol.root.is_finite() {
-                        return Ok(Amps::new(sol.root));
+                        return Ok(sol);
                     }
                 }
             }
@@ -258,8 +277,7 @@ impl SolarCell {
         // Monotone decreasing residual: bracket generously on both sides.
         let hi = il + 1.0;
         let lo = -(20.0 * il.max(0.05) + vv.abs() / rp + 1.0);
-        let sol = solve_bracketed(&mut residual, lo, hi, NewtonOptions::new())?;
-        Ok(Amps::new(sol.root))
+        solve_bracketed(&mut residual, lo, hi, NewtonOptions::new())
     }
 
     /// Power delivered at voltage `v` and irradiance `g`.

@@ -726,6 +726,10 @@ impl Lane {
     fn finish(mut self) -> Result<SimReport, SimError> {
         // Final snapshot at the stop time.
         self.snapshot()?;
+        // Event snapshots grow the trace past its grid-sized capacity,
+        // and a brownout leaves most of it unused: a finished report
+        // keeps no page-sized slack.
+        self.recorder.trim();
         Ok(SimReport {
             governor: self.governor.name().to_string(),
             recorder: self.recorder,

@@ -35,8 +35,8 @@ pub fn run(period: Seconds, duration: Seconds) -> Result<Fig03, SimError> {
     let static_report = scenario.run_static(static_opp)?;
     let scaled_report = scenario.run_power_neutral()?;
     Ok(Fig03 {
-        vc_static: static_report.recorder().vc().clone(),
-        vc_scaled: scaled_report.recorder().vc().clone(),
+        vc_static: TimeSeries::from(static_report.recorder().vc()),
+        vc_scaled: TimeSeries::from(scaled_report.recorder().vc()),
         static_lifetime: static_report.lifetime().map(|s| s.value()),
         scaled_lifetime: scaled_report.lifetime().map(|s| s.value()),
     })

@@ -38,11 +38,11 @@ pub fn run(shadow_at: Seconds, duration: Seconds) -> Result<Fig06, SimError> {
     let controlled = scenario.run_power_neutral()?;
     let uncontrolled = scenario.run_static(Opp::new(CoreConfig::MAX, 5))?;
     Ok(Fig06 {
-        vc_controlled: controlled.recorder().vc().clone(),
-        vc_uncontrolled: uncontrolled.recorder().vc().clone(),
-        big_cores: controlled.recorder().big_cores().clone(),
-        little_cores: controlled.recorder().little_cores().clone(),
-        frequency_ghz: controlled.recorder().frequency_ghz().clone(),
+        vc_controlled: TimeSeries::from(controlled.recorder().vc()),
+        vc_uncontrolled: TimeSeries::from(uncontrolled.recorder().vc()),
+        big_cores: TimeSeries::from(controlled.recorder().big_cores()),
+        little_cores: TimeSeries::from(controlled.recorder().little_cores()),
+        frequency_ghz: TimeSeries::from(controlled.recorder().frequency_ghz()),
         controlled_survived: controlled.survived(),
         uncontrolled_lifetime: uncontrolled.lifetime().map(|s| s.value()),
     })

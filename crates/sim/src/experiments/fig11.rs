@@ -33,10 +33,10 @@ pub fn run() -> Result<Fig11, SimError> {
         frequency_mhz.push(t, ghz * 1000.0)?;
     }
     Ok(Fig11 {
-        v_supply: rec.vc().clone(),
+        v_supply: TimeSeries::from(rec.vc()),
         frequency_mhz,
-        little_cores: rec.little_cores().clone(),
-        total_cores: rec.total_cores().clone(),
+        little_cores: TimeSeries::from(rec.little_cores()),
+        total_cores: TimeSeries::from(rec.total_cores()),
         transitions: report.transitions(),
     })
 }

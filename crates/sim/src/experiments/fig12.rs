@@ -30,7 +30,7 @@ pub fn run(seed: u64, duration: Seconds) -> Result<Fig12, SimError> {
     let scenario = scenario::full_sun_day(seed).with_duration(duration);
     let target = scenario.platform().target_voltage().value();
     let report = scenario.run_power_neutral()?;
-    let vc = report.recorder().vc().clone();
+    let vc = TimeSeries::from(report.recorder().vc());
     let within_5pct = fraction_within_band(&vc, target, 0.05)?;
     Ok(Fig12 { vc, target_v: target, within_5pct, survived: report.survived() })
 }

@@ -52,7 +52,7 @@ pub fn run(seed: u64, duration: Seconds) -> Result<Fig14, SimError> {
     let estimator = PowerEstimator::from_calibration(calibration)?;
 
     let report = scenario.run_power_neutral()?;
-    let consumed = report.recorder().power_out().clone();
+    let consumed = TimeSeries::from(report.recorder().power_out());
 
     // The twin array logs Voc on the same time base.
     let mut available = TimeSeries::new("available_w");
