@@ -1,23 +1,17 @@
-//! The benchmark workload: a Rust port of smallpt plus synthetic work
-//! accounting.
+//! The benchmark workload as the simulator sees it: work accounting and
+//! seeded arrival traces.
 //!
-//! The paper benchmarks its platform with *smallpt*, Kevin Beason's
-//! 99-line global-illumination path tracer, rendering at 5 samples per
-//! pixel — a trivially parallel, CPU-saturating workload. This crate
-//! provides:
+//! The paper benchmarks its platform with *smallpt*, a path tracer
+//! rendering at 5 samples per pixel: a trivially parallel,
+//! CPU-saturating workload. The simulator never runs it. Its throughput
+//! models (frames/s and instructions/s per OPP) live in `pn-soc`, and
+//! this crate provides:
 //!
-//! * [`vec3`], [`geometry`], [`scene`], [`render`] — a faithful port of
-//!   smallpt (diffuse/mirror/glass spheres in a Cornell box, explicit
-//!   cosine-weighted sampling, Russian roulette), runnable from the
-//!   workspace examples so the workload is *real*, not hand-waved;
-//! * [`work`] — the accounting used inside the simulator, where
-//!   throughput models (frames/s, instructions/s per OPP) are
-//!   integrated over time into completed frames, renders and
-//!   instructions (the Table II metrics).
+//! * [`work`] — the accounting that integrates those rates over
+//!   simulated time into completed frames, renders and instructions
+//!   (the Table II metrics);
+//! * [`arrival`] — seeded bursty arrival traces, expanded once per run
+//!   into piecewise-constant duty segments.
 
 pub mod arrival;
-pub mod geometry;
-pub mod render;
-pub mod scene;
-pub mod vec3;
 pub mod work;

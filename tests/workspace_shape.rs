@@ -16,7 +16,7 @@ use power_neutral::monitor::monitor::VoltageMonitor;
 use power_neutral::sim::scenario;
 use power_neutral::soc::platform::Platform;
 use power_neutral::units::{Seconds, Volts, Watts, WattsPerSquareMeter};
-use power_neutral::workload::scene::Scene;
+use power_neutral::workload::work::WorkAccount;
 
 /// One item per re-exported crate, exercised at runtime so the façade
 /// wiring is checked end-to-end, not just at name-resolution time.
@@ -53,8 +53,9 @@ fn every_facade_reexport_is_functional() {
     assert!(fraction_within_band(&series, 5.3, 0.05).is_err());
 
     // pn-workload
-    let scene = Scene::cornell_box();
-    assert!(!scene.spheres().is_empty());
+    let mut work = WorkAccount::new();
+    work.accrue(1.0, 1.0, 1e9);
+    assert_eq!(work.instructions_billions(), 1.0);
 
     // pn-sim + pn-governors: a short closed-loop run.
     let report = scenario::constant_sun(WattsPerSquareMeter::new(560.0), Seconds::new(5.0))
