@@ -5,7 +5,9 @@
 //! statistic over a recorded time series:
 //!
 //! * Fig. 12 — "`VC` remained within ±5 % of the target voltage for
-//!   93.3 % of the time" → [`metrics::fraction_within_band`],
+//!   93.3 % of the time" → [`metrics::fraction_within_band`] (the
+//!   simulator reports this residency itself, exactly; the trace
+//!   reduction cross-checks it),
 //! * Fig. 13 — "proportion of time spent at each operating voltage" →
 //!   [`histogram::Histogram`] with time weights,
 //! * Fig. 14 — consumed vs available power → series integration,

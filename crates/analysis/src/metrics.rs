@@ -9,7 +9,9 @@ use crate::AnalysisError;
 /// metric (Fig. 12).
 ///
 /// Sub-sample crossings are resolved by linear interpolation, so the
-/// result is exact for piecewise-linear signals.
+/// result is exact for piecewise-linear signals. (A simulation reports
+/// its own residency, resolved on the solver's dense output; this
+/// reduction of a sampled trace serves cross-checks.)
 ///
 /// # Errors
 ///
@@ -80,8 +82,10 @@ fn segment_time_within(t0: f64, v0: f64, t1: f64, v1: f64, lo: f64, hi: f64) -> 
 }
 
 /// Trapezoidal integral of `series` over its full span — turning a
-/// power trace in watts into energy in joules for the campaign
-/// energy accounting.
+/// recorded power trace in watts into energy in joules. The engine
+/// accrues a run's energies exactly as it steps; this reduction of a
+/// sampled trace serves plots and cross-checks, and is exact only for
+/// signals linear between samples.
 ///
 /// # Errors
 ///

@@ -46,7 +46,6 @@ use crate::executor::Executor;
 use crate::scenario::{self, Scenario};
 use crate::supply::SupplyModel;
 use crate::SimError;
-use pn_analysis::metrics::{fraction_within_band, time_integral};
 use pn_analysis::summary::Aggregate;
 use pn_circuit::capacitor::Supercapacitor;
 use pn_core::params::ControlParams;
@@ -541,28 +540,31 @@ impl CampaignCell {
     ///
     /// # Errors
     ///
-    /// Propagates engine and analysis failures.
+    /// Propagates scenario and engine failures.
     pub fn evaluate(&self) -> Result<CellOutcome, SimError> {
         let scenario = self.scenario()?;
         let report = self.governor.run(&scenario)?;
-        let target = scenario.platform().target_voltage();
+        Ok(self.outcome(&scenario, &report))
+    }
+
+    /// The [`CellOutcome`] of `report`, a run of `scenario` (this cell's
+    /// [`CampaignCell::scenario`], whose recording interval may differ:
+    /// every field is read from what the engine accrued, none from the
+    /// recorded trace).
+    pub fn outcome(&self, scenario: &Scenario, report: &SimReport) -> CellOutcome {
         let alive = report.lifetime_or_duration();
-        let recorder = report.recorder();
-        let vc_stability = fraction_within_band(recorder.vc(), target.value(), 0.05)?;
-        let energy_in_joules = time_integral(recorder.power_in())?;
-        let energy_out_joules = time_integral(recorder.power_out())?;
         let opts = scenario.options();
         let faults_injected =
             self.fault.count_in(self.seed, opts.t_start.value(), opts.t_end.value());
-        Ok(CellOutcome {
+        CellOutcome {
             cell: *self,
             survived: report.survived(),
             lifetime_seconds: alive.value(),
-            vc_stability,
+            vc_stability: report.vc_stability(),
             instructions_billions: report.work().instructions_billions(),
             renders_per_minute: report.work().renders_per_minute(alive.value().max(1e-9)),
-            energy_in_joules,
-            energy_out_joules,
+            energy_in_joules: report.energy_in().value(),
+            energy_out_joules: report.energy_out().value(),
             transitions: report.transitions(),
             final_vc: report.final_vc().value(),
             idle_time_seconds: report.idle_time().value(),
@@ -571,11 +573,12 @@ impl CampaignCell {
             throttle_time_seconds: report.throttle_time().value(),
             boost_time_seconds: report.boost_time().value(),
             faults_injected,
-        })
+        }
     }
 }
 
-/// The reduced verdict of one cell.
+/// The reduced verdict of one cell: every field comes from the engine's
+/// report, none from its recorded trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellOutcome {
     /// The cell that produced this outcome.
@@ -584,15 +587,18 @@ pub struct CellOutcome {
     pub survived: bool,
     /// Lifetime (or full window) in seconds.
     pub lifetime_seconds: f64,
-    /// Fraction of time `VC` stayed within ±5 % of the target voltage.
+    /// Fraction of the lifetime `VC` stayed within ±5 % of the target
+    /// voltage ([`SimReport::vc_stability`]).
     pub vc_stability: f64,
     /// Completed instructions, billions.
     pub instructions_billions: f64,
     /// Average renders per minute while alive.
     pub renders_per_minute: f64,
-    /// Harvested energy over the window, joules.
+    /// Harvested energy over the lifetime, joules
+    /// ([`SimReport::energy_in`]).
     pub energy_in_joules: f64,
-    /// Consumed energy over the window, joules.
+    /// Consumed energy over the lifetime, joules
+    /// ([`SimReport::energy_out`]).
     pub energy_out_joules: f64,
     /// OPP transitions performed.
     pub transitions: u64,

@@ -10,6 +10,12 @@
 //! board through exactly this window) and re-checked when it
 //! completes, which reproduces the rapid response cascades visible in
 //! the paper's Fig. 6.
+//!
+//! A run's outcomes are accrued as it steps: work, transitions and
+//! residencies by the SoC runtime, and energy and `VC` band residency
+//! by the lane over each accepted step (see [`SimReport`]). The
+//! recorder only observes, so no reported number depends on
+//! [`SimOptions::record_dt`].
 
 use crate::recorder::{Recorder, Snapshot};
 use crate::runtime::SocRuntime;
@@ -17,14 +23,15 @@ use crate::supply::{Supply, SupplyModel, SupplyState};
 use crate::SimError;
 use pn_circuit::capacitor::Supercapacitor;
 use pn_circuit::events::{first_threshold_crossing, CrossingDirection};
-use pn_circuit::ode::{AdaptiveOptions, Rk23};
+use pn_circuit::newton::{solve_bracketed, NewtonOptions};
+use pn_circuit::ode::{AcceptedStep, AdaptiveOptions, Rk23};
 use pn_core::events::{Governor, GovernorAction, GovernorEvent, IdleRequest, ThresholdEdge};
 use pn_monitor::monitor::VoltageMonitor;
 use pn_soc::opp::Opp;
 use pn_soc::platform::Platform;
 use pn_soc::thermal::{ThermalSpec, ThermalState};
 use pn_soc::transition::{plan_transition, TransitionStrategy};
-use pn_units::{Seconds, Volts, Watts};
+use pn_units::{Amps, Joules, Seconds, Volts, Watts};
 use pn_workload::arrival::{ArrivalSpec, ArrivalTimeline};
 use pn_workload::work::WorkAccount;
 
@@ -36,6 +43,10 @@ const REARM_DELAY: f64 = 300e-6;
 /// 1 ms per 1 s period (Fig. 15 accounting).
 const HOUSEKEEPING_SHARE: f64 = 1.0e-3 / 1.0;
 
+/// Half-width of the `VC` stability band around the platform's target
+/// voltage, as a fraction of the target: the paper's ±5 % (Fig. 12).
+const BAND: f64 = 0.05;
+
 /// Engine tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct SimOptions {
@@ -43,7 +54,13 @@ pub struct SimOptions {
     pub t_start: Seconds,
     /// Simulation end time.
     pub t_end: Seconds,
-    /// Trace recording interval.
+    /// Trace recording interval. Recording only observes the run: the
+    /// grid snapshot for each instant `t_start + k·record_dt` is taken
+    /// at the end of the first accepted step ending at or after it (one
+    /// snapshot serves every instant a step passes), so sample times
+    /// are step ends, and no step is shortened to land on the grid.
+    /// Every number a [`SimReport`] reports besides the recorder itself
+    /// is bitwise independent of this interval.
     pub record_dt: Seconds,
     /// Maximum ODE step (also bounds event-detection granularity).
     pub max_step: Seconds,
@@ -146,6 +163,10 @@ pub struct SimReport {
     throttle_time: Seconds,
     boost_time: Seconds,
     final_vc: Volts,
+    energy_in: Joules,
+    energy_out: Joules,
+    energy_leaked: Joules,
+    band_time: Seconds,
 }
 
 impl SimReport {
@@ -232,6 +253,43 @@ impl SimReport {
     pub fn final_vc(&self) -> Volts {
         self.final_vc
     }
+
+    /// Energy the harvester delivered into the buffer node while the
+    /// board was alive: `∫ VC·I_pv dt`, integrated alongside `VC` by
+    /// each RK23 step from the PV currents its own stages evaluated (no
+    /// extra solve). A controlled supply delivers exactly what the load
+    /// draws, so there this equals [`SimReport::energy_out`].
+    pub fn energy_in(&self) -> Joules {
+        self.energy_in
+    }
+
+    /// Energy the board and monitor drew while alive: `∫ P_load dt`,
+    /// exact because the load is constant between discontinuities.
+    pub fn energy_out(&self) -> Joules {
+        self.energy_out
+    }
+
+    /// Energy lost through the buffer's leakage resistance while alive:
+    /// `∫ VC²/R_leak dt` (zero on a controlled supply, which pins `VC`).
+    /// With the stored-energy change it closes the PV energy balance
+    /// `E_in = E_out + E_leaked + ½C(V_end² − V_0²)`. The ESR has no
+    /// term: it does not enter the buffer's voltage dynamics
+    /// (`Supercapacitor::dv_dt`).
+    pub fn energy_leaked(&self) -> Joules {
+        self.energy_leaked
+    }
+
+    /// Fraction of the lifetime (or full window) `VC` spent within ±5 %
+    /// of the platform's target voltage, resolved on each step's dense
+    /// output — the paper's Fig. 12 stability metric.
+    pub fn vc_stability(&self) -> f64 {
+        let alive = self.lifetime_or_duration().value();
+        if alive > 0.0 {
+            self.band_time.value() / alive
+        } else {
+            0.0
+        }
+    }
 }
 
 /// Builder-assembled simulation of the Fig. 2/8 system.
@@ -266,7 +324,34 @@ enum CrossKind {
 struct AdvanceOutcome {
     t: f64,
     vc: f64,
+    /// Source current at `(t, vc)`, amps (zero for a controlled supply).
+    i_in: f64,
     event: Option<CrossKind>,
+    /// What the advanced span accrued.
+    accrued: Accrued,
+}
+
+/// Energy and `VC` band residency, accrued per accepted step while the
+/// board is alive.
+#[derive(Debug, Clone, Copy, Default)]
+struct Accrued {
+    /// `∫ VC·I_in dt`, joules.
+    energy_in: f64,
+    /// `∫ P_load dt`, joules.
+    energy_out: f64,
+    /// `∫ VC²/R_leak dt`, joules.
+    energy_leaked: f64,
+    /// Time with `VC` inside the stability band, seconds.
+    band_time: f64,
+}
+
+impl Accrued {
+    fn add(&mut self, step: &Accrued) {
+        self.energy_in += step.energy_in;
+        self.energy_out += step.energy_out;
+        self.energy_leaked += step.energy_leaked;
+        self.band_time += step.band_time;
+    }
 }
 
 impl Simulation {
@@ -329,7 +414,7 @@ impl Simulation {
             .saturating_add(16)
             .min(1 << 22);
         let recorder = Recorder::with_capacity(expected_snapshots);
-        let supply_state = SupplyState::new(&self.supply, opts.supply_model)?;
+        let mut supply_state = SupplyState::new(&self.supply, opts.supply_model)?;
         let solver = Rk23::new(
             AdaptiveOptions::new()
                 .with_max_step(opts.max_step.value())
@@ -343,6 +428,8 @@ impl Simulation {
             Supply::Controlled { waveform } => waveform.sample(Seconds::new(t)).value(),
             Supply::Photovoltaic { .. } => self.initial_vc.value(),
         };
+        let i_in = supply_state.current(&self.supply, Seconds::new(t), Volts::new(vc))?.value();
+        let target = self.platform.target_voltage().value();
 
         // Governor start-up; its action applies once the lane exists.
         let action = self.governor.start(Seconds::new(t), Volts::new(vc), runtime.current_opp());
@@ -371,6 +458,9 @@ impl Simulation {
             solver,
             t,
             vc,
+            i_in,
+            band: (target * (1.0 - BAND), target * (1.0 + BAND)),
+            accrued: Accrued::default(),
             next_tick,
             recheck_at: None,
             next_record: t + opts.record_dt.value(),
@@ -382,7 +472,7 @@ impl Simulation {
         // A stress boost can engage at cold start; the scales must be
         // in force before the first snapshot and the first advance.
         lane.refresh_scales();
-        lane.snapshot()?;
+        lane.snapshot();
         Ok(lane)
     }
 }
@@ -406,8 +496,19 @@ struct Lane {
     solver: Rk23,
     t: f64,
     vc: f64,
+    /// Source current at `(t, vc)`, amps: the last evaluation the
+    /// integrator or an event made there (zero for a controlled
+    /// supply). Snapshots read it, so recording never solves the PV
+    /// model or touches the warm start the integrator reads; the next
+    /// step's energy accrual takes it as its first stage's current.
+    i_in: f64,
+    /// The `VC` stability band, `[lo, hi]` volts.
+    band: (f64, f64),
+    /// Energy and band residency accrued so far.
+    accrued: Accrued,
     next_tick: Option<f64>,
     recheck_at: Option<f64>,
+    /// Next recording grid instant (observation only: not a boundary).
     next_record: f64,
     /// Die thermal state — `None` iff [`SimOptions::thermal`] is `Off`,
     /// in which case no thermal code touches the hot path at all.
@@ -453,7 +554,6 @@ impl Lane {
         if let Some(r) = self.recheck_at {
             boundary = boundary.min(r);
         }
-        boundary = boundary.min(self.next_record);
         // Thermal threshold crossings and arrival-segment edges are
         // discontinuities like ticks: absent (adding no boundary and
         // no float traffic) when the axes are at their defaults.
@@ -491,8 +591,10 @@ impl Lane {
                 vmin: self.vmin,
                 high,
                 low,
+                band: self.band,
             };
-            let outcome = ctx.advance(self.t, self.vc, boundary)?;
+            let outcome = ctx.advance(self.t, self.vc, self.i_in, boundary)?;
+            self.accrued.add(&outcome.accrued);
             let dt = outcome.t - self.t;
             self.runtime.accrue(
                 Seconds::new(dt),
@@ -505,11 +607,12 @@ impl Lane {
             }
             self.t = outcome.t;
             self.vc = outcome.vc;
+            self.i_in = outcome.i_in;
             match outcome.event {
                 Some(CrossKind::Brownout) => {
                     self.runtime.brownout(Seconds::new(self.t));
                     self.solver.notify_discontinuity();
-                    self.snapshot()?;
+                    self.snapshot();
                     return Ok(());
                 }
                 Some(kind) => {
@@ -518,13 +621,14 @@ impl Lane {
                     } else {
                         ThresholdEdge::Low
                     })?;
-                    self.snapshot()?;
+                    self.snapshot();
                     return Ok(());
                 }
                 None => {}
             }
             if self.t < boundary - 1e-12 {
                 // Mid-flight accepted step; keep integrating.
+                self.record_due();
                 return Ok(());
             }
         } else {
@@ -587,11 +691,19 @@ impl Lane {
             self.refresh_scales();
             self.solver.notify_discontinuity();
         }
-        if self.t >= self.next_record - 1e-9 {
-            self.snapshot()?;
-            self.next_record = self.t + self.opts.record_dt.value();
-        }
+        self.record_due();
         Ok(())
+    }
+
+    /// Takes the grid snapshot once the lane has reached the next
+    /// recording instant, then moves that instant past `t`.
+    fn record_due(&mut self) {
+        if self.t >= self.next_record - 1e-9 {
+            self.snapshot();
+            let dt = self.opts.record_dt.value();
+            let k = ((self.t + 1e-9 - self.t_start) / dt).floor() + 1.0;
+            self.next_record = self.t_start + k * dt;
+        }
     }
 
     /// Applies a governor action at the current instant: program
@@ -725,7 +837,7 @@ impl Lane {
     /// Takes the final snapshot and assembles the report.
     fn finish(mut self) -> Result<SimReport, SimError> {
         // Final snapshot at the stop time.
-        self.snapshot()?;
+        self.snapshot();
         // Event snapshots grow the trace past its grid-sized capacity,
         // and a brownout leaves most of it unused: a finished report
         // keeps no page-sized slack.
@@ -744,11 +856,15 @@ impl Lane {
             throttle_time: Seconds::new(self.thermal.map_or(0.0, |st| st.throttle_time_s())),
             boost_time: Seconds::new(self.thermal.map_or(0.0, |st| st.boost_time_s())),
             final_vc: Volts::new(self.vc),
+            energy_in: Joules::new(self.accrued.energy_in),
+            energy_out: Joules::new(self.accrued.energy_out),
+            energy_leaked: Joules::new(self.accrued.energy_leaked),
+            band_time: Seconds::new(self.accrued.band_time),
         })
     }
 
     /// Records the lane's current state into its trace.
-    fn snapshot(&mut self) -> Result<(), SimError> {
+    fn snapshot(&mut self) {
         let opp = self.runtime.effective_opp();
         let freq = self
             .runtime
@@ -763,14 +879,7 @@ impl Lane {
             Watts::ZERO
         };
         let power_in = match &self.supply {
-            Supply::Photovoltaic { .. } => {
-                let i = self.supply_state.current(
-                    &self.supply,
-                    Seconds::new(self.t),
-                    Volts::new(self.vc),
-                )?;
-                Volts::new(self.vc) * i
-            }
+            Supply::Photovoltaic { .. } => Volts::new(self.vc) * Amps::new(self.i_in),
             Supply::Controlled { .. } => power_out,
         };
         let (v_high, v_low) = if self.uses_irq {
@@ -794,14 +903,13 @@ impl Lane {
             v_high,
             v_low,
         });
-        Ok(())
     }
 }
 
 /// The continuous-phase context of one lane: the integration resources
-/// (supply, fast-path state, buffer, solver) plus the load power and
-/// the armed threshold set, assembled by each `Lane::step` from its
-/// own fields.
+/// (supply, fast-path state, buffer, solver) plus the load power, the
+/// armed threshold set and the stability band, assembled by each
+/// `Lane::step` from its own fields.
 struct AdvanceCtx<'a> {
     supply: &'a Supply,
     supply_state: &'a mut SupplyState,
@@ -815,28 +923,67 @@ struct AdvanceCtx<'a> {
     high: Option<f64>,
     /// Falling threshold — armed when interrupts are live.
     low: Option<f64>,
+    /// The `VC` stability band, `[lo, hi]` volts.
+    band: (f64, f64),
 }
 
 impl AdvanceCtx<'_> {
-    /// Advances the continuous state from `(t, vc)` toward `boundary`,
+    /// Advances the continuous state from `(t, vc)`, where the source
+    /// current is `i_in`, by one accepted step toward `boundary`,
     /// stopping at the earliest crossing (brownout, Vhigh rising, Vlow
-    /// falling).
-    fn advance(self, t: f64, vc: f64, boundary: f64) -> Result<AdvanceOutcome, SimError> {
-        let AdvanceCtx { supply, supply_state, buffer, solver, p_load, vmin, high, low } = self;
+    /// falling), and accrues the span.
+    fn advance(
+        self,
+        t: f64,
+        vc: f64,
+        i_in: f64,
+        boundary: f64,
+    ) -> Result<AdvanceOutcome, SimError> {
+        let AdvanceCtx { supply, supply_state, buffer, solver, p_load, vmin, high, low, band } =
+            self;
         match supply {
             Supply::Controlled { waveform } => {
                 let f = |tt: f64| waveform.sample(Seconds::new(tt)).value();
-                let subdivisions = (((boundary - t) / 0.01).ceil() as usize).clamp(4, 4000);
-                let found = scan_crossings(&f, t, boundary, subdivisions, Some(vmin), high, low)?;
-                match found {
-                    Some((tc, kind)) => {
-                        Ok(AdvanceOutcome { t: tc, vc: f(tc), event: Some(kind) })
-                    }
-                    None => Ok(AdvanceOutcome { t: boundary, vc: f(boundary), event: None }),
-                }
+                // No solver steps here: `max_step` caps the span instead,
+                // which bounds event granularity and grid-sample spacing
+                // as it does on the PV path.
+                let end = boundary.min(t + solver.options().max_step);
+                let subdivisions = (((end - t) / 0.01).ceil() as usize).clamp(4, 4000);
+                let found = scan_crossings(&f, t, end, subdivisions, Some(vmin), high, low)?;
+                let (t1, event) = match found {
+                    Some((tc, kind)) => (tc, Some(kind)),
+                    None => (end, None),
+                };
+                // The source pins `VC` and delivers what the load draws.
+                let energy = p_load * (t1 - t);
+                // The waveform is taken as linear across each 10 ms
+                // subdivision, as the crossing scan takes it to cross a
+                // level at most once there.
+                let at = |k: usize| t + (t1 - t) * k as f64 / subdivisions as f64;
+                let band_time = (0..subdivisions)
+                    .map(|k| {
+                        let (a, b) = (at(k), at(k + 1));
+                        let (fa, fb) = (f(a), f(b));
+                        monotone_time_in_band((a, b), (fa, fb), band, |v| {
+                            a + (v - fa) / (fb - fa) * (b - a)
+                        })
+                    })
+                    .sum();
+                let accrued = Accrued {
+                    energy_in: energy,
+                    energy_out: energy,
+                    energy_leaked: 0.0,
+                    band_time,
+                };
+                Ok(AdvanceOutcome { t: t1, vc: f(t1), i_in: 0.0, event, accrued })
             }
             Supply::Photovoltaic { .. } => {
                 let mut solve_error: Option<SimError> = None;
+                // Voltage and source current at the latest three right-hand
+                // side evaluations: once the step is accepted, its stages
+                // k2, k3 and k4 (a rejected attempt re-evaluates only
+                // those). Stage k1 is `(vc, i_in)`, where the lane stands.
+                let mut latest = [[0.0; 2]; 3];
                 let mut deriv = |tt: f64, y: &[f64; 1]| -> [f64; 1] {
                     let v = y[0].max(0.05);
                     // The supply fast path: monotone irradiance cursor plus
@@ -846,16 +993,18 @@ impl AdvanceCtx<'_> {
                         Ok(i) => i,
                         Err(e) => {
                             solve_error = Some(e);
-                            pn_units::Amps::ZERO
+                            Amps::ZERO
                         }
                     };
-                    let i_out = pn_units::Amps::new(p_load / v.max(0.3));
+                    latest = [latest[1], latest[2], [v, i_in.value()]];
+                    let i_out = Amps::new(p_load / v.max(0.3));
                     [buffer.dv_dt(Volts::new(v), i_in, i_out)]
                 };
                 let step = solver.step(&mut deriv, t, &[vc], boundary)?;
                 if let Some(e) = solve_error {
                     return Err(e);
                 }
+                let stages = [[vc, i_in], latest[0], latest[1], latest[2]];
                 // Rigorous range bound of the cubic Hermite dense output on
                 // this step: the Hermite value basis stays inside
                 // [min(y0,y1), max(y0,y1)] and the two tangent basis
@@ -867,9 +1016,8 @@ impl AdvanceCtx<'_> {
                 let (y0, y1) = (step.y0[0], step.y1[0]);
                 let margin =
                     (4.0 / 27.0) * (step.t1 - step.t0) * (step.f0[0].abs() + step.f1[0].abs());
-                let reachable = |threshold: &f64| {
-                    *threshold >= y0.min(y1) - margin && *threshold <= y0.max(y1) + margin
-                };
+                let (y_min, y_max) = (y0.min(y1) - margin, y0.max(y1) + margin);
+                let reachable = |threshold: &f64| *threshold >= y_min && *threshold <= y_max;
                 let f = |tt: f64| step.interpolate(tt)[0];
                 let subdivisions = 8;
                 let found = scan_crossings(
@@ -881,15 +1029,117 @@ impl AdvanceCtx<'_> {
                     high.filter(reachable),
                     low.filter(reachable),
                 )?;
-                match found {
+                let (t1, vc1, i1, event) = match found {
                     Some((tc, kind)) => {
-                        Ok(AdvanceOutcome { t: tc, vc: f(tc), event: Some(kind) })
+                        // The event's own operating point: the one solve an
+                        // event snapshot has always made.
+                        let v = f(tc);
+                        let i = supply_state.current(supply, Seconds::new(tc), Volts::new(v))?;
+                        (tc, v, i.value(), Some(kind))
                     }
-                    None => Ok(AdvanceOutcome { t: step.t1, vc: step.y1[0], event: None }),
-                }
+                    None => (step.t1, y1, stages[3][1], None),
+                };
+                let dt = t1 - t;
+                // The same bound decides the band: a span wholly inside
+                // it needs no search, and one reaching neither edge lies
+                // wholly outside.
+                let band_time = if band.0 <= y_min && y_max <= band.1 {
+                    dt
+                } else if reachable(&band.0) || reachable(&band.1) {
+                    dense_time_in_band(&step, t1, band)
+                } else {
+                    0.0
+                };
+                let g_leak = 1.0 / buffer.leakage_resistance().value();
+                let energy_in = stage_quadrature(&step, stages.map(|[v, i]| v * i), t1);
+                let energy_leaked = stage_quadrature(&step, stages.map(|[v, _]| v * v * g_leak), t1);
+                let accrued =
+                    Accrued { energy_in, energy_out: p_load * dt, energy_leaked, band_time };
+                Ok(AdvanceOutcome { t: t1, vc: vc1, i_in: i1, event, accrued })
             }
         }
     }
+}
+
+/// `∫ q dt` over `[t0, t_end]` of an accepted step, from `q` at the
+/// step's four Bogacki–Shampine stages: `q` integrated as one more
+/// component of the ODE by the same RK23 step (weights 2/9, 1/3, 4/9)
+/// and, for a step cut short at an event, the same cubic Hermite dense
+/// output. It stays out of the solver's error control, so accruing it
+/// cannot change a trajectory.
+fn stage_quadrature(step: &AcceptedStep<1>, q: [f64; 4], t_end: f64) -> f64 {
+    let h = step.t1 - step.t0;
+    let whole = h * (2.0 / 9.0 * q[0] + 1.0 / 3.0 * q[1] + 4.0 / 9.0 * q[2]);
+    if t_end >= step.t1 {
+        return whole;
+    }
+    let s = (t_end - step.t0) / h;
+    let (s2, s3) = (s * s, s * s * s);
+    (s3 - 2.0 * s2 + s) * h * q[0] + (3.0 * s2 - 2.0 * s3) * whole + (s3 - s2) * h * q[3]
+}
+
+/// Time an accepted step's cubic Hermite dense output spends inside
+/// `band` on `[t0, t_end]`. The output, `y0 + b·s + c·s² + d·s³` in
+/// `s = (t − t0)/h`, is cut at its stationary points into monotone
+/// pieces, each of which enters and leaves the band at most once, where
+/// Newton's method (safeguarded by bisection) locates the edge.
+fn dense_time_in_band(step: &AcceptedStep<1>, t_end: f64, band: (f64, f64)) -> f64 {
+    let h = step.t1 - step.t0;
+    let (y0, b, d1) = (step.y0[0], h * step.f0[0], h * step.f1[0]);
+    let delta = step.y1[0] - y0;
+    let (c, d) = (3.0 * delta - 2.0 * b - d1, b + d1 - 2.0 * delta);
+    // Value and s-derivative at s.
+    let at = |s: f64| (y0 + s * (b + s * (c + s * d)), b + s * (2.0 * c + s * 3.0 * d));
+    // Roots of b + 2c·s + 3d·s²; NaN where there are none.
+    let mut roots = if d == 0.0 {
+        [-b / (2.0 * c), f64::NAN]
+    } else {
+        let disc = (c * c - 3.0 * d * b).sqrt();
+        [(-c - disc) / (3.0 * d), (-c + disc) / (3.0 * d)]
+    };
+    if roots[1] < roots[0] {
+        roots.swap(0, 1);
+    }
+    let s_end = (t_end - step.t0) / h;
+    let mut sa = 0.0;
+    let mut inside = 0.0;
+    for sb in roots.into_iter().filter(|&s| s > 0.0 && s < s_end).chain([s_end]) {
+        inside += monotone_time_in_band((sa, sb), (at(sa).0, at(sb).0), band, |v| {
+            let residual = |s: f64| {
+                let (y, slope) = at(s);
+                (y - v, slope)
+            };
+            solve_bracketed(residual, sa, sb, NewtonOptions::new())
+                .expect("a monotone piece brackets every level between its end values")
+                .root
+        });
+        sa = sb;
+    }
+    inside * h
+}
+
+/// Time a signal spends inside `[lo, hi]` on `[a, b]`, over which it
+/// runs monotonically from `fa` to `fb`. `crosses(v)` is when it passes
+/// level `v`, asked only for levels strictly between `fa` and `fb`.
+fn monotone_time_in_band(
+    (a, b): (f64, f64),
+    (fa, fb): (f64, f64),
+    (lo, hi): (f64, f64),
+    crosses: impl Fn(f64) -> f64,
+) -> f64 {
+    // Time spent at or below `v`.
+    let below = |v: f64| {
+        if v >= fa.max(fb) {
+            b - a
+        } else if v <= fa.min(fb) {
+            0.0
+        } else if fb > fa {
+            crosses(v) - a
+        } else {
+            b - crosses(v)
+        }
+    };
+    below(hi) - below(lo)
 }
 
 /// Finds the earliest qualifying crossing of the three monitored
@@ -1156,6 +1406,87 @@ mod tests {
             sparse.recorder().len(),
             dense.recorder().len()
         );
+        // Recording only observes: every other field is bitwise equal.
+        let unrecorded = |report: SimReport| SimReport { recorder: Recorder::new(), ..report };
+        assert_eq!(unrecorded(dense), unrecorded(sparse));
+    }
+
+    #[test]
+    fn an_accepted_step_ends_on_its_stages_k2_k3_k4() {
+        // The energy accrual takes the source current at an accepted
+        // step's stages k2..k4 from the latest three right-hand-side
+        // evaluations. Pin that on a step whose first attempt, far too
+        // long for y' = −50y, is rejected.
+        let mut options = AdaptiveOptions::new().with_max_step(1.0);
+        options.initial_step = 0.5;
+        let mut solver = Rk23::new(options);
+        let mut times = Vec::new();
+        let mut f = |t: f64, y: &[f64; 1]| {
+            times.push(t);
+            [-50.0 * y[0]]
+        };
+        let step = solver.step(&mut f, 2.0, &[1.0], 3.0).unwrap();
+        let h = step.t1 - step.t0;
+        assert!(times.len() > 4, "no attempt was rejected: {times:?}");
+        assert_eq!(times[0], 2.0);
+        let stages = &times[times.len() - 3..];
+        for (t, c) in stages.iter().zip([0.5, 0.75, 1.0]) {
+            assert!((t - (2.0 + c * h)).abs() < 1e-12, "{stages:?} for h = {h}");
+        }
+    }
+
+    #[test]
+    fn band_time_of_a_monotone_span() {
+        let ramp = |v: f64| v; // rising 1 V/s from 0 V at t = 0
+        assert_eq!(monotone_time_in_band((0.0, 4.0), (0.0, 4.0), (1.0, 2.0), ramp), 1.0);
+        let fall = |v: f64| 4.0 - v; // falling from 4 V to 0 V
+        assert_eq!(monotone_time_in_band((0.0, 4.0), (4.0, 0.0), (1.0, 2.0), fall), 1.0);
+        // Wholly inside, wholly outside, and half out of the band.
+        assert_eq!(monotone_time_in_band((0.0, 4.0), (1.0, 1.5), (1.0, 2.0), ramp), 4.0);
+        assert_eq!(monotone_time_in_band((0.0, 4.0), (2.5, 3.0), (1.0, 2.0), ramp), 0.0);
+        assert_eq!(monotone_time_in_band((1.0, 3.0), (1.0, 3.0), (1.0, 2.0), ramp), 1.0);
+    }
+
+    #[test]
+    fn dense_band_time_splits_at_the_extrema() {
+        // Through (10 s, 0 V) and (12 s, 0 V) with slopes 0.5 V/s, the
+        // dense output is p(s) = s(2s − 1)(s − 1) in s = (t − 10)/2:
+        // above zero on (0, 1/2) with its top, ≈0.096 V, at s ≈ 0.211,
+        // and below zero on (1/2, 1).
+        let step = AcceptedStep {
+            t0: 10.0,
+            t1: 12.0,
+            y0: [0.0],
+            y1: [0.0],
+            f0: [0.5],
+            f1: [0.5],
+            error_norm: 0.0,
+        };
+        let p = |s: f64| s * (2.0 * s - 1.0) * (s - 1.0);
+        for s in [0.0, 0.2, 0.5, 0.9, 1.0] {
+            assert!((step.interpolate(10.0 + 2.0 * s)[0] - p(s)).abs() < 1e-15, "at {s}");
+        }
+        let inside = dense_time_in_band(&step, 12.0, (0.0, 1.0));
+        assert!((inside - 1.0).abs() < 1e-9, "{inside}");
+        // [0.05, 1] holds the hump between the two smallest roots of
+        // p(s) = 0.05.
+        let root = |mut lo: f64, mut hi: f64| {
+            for _ in 0..100 {
+                let mid = 0.5 * (lo + hi);
+                if (p(mid) > 0.05) == (p(hi) > 0.05) {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+            }
+            hi
+        };
+        let (rise, fall) = (root(0.0, 0.2113), root(0.2113, 0.5));
+        let hump = dense_time_in_band(&step, 12.0, (0.05, 1.0));
+        assert!((hump - 2.0 * (fall - rise)).abs() < 1e-9, "{hump}");
+        // Cut short at s = 1/4, past the top: the fall is not reached.
+        let cut = dense_time_in_band(&step, 10.5, (0.05, 1.0));
+        assert!((cut - 2.0 * (0.25 - rise)).abs() < 1e-9, "{cut}");
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::executor::Executor;
 use crate::scenario;
 use crate::sweep::{run_sweep, SweepGrid, SweepResult};
 use crate::SimError;
-use pn_units::{Seconds, Volts};
+use pn_units::Seconds;
 
 /// The regenerated parameter-selection data.
 #[derive(Debug, Clone)]
@@ -31,7 +31,7 @@ impl ParamsSweep {
 /// Propagates engine failures.
 pub fn run(grid: &SweepGrid) -> Result<ParamsSweep, SimError> {
     let scenario = scenario::shadowing(Seconds::new(2.0), Seconds::new(10.0));
-    let results = run_sweep(&scenario, grid, Volts::new(5.3), &Executor::default())?;
+    let results = run_sweep(&scenario, grid, &Executor::default())?;
     Ok(ParamsSweep { results })
 }
 

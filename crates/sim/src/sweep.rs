@@ -10,7 +10,6 @@
 use crate::executor::Executor;
 use crate::scenario::Scenario;
 use crate::SimError;
-use pn_analysis::metrics::fraction_within_band;
 use pn_core::params::ControlParams;
 use pn_units::Volts;
 
@@ -73,8 +72,11 @@ pub struct SweepResult {
 }
 
 /// Runs the sweep over `scenario` on `executor`, scoring each
-/// candidate by ±5 % band residency around `target`. Results are
-/// sorted best-first (survivors before casualties, then by stability).
+/// candidate by its report's ±5 % band residency around the platform's
+/// target voltage ([`SimReport::vc_stability`]). Results are sorted
+/// best-first (survivors before casualties, then by stability).
+///
+/// [`SimReport::vc_stability`]: crate::engine::SimReport::vc_stability
 ///
 /// # Errors
 ///
@@ -82,11 +84,10 @@ pub struct SweepResult {
 pub fn run_sweep(
     scenario: &Scenario,
     grid: &SweepGrid,
-    target: Volts,
     executor: &Executor,
 ) -> Result<Vec<SweepResult>, SimError> {
     let candidates = grid.candidates();
-    let outcomes = executor.map(&candidates, |_, &params| evaluate(scenario, params, target));
+    let outcomes = executor.map(&candidates, |_, &params| evaluate(scenario, params));
     let mut scored = Vec::with_capacity(candidates.len());
     for outcome in outcomes {
         scored.push(outcome?);
@@ -99,14 +100,9 @@ pub fn run_sweep(
     Ok(scored)
 }
 
-fn evaluate(
-    scenario: &Scenario,
-    params: ControlParams,
-    target: Volts,
-) -> Result<SweepResult, SimError> {
+fn evaluate(scenario: &Scenario, params: ControlParams) -> Result<SweepResult, SimError> {
     let report = scenario.clone().with_params(params).run_power_neutral()?;
-    let stability = fraction_within_band(report.recorder().vc(), target.value(), 0.05)?;
-    Ok(SweepResult { params, stability, survived: report.survived() })
+    Ok(SweepResult { params, stability: report.vc_stability(), survived: report.survived() })
 }
 
 #[cfg(test)]
@@ -133,7 +129,7 @@ mod tests {
         };
         let scenario =
             scenario::constant_sun(WattsPerSquareMeter::new(560.0), Seconds::new(12.0));
-        let results = run_sweep(&scenario, &grid, Volts::new(5.3), &Executor::default()).unwrap();
+        let results = run_sweep(&scenario, &grid, &Executor::default()).unwrap();
         assert_eq!(results.len(), 2);
         // Sorted best-first.
         assert!(results[0].stability >= results[1].stability || results[0].survived);
@@ -142,7 +138,7 @@ mod tests {
         }
         // The sweep is deterministic across executor widths.
         let sequential =
-            run_sweep(&scenario, &grid, Volts::new(5.3), &Executor::sequential()).unwrap();
+            run_sweep(&scenario, &grid, &Executor::sequential()).unwrap();
         assert_eq!(results, sequential);
     }
 }

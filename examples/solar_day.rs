@@ -6,7 +6,6 @@
 //! ```
 
 use power_neutral::analysis::ascii::{chart, ChartOptions};
-use power_neutral::analysis::metrics::fraction_within_band;
 use power_neutral::harvest::weather::Weather;
 use power_neutral::sim::scenario;
 
@@ -46,9 +45,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
     );
 
-    let stability = fraction_within_band(report.recorder().vc(), 5.3, 0.05)?;
     println!("  survived:        {}", report.survived());
-    println!("  ±5 % residency:  {:.1} % (paper, full sun: 93.3 %)", stability * 100.0);
+    println!(
+        "  ±5 % residency:  {:.1} % (paper, full sun: 93.3 %)",
+        report.vc_stability() * 100.0
+    );
     println!("  instructions:    {:.1} B", report.work().instructions_billions());
     println!("  transitions:     {}", report.transitions());
     Ok(())

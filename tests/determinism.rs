@@ -7,7 +7,7 @@ use power_neutral::sim::campaign::{run_campaign, CampaignSpec, GovernorSpec};
 use power_neutral::sim::executor::Executor;
 use power_neutral::sim::scenario;
 use power_neutral::sim::sweep::{run_sweep, SweepGrid};
-use power_neutral::units::{Seconds, Volts, WattsPerSquareMeter};
+use power_neutral::units::{Seconds, WattsPerSquareMeter};
 
 #[test]
 fn scenario_replays_bitwise_identically() {
@@ -59,8 +59,8 @@ fn sweep_rankings_are_identical_across_thread_counts() {
         beta_multiple: vec![4.0],
     };
     let scenario = scenario::constant_sun(WattsPerSquareMeter::new(560.0), Seconds::new(10.0));
-    let single = run_sweep(&scenario, &grid, Volts::new(5.3), &Executor::sequential()).unwrap();
-    let wide = run_sweep(&scenario, &grid, Volts::new(5.3), &Executor::new(4)).unwrap();
+    let single = run_sweep(&scenario, &grid, &Executor::sequential()).unwrap();
+    let wide = run_sweep(&scenario, &grid, &Executor::new(4)).unwrap();
     assert_eq!(single, wide);
 }
 
