@@ -5,9 +5,14 @@
 //! model (§III).
 //!
 //! The solver operates on fixed-size state vectors `[f64; N]`; the
-//! power-neutral co-simulation only needs `N = 1` (the buffer-capacitor
-//! voltage), but it is written for arbitrary small systems and is
-//! tested on 2-dimensional oscillators.
+//! power-neutral co-simulation only needs `N = 1` (the PV array's
+//! junction voltage `V_d = VC + R_s·I` under the exact supply model, in
+//! which the single-diode equation is explicit, and the buffer-capacitor
+//! voltage `VC` under the interpolated one), but it is written for
+//! arbitrary small systems and is tested on 2-dimensional oscillators.
+//! The engine integrates only between the discrete events that change
+//! the load, and re-expresses each accepted step in `VC` from its stage
+//! values for event location.
 
 use crate::CircuitError;
 

@@ -9,8 +9,11 @@
 //!
 //! which is implicit in the terminal current `I`; [`SolarCell::current`]
 //! solves it with the safeguarded Newton iteration from
-//! [`crate::newton`]. The light-generated current `Il` scales linearly
-//! with irradiance, so one parameter set covers the whole day.
+//! [`crate::newton`]. In the junction voltage `Vd = V + Rs·I` the same
+//! equation is explicit, `I = Il − I0·(exp(Vd/(N·VT)) − 1) − Vd/Rp` and
+//! `V = Vd − Rs·I`, which [`SolarCell::at_junction`] evaluates with one
+//! exponential and no solve. The light-generated current `Il` scales
+//! linearly with irradiance, so one parameter set covers the whole day.
 //!
 //! Two calibrated presets are provided:
 //!
@@ -89,6 +92,20 @@ pub struct IvPoint {
     pub current: Amps,
     /// Power delivered at that voltage.
     pub power: Watts,
+}
+
+/// A point of the single-diode curve evaluated from its junction
+/// voltage, as returned by [`SolarCell::at_junction`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct JunctionPoint {
+    /// Terminal voltage `V = Vd − Rs·I`.
+    pub voltage: Volts,
+    /// Terminal current.
+    pub current: Amps,
+    /// `∂V/∂Vd` at fixed irradiance: `1 + Rs·(I0/(N·VT)·exp(Vd/(N·VT)) + 1/Rp)`.
+    pub dv_dvd: f64,
+    /// `∂V/∂G` at fixed junction voltage, volts per W/m²: `−Rs·dIl/dG`.
+    pub dv_dg: f64,
 }
 
 impl SolarCell {
@@ -278,6 +295,33 @@ impl SolarCell {
         let hi = il + 1.0;
         let lo = -(20.0 * il.max(0.05) + vv.abs() / rp + 1.0);
         solve_bracketed(&mut residual, lo, hi, NewtonOptions::new())
+    }
+
+    /// The junction voltage `Vd = V + Rs·I` of the terminal operating
+    /// point `(v, i)`.
+    pub fn junction_voltage(&self, v: Volts, i: Amps) -> Volts {
+        v + i * self.params.rs
+    }
+
+    /// Evaluates Eq. 4 at junction voltage `vd` and irradiance `g`,
+    /// where it is explicit: one exponential gives the terminal current
+    /// and voltage and their partial derivatives. For `vd` taken from
+    /// [`SolarCell::junction_voltage`] of a solved point, it returns
+    /// that point back to within the solve's residual.
+    pub fn at_junction(&self, vd: Volts, g: WattsPerSquareMeter) -> JunctionPoint {
+        let p = &self.params;
+        let il = self.light_current(g).value();
+        let (i0, rs, rp, nvt) = (p.i0.value(), p.rs.value(), p.rp.value(), p.n_vt.value());
+        let vd = vd.value();
+        // The same guard as the Newton residual's.
+        let e = (vd / nvt).min(120.0).exp();
+        let i = il - i0 * (e - 1.0) - vd / rp;
+        JunctionPoint {
+            voltage: Volts::new(vd - rs * i),
+            current: Amps::new(i),
+            dv_dvd: 1.0 + rs * (i0 / nvt * e + 1.0 / rp),
+            dv_dg: -rs * p.il_ref.value() / REFERENCE_IRRADIANCE.value(),
+        }
     }
 
     /// Power delivered at voltage `v` and irradiance `g`.
@@ -513,6 +557,30 @@ mod tests {
                 (warm - cold).abs() <= 1e-8,
                 "cold {cold} vs warm {warm} (seed {seed})"
             );
+        }
+
+        #[test]
+        fn the_junction_form_returns_the_solved_point(frac in 0.0f64..=1.0, g in 0.0f64..1200.0) {
+            let cell = SolarCell::odroid_array();
+            let g = WattsPerSquareMeter::new(g);
+            let v = cell.open_circuit_voltage(g).unwrap() * frac;
+            let solved = cell.solve_seeded(v, g, None).unwrap();
+            let i = Amps::new(solved.root);
+            let point = cell.at_junction(cell.junction_voltage(v, i), g);
+            // `I(Vd) − I` is exactly the Newton residual at the root.
+            let tol = NewtonOptions::new().residual_tolerance;
+            prop_assert!((point.current - i).value().abs() <= tol, "{} vs {i}", point.current);
+            let rs = cell.params().rs.value();
+            let off = (point.voltage - v).value().abs();
+            prop_assert!(off <= rs * tol + 1e-14, "{} vs {v}", point.voltage);
+            // ∂V/∂Vd against a central difference.
+            let vd = cell.junction_voltage(v, i);
+            let h = Volts::new(1e-6);
+            let dv = (cell.at_junction(vd + h, g).voltage - cell.at_junction(vd - h, g).voltage)
+                .value()
+                / (2.0 * h.value());
+            let slope = point.dv_dvd;
+            prop_assert!((dv - slope).abs() <= 1e-6 * slope, "{dv} vs {slope}");
         }
 
         #[test]

@@ -249,16 +249,35 @@ impl IrradianceCursor {
     /// Irradiance at time `t`, bitwise identical to
     /// [`IrradianceTrace::sample`] — O(1) amortized for non-decreasing
     /// query times.
+    #[inline]
     pub fn sample(&mut self, trace: &IrradianceTrace, t: Seconds) -> WattsPerSquareMeter {
+        self.sample_with_slope(trace, t).0
+    }
+
+    /// [`IrradianceCursor::sample`] together with the trace's left
+    /// derivative `dG/dt` at `t`, in W/m² per second: the slope of the
+    /// segment containing `t`, or of the segment that ends at `t` when
+    /// `t` is a sample instant, and zero up to the first sample and past
+    /// the last. Taking the segment that ends at a sample instant makes
+    /// the slope at a run's last instant independent of any sample
+    /// after it.
+    #[inline]
+    pub fn sample_with_slope(
+        &mut self,
+        trace: &IrradianceTrace,
+        t: Seconds,
+    ) -> (WattsPerSquareMeter, f64) {
         let s = &trace.samples;
         let last = s.len() - 1;
+        let slope = |k: usize| (s[k + 1].1 - s[k].1).value() / (s[k + 1].0 - s[k].0).value();
         if t >= s[last].0 {
             self.segment = last.saturating_sub(1);
-            return s[last].1;
+            let ends_here = t == s[last].0 && last > 0;
+            return (s[last].1, if ends_here { slope(last - 1) } else { 0.0 });
         }
         if t <= s[0].0 {
             self.segment = 0;
-            return s[0].1;
+            return (s[0].1, 0.0);
         }
         // Interior query: locate k with t_k <= t < t_{k+1}.
         let mut k = self.segment.min(last - 1);
@@ -272,7 +291,9 @@ impl IrradianceCursor {
             }
         }
         self.segment = k;
-        interpolate(s[k], s[k + 1], t)
+        // `t > s[0].0` here, so a sample instant `s[k].0 == t` has k ≥ 1.
+        let left = if s[k].0 == t { k - 1 } else { k };
+        (interpolate(s[k], s[k + 1], t), slope(left))
     }
 }
 
@@ -470,6 +491,26 @@ mod tests {
         )
         .unwrap();
         assert_eq!(cursor.sample(&short, Seconds::new(0.5)).value(), 7.0);
+    }
+
+    #[test]
+    fn slope_is_the_left_derivative() {
+        // Segments rise 20 W/m²/s, then fall 10 W/m²/s.
+        let trace = simple();
+        let mut cursor = trace.cursor();
+        let slope = |cursor: &mut IrradianceCursor, t: f64| {
+            let (g, slope) = cursor.sample_with_slope(&trace, Seconds::new(t));
+            assert_eq!(g.value().to_bits(), trace.sample(Seconds::new(t)).value().to_bits());
+            slope
+        };
+        for (t, want) in [(-1.0, 0.0), (0.0, 0.0), (5.0, 20.0), (10.0, 20.0), (15.0, -10.0)] {
+            assert_eq!(slope(&mut cursor, t), want, "t = {t}");
+        }
+        // The last instant reads the segment that ends there, also
+        // after a backtrack; past it the trace is flat.
+        for (t, want) in [(20.0, -10.0), (3.0, 20.0), (20.0, -10.0), (21.0, 0.0), (10.0, 20.0)] {
+            assert_eq!(slope(&mut cursor, t), want, "t = {t}");
+        }
     }
 
     proptest! {

@@ -1,15 +1,26 @@
 //! The hybrid continuous/discrete simulation engine.
 //!
-//! Between events the buffer-capacitor voltage is integrated with the
-//! adaptive RK23 solver (`ode23`, as in the paper's Simulink model);
-//! threshold and brownout crossings are located on each accepted
-//! step's dense output by bisection; governor actions start multi-step
-//! OPP transitions whose per-step latencies and pre-step power draws
-//! feed back into the ODE. Threshold interrupts are masked while a
+//! Between events the buffer node is integrated with the adaptive RK23
+//! solver (`ode23`, as in the paper's Simulink model). Under the exact
+//! PV model the integrated state is the array's junction voltage
+//! `V_d = VC + R_s·I`, in which the single-diode equation is explicit,
+//! so no stage solves it; under the interpolated model it is `VC`
+//! itself ([`SupplyState`] owns the change of variable). Each accepted
+//! step is re-expressed as a cubic Hermite in `VC` through its stages'
+//! `(VC, dVC/dt)`, on which threshold and brownout crossings are
+//! located by bisection. Governor actions start multi-step OPP
+//! transitions whose per-step latencies and pre-step power draws feed
+//! back into the ODE. Threshold interrupts are masked while a
 //! transition is in flight (the buffer capacitor's job is to carry the
 //! board through exactly this window) and re-checked when it
 //! completes, which reproduces the rapid response cascades visible in
 //! the paper's Fig. 6.
+//!
+//! Only discrete events that change the load end a step: transition
+//! steps, governor ticks, thermal events and arrival edges. A
+//! post-action threshold recheck is an observation, resolved on the
+//! dense output of the step that passes it; it cuts the step only when
+//! it delivers an edge.
 //!
 //! A run's outcomes are accrued as it steps: work, transitions and
 //! residencies by the SoC runtime, and energy and `VC` band residency
@@ -19,7 +30,7 @@
 
 use crate::recorder::{Recorder, Snapshot};
 use crate::runtime::SocRuntime;
-use crate::supply::{Supply, SupplyModel, SupplyState};
+use crate::supply::{OperatingPoint, Supply, SupplyModel, SupplyState};
 use crate::SimError;
 use pn_circuit::capacitor::Supercapacitor;
 use pn_circuit::events::{first_threshold_crossing, CrossingDirection};
@@ -324,6 +335,8 @@ enum CrossKind {
 struct AdvanceOutcome {
     t: f64,
     vc: f64,
+    /// The integrator's state at `t` (see [`SupplyState::state`]).
+    y: f64,
     /// Source current at `(t, vc)`, amps (zero for a controlled supply).
     i_in: f64,
     event: Option<CrossKind>,
@@ -428,7 +441,9 @@ impl Simulation {
             Supply::Controlled { waveform } => waveform.sample(Seconds::new(t)).value(),
             Supply::Photovoltaic { .. } => self.initial_vc.value(),
         };
-        let i_in = supply_state.current(&self.supply, Seconds::new(t), Volts::new(vc))?.value();
+        let i_in = supply_state.current(&self.supply, Seconds::new(t), Volts::new(vc))?;
+        let y = supply_state.state(&self.supply, Volts::new(vc), i_in);
+        let i_in = i_in.value();
         let target = self.platform.target_voltage().value();
 
         // Governor start-up; its action applies once the lane exists.
@@ -458,6 +473,7 @@ impl Simulation {
             solver,
             t,
             vc,
+            y,
             i_in,
             band: (target * (1.0 - BAND), target * (1.0 + BAND)),
             accrued: Accrued::default(),
@@ -496,17 +512,22 @@ struct Lane {
     solver: Rk23,
     t: f64,
     vc: f64,
+    /// The integrator's state at `t`: the PV junction voltage under the
+    /// exact model, `vc` otherwise.
+    y: f64,
     /// Source current at `(t, vc)`, amps: the last evaluation the
     /// integrator or an event made there (zero for a controlled
     /// supply). Snapshots read it, so recording never solves the PV
-    /// model or touches the warm start the integrator reads; the next
-    /// step's energy accrual takes it as its first stage's current.
+    /// model.
     i_in: f64,
     /// The `VC` stability band, `[lo, hi]` volts.
     band: (f64, f64),
     /// Energy and band residency accrued so far.
     accrued: Accrued,
     next_tick: Option<f64>,
+    /// When the post-action threshold recheck falls due: an
+    /// observation resolved inside the step that reaches it, unless it
+    /// coincides with the next discrete boundary.
     recheck_at: Option<f64>,
     /// Next recording grid instant (observation only: not a boundary).
     next_record: f64,
@@ -529,8 +550,9 @@ impl Lane {
 
     /// One iteration of the hybrid loop: integrate toward the next
     /// discrete boundary (stopping early at threshold/brownout
-    /// crossings, which resolve inline through the governor), then
-    /// handle whichever discrete boundaries were reached.
+    /// crossings and at edges a post-action recheck delivers, which
+    /// resolve inline through the governor), then handle whichever
+    /// discrete boundaries were reached.
     ///
     /// Kept out of line: with `run` as its only caller the compiler
     /// may inline this large body into the loop, which measured a few
@@ -551,9 +573,6 @@ impl Lane {
         if let Some(tk) = self.next_tick {
             boundary = boundary.min(tk);
         }
-        if let Some(r) = self.recheck_at {
-            boundary = boundary.min(r);
-        }
         // Thermal threshold crossings and arrival-segment edges are
         // discontinuities like ticks: absent (adding no boundary and
         // no float traffic) when the axes are at their defaults.
@@ -571,11 +590,20 @@ impl Lane {
         }
 
         if boundary > self.t + 1e-12 {
-            // Continuous phase: advance toward the boundary.
-            let armed = self.uses_irq
+            // Continuous phase: advance toward the boundary. While
+            // interrupts are live the thresholds are armed, from the
+            // pending recheck on if there is one. A recheck before the
+            // boundary falls due within the advance; one coinciding
+            // with or past it leaves the thresholds unarmed and waits
+            // for the discrete phase, which keeps the handling order
+            // at coincident instants.
+            let live = self.uses_irq
                 && !self.runtime.is_transitioning()
-                && !self.runtime.idle_masks_interrupts()
-                && self.recheck_at.is_none();
+                && !self.runtime.idle_masks_interrupts();
+            let (armed, recheck) = match self.recheck_at {
+                Some(r) if r >= boundary - 1e-9 => (false, None),
+                recheck => (live, recheck),
+            };
             let (high, low) = if armed {
                 let (h, l) = self.monitor.effective_thresholds();
                 (Some(h.value()), Some(l.value()))
@@ -591,9 +619,13 @@ impl Lane {
                 vmin: self.vmin,
                 high,
                 low,
+                recheck,
                 band: self.band,
             };
-            let outcome = ctx.advance(self.t, self.vc, self.i_in, boundary)?;
+            let outcome = ctx.advance(self.t, self.y, boundary)?;
+            if recheck.is_some_and(|r| r <= outcome.t) {
+                self.recheck_at = None;
+            }
             self.accrued.add(&outcome.accrued);
             let dt = outcome.t - self.t;
             self.runtime.accrue(
@@ -607,6 +639,7 @@ impl Lane {
             }
             self.t = outcome.t;
             self.vc = outcome.vc;
+            self.y = outcome.y;
             self.i_in = outcome.i_in;
             match outcome.event {
                 Some(CrossKind::Brownout) => {
@@ -657,6 +690,8 @@ impl Lane {
             let _ = self.apply(action)?;
             self.solver.notify_discontinuity();
         }
+        // A recheck falls due here only when it coincides with the
+        // boundary: one before it fell due inside an advance.
         if self.recheck_at.is_some_and(|r| (r - self.t).abs() <= 1e-9) {
             self.recheck_at = None;
             if self.uses_irq
@@ -923,24 +958,32 @@ struct AdvanceCtx<'a> {
     high: Option<f64>,
     /// Falling threshold — armed when interrupts are live.
     low: Option<f64>,
+    /// A pending post-action recheck before the boundary: the armed
+    /// thresholds apply from it on (see [`first_event`]).
+    recheck: Option<f64>,
     /// The `VC` stability band, `[lo, hi]` volts.
     band: (f64, f64),
 }
 
 impl AdvanceCtx<'_> {
-    /// Advances the continuous state from `(t, vc)`, where the source
-    /// current is `i_in`, by one accepted step toward `boundary`,
-    /// stopping at the earliest crossing (brownout, Vhigh rising, Vlow
-    /// falling), and accrues the span.
-    fn advance(
-        self,
-        t: f64,
-        vc: f64,
-        i_in: f64,
-        boundary: f64,
-    ) -> Result<AdvanceOutcome, SimError> {
-        let AdvanceCtx { supply, supply_state, buffer, solver, p_load, vmin, high, low, band } =
-            self;
+    /// Advances the continuous state from `(t, y)` (`y` in the
+    /// integrator's variable) by one accepted step toward `boundary`,
+    /// stopping at the earliest event (brownout, Vhigh rising, Vlow
+    /// falling, or an edge the pending recheck delivers), and accrues
+    /// the span.
+    fn advance(self, t: f64, y: f64, boundary: f64) -> Result<AdvanceOutcome, SimError> {
+        let AdvanceCtx {
+            supply,
+            supply_state,
+            buffer,
+            solver,
+            p_load,
+            vmin,
+            high,
+            low,
+            recheck,
+            band,
+        } = self;
         match supply {
             Supply::Controlled { waveform } => {
                 let f = |tt: f64| waveform.sample(Seconds::new(tt)).value();
@@ -949,7 +992,15 @@ impl AdvanceCtx<'_> {
                 // as it does on the PV path.
                 let end = boundary.min(t + solver.options().max_step);
                 let subdivisions = (((end - t) / 0.01).ceil() as usize).clamp(4, 4000);
-                let found = scan_crossings(&f, t, end, subdivisions, Some(vmin), high, low)?;
+                let found = first_event(
+                    &f,
+                    (t, end),
+                    subdivisions,
+                    Some(vmin),
+                    (high, low),
+                    recheck,
+                    |_| true,
+                )?;
                 let (t1, event) = match found {
                     Some((tc, kind)) => (tc, Some(kind)),
                     None => (end, None),
@@ -975,36 +1026,57 @@ impl AdvanceCtx<'_> {
                     energy_leaked: 0.0,
                     band_time,
                 };
-                Ok(AdvanceOutcome { t: t1, vc: f(t1), i_in: 0.0, event, accrued })
+                let vc = f(t1);
+                Ok(AdvanceOutcome { t: t1, vc, y: vc, i_in: 0.0, event, accrued })
             }
             Supply::Photovoltaic { .. } => {
                 let mut solve_error: Option<SimError> = None;
-                // Voltage and source current at the latest three right-hand
-                // side evaluations: once the step is accepted, its stages
-                // k2, k3 and k4 (a rejected attempt re-evaluates only
-                // those). Stage k1 is `(vc, i_in)`, where the lane stands.
-                let mut latest = [[0.0; 2]; 3];
+                // `(VC, I, dVC/dt)` at the step's right-hand-side
+                // evaluations: the first is stage k1, where the lane
+                // stands; the latest three are, once the step is
+                // accepted, its stages k2, k3 and k4 (a rejected attempt
+                // re-evaluates only those).
+                let mut stages = [[0.0; 3]; 4];
+                let mut evaluated = false;
                 let mut deriv = |tt: f64, y: &[f64; 1]| -> [f64; 1] {
-                    let v = y[0].max(0.05);
                     // The supply fast path: monotone irradiance cursor plus
-                    // warm-started Newton (or the interpolation surface).
-                    let i_in = match supply_state.current(supply, Seconds::new(tt), Volts::new(v))
-                    {
-                        Ok(i) => i,
-                        Err(e) => {
+                    // the explicit junction form (or the interpolation
+                    // surface).
+                    let point = supply_state
+                        .operating_point(supply, Seconds::new(tt), y[0])
+                        .unwrap_or_else(|e| {
                             solve_error = Some(e);
-                            Amps::ZERO
-                        }
-                    };
-                    latest = [latest[1], latest[2], [v, i_in.value()]];
+                            OperatingPoint { vc: y[0], current: 0.0, dvc_dy: 1.0, dvc_dt: 0.0 }
+                        });
+                    let v = point.vc.max(0.05);
                     let i_out = Amps::new(p_load / v.max(0.3));
-                    [buffer.dv_dt(Volts::new(v), i_in, i_out)]
+                    let dvc_dt = buffer.dv_dt(Volts::new(v), Amps::new(point.current), i_out);
+                    let stage = [v, point.current, dvc_dt];
+                    if evaluated {
+                        stages = [stages[0], stages[2], stages[3], stage];
+                    } else {
+                        stages[0] = stage;
+                        evaluated = true;
+                    }
+                    [point.state_rate(dvc_dt)]
                 };
-                let step = solver.step(&mut deriv, t, &[vc], boundary)?;
+                let step = solver.step(&mut deriv, t, &[y], boundary)?;
                 if let Some(e) = solve_error {
                     return Err(e);
                 }
-                let stages = [[vc, i_in], latest[0], latest[1], latest[2]];
+                // The step in `VC`: the cubic Hermite through its first
+                // and last stages' `(VC, dVC/dt)`. Crossings, the band
+                // and the energy quadrature all read this one.
+                let [first, .., last] = stages;
+                let step_vc = AcceptedStep {
+                    t0: step.t0,
+                    t1: step.t1,
+                    y0: [first[0]],
+                    y1: [last[0]],
+                    f0: [first[2]],
+                    f1: [last[2]],
+                    error_norm: step.error_norm,
+                };
                 // Rigorous range bound of the cubic Hermite dense output on
                 // this step: the Hermite value basis stays inside
                 // [min(y0,y1), max(y0,y1)] and the two tangent basis
@@ -1012,32 +1084,26 @@ impl AdvanceCtx<'_> {
                 // bound cannot be crossed — skip their subdivision scans
                 // entirely (the overwhelmingly common case). Detection on
                 // the remaining thresholds is bit-identical to scanning
-                // all of them.
-                let (y0, y1) = (step.y0[0], step.y1[0]);
-                let margin =
-                    (4.0 / 27.0) * (step.t1 - step.t0) * (step.f0[0].abs() + step.f1[0].abs());
+                // all of them. (A recheck still compares `VC` against
+                // every armed threshold: one outside the bound may lie
+                // behind it.)
+                let (y0, y1) = (first[0], last[0]);
+                let margin = (4.0 / 27.0) * (step.t1 - step.t0) * (first[2].abs() + last[2].abs());
                 let (y_min, y_max) = (y0.min(y1) - margin, y0.max(y1) + margin);
                 let reachable = |threshold: &f64| *threshold >= y_min && *threshold <= y_max;
-                let f = |tt: f64| step.interpolate(tt)[0];
-                let subdivisions = 8;
-                let found = scan_crossings(
-                    &f,
-                    step.t0,
-                    step.t1,
-                    subdivisions,
-                    Some(vmin).filter(reachable),
-                    high.filter(reachable),
-                    low.filter(reachable),
-                )?;
-                let (t1, vc1, i1, event) = match found {
+                let f = |tt: f64| step_vc.interpolate(tt)[0];
+                let span = (step.t0, step.t1);
+                let found = first_event(&f, span, 8, Some(vmin), (high, low), recheck, reachable)?;
+                let (t1, vc1, y1, i1, event) = match found {
                     Some((tc, kind)) => {
-                        // The event's own operating point: the one solve an
-                        // event snapshot has always made.
-                        let v = f(tc);
-                        let i = supply_state.current(supply, Seconds::new(tc), Volts::new(v))?;
-                        (tc, v, i.value(), Some(kind))
+                        // The event's own operating point, solved exactly:
+                        // the next step starts from it.
+                        let v = Volts::new(f(tc));
+                        let i = supply_state.current(supply, Seconds::new(tc), v)?;
+                        let y = supply_state.state(supply, v, i);
+                        (tc, v.value(), y, i.value(), Some(kind))
                     }
-                    None => (step.t1, y1, stages[3][1], None),
+                    None => (step.t1, y1, step.y1[0], last[1], None),
                 };
                 let dt = t1 - t;
                 // The same bound decides the band: a span wholly inside
@@ -1046,16 +1112,17 @@ impl AdvanceCtx<'_> {
                 let band_time = if band.0 <= y_min && y_max <= band.1 {
                     dt
                 } else if reachable(&band.0) || reachable(&band.1) {
-                    dense_time_in_band(&step, t1, band)
+                    dense_time_in_band(&step_vc, t1, band)
                 } else {
                     0.0
                 };
                 let g_leak = 1.0 / buffer.leakage_resistance().value();
-                let energy_in = stage_quadrature(&step, stages.map(|[v, i]| v * i), t1);
-                let energy_leaked = stage_quadrature(&step, stages.map(|[v, _]| v * v * g_leak), t1);
+                let energy_in = stage_quadrature(&step_vc, stages.map(|[v, i, _]| v * i), t1);
+                let energy_leaked =
+                    stage_quadrature(&step_vc, stages.map(|[v, _, _]| v * v * g_leak), t1);
                 let accrued =
                     Accrued { energy_in, energy_out: p_load * dt, energy_leaked, band_time };
-                Ok(AdvanceOutcome { t: t1, vc: vc1, i_in: i1, event, accrued })
+                Ok(AdvanceOutcome { t: t1, vc: vc1, y: y1, i_in: i1, event, accrued })
             }
         }
     }
@@ -1140,6 +1207,51 @@ fn monotone_time_in_band(
         }
     };
     below(hi) - below(lo)
+}
+
+/// Finds the earliest event of `f` on `[a, b]`: a brownout anywhere,
+/// and a threshold edge once the thresholds are armed, which is from
+/// `a`, or from `r` when a post-action recheck is pending at `r`. A
+/// recheck at `r ≤ b` is resolved on `f` itself: a level already at or
+/// beyond a threshold at `r` delivers its edge at exactly `r`, and
+/// otherwise the thresholds are armed from `r` on. Levels for which
+/// `reachable` is false are not scanned for crossings. Shared by both
+/// supply branches, so a recheck resolves the same way on either.
+fn first_event(
+    f: &impl Fn(f64) -> f64,
+    (a, b): (f64, f64),
+    subdivisions: usize,
+    vmin: Option<f64>,
+    (high, low): (Option<f64>, Option<f64>),
+    recheck: Option<f64>,
+    reachable: impl Fn(&f64) -> bool,
+) -> Result<Option<(f64, CrossKind)>, SimError> {
+    let vmin = vmin.filter(&reachable);
+    let (scan_high, scan_low) = (high.filter(&reachable), low.filter(&reachable));
+    let Some(r) = recheck else {
+        return scan_crossings(f, a, b, subdivisions, vmin, scan_high, scan_low);
+    };
+    let brownout = scan_crossings(f, a, b, subdivisions, vmin, None, None)?;
+    if r > b {
+        return Ok(brownout);
+    }
+    let r = r.max(a);
+    let level = f(r);
+    let edge = if high.is_some_and(|h| level >= h) {
+        Some((r, CrossKind::High))
+    } else if low.is_some_and(|l| level <= l) {
+        Some((r, CrossKind::Low))
+    } else if r < b {
+        scan_crossings(f, r, b, subdivisions, None, scan_high, scan_low)?
+    } else {
+        None
+    };
+    // A brownout at the same instant wins, as in `scan_crossings`.
+    Ok(match (brownout, edge) {
+        (Some(down), Some(up)) if up.0 < down.0 => Some(up),
+        (None, edge) => edge,
+        (down, _) => down,
+    })
 }
 
 /// Finds the earliest qualifying crossing of the three monitored
@@ -1321,6 +1433,63 @@ mod tests {
         assert!(last < first, "frequency should have scaled down: {first} → {last}");
     }
 
+    /// Programs `(5.3 V, 4.5 V)` at start and, on its first edge, pulls
+    /// the rising threshold down to 5.0 V, below `VC`; logs every edge.
+    struct Retune(std::rc::Rc<std::cell::RefCell<Vec<(f64, ThresholdEdge)>>>);
+
+    impl Governor for Retune {
+        fn name(&self) -> &str {
+            "retune"
+        }
+        fn start(&mut self, _t: Seconds, _vc: Volts, _current: Opp) -> GovernorAction {
+            GovernorAction {
+                thresholds: Some((Volts::new(5.3), Volts::new(4.5))),
+                ..GovernorAction::none()
+            }
+        }
+        fn on_event(&mut self, event: &GovernorEvent, _current: Opp) -> GovernorAction {
+            let GovernorEvent::ThresholdCrossed { edge, t, .. } = event else {
+                return GovernorAction::none();
+            };
+            let mut edges = self.0.borrow_mut();
+            edges.push((t.value(), *edge));
+            if edges.len() > 1 {
+                return GovernorAction::none();
+            }
+            GovernorAction {
+                thresholds: Some((Volts::new(5.0), Volts::new(4.5))),
+                ..GovernorAction::none()
+            }
+        }
+        fn uses_threshold_interrupts(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn a_recheck_beyond_the_new_threshold_delivers_at_its_instant() {
+        // VC ramps 5.1 → 5.5 V over 10 s and crosses 5.3 V at 5 s. The
+        // retuned 5.0 V threshold lies behind VC, so the post-action
+        // recheck must deliver a second rising edge at exactly the
+        // recheck instant, inside an advance rather than at a boundary.
+        let waveform = VoltageWaveform::new(vec![
+            (Seconds::ZERO, Volts::new(5.1)),
+            (Seconds::new(10.0), Volts::new(5.5)),
+        ])
+        .unwrap();
+        let edges = std::rc::Rc::default();
+        let governor = Box::new(Retune(std::rc::Rc::clone(&edges)));
+        let report =
+            build(governor, Supply::Controlled { waveform }, 10.0, Opp::lowest()).run().unwrap();
+        assert!(report.survived());
+        let edges = edges.borrow();
+        assert_eq!(edges.len(), 2, "{edges:?}");
+        let (first, second) = (edges[0], edges[1]);
+        assert_eq!(first.1, ThresholdEdge::High);
+        assert!((4.5..5.5).contains(&first.0), "{edges:?}");
+        assert_eq!(second, (first.0 + REARM_DELAY, ThresholdEdge::High));
+    }
+
     #[test]
     fn brownout_is_reported_with_interpolated_time() {
         // Darkness: the board discharges the 47 mF buffer and dies.
@@ -1413,9 +1582,9 @@ mod tests {
 
     #[test]
     fn an_accepted_step_ends_on_its_stages_k2_k3_k4() {
-        // The energy accrual takes the source current at an accepted
-        // step's stages k2..k4 from the latest three right-hand-side
-        // evaluations. Pin that on a step whose first attempt, far too
+        // The engine takes an accepted step's stage k1 from the first
+        // right-hand-side evaluation and its stages k2..k4 from the
+        // latest three. Pin that on a step whose first attempt, far too
         // long for y' = −50y, is rejected.
         let mut options = AdaptiveOptions::new().with_max_step(1.0);
         options.initial_step = 0.5;

@@ -9,16 +9,18 @@
 //!
 //! * [`supply`] — the energy source (PV array × irradiance trace, or a
 //!   prescribed voltage waveform for the Fig. 11 bench test), plus the
-//!   engine's supply fast path: the `SupplyModel` knob (exact
-//!   warm-started Newton vs. the pretabulated interpolation surface)
+//!   engine's supply fast path: the `SupplyModel` knob (the exact
+//!   single-diode model vs. the pretabulated interpolation surface)
 //!   and the per-simulation `SupplyState` that carries the monotone
-//!   irradiance cursor and the previous root,
+//!   irradiance cursor and the previous root, and owns the change of
+//!   variable to the integrated state (the PV junction voltage under
+//!   the exact model),
 //! * [`runtime`] — the SoC runtime state: current OPP, in-flight
 //!   transitions, work and overhead accounting,
 //! * [`recorder`] — recorded traces (`VC`, frequency, cores, powers),
 //! * [`engine`] — the hybrid continuous/discrete simulation loop
-//!   (adaptive RK23 between events, bisection event location, interrupt
-//!   masking during transitions),
+//!   (adaptive RK23 between the discrete events that change the load,
+//!   bisection event location, interrupt masking during transitions),
 //! * [`chaos`] — the deterministic fault plane: a seeded `FaultPlan`
 //!   injecting I/O and network faults behind the `IoPolicy` seam, so
 //!   the persistence and daemon layers are testable under chaos,

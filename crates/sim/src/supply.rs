@@ -1,8 +1,10 @@
 //! The energy supply driving the simulation, and the engine's supply
-//! fast path ([`SupplyModel`] / [`SupplyState`]).
+//! fast path ([`SupplyModel`] / [`SupplyState`]). Under the exact model
+//! the engine integrates the PV junction voltage `V_d = VC + R_s·I`
+//! rather than `VC`, so no integration stage solves the single-diode
+//! equation; [`SupplyState`] owns that change of variable.
 
 use crate::SimError;
-use pn_circuit::newton::NewtonOptions;
 use pn_circuit::solar::SolarCell;
 use pn_circuit::surface::PanelSurface;
 use pn_harvest::irradiance::{IrradianceCursor, IrradianceTrace};
@@ -157,10 +159,12 @@ impl Supply {
 
 /// How the engine evaluates the PV operating point on its hot path.
 ///
-/// `Exact` is the reference model: every query runs the safeguarded
-/// Newton solve of Eq. 4 (warm-started from the previous root by the
-/// engine's [`SupplyState`]), and every sample is bitwise-reproducible.
-/// Keep it for golden traces and paper-figure/Table II reproduction.
+/// `Exact` is the reference model: the engine integrates the junction
+/// voltage, in which Eq. 4 is explicit, and runs the safeguarded Newton
+/// solve (warm-started from the previous root by the engine's
+/// [`SupplyState`]) only at its start and event points; every sample
+/// is bitwise-reproducible. Keep it for golden traces and
+/// paper-figure/Table II reproduction.
 ///
 /// `Interpolated` trades amp-level accuracy for throughput: currents
 /// come from a pretabulated [`PanelSurface`] validated to `tol` amps
@@ -169,7 +173,8 @@ impl Supply {
 /// trailing bits of its trace — is the product.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SupplyModel {
-    /// Solve the single-diode equation exactly at every query.
+    /// Evaluate the single-diode equation exactly: explicitly in the
+    /// junction voltage at every stage, by Newton at event points.
     Exact,
     /// Bilinear interpolation on a shared [`PanelSurface`] built and
     /// validated to `tol` amps.
@@ -226,6 +231,31 @@ impl std::fmt::Display for SupplyModel {
     }
 }
 
+/// The supply seen from the integrator at one instant: the operating
+/// point `(VC, I)` and the change of variable between the buffer voltage
+/// `VC` and the integrated state `y` (see [`SupplyState`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OperatingPoint {
+    /// Buffer-node voltage `VC`, volts.
+    pub vc: f64,
+    /// Source current into the node, amps.
+    pub current: f64,
+    /// `∂VC/∂y` at fixed time.
+    pub dvc_dy: f64,
+    /// `∂VC/∂t` at fixed state, volts per second.
+    pub dvc_dt: f64,
+}
+
+impl OperatingPoint {
+    /// The state's rate `dy/dt` for a buffer slope `dVC/dt`:
+    /// `(dVC/dt − ∂VC/∂t) / (∂VC/∂y)`. Bitwise `dvc_dt` itself under
+    /// the identity change of variable.
+    #[inline]
+    pub fn state_rate(&self, dvc_dt: f64) -> f64 {
+        (dvc_dt - self.dvc_dt) / self.dvc_dy
+    }
+}
+
 /// Per-simulation mutable fast-path state for a [`Supply`].
 ///
 /// One `SupplyState` lives inside each engine run and carries what the
@@ -236,23 +266,20 @@ impl std::fmt::Display for SupplyModel {
 /// one. Because the state is owned by a single simulation, campaigns
 /// stay bitwise-deterministic across executor thread counts.
 ///
-/// The exact model also memoises its last operating point. The PV
-/// current depends on `(v, g)` alone, and the engine asks for the same
-/// point again after every restart and at every snapshot. When the
-/// last solve's residual met the solver tolerance, re-solving that
-/// point from its own root would evaluate the same residual at the
-/// seed and return the seed, so the memo returns the root directly:
-/// the result is bitwise the one the solve would give.
+/// It also owns the integrator's change of variable. Under the exact
+/// model the engine integrates the PV junction voltage
+/// `y = V_d = VC + R_s·I`, in which the single-diode equation is
+/// explicit, so [`SupplyState::operating_point`] costs one exponential
+/// and no Newton solve. Under the interpolated model (and for a
+/// controlled supply) the change of variable is the identity, `y = VC`.
+/// The only exact solves left are [`SupplyState::current`] at the
+/// lane's start and at its event points.
 #[derive(Debug, Clone)]
 pub struct SupplyState {
     model: SupplyModel,
     surface: Option<Arc<PanelSurface>>,
     cursor: IrradianceCursor,
     last_root: Option<f64>,
-    /// `(v, g)` bit patterns of the last exact solve, kept only when
-    /// its residual was within tolerance (so `last_root` is its
-    /// fixed point).
-    settled: Option<(u64, u64)>,
 }
 
 impl SupplyState {
@@ -270,13 +297,7 @@ impl SupplyState {
             }
             _ => None,
         };
-        Ok(Self {
-            model,
-            surface,
-            cursor: IrradianceCursor::new(),
-            last_root: None,
-            settled: None,
-        })
+        Ok(Self { model, surface, cursor: IrradianceCursor::new(), last_root: None })
     }
 
     /// The model this state evaluates.
@@ -294,20 +315,15 @@ impl SupplyState {
         }
     }
 
-    /// Source current into the node at voltage `v` and time `t` — the
-    /// engine's per-derivative-evaluation hot path. Exact-model
-    /// queries warm-start from the previous root, or return it when
-    /// they repeat a settled point; interpolated-model queries hit the
-    /// surface (falling back to the exact solver outside its tabulated
-    /// domain).
+    /// Source current into the node at voltage `v` and time `t`: the
+    /// solve at the lane's start and event points. Exact-model queries
+    /// run the Newton solve warm-started from the previous root;
+    /// interpolated-model queries hit the surface (falling back to the
+    /// exact solver outside its tabulated domain).
     ///
     /// # Errors
     ///
     /// Propagates PV operating-point solver failures.
-    // Without the hint the memo check tips LLVM into calling this out of
-    // line from every RK23 stage, which measured 13–20 % slower on the
-    // Table II hour than keeping it inside the right-hand side.
-    #[inline]
     pub fn current(&mut self, supply: &Supply, t: Seconds, v: Volts) -> Result<Amps, SimError> {
         match supply {
             Supply::Photovoltaic { cell, irradiance } => {
@@ -315,19 +331,64 @@ impl SupplyState {
                 match &self.surface {
                     Some(surface) => Ok(surface.current(v, g)?),
                     None => {
-                        let key = (v.value().to_bits(), g.value().to_bits());
-                        if let Some(root) = self.last_root.filter(|_| self.settled == Some(key)) {
-                            return Ok(Amps::new(root));
-                        }
-                        let sol = cell.solve_seeded(v, g, self.last_root)?;
-                        self.last_root = Some(sol.root);
-                        self.settled = (sol.residual <= NewtonOptions::new().residual_tolerance)
-                            .then_some(key);
-                        Ok(Amps::new(sol.root))
+                        let i = cell.current_seeded(v, g, self.last_root)?;
+                        self.last_root = Some(i.value());
+                        Ok(i)
                     }
                 }
             }
             Supply::Controlled { .. } => Ok(Amps::ZERO),
+        }
+    }
+
+    /// The integrator's state at the operating point `(v, i)`: the
+    /// junction voltage under the exact model, `v` otherwise.
+    pub fn state(&self, supply: &Supply, v: Volts, i: Amps) -> f64 {
+        match supply {
+            Supply::Photovoltaic { cell, .. } if self.surface.is_none() => {
+                cell.junction_voltage(v, i).value()
+            }
+            _ => v.value(),
+        }
+    }
+
+    /// The operating point at time `t` and integrator state `y` — the
+    /// engine's per-stage hot path. The exact model evaluates the
+    /// junction form (one exponential) with the irradiance slope the
+    /// cursor reads alongside the irradiance; the interpolated model
+    /// reads the surface at `VC = y`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates surface fallback solver failures.
+    // A hint to inline it into the engine's right-hand side, which
+    // calls it at every RK23 stage.
+    #[inline]
+    pub fn operating_point(
+        &mut self,
+        supply: &Supply,
+        t: Seconds,
+        y: f64,
+    ) -> Result<OperatingPoint, SimError> {
+        let identity = |current: f64| OperatingPoint { vc: y, current, dvc_dy: 1.0, dvc_dt: 0.0 };
+        match supply {
+            Supply::Photovoltaic { cell, irradiance } => match &self.surface {
+                Some(surface) => {
+                    let g = self.cursor.sample(irradiance, t);
+                    Ok(identity(surface.current(Volts::new(y), g)?.value()))
+                }
+                None => {
+                    let (g, slope) = self.cursor.sample_with_slope(irradiance, t);
+                    let point = cell.at_junction(Volts::new(y), g);
+                    Ok(OperatingPoint {
+                        vc: point.voltage.value(),
+                        current: point.current.value(),
+                        dvc_dy: point.dv_dvd,
+                        dvc_dt: point.dv_dg * slope,
+                    })
+                }
+            },
+            Supply::Controlled { .. } => Ok(identity(0.0)),
         }
     }
 }
@@ -335,7 +396,6 @@ impl SupplyState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn waveform_validation() {
@@ -431,65 +491,34 @@ mod tests {
         assert!(SupplyState::new(&supply, SupplyModel::Interpolated { tol: -1.0 }).is_err());
     }
 
-    /// A PV supply whose irradiance ramps, holds and drops to zero, so
-    /// the same `g` recurs at different instants.
-    fn stepped_pv_supply() -> Supply {
-        let g = |t: f64, w: f64| (Seconds::new(t), WattsPerSquareMeter::new(w));
-        Supply::photovoltaic(
-            SolarCell::odroid_array(),
-            IrradianceTrace::new(vec![
-                g(0.0, 200.0),
-                g(2.0, 200.0),
-                g(4.0, 1000.0),
-                g(6.0, 1000.0),
-                g(8.0, 0.0),
-                g(10.0, 0.0),
-                g(12.0, 600.0),
-            ])
-            .unwrap(),
-        )
-    }
-
     #[test]
-    fn a_settled_point_is_memoised() {
-        let supply = stepped_pv_supply();
+    fn the_exact_state_is_the_junction_voltage() {
+        let g = |t: f64, w: f64| (Seconds::new(t), WattsPerSquareMeter::new(w));
+        let supply = Supply::photovoltaic(
+            SolarCell::odroid_array(),
+            IrradianceTrace::new(vec![g(0.0, 200.0), g(10.0, 1000.0)]).unwrap(),
+        );
+        let Supply::Photovoltaic { cell, .. } = &supply else { unreachable!() };
         let mut state = SupplyState::new(&supply, SupplyModel::Exact).unwrap();
-        let (t, v) = (Seconds::new(1.0), Volts::new(5.0));
-        let first = state.current(&supply, t, v).unwrap();
-        let key = (v.value().to_bits(), supply.irradiance(t).value().to_bits());
-        assert_eq!(state.settled, Some(key));
-        assert_eq!(state.current(&supply, t, v).unwrap().value().to_bits(), first.value().to_bits());
-        // Another voltage is a fresh solve.
-        state.current(&supply, t, Volts::new(5.1)).unwrap();
-        assert_ne!(state.settled, Some(key));
-    }
-
-    proptest! {
-        /// The memo never changes a bit: a `SupplyState` answering a
-        /// query sequence with repeats matches the same warm-start
-        /// chain driven through `SolarCell::current_seeded` directly.
-        #[test]
-        fn memoised_state_matches_the_seed_chain(ops in proptest::collection::vec(0u32..240, 1..160)) {
-            let supply = stepped_pv_supply();
-            let Supply::Photovoltaic { cell, .. } = &supply else { unreachable!() };
-            let mut state = SupplyState::new(&supply, SupplyModel::Exact).unwrap();
-            let mut root: Option<f64> = None;
-            let (mut t, mut v) = (0.0, 5.0);
-            for op in ops {
-                // One op in four repeats the previous query exactly;
-                // the rest step time by 0–0.4 s and pick a grid voltage,
-                // so equal (v, g) pairs also recur at other instants.
-                if op % 4 != 0 {
-                    t += 0.1 * f64::from(op / 4 % 5);
-                    v = 3.5 + 0.25 * f64::from(op / 20 % 16);
-                }
-                let (tt, vv) = (Seconds::new(t), Volts::new(v));
-                let expected = cell.current_seeded(vv, supply.irradiance(tt), root).unwrap();
-                root = Some(expected.value());
-                let got = state.current(&supply, tt, vv).unwrap();
-                prop_assert_eq!(got.value().to_bits(), expected.value().to_bits());
-            }
-        }
+        let (t, v) = (Seconds::new(4.0), Volts::new(5.2));
+        let i = state.current(&supply, t, v).unwrap();
+        let y = state.state(&supply, v, i);
+        assert_eq!(y, (v + i * cell.params().rs).value());
+        // The state maps back to the solved point, with VC moving at
+        // −R_s·dI_L/dt = −0.25 Ω · 1.2 mA/(W/m²) · 80 W/m²/s at fixed
+        // junction voltage.
+        let point = state.operating_point(&supply, t, y).unwrap();
+        assert!((point.vc - v.value()).abs() < 1e-9, "{point:?}");
+        assert!((point.current - i.value()).abs() < 1e-9, "{point:?}");
+        assert!((point.dvc_dt + 0.25 * 1.2e-3 * 80.0).abs() < 1e-12, "{point:?}");
+        assert!(point.dvc_dy > 1.0);
+        // The interpolated model integrates VC itself.
+        let mut interp = SupplyState::new(&supply, SupplyModel::interpolated()).unwrap();
+        let i = interp.current(&supply, t, v).unwrap();
+        assert_eq!(interp.state(&supply, v, i), v.value());
+        let point = interp.operating_point(&supply, t, v.value()).unwrap();
+        assert_eq!((point.vc, point.current), (v.value(), i.value()));
+        assert_eq!(point.state_rate(0.125), 0.125);
     }
 
     #[test]

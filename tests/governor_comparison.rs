@@ -131,8 +131,8 @@ fn the_table2_hour_is_pinned_bitwise() {
     // (governor, transitions, instructions bits, final VC bits): any
     // change to the numerics of the Table II hour moves one of these.
     let pins = [
-        (GovernorSpec::PowerNeutral, 49_003, 0x4291_3ecd_6a5e_05f8_u64, 0x4015_fccb_cdd2_2443_u64),
-        (GovernorSpec::BudgetShift, 28_101, 0x429b_a6ec_6f24_96da, 0x4015_2a4b_a2f2_6953),
+        (GovernorSpec::PowerNeutral, 49_003, 0x4291_3ecd_c01f_6c99_u64, 0x4015_fb4d_f0a8_4fa5_u64),
+        (GovernorSpec::BudgetShift, 28_101, 0x429b_a6ec_6f24_a1de, 0x4015_2a4b_8b15_e24c),
     ];
     let hour = scenario::table2_hour(1);
     for (governor, transitions, instructions, final_vc) in pins {
@@ -141,5 +141,94 @@ fn the_table2_hour_is_pinned_bitwise() {
         assert_eq!(report.transitions(), transitions, "{name}");
         assert_eq!(report.work().instructions().to_bits(), instructions, "{name}");
         assert_eq!(report.final_vc().value().to_bits(), final_vc, "{name}");
+    }
+}
+
+#[test]
+fn every_table2_hour_keeps_its_transitions_and_lifetime() {
+    use power_neutral::sim::campaign::GovernorSpec::{self, *};
+    // (seed, governor, transitions, lifetime in seconds or `None` for a
+    // survivor, instructions) of all 56 Table II hours the repo
+    // benchmark runs, as computed by the engine that integrated `VC`
+    // itself and ended a step at every post-action recheck. The count
+    // of every hour sums to 448,907 transitions. Integrator changes
+    // must keep every count and verdict; lifetimes may move by 1 µs
+    // and instructions by 1e-6 relative.
+    #[rustfmt::skip]
+    let pins: [(u64, GovernorSpec, u64, Option<f64>, f64); 56] = [
+        (1, Performance, 1, Some(0.07592545531952055), 3.3521597763720345e8),
+        (1, Ondemand, 1, Some(0.19182869150245097), 4.8047071660209805e8),
+        (1, Interactive, 2, Some(0.1709055955070653), 5.1932410508219063e8),
+        (1, Conservative, 2, Some(2.175481936945289), 3.207160566432081e9),
+        (1, Powersave, 0, None, 2.474496e12),
+        (1, PowerNeutral, 49_003, None, 4.740357986177492e12),
+        (1, BudgetShift, 28_101, None, 7.600936306981713e12),
+        (2, Performance, 1, Some(0.07592545531952055), 3.3521597763720345e8),
+        (2, Ondemand, 1, Some(0.19182869150245097), 4.8047071660209805e8),
+        (2, Interactive, 2, Some(0.1709055955070653), 5.1932410508219063e8),
+        (2, Conservative, 2, Some(2.175481936945289), 3.207160566432081e9),
+        (2, Powersave, 0, None, 2.474496000000001e12),
+        (2, PowerNeutral, 50_007, None, 4.744980706964305e12),
+        (2, BudgetShift, 28_316, None, 7.5907087400741045e12),
+        (3, Performance, 1, Some(0.07592545531952055), 3.3521597763720345e8),
+        (3, Ondemand, 1, Some(0.19182869150245097), 4.8047071660209805e8),
+        (3, Interactive, 2, Some(0.1709055955070653), 5.1932410508219063e8),
+        (3, Conservative, 2, Some(2.175481936945289), 3.207160566432081e9),
+        (3, Powersave, 0, None, 2.474496e12),
+        (3, PowerNeutral, 8_079, None, 4.3185412893771035e12),
+        (3, BudgetShift, 28_203, None, 7.617544326191268e12),
+        (4, Performance, 1, Some(0.07592545531952055), 3.3521597763720345e8),
+        (4, Ondemand, 1, Some(0.19182869150245097), 4.8047071660209805e8),
+        (4, Interactive, 2, Some(0.1709055955070653), 5.1932410508219063e8),
+        (4, Conservative, 2, Some(2.175481936945289), 3.207160566432081e9),
+        (4, Powersave, 0, None, 2.4744959999999995e12),
+        (4, PowerNeutral, 23_751, None, 4.471163188438872e12),
+        (4, BudgetShift, 28_010, None, 7.608262507400381e12),
+        (5, Performance, 1, Some(0.07592545531952055), 3.3521597763720345e8),
+        (5, Ondemand, 1, Some(0.19182869150245097), 4.8047071660209805e8),
+        (5, Interactive, 2, Some(0.1709055955070653), 5.1932410508219063e8),
+        (5, Conservative, 2, Some(2.175481936945289), 3.207160566432081e9),
+        (5, Powersave, 0, None, 2.474496e12),
+        (5, PowerNeutral, 10, None, 4.2355618169185923e12),
+        (5, BudgetShift, 28_274, None, 7.618258148757614e12),
+        (6, Performance, 1, Some(0.07592545531952055), 3.3521597763720345e8),
+        (6, Ondemand, 1, Some(0.19182869150245097), 4.8047071660209805e8),
+        (6, Interactive, 2, Some(0.1709055955070653), 5.1932410508219063e8),
+        (6, Conservative, 2, Some(2.175481936945289), 3.207160566432081e9),
+        (6, Powersave, 0, None, 2.474496e12),
+        (6, PowerNeutral, 40, None, 4.2354222974310767e12),
+        (6, BudgetShift, 27_961, None, 7.616563321549861e12),
+        (7, Performance, 1, Some(0.07592545531952055), 3.3521597763720345e8),
+        (7, Ondemand, 1, Some(0.19182869150245097), 4.8047071660209805e8),
+        (7, Interactive, 2, Some(0.1709055955070653), 5.1932410508219063e8),
+        (7, Conservative, 2, Some(2.175481936945289), 3.207160566432081e9),
+        (7, Powersave, 0, None, 2.4744959999999995e12),
+        (7, PowerNeutral, 39_271, None, 4.634784524389214e12),
+        (7, BudgetShift, 29_057, None, 7.565989381337756e12),
+        (8, Performance, 1, Some(0.07592545531952055), 3.3521597763720345e8),
+        (8, Ondemand, 1, Some(0.19182869150245097), 4.8047071660209805e8),
+        (8, Interactive, 2, Some(0.1709055955070653), 5.1932410508219063e8),
+        (8, Conservative, 2, Some(2.175481936945289), 3.207160566432081e9),
+        (8, Powersave, 0, None, 2.474496e12),
+        (8, PowerNeutral, 52_300, None, 4.829941280042057e12),
+        (8, BudgetShift, 28_476, None, 7.590952175995085e12),
+    ];
+    assert_eq!(pins.iter().map(|pin| pin.2).sum::<u64>(), 448_907);
+    for seed in 1..=8 {
+        let hour = scenario::table2_hour(seed);
+        for &(_, governor, transitions, lifetime, instructions) in
+            pins.iter().filter(|pin| pin.0 == seed)
+        {
+            let report = governor.run(&hour).expect("the Table II hour runs");
+            let label = format!("seed {seed} {}", governor.slug());
+            assert_eq!(report.transitions(), transitions, "{label}");
+            let got = report.lifetime().map(|l| l.value());
+            assert_eq!(got.is_none(), lifetime.is_none(), "{label}: verdict {got:?}");
+            if let (Some(got), Some(want)) = (got, lifetime) {
+                assert!((got - want).abs() <= 1e-6, "{label}: lifetime {got} vs {want}");
+            }
+            let drift = (report.work().instructions() / instructions - 1.0).abs();
+            assert!(drift <= 1e-6, "{label}: instructions drifted by {drift:e}");
+        }
     }
 }
