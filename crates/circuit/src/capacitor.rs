@@ -96,6 +96,10 @@ pub struct Supercapacitor {
     cell: Capacitor,
     esr: Ohms,
     leakage_resistance: Ohms,
+    /// `1/C` and `1/R_leak`, so that [`Supercapacitor::dv_dt`] divides
+    /// by nothing.
+    inv_c: f64,
+    g_leak: f64,
 }
 
 impl Supercapacitor {
@@ -119,7 +123,13 @@ impl Supercapacitor {
                 "leakage resistance must be positive and finite",
             ));
         }
-        Ok(Self { cell, esr, leakage_resistance })
+        Ok(Self {
+            cell,
+            esr,
+            leakage_resistance,
+            inv_c: 1.0 / capacitance.value(),
+            g_leak: 1.0 / leakage_resistance.value(),
+        })
     }
 
     /// The 47 mF buffer used for the paper's experiments (§IV-A), with
@@ -144,6 +154,11 @@ impl Supercapacitor {
         self.leakage_resistance
     }
 
+    /// The leakage conductance `1/R_leak`, siemens.
+    pub fn leakage_conductance(&self) -> f64 {
+        self.g_leak
+    }
+
     /// Stored energy at internal voltage `v`.
     pub fn energy(&self, v: Volts) -> Joules {
         self.cell.energy(v)
@@ -161,9 +176,9 @@ impl Supercapacitor {
 
     /// Voltage slope of the internal node given the externally supplied
     /// and drawn currents: `dV/dt = (I_in − I_out − V/R_leak)/C`.
+    #[inline]
     pub fn dv_dt(&self, v: Volts, i_in: Amps, i_out: Amps) -> f64 {
-        let net = i_in - i_out - self.leakage_current(v);
-        self.cell.dv_dt(v, net)
+        (i_in.value() - i_out.value() - v.value() * self.g_leak) * self.inv_c
     }
 
     /// Terminal voltage seen by the load: the internal voltage minus the

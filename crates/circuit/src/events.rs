@@ -1,11 +1,13 @@
-//! Zero-crossing location on continuous trajectories.
+//! Zero-crossing location on sampled signals.
 //!
-//! The co-simulation engine integrates the capacitor voltage with
-//! [`Rk23`](crate::ode::Rk23) and must stop *exactly* where `VC` crosses
-//! a comparator threshold — the moment the monitoring hardware of the
-//! paper's Fig. 9 raises an interrupt. These helpers locate such
-//! crossings on a step's dense output by bisection, mirroring Simulink's
-//! zero-crossing detection.
+//! The co-simulation engine must stop *exactly* where `VC` crosses a
+//! comparator threshold — the moment the monitoring hardware of the
+//! paper's Fig. 9 raises an interrupt. On an integrated step it locates
+//! crossings on the step's cubic ([`StepCubic`](crate::ode::StepCubic)).
+//! These helpers serve signals with no such structure, the controlled
+//! supply's prescribed waveform: a uniform scan for a sign change, then
+//! bisection, mirroring Simulink's zero-crossing detection. The scan
+//! misses a level crossed twice between two of its samples.
 
 use crate::CircuitError;
 

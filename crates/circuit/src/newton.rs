@@ -148,7 +148,9 @@ pub fn solve_bracketed(
     if f_lo.signum() == f_hi.signum() {
         return Err(CircuitError::BracketInvalid { a: lo, b: hi });
     }
-    let mut sign_lo = f_lo.signum();
+    // `lo` only moves to iterates of this sign (a zero residual has
+    // returned), so `f(lo)` keeps it.
+    let sign_lo = f_lo.signum();
     let mut x = 0.5 * (lo + hi);
     let mut last_residual = f64::INFINITY;
     for iteration in 0..options.max_iterations {
@@ -173,14 +175,6 @@ pub fn solve_bracketed(
             newton_x
         } else {
             0.5 * (lo + hi)
-        };
-        // Re-establish which side is "low sign" in case of re-bracketing.
-        sign_lo = {
-            let (f_lo2, _) = f_df(lo);
-            if f_lo2 == 0.0 {
-                return Ok(NewtonSolution { root: lo, residual: 0.0, iterations: iteration });
-            }
-            f_lo2.signum()
         };
     }
     Err(CircuitError::SolveDiverged {
@@ -236,6 +230,22 @@ mod tests {
     fn bracketed_handles_reversed_endpoints() {
         let sol = solve_bracketed(|x| (x - 0.5, 1.0), 1.0, 0.0, NewtonOptions::new()).unwrap();
         assert!((sol.root - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn bracketed_evaluates_once_per_iteration() {
+        // The root of eˣ − 3 on [0, 2], as in the doc example: two
+        // evaluations at the bracket ends, then one per iterate.
+        let mut evaluations = 0;
+        let f = |x: f64| {
+            evaluations += 1;
+            (x.exp() - 3.0, x.exp())
+        };
+        let sol = solve_bracketed(f, 0.0, 2.0, NewtonOptions::new()).unwrap();
+        assert!(evaluations <= sol.iterations + 3, "{evaluations} for {sol:?}");
+        // The root the solver returned when it also re-evaluated f(lo)
+        // at every iteration.
+        assert_eq!(sol.root.to_bits(), 0x3ff1_93ea_7aad_030a);
     }
 
     #[test]

@@ -4,6 +4,15 @@
 //! family as Matlab's `ode23`, which the paper used for its Simulink
 //! model (§III).
 //!
+//! The pair is first-same-as-last (FSAL; Shampine & Reichelt, "The
+//! MATLAB ODE Suite", 1997): a step's last stage is the derivative at
+//! its end, so a step continuing from there on the same right-hand
+//! side costs three evaluations, not four ([`Rk23::step_from`]). The
+//! controller scales the step by `0.9·err^(−1/3)`, clamped to
+//! `[0.2, 5]` on acceptance and `[0.2, 0.9]` on rejection.
+//! [`StepCubic`] splits a scalar step's dense output into monotone
+//! pieces and locates level crossings on them.
+//!
 //! The solver operates on fixed-size state vectors `[f64; N]`; the
 //! power-neutral co-simulation only needs `N = 1` (the PV array's
 //! junction voltage `V_d = VC + R_s·I` under the exact supply model, in
@@ -14,6 +23,7 @@
 //! the load, and re-expresses each accepted step in `VC` from its stage
 //! values for event location.
 
+use crate::events::CrossingDirection;
 use crate::CircuitError;
 
 /// Right-hand side of an ODE system `dy/dt = f(t, y)`.
@@ -139,6 +149,167 @@ impl<const N: usize> AcceptedStep<N> {
     }
 }
 
+/// How close [`StepCubic::first_crossing`] brackets a crossing, seconds.
+pub const CROSSING_TOLERANCE: f64 = 1e-9;
+
+/// The dense output of an accepted scalar step as the cubic
+/// `y0 + b·s + c·s² + d·s³` in `s = (t − t0)/h`, cut at its stationary
+/// points into at most three monotone pieces, on each of which the
+/// output passes a level at most once. Built once per step, it serves
+/// every level asked of that step: [`StepCubic::first_crossing`]
+/// locates comparator crossings and [`StepCubic::crossing`] the edges of
+/// a band, both by safeguarded Newton on one piece. Values are read
+/// from [`AcceptedStep::interpolate`], so a crossing reported here holds
+/// on the interpolant the caller reads.
+#[derive(Debug, Clone, Copy)]
+pub struct StepCubic {
+    step: AcceptedStep<1>,
+    /// `(b, c, d)`.
+    coef: [f64; 3],
+    /// Piece ends `(t, y)`: `t0`, the stationary points inside the
+    /// step in time order, `t1`. The first `len` are set.
+    knots: [(f64, f64); 4],
+    len: usize,
+}
+
+impl StepCubic {
+    /// Computes the cubic's coefficients and stationary points.
+    pub fn new(step: &AcceptedStep<1>) -> Self {
+        let h = step.t1 - step.t0;
+        let (y0, b, d1) = (step.y0[0], h * step.f0[0], h * step.f1[0]);
+        let delta = step.y1[0] - y0;
+        let (c, d) = (3.0 * delta - 2.0 * b - d1, b + d1 - 2.0 * delta);
+        // Roots of b + 2c·s + 3d·s²; NaN where there are none.
+        let mut roots = if d == 0.0 {
+            [-b / (2.0 * c), f64::NAN]
+        } else {
+            let disc = (c * c - 3.0 * d * b).sqrt();
+            [(-c - disc) / (3.0 * d), (-c + disc) / (3.0 * d)]
+        };
+        if roots[1] < roots[0] {
+            roots.swap(0, 1);
+        }
+        let mut cubic = Self {
+            step: *step,
+            coef: [b, c, d],
+            knots: [(step.t0, y0); 4],
+            len: 1,
+        };
+        for s in roots {
+            let t = step.t0 + s * h;
+            if t > step.t0 && t < step.t1 {
+                cubic.knots[cubic.len] = (t, cubic.value(t));
+                cubic.len += 1;
+            }
+        }
+        cubic.knots[cubic.len] = (step.t1, step.y1[0]);
+        cubic.len += 1;
+        cubic
+    }
+
+    /// The step it was built from.
+    pub fn step(&self) -> &AcceptedStep<1> {
+        &self.step
+    }
+
+    /// The dense output at `t`: [`AcceptedStep::interpolate`].
+    fn value(&self, t: f64) -> f64 {
+        self.step.interpolate(t)[0]
+    }
+
+    /// The output's time derivative at `t`.
+    fn slope(&self, t: f64) -> f64 {
+        let h = self.step.t1 - self.step.t0;
+        let s = (t - self.step.t0) / h;
+        let [b, c, d] = self.coef;
+        (b + s * (2.0 * c + s * 3.0 * d)) / h
+    }
+
+    /// The monotone pieces of `[from, to] ⊆ [t0, t1]`, in time order,
+    /// each as its two end points `(t, y)`: the pieces run between the
+    /// window's ends and the stationary points inside it.
+    pub fn pieces(&self, from: f64, to: f64) -> impl Iterator<Item = [(f64, f64); 2]> {
+        let at = |t: f64| match self.knots[..self.len].iter().find(|k| k.0 == t) {
+            Some(&knot) => knot,
+            None => (t, self.value(t)),
+        };
+        let mut points = [at(from); 4];
+        let mut n = 1;
+        for &knot in self.knots[..self.len].iter().filter(|k| k.0 > from && k.0 < to) {
+            points[n] = knot;
+            n += 1;
+        }
+        points[n] = at(to);
+        (0..n).map(move |k| [points[k], points[k + 1]])
+    }
+
+    /// The earliest crossing of `level` in `direction` on `(from, t1]`:
+    /// an instant at most [`CROSSING_TOLERANCE`] past the first time
+    /// the output, having been short of `level`, reaches it (`≥ level`
+    /// rising, `≤ level` falling). The output there has reached
+    /// `level`. `None` when it never does so after `from`; a crossing
+    /// in the other direction does not hide a later one.
+    pub fn first_crossing(
+        &self,
+        level: f64,
+        direction: CrossingDirection,
+        from: f64,
+    ) -> Option<f64> {
+        let reached = |y: f64| match direction {
+            CrossingDirection::Rising => y >= level,
+            CrossingDirection::Falling => y <= level,
+        };
+        self.pieces(from, self.step.t1)
+            .find(|[a, b]| !reached(a.1) && reached(b.1))
+            .map(|[a, b]| self.crossing(a, b, level))
+    }
+
+    /// Where the output passes `level` on the monotone piece from
+    /// `(ta, ya)` to `(tb, yb)`, with `level` beyond `ya` and not
+    /// beyond `yb`: the far end of a bracket at most
+    /// [`CROSSING_TOLERANCE`] wide, so the output has reached `level`
+    /// there. Newton steps shrink the bracket, replaced by bisection
+    /// when they leave it or stall; once a step falls below half the
+    /// tolerance, one probe half a tolerance across the estimate closes
+    /// the bracket.
+    pub fn crossing(&self, (mut lo, ya): (f64, f64), (mut hi, yb): (f64, f64), level: f64) -> f64 {
+        let reached = |y: f64| if yb > ya { y >= level } else { y <= level };
+        let half = 0.5 * CROSSING_TOLERANCE;
+        // The secant through the ends starts the iteration.
+        let mut t = lo + (hi - lo) * ((level - ya) / (yb - ya));
+        let mut last_dx = hi - lo;
+        // Each Newton step is at most half the one before it, or the
+        // bracket is bisected instead, so the loop ends long before the
+        // cap.
+        for _ in 0..128 {
+            if hi - lo <= CROSSING_TOLERANCE {
+                break;
+            }
+            if !(t > lo && t < hi) {
+                t = 0.5 * (lo + hi);
+            }
+            let y = self.value(t);
+            let below = !reached(y);
+            if below {
+                lo = t;
+            } else {
+                hi = t;
+            }
+            let newton = t - (y - level) / self.slope(t);
+            let dx = (newton - t).abs();
+            (t, last_dx) = if dx < half {
+                // A failed probe bisects next.
+                (if below { t + half } else { t - half }, 0.0)
+            } else if !(newton > lo && newton < hi) || dx > 0.5 * last_dx {
+                (0.5 * (lo + hi), 0.5 * (hi - lo))
+            } else {
+                (newton, dx)
+            };
+        }
+        hi
+    }
+}
+
 /// Adaptive Bogacki–Shampine 2(3) solver (the `ode23` method).
 ///
 /// The solver holds its current step-size estimate between calls so that
@@ -217,12 +388,34 @@ impl Rk23 {
         y: &[f64; N],
         t_limit: f64,
     ) -> Result<AcceptedStep<N>, CircuitError> {
+        let f0 = system.eval(t, y);
+        self.step_from(system, t, y, f0, t_limit)
+    }
+
+    /// [`Rk23::step`] with the derivative `f0 = f(t, y)` supplied. The
+    /// pair is first-same-as-last: a step's last stage is the
+    /// derivative at its end point, so a caller continuing from an
+    /// accepted step's `(t1, y1)` on an unchanged right-hand side
+    /// passes its `f1` and saves one evaluation per step. When `f0` is
+    /// bitwise `system.eval(t, y)` the step is bitwise that of
+    /// [`Rk23::step`].
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Rk23::step`].
+    pub fn step_from<const N: usize>(
+        &mut self,
+        system: &mut impl OdeSystem<N>,
+        t: f64,
+        y: &[f64; N],
+        f0: [f64; N],
+        t_limit: f64,
+    ) -> Result<AcceptedStep<N>, CircuitError> {
         if !(t_limit > t) {
             return Err(CircuitError::InvalidArgument("t_limit must exceed t"));
         }
         let opts = self.options;
         let mut h = self.h.clamp(opts.min_step, opts.max_step).min(t_limit - t);
-        let f0 = system.eval(t, y);
         loop {
             // Bogacki–Shampine tableau.
             let k1 = f0;
@@ -252,7 +445,7 @@ impl Rk23 {
                 // Step accepted: update the stored step estimate for the
                 // next call (standard I-controller, order 3 ⇒ exponent 1/3).
                 let grow = if error_norm > 0.0 {
-                    (0.9 * (1.0 / error_norm).powf(1.0 / 3.0)).clamp(0.2, 5.0)
+                    (0.9 / error_norm.cbrt()).clamp(0.2, 5.0)
                 } else {
                     5.0
                 };
@@ -260,7 +453,7 @@ impl Rk23 {
                 return Ok(AcceptedStep { t0: t, t1: t + h, y0: *y, y1, f0: k1, f1: k4, error_norm });
             }
             // Step rejected: shrink and retry.
-            let shrink = (0.9 * (1.0 / error_norm).powf(1.0 / 3.0)).clamp(0.2, 0.9);
+            let shrink = (0.9 / error_norm.cbrt()).clamp(0.2, 0.9);
             h = (h * shrink).max(opts.min_step);
         }
     }
@@ -283,10 +476,15 @@ impl Rk23 {
         }
         let mut t = t0;
         let mut y = y0;
+        // The derivative at `(t, y)`: each step's last stage serves as
+        // the next one's first.
+        let mut f = None;
         while t < t_end {
-            let step = self.step(system, t, &y, t_end)?;
+            let f0 = f.unwrap_or_else(|| system.eval(t, &y));
+            let step = self.step_from(system, t, &y, f0, t_end)?;
             t = step.t1;
             y = step.y1;
+            f = Some(step.f1);
         }
         Ok(y)
     }
@@ -375,7 +573,153 @@ mod tests {
         assert!((interp - (-tm).exp()).abs() < 1e-6);
     }
 
+    /// A non-trivial 1-D system: forced, nonlinear and time-dependent.
+    fn forced(t: f64, y: &[f64; 1]) -> [f64; 1] {
+        [(3.0 * t).sin() - y[0] * y[0] * y[0]]
+    }
+
+    #[test]
+    fn reusing_the_last_stage_is_bitwise_a_fresh_first_stage() {
+        let options = AdaptiveOptions::new().with_max_step(0.1);
+        let (mut fresh, mut reused) = (Rk23::new(options), Rk23::new(options));
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        let (mut t, mut y, mut f1) = (0.0, [0.5], None);
+        while t < 4.0 {
+            let step = fresh.step(&mut forced, t, &y, 4.0).unwrap();
+            (t, y) = (step.t1, step.y1);
+            a.push(step);
+        }
+        (t, y) = (0.0, [0.5]);
+        while t < 4.0 {
+            let f0 = f1.unwrap_or_else(|| forced(t, &y));
+            let step = reused.step_from(&mut forced, t, &y, f0, 4.0).unwrap();
+            (t, y, f1) = (step.t1, step.y1, Some(step.f1));
+            b.push(step);
+        }
+        assert!(a.len() > 20, "{} steps", a.len());
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_reused_last_stage_leaves_three_evaluations_per_step() {
+        let evaluations = std::cell::Cell::new(0);
+        let mut counted = |t: f64, y: &[f64; 1]| {
+            evaluations.set(evaluations.get() + 1);
+            forced(t, y)
+        };
+        // Steps capped well below what the tolerance allows: none is
+        // rejected, so each costs its three new stages and no more.
+        let options = AdaptiveOptions::new().with_tolerances(1e-4, 1e-6).with_max_step(0.01);
+        let mut solver = Rk23::new(options);
+        let (mut t, mut y, mut steps) = (0.0, [0.5], 0);
+        let mut f0 = counted(t, &y);
+        while t < 4.0 {
+            let step = solver.step_from(&mut counted, t, &y, f0, 4.0).unwrap();
+            (t, y, f0) = (step.t1, step.y1, step.f1);
+            steps += 1;
+        }
+        assert!(steps > 20, "{steps} steps");
+        assert_eq!(evaluations.get(), 1 + 3 * steps);
+        // `integrate` reuses the last stage the same way.
+        evaluations.set(0);
+        let end = Rk23::new(options).integrate(&mut counted, 0.0, [0.5], 4.0).unwrap();
+        assert_eq!(end[0].to_bits(), y[0].to_bits());
+        assert_eq!(evaluations.get(), 1 + 3 * steps);
+    }
+
+    /// Where the 10⁴-point sampled interpolant first reaches `level`
+    /// from short of it, refined by bisection to a bracket `(lo, hi]`.
+    fn sampled_first_crossing(
+        step: &AcceptedStep<1>,
+        level: f64,
+        rising: bool,
+    ) -> Option<(f64, f64)> {
+        let reached = |t: f64| {
+            let y = step.interpolate(t)[0];
+            if rising { y >= level } else { y <= level }
+        };
+        const N: usize = 10_000;
+        let h = step.t1 - step.t0;
+        let at = |k: usize| if k == N { step.t1 } else { step.t0 + h * k as f64 / N as f64 };
+        let k = (0..N).find(|&k| !reached(at(k)) && reached(at(k + 1)))?;
+        let (mut lo, mut hi) = (at(k), at(k + 1));
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if mid <= lo || mid >= hi {
+                break;
+            }
+            if reached(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        Some((lo, hi))
+    }
+
+    #[test]
+    fn two_crossings_inside_one_eighth_of_a_step_are_found() {
+        // p(s) = (s − 0.03)(s − 0.09)(1 + s) on [0, 1]: it dips below
+        // zero on (0.03, 0.09) only, between two samples of a uniform
+        // 8-way scan.
+        let step = AcceptedStep {
+            t0: 0.0,
+            t1: 1.0,
+            y0: [0.0027],
+            y1: [1.7654],
+            f0: [-0.1173],
+            f1: [4.6427],
+            error_norm: 0.0,
+        };
+        let signal = |t: f64| step.interpolate(t)[0];
+        let scan = crate::events::first_threshold_crossing(&signal, 0.0, 0.0, 1.0, 8, 1e-9);
+        assert_eq!(scan.unwrap(), None, "the scan sees no sign change");
+        let cubic = StepCubic::new(&step);
+        let down = cubic.first_crossing(0.0, CrossingDirection::Falling, 0.0).unwrap();
+        let up = cubic.first_crossing(0.0, CrossingDirection::Rising, 0.0).unwrap();
+        for (t, root) in [(down, 0.03), (up, 0.09)] {
+            assert!(t >= root - 1e-12 && t <= root + CROSSING_TOLERANCE, "{t} vs {root}");
+        }
+        assert!(signal(down) <= 0.0 && signal(up) >= 0.0);
+        // Armed past the dip, neither direction is crossed again.
+        assert_eq!(cubic.first_crossing(0.0, CrossingDirection::Falling, 0.1), None);
+        assert_eq!(cubic.first_crossing(0.0, CrossingDirection::Rising, 0.1), None);
+    }
+
     proptest! {
+        #[test]
+        fn the_step_cubic_finds_the_first_crossing_of_the_sampled_interpolant(
+            t0 in 0.0f64..100.0,
+            h in 1e-3f64..1.0,
+            ends in proptest::collection::vec(-1.0f64..1.0, 2..3),
+            slopes in proptest::collection::vec(-5.0f64..5.0, 2..3),
+            level in -1.5f64..1.5,
+            rising in proptest::bool::ANY,
+        ) {
+            let step = AcceptedStep {
+                t0,
+                t1: t0 + h,
+                y0: [ends[0]],
+                y1: [ends[1]],
+                f0: [slopes[0]],
+                f1: [slopes[1]],
+                error_norm: 0.0,
+            };
+            let direction =
+                if rising { CrossingDirection::Rising } else { CrossingDirection::Falling };
+            let found = StepCubic::new(&step).first_crossing(level, direction, t0);
+            let reference = sampled_first_crossing(&step, level, rising);
+            prop_assert_eq!(found.is_some(), reference.is_some(), "{:?} vs {:?}", found, reference);
+            if let (Some(t), Some((lo, hi))) = (found, reference) {
+                let y = step.interpolate(t)[0];
+                prop_assert!(if rising { y >= level } else { y <= level }, "{} at {}", y, t);
+                prop_assert!(
+                    t >= lo - 1e-12 && t - hi <= CROSSING_TOLERANCE,
+                    "{} vs ({}, {}]", t, lo, hi
+                );
+            }
+        }
+
         #[test]
         fn rk23_exponential_growth(rate in -2.0f64..2.0, t_end in 0.1f64..3.0) {
             let mut f = move |_t: f64, y: &[f64; 1]| [rate * y[0]];

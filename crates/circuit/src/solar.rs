@@ -69,6 +69,37 @@ pub struct SolarCellParams {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolarCell {
     params: SolarCellParams,
+    junction: JunctionConstants,
+}
+
+/// The parameter quotients [`SolarCell::at_junction`] reads, computed
+/// once per cell so that evaluating the junction form divides by
+/// nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct JunctionConstants {
+    /// `1/(N·V_T)`, per volt.
+    inv_n_vt: f64,
+    /// `I0/(N·V_T)`, amps per volt.
+    i0_per_n_vt: f64,
+    /// `1/R_p`, siemens.
+    inv_rp: f64,
+    /// `dIl/dG`, amps per W/m².
+    il_per_g: f64,
+    /// `∂V/∂G` at fixed junction voltage, `−Rs·dIl/dG`.
+    dv_dg: f64,
+}
+
+impl JunctionConstants {
+    fn of(p: &SolarCellParams) -> Self {
+        let (il_ref, rs, nvt) = (p.il_ref.value(), p.rs.value(), p.n_vt.value());
+        Self {
+            inv_n_vt: 1.0 / nvt,
+            i0_per_n_vt: p.i0.value() / nvt,
+            inv_rp: 1.0 / p.rp.value(),
+            il_per_g: il_ref / REFERENCE_IRRADIANCE.value(),
+            dv_dg: -rs * il_ref / REFERENCE_IRRADIANCE.value(),
+        }
+    }
 }
 
 /// A point on the power–voltage curve, as returned by
@@ -131,7 +162,11 @@ impl SolarCell {
                 "solar cell parameters must be positive and finite",
             ));
         }
-        Ok(Self { params })
+        Ok(Self::from_params(params))
+    }
+
+    fn from_params(params: SolarCellParams) -> Self {
+        Self { params, junction: JunctionConstants::of(&params) }
     }
 
     /// Creates a cell calibrated to hit a target short-circuit current
@@ -189,15 +224,13 @@ impl SolarCell {
     /// Panics if `ratio` is not positive and finite.
     pub fn scaled_by_area(&self, ratio: f64) -> Self {
         assert!(ratio > 0.0 && ratio.is_finite(), "area ratio must be positive");
-        Self {
-            params: SolarCellParams {
-                il_ref: self.params.il_ref * ratio,
-                i0: self.params.i0 * ratio,
-                rs: self.params.rs / ratio,
-                rp: self.params.rp / ratio,
-                n_vt: self.params.n_vt,
-            },
-        }
+        Self::from_params(SolarCellParams {
+            il_ref: self.params.il_ref * ratio,
+            i0: self.params.i0 * ratio,
+            rs: self.params.rs / ratio,
+            rp: self.params.rp / ratio,
+            n_vt: self.params.n_vt,
+        })
     }
 
     /// The model parameters.
@@ -309,18 +342,18 @@ impl SolarCell {
     /// [`SolarCell::junction_voltage`] of a solved point, it returns
     /// that point back to within the solve's residual.
     pub fn at_junction(&self, vd: Volts, g: WattsPerSquareMeter) -> JunctionPoint {
-        let p = &self.params;
-        let il = self.light_current(g).value();
-        let (i0, rs, rp, nvt) = (p.i0.value(), p.rs.value(), p.rp.value(), p.n_vt.value());
+        let k = &self.junction;
+        let il = g.value().max(0.0) * k.il_per_g;
+        let (i0, rs) = (self.params.i0.value(), self.params.rs.value());
         let vd = vd.value();
         // The same guard as the Newton residual's.
-        let e = (vd / nvt).min(120.0).exp();
-        let i = il - i0 * (e - 1.0) - vd / rp;
+        let e = (vd * k.inv_n_vt).min(120.0).exp();
+        let i = il - i0 * (e - 1.0) - vd * k.inv_rp;
         JunctionPoint {
             voltage: Volts::new(vd - rs * i),
             current: Amps::new(i),
-            dv_dvd: 1.0 + rs * (i0 / nvt * e + 1.0 / rp),
-            dv_dg: -rs * p.il_ref.value() / REFERENCE_IRRADIANCE.value(),
+            dv_dvd: 1.0 + rs * (k.i0_per_n_vt * e + k.inv_rp),
+            dv_dg: k.dv_dg,
         }
     }
 

@@ -7,14 +7,19 @@
 //! so no stage solves it; under the interpolated model it is `VC`
 //! itself ([`SupplyState`] owns the change of variable). Each accepted
 //! step is re-expressed as a cubic Hermite in `VC` through its stages'
-//! `(VC, dVC/dt)`, on which threshold and brownout crossings are
-//! located by bisection. Governor actions start multi-step OPP
-//! transitions whose per-step latencies and pre-step power draws feed
-//! back into the ODE. Threshold interrupts are masked while a
-//! transition is in flight (the buffer capacitor's job is to carry the
-//! board through exactly this window) and re-checked when it
-//! completes, which reproduces the rapid response cascades visible in
-//! the paper's Fig. 6.
+//! `(VC, dVC/dt)`. When a monitored level or a band edge is within its
+//! reach, the cubic is cut at its stationary points ([`StepCubic`]),
+//! and threshold and brownout crossings and band edges are located on
+//! its monotone pieces by safeguarded Newton. A step that ends with no
+//! event hands its last stage to the next step as its first (FSAL)
+//! when that step starts there under the same load.
+//!
+//! Governor actions start multi-step OPP transitions whose per-step
+//! latencies and pre-step power draws feed back into the ODE. Threshold
+//! interrupts are masked while a transition is in flight (the buffer
+//! capacitor's job is to carry the board through exactly this window)
+//! and re-checked when it completes, which reproduces the rapid
+//! response cascades visible in the paper's Fig. 6.
 //!
 //! Only discrete events that change the load end a step: transition
 //! steps, governor ticks, thermal events and arrival edges. A
@@ -34,8 +39,7 @@ use crate::supply::{OperatingPoint, Supply, SupplyModel, SupplyState};
 use crate::SimError;
 use pn_circuit::capacitor::Supercapacitor;
 use pn_circuit::events::{first_threshold_crossing, CrossingDirection};
-use pn_circuit::newton::{solve_bracketed, NewtonOptions};
-use pn_circuit::ode::{AcceptedStep, AdaptiveOptions, Rk23};
+use pn_circuit::ode::{AcceptedStep, AdaptiveOptions, Rk23, StepCubic};
 use pn_core::events::{Governor, GovernorAction, GovernorEvent, IdleRequest, ThresholdEdge};
 use pn_monitor::monitor::VoltageMonitor;
 use pn_soc::opp::Opp;
@@ -45,6 +49,7 @@ use pn_soc::transition::{plan_transition, TransitionStrategy};
 use pn_units::{Amps, Joules, Seconds, Volts, Watts};
 use pn_workload::arrival::{ArrivalSpec, ArrivalTimeline};
 use pn_workload::work::WorkAccount;
+use std::cell::OnceCell;
 
 /// Dead time after an action before threshold conditions are
 /// re-evaluated (comparator + interrupt + handler re-entry), seconds.
@@ -342,6 +347,23 @@ struct AdvanceOutcome {
     event: Option<CrossKind>,
     /// What the advanced span accrued.
     accrued: Accrued,
+    /// The last stage of a step that ended at `(t, y)`.
+    fsal: Option<Fsal>,
+}
+
+/// The last RK23 stage of an accepted step that ended with no event:
+/// the right-hand side at the step's end under the load it ran with.
+/// The next step's first stage is the same evaluation when it starts
+/// from the bit-identical `(t, y)` on the bit-identical load (first
+/// same as last), so it is taken from here instead.
+#[derive(Debug, Clone, Copy)]
+struct Fsal {
+    /// `(t, y, p_load)` the stage was evaluated at.
+    at: [f64; 3],
+    /// `(VC, I, dVC/dt)` there.
+    stage: [f64; 3],
+    /// The state's rate `dy/dt` there.
+    rate: f64,
 }
 
 /// Energy and `VC` band residency, accrued per accepted step while the
@@ -471,6 +493,7 @@ impl Simulation {
             recorder,
             supply_state,
             solver,
+            fsal: None,
             t,
             vc,
             y,
@@ -510,6 +533,9 @@ struct Lane {
     recorder: Recorder,
     supply_state: SupplyState,
     solver: Rk23,
+    /// The last stage of the step that ended at `(t, y)`, if it ended
+    /// with no event.
+    fsal: Option<Fsal>,
     t: f64,
     vc: f64,
     /// The integrator's state at `t`: the PV junction voltage under the
@@ -615,6 +641,7 @@ impl Lane {
                 supply_state: &mut self.supply_state,
                 buffer: &self.buffer,
                 solver: &mut self.solver,
+                fsal: self.fsal,
                 p_load,
                 vmin: self.vmin,
                 high,
@@ -641,6 +668,7 @@ impl Lane {
             self.vc = outcome.vc;
             self.y = outcome.y;
             self.i_in = outcome.i_in;
+            self.fsal = outcome.fsal;
             match outcome.event {
                 Some(CrossKind::Brownout) => {
                     self.runtime.brownout(Seconds::new(self.t));
@@ -950,6 +978,8 @@ struct AdvanceCtx<'a> {
     supply_state: &'a mut SupplyState,
     buffer: &'a Supercapacitor,
     solver: &'a mut Rk23,
+    /// The last stage of the lane's previous step.
+    fsal: Option<Fsal>,
     /// Total load power drawn from the buffer node, watts.
     p_load: f64,
     /// Brown-out level (always armed: a lane stops at brownout).
@@ -977,6 +1007,7 @@ impl AdvanceCtx<'_> {
             supply_state,
             buffer,
             solver,
+            fsal,
             p_load,
             vmin,
             high,
@@ -992,15 +1023,13 @@ impl AdvanceCtx<'_> {
                 // as it does on the PV path.
                 let end = boundary.min(t + solver.options().max_step);
                 let subdivisions = (((end - t) / 0.01).ceil() as usize).clamp(4, 4000);
-                let found = first_event(
-                    &f,
-                    (t, end),
-                    subdivisions,
-                    Some(vmin),
-                    (high, low),
-                    recheck,
-                    |_| true,
-                )?;
+                // The first crossing of a level on a scan of
+                // `subdivisions` pieces, if it runs the wanted way.
+                let locate = |level: f64, want: CrossingDirection, a: f64| {
+                    let found = first_threshold_crossing(&f, level, a, end, subdivisions, 1e-9)?;
+                    Ok(found.filter(|c| c.direction == want).map(|c| c.t))
+                };
+                let found = first_event(&f, locate, (t, end), vmin, (high, low), recheck)?;
                 let (t1, event) = match found {
                     Some((tc, kind)) => (tc, Some(kind)),
                     None => (end, None),
@@ -1027,17 +1056,21 @@ impl AdvanceCtx<'_> {
                     band_time,
                 };
                 let vc = f(t1);
-                Ok(AdvanceOutcome { t: t1, vc, y: vc, i_in: 0.0, event, accrued })
+                Ok(AdvanceOutcome { t: t1, vc, y: vc, i_in: 0.0, event, accrued, fsal: None })
             }
             Supply::Photovoltaic { .. } => {
                 let mut solve_error: Option<SimError> = None;
-                // `(VC, I, dVC/dt)` at the step's right-hand-side
-                // evaluations: the first is stage k1, where the lane
-                // stands; the latest three are, once the step is
-                // accepted, its stages k2, k3 and k4 (a rejected attempt
-                // re-evaluates only those).
-                let mut stages = [[0.0; 3]; 4];
-                let mut evaluated = false;
+                // The previous step's last stage is this one's first
+                // when it ended here under the same load.
+                let at = [t, y, p_load].map(f64::to_bits);
+                let carried = fsal.filter(|c| c.at.map(f64::to_bits) == at);
+                // `(VC, I, dVC/dt)` at the step's stages: the first is
+                // stage k1, where the lane stands (carried, or the first
+                // evaluation); the latest three evaluations are, once
+                // the step is accepted, its stages k2, k3 and k4 (a
+                // rejected attempt re-evaluates only those).
+                let mut stages = [carried.map_or([0.0; 3], |c| c.stage); 4];
+                let mut evaluated = carried.is_some();
                 let mut deriv = |tt: f64, y: &[f64; 1]| -> [f64; 1] {
                     // The supply fast path: monotone irradiance cursor plus
                     // the explicit junction form (or the interpolation
@@ -1060,7 +1093,10 @@ impl AdvanceCtx<'_> {
                     }
                     [point.state_rate(dvc_dt)]
                 };
-                let step = solver.step(&mut deriv, t, &[y], boundary)?;
+                let step = match carried {
+                    Some(c) => solver.step_from(&mut deriv, t, &[y], [c.rate], boundary)?,
+                    None => solver.step(&mut deriv, t, &[y], boundary)?,
+                };
                 if let Some(e) = solve_error {
                     return Err(e);
                 }
@@ -1080,30 +1116,38 @@ impl AdvanceCtx<'_> {
                 // Rigorous range bound of the cubic Hermite dense output on
                 // this step: the Hermite value basis stays inside
                 // [min(y0,y1), max(y0,y1)] and the two tangent basis
-                // polynomials peak at 4/27, so thresholds outside the
-                // bound cannot be crossed — skip their subdivision scans
-                // entirely (the overwhelmingly common case). Detection on
-                // the remaining thresholds is bit-identical to scanning
-                // all of them. (A recheck still compares `VC` against
-                // every armed threshold: one outside the bound may lie
-                // behind it.)
+                // polynomials peak at 4/27, so levels outside the bound
+                // cannot be reached. The step's cubic is split at its
+                // stationary points only once a level inside is asked
+                // for (the uncommon case). (A recheck still compares `VC`
+                // against every armed threshold: one outside the bound
+                // may lie behind it.)
                 let (y0, y1) = (first[0], last[0]);
                 let margin = (4.0 / 27.0) * (step.t1 - step.t0) * (first[2].abs() + last[2].abs());
                 let (y_min, y_max) = (y0.min(y1) - margin, y0.max(y1) + margin);
-                let reachable = |threshold: &f64| *threshold >= y_min && *threshold <= y_max;
+                let reachable = |level: &f64| *level >= y_min && *level <= y_max;
+                let cubic = OnceCell::new();
+                let cubic = || cubic.get_or_init(|| StepCubic::new(&step_vc));
                 let f = |tt: f64| step_vc.interpolate(tt)[0];
+                let locate = |level: f64, want: CrossingDirection, a: f64| {
+                    Ok(reachable(&level).then(|| cubic().first_crossing(level, want, a)).flatten())
+                };
                 let span = (step.t0, step.t1);
-                let found = first_event(&f, span, 8, Some(vmin), (high, low), recheck, reachable)?;
-                let (t1, vc1, y1, i1, event) = match found {
+                let found = first_event(&f, locate, span, vmin, (high, low), recheck)?;
+                let (t1, vc1, y1, i1, event, fsal) = match found {
                     Some((tc, kind)) => {
                         // The event's own operating point, solved exactly:
                         // the next step starts from it.
                         let v = Volts::new(f(tc));
                         let i = supply_state.current(supply, Seconds::new(tc), v)?;
                         let y = supply_state.state(supply, v, i);
-                        (tc, v.value(), y, i.value(), Some(kind))
+                        (tc, v.value(), y, i.value(), Some(kind), None)
                     }
-                    None => (step.t1, y1, step.y1[0], last[1], None),
+                    None => {
+                        let at = [step.t1, step.y1[0], p_load];
+                        let fsal = Fsal { at, stage: last, rate: step.f1[0] };
+                        (step.t1, y1, step.y1[0], last[1], None, Some(fsal))
+                    }
                 };
                 let dt = t1 - t;
                 // The same bound decides the band: a span wholly inside
@@ -1112,17 +1156,17 @@ impl AdvanceCtx<'_> {
                 let band_time = if band.0 <= y_min && y_max <= band.1 {
                     dt
                 } else if reachable(&band.0) || reachable(&band.1) {
-                    dense_time_in_band(&step_vc, t1, band)
+                    dense_time_in_band(cubic(), t1, band)
                 } else {
                     0.0
                 };
-                let g_leak = 1.0 / buffer.leakage_resistance().value();
+                let g_leak = buffer.leakage_conductance();
                 let energy_in = stage_quadrature(&step_vc, stages.map(|[v, i, _]| v * i), t1);
                 let energy_leaked =
                     stage_quadrature(&step_vc, stages.map(|[v, _, _]| v * v * g_leak), t1);
                 let accrued =
                     Accrued { energy_in, energy_out: p_load * dt, energy_leaked, band_time };
-                Ok(AdvanceOutcome { t: t1, vc: vc1, y: y1, i_in: i1, event, accrued })
+                Ok(AdvanceOutcome { t: t1, vc: vc1, y: y1, i_in: i1, event, accrued, fsal })
             }
         }
     }
@@ -1145,44 +1189,16 @@ fn stage_quadrature(step: &AcceptedStep<1>, q: [f64; 4], t_end: f64) -> f64 {
     (s3 - 2.0 * s2 + s) * h * q[0] + (3.0 * s2 - 2.0 * s3) * whole + (s3 - s2) * h * q[3]
 }
 
-/// Time an accepted step's cubic Hermite dense output spends inside
-/// `band` on `[t0, t_end]`. The output, `y0 + b·s + c·s² + d·s³` in
-/// `s = (t − t0)/h`, is cut at its stationary points into monotone
-/// pieces, each of which enters and leaves the band at most once, where
-/// Newton's method (safeguarded by bisection) locates the edge.
-fn dense_time_in_band(step: &AcceptedStep<1>, t_end: f64, band: (f64, f64)) -> f64 {
-    let h = step.t1 - step.t0;
-    let (y0, b, d1) = (step.y0[0], h * step.f0[0], h * step.f1[0]);
-    let delta = step.y1[0] - y0;
-    let (c, d) = (3.0 * delta - 2.0 * b - d1, b + d1 - 2.0 * delta);
-    // Value and s-derivative at s.
-    let at = |s: f64| (y0 + s * (b + s * (c + s * d)), b + s * (2.0 * c + s * 3.0 * d));
-    // Roots of b + 2c·s + 3d·s²; NaN where there are none.
-    let mut roots = if d == 0.0 {
-        [-b / (2.0 * c), f64::NAN]
-    } else {
-        let disc = (c * c - 3.0 * d * b).sqrt();
-        [(-c - disc) / (3.0 * d), (-c + disc) / (3.0 * d)]
-    };
-    if roots[1] < roots[0] {
-        roots.swap(0, 1);
-    }
-    let s_end = (t_end - step.t0) / h;
-    let mut sa = 0.0;
-    let mut inside = 0.0;
-    for sb in roots.into_iter().filter(|&s| s > 0.0 && s < s_end).chain([s_end]) {
-        inside += monotone_time_in_band((sa, sb), (at(sa).0, at(sb).0), band, |v| {
-            let residual = |s: f64| {
-                let (y, slope) = at(s);
-                (y - v, slope)
-            };
-            solve_bracketed(residual, sa, sb, NewtonOptions::new())
-                .expect("a monotone piece brackets every level between its end values")
-                .root
-        });
-        sa = sb;
-    }
-    inside * h
+/// Time an accepted step's cubic dense output spends inside `band` on
+/// `[t0, t_end]`: each monotone piece enters and leaves the band at most
+/// once, where [`StepCubic::crossing`] locates the edge.
+fn dense_time_in_band(cubic: &StepCubic, t_end: f64, band: (f64, f64)) -> f64 {
+    cubic
+        .pieces(cubic.step().t0, t_end)
+        .map(|[(a, fa), (b, fb)]| {
+            monotone_time_in_band((a, b), (fa, fb), band, |v| cubic.crossing((a, fa), (b, fb), v))
+        })
+        .sum()
 }
 
 /// Time a signal spends inside `[lo, hi]` on `[a, b]`, over which it
@@ -1209,29 +1225,27 @@ fn monotone_time_in_band(
     below(hi) - below(lo)
 }
 
-/// Finds the earliest event of `f` on `[a, b]`: a brownout anywhere,
-/// and a threshold edge once the thresholds are armed, which is from
-/// `a`, or from `r` when a post-action recheck is pending at `r`. A
-/// recheck at `r ≤ b` is resolved on `f` itself: a level already at or
-/// beyond a threshold at `r` delivers its edge at exactly `r`, and
-/// otherwise the thresholds are armed from `r` on. Levels for which
-/// `reachable` is false are not scanned for crossings. Shared by both
-/// supply branches, so a recheck resolves the same way on either.
+/// Finds the earliest event of the signal `f` on `[a, b]`, given
+/// `locate(level, direction, from)`, its first crossing of `level` in
+/// `direction` on `(from, b]`. The events are a brownout anywhere, and a
+/// threshold edge once the thresholds are armed, which is from `a`, or
+/// from `r` when a post-action recheck is pending at `r`. A recheck at
+/// `r ≤ b` is resolved on `f` itself: a level already at or beyond a
+/// threshold at `r` delivers its edge at exactly `r`, and otherwise the
+/// thresholds are armed from `r` on. Shared by both supply branches, so
+/// a recheck resolves the same way on either.
 fn first_event(
     f: &impl Fn(f64) -> f64,
+    locate: impl Fn(f64, CrossingDirection, f64) -> Result<Option<f64>, SimError>,
     (a, b): (f64, f64),
-    subdivisions: usize,
-    vmin: Option<f64>,
+    vmin: f64,
     (high, low): (Option<f64>, Option<f64>),
     recheck: Option<f64>,
-    reachable: impl Fn(&f64) -> bool,
 ) -> Result<Option<(f64, CrossKind)>, SimError> {
-    let vmin = vmin.filter(&reachable);
-    let (scan_high, scan_low) = (high.filter(&reachable), low.filter(&reachable));
     let Some(r) = recheck else {
-        return scan_crossings(f, a, b, subdivisions, vmin, scan_high, scan_low);
+        return earliest_crossing(&locate, a, Some(vmin), high, low);
     };
-    let brownout = scan_crossings(f, a, b, subdivisions, vmin, None, None)?;
+    let brownout = earliest_crossing(&locate, a, Some(vmin), None, None)?;
     if r > b {
         return Ok(brownout);
     }
@@ -1242,11 +1256,11 @@ fn first_event(
     } else if low.is_some_and(|l| level <= l) {
         Some((r, CrossKind::Low))
     } else if r < b {
-        scan_crossings(f, r, b, subdivisions, None, scan_high, scan_low)?
+        earliest_crossing(&locate, r, None, high, low)?
     } else {
         None
     };
-    // A brownout at the same instant wins, as in `scan_crossings`.
+    // A brownout at the same instant wins, as in `earliest_crossing`.
     Ok(match (brownout, edge) {
         (Some(down), Some(up)) if up.0 < down.0 => Some(up),
         (None, edge) => edge,
@@ -1254,37 +1268,28 @@ fn first_event(
     })
 }
 
-/// Finds the earliest qualifying crossing of the three monitored
-/// levels on `[a, b]`.
-fn scan_crossings(
-    f: &impl Fn(f64) -> f64,
+/// Finds the earliest crossing of the three monitored levels from `a`
+/// on, each in the direction that raises its event.
+fn earliest_crossing(
+    locate: &impl Fn(f64, CrossingDirection, f64) -> Result<Option<f64>, SimError>,
     a: f64,
-    b: f64,
-    subdivisions: usize,
     vmin: Option<f64>,
     high: Option<f64>,
     low: Option<f64>,
 ) -> Result<Option<(f64, CrossKind)>, SimError> {
     let mut best: Option<(f64, CrossKind)> = None;
-    let mut consider = |threshold: f64,
-                        want: CrossingDirection,
-                        kind: CrossKind|
-     -> Result<(), SimError> {
-        if let Some(c) = first_threshold_crossing(f, threshold, a, b, subdivisions, 1e-9)? {
-            if c.direction == want && best.is_none_or(|(bt, _)| c.t < bt) {
-                best = Some((c.t, kind));
+    let levels = [
+        (vmin, CrossingDirection::Falling, CrossKind::Brownout),
+        (high, CrossingDirection::Rising, CrossKind::High),
+        (low, CrossingDirection::Falling, CrossKind::Low),
+    ];
+    for (level, want, kind) in levels {
+        let Some(level) = level else { continue };
+        if let Some(t) = locate(level, want, a)? {
+            if best.is_none_or(|(bt, _)| t < bt) {
+                best = Some((t, kind));
             }
         }
-        Ok(())
-    };
-    if let Some(v) = vmin {
-        consider(v, CrossingDirection::Falling, CrossKind::Brownout)?;
-    }
-    if let Some(h) = high {
-        consider(h, CrossingDirection::Rising, CrossKind::High)?;
-    }
-    if let Some(l) = low {
-        consider(l, CrossingDirection::Falling, CrossKind::Low)?;
     }
     Ok(best)
 }
@@ -1635,7 +1640,7 @@ mod tests {
         for s in [0.0, 0.2, 0.5, 0.9, 1.0] {
             assert!((step.interpolate(10.0 + 2.0 * s)[0] - p(s)).abs() < 1e-15, "at {s}");
         }
-        let inside = dense_time_in_band(&step, 12.0, (0.0, 1.0));
+        let inside = dense_time_in_band(&StepCubic::new(&step), 12.0, (0.0, 1.0));
         assert!((inside - 1.0).abs() < 1e-9, "{inside}");
         // [0.05, 1] holds the hump between the two smallest roots of
         // p(s) = 0.05.
@@ -1651,10 +1656,10 @@ mod tests {
             hi
         };
         let (rise, fall) = (root(0.0, 0.2113), root(0.2113, 0.5));
-        let hump = dense_time_in_band(&step, 12.0, (0.05, 1.0));
+        let hump = dense_time_in_band(&StepCubic::new(&step), 12.0, (0.05, 1.0));
         assert!((hump - 2.0 * (fall - rise)).abs() < 1e-9, "{hump}");
         // Cut short at s = 1/4, past the top: the fall is not reached.
-        let cut = dense_time_in_band(&step, 10.5, (0.05, 1.0));
+        let cut = dense_time_in_band(&StepCubic::new(&step), 10.5, (0.05, 1.0));
         assert!((cut - 2.0 * (0.25 - rise)).abs() < 1e-9, "{cut}");
     }
 

@@ -20,7 +20,8 @@
 //! * [`recorder`] — recorded traces (`VC`, frequency, cores, powers),
 //! * [`engine`] — the hybrid continuous/discrete simulation loop
 //!   (adaptive RK23 between the discrete events that change the load,
-//!   bisection event location, interrupt masking during transitions),
+//!   event location on each step's dense output, interrupt masking
+//!   during transitions),
 //! * [`chaos`] — the deterministic fault plane: a seeded `FaultPlan`
 //!   injecting I/O and network faults behind the `IoPolicy` seam, so
 //!   the persistence and daemon layers are testable under chaos,
