@@ -11,7 +11,7 @@
 //!   in the paper's discussion of buffer losses.
 
 use crate::CircuitError;
-use pn_units::{Amps, Farads, Joules, Ohms, Seconds, Volts, Watts};
+use pn_units::{Amps, Farads, Joules, Ohms, Volts};
 
 /// An ideal capacitor.
 ///
@@ -63,34 +63,10 @@ impl Capacitor {
     pub fn dv_dt(&self, _v: Volts, net_current: Amps) -> f64 {
         net_current.value() / self.capacitance.value()
     }
-
-    /// Voltage change after extracting charge `ΔQ = I·t` at roughly
-    /// constant current.
-    pub fn voltage_drop_for_charge(&self, charge: pn_units::Coulombs) -> Volts {
-        charge / self.capacitance
-    }
 }
 
 /// A supercapacitor: ideal `C` with series resistance (ESR) and a
 /// parallel leakage resistance.
-///
-/// # Examples
-///
-/// ```
-/// use pn_circuit::capacitor::Supercapacitor;
-/// use pn_units::{Amps, Farads, Ohms, Volts};
-///
-/// # fn main() -> Result<(), pn_circuit::CircuitError> {
-/// let sc = Supercapacitor::new(
-///     Farads::from_millifarads(47.0),
-///     Ohms::new(0.025),
-///     Ohms::new(40_000.0),
-/// )?;
-/// let leak = sc.leakage_current(Volts::new(5.3));
-/// assert!(leak.value() < 2e-4); // sub-milliamp leakage
-/// # Ok(())
-/// # }
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Supercapacitor {
     cell: Capacitor,
@@ -155,6 +131,24 @@ impl Supercapacitor {
     }
 
     /// The leakage conductance `1/R_leak`, siemens.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pn_circuit::capacitor::Supercapacitor;
+    /// use pn_units::{Farads, Ohms};
+    ///
+    /// # fn main() -> Result<(), pn_circuit::CircuitError> {
+    /// let sc = Supercapacitor::new(
+    ///     Farads::from_millifarads(47.0),
+    ///     Ohms::new(0.025),
+    ///     Ohms::new(40_000.0),
+    /// )?;
+    /// let leak = 5.3 * sc.leakage_conductance(); // amps at 5.3 V
+    /// assert!(leak < 2e-4); // sub-milliamp leakage
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn leakage_conductance(&self) -> f64 {
         self.g_leak
     }
@@ -162,16 +156,6 @@ impl Supercapacitor {
     /// Stored energy at internal voltage `v`.
     pub fn energy(&self, v: Volts) -> Joules {
         self.cell.energy(v)
-    }
-
-    /// Parasitic leakage current at internal voltage `v`.
-    pub fn leakage_current(&self, v: Volts) -> Amps {
-        v / self.leakage_resistance
-    }
-
-    /// Continuous self-discharge power at voltage `v`.
-    pub fn leakage_power(&self, v: Volts) -> Watts {
-        v * self.leakage_current(v)
     }
 
     /// Voltage slope of the internal node given the externally supplied
@@ -186,11 +170,6 @@ impl Supercapacitor {
     pub fn terminal_voltage(&self, v: Volts, i_in: Amps, i_out: Amps) -> Volts {
         let net_out = i_out - i_in;
         v - net_out * self.esr
-    }
-
-    /// Time constant of pure self-discharge (`τ = R_leak · C`).
-    pub fn self_discharge_time_constant(&self) -> Seconds {
-        Seconds::new(self.leakage_resistance.value() * self.cell.capacitance().value())
     }
 }
 
@@ -219,7 +198,8 @@ mod tests {
         let sc = Supercapacitor::paper_buffer();
         // τ = R·C ≈ 1880 s: leakage must be negligible on transition
         // timescales (tens of milliseconds).
-        assert!(sc.self_discharge_time_constant().value() > 600.0);
+        let tau = sc.leakage_resistance().value() * sc.capacitance().value();
+        assert!(tau > 600.0, "{tau}");
     }
 
     #[test]

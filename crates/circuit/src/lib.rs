@@ -8,10 +8,11 @@
 //! * [`newton`] — a safeguarded Newton–Raphson scalar root finder (the
 //!   single-diode equation is implicit in the cell current),
 //! * [`ode`] — the adaptive Bogacki–Shampine 2(3) pair ([`ode::Rk23`],
-//!   the same method family as Matlab `ode23`) and the crossings of a
-//!   step's cubic dense output ([`ode::StepCubic`]),
-//! * [`events`] — zero-crossing location on sampled signals by scan and
-//!   bisection (the replacement for Simulink's zero-crossing detection),
+//!   the same method family as Matlab `ode23`) and exact level
+//!   crossings on monotone pieces (the replacement for Simulink's
+//!   zero-crossing detection): those of a step's cubic dense output
+//!   ([`ode::StepCubic`]), or of any signal cut into monotone pieces
+//!   ([`ode::first_crossing_on`], with [`ode::CrossingDirection`]),
 //! * [`solar`] — the paper's Eq. (4) solar-cell equivalent circuit with
 //!   IV/PV curve tooling and maximum-power-point search,
 //! * [`surface`] — a pretabulated, build-time-validated bilinear
@@ -38,7 +39,6 @@
 //! ```
 
 pub mod capacitor;
-pub mod events;
 pub mod newton;
 pub mod ode;
 pub mod solar;

@@ -11,7 +11,9 @@
 //! controller scales the step by `0.9·err^(−1/3)`, clamped to
 //! `[0.2, 5]` on acceptance and `[0.2, 0.9]` on rejection.
 //! [`StepCubic`] splits a scalar step's dense output into monotone
-//! pieces and locates level crossings on them.
+//! pieces. [`first_crossing_on`] and [`time_in_band_on`] locate level
+//! crossings and band residency on monotone pieces from any source
+//! (the step cubic here, a piecewise-linear waveform elsewhere).
 //!
 //! The solver operates on fixed-size state vectors `[f64; N]`; the
 //! power-neutral co-simulation only needs `N = 1` (the PV array's
@@ -23,7 +25,6 @@
 //! the load, and re-expresses each accepted step in `VC` from its stage
 //! values for event location.
 
-use crate::events::CrossingDirection;
 use crate::CircuitError;
 
 /// Right-hand side of an ODE system `dy/dt = f(t, y)`.
@@ -152,6 +153,75 @@ impl<const N: usize> AcceptedStep<N> {
 /// How close [`StepCubic::first_crossing`] brackets a crossing, seconds.
 pub const CROSSING_TOLERANCE: f64 = 1e-9;
 
+/// Direction of a threshold crossing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum CrossingDirection {
+    /// The signal moved from below the threshold to above it.
+    Rising,
+    /// The signal moved from above the threshold to below it.
+    Falling,
+}
+
+/// The first crossing of `level` in `direction` along `pieces`:
+/// monotone pieces in time order, each as its two end points
+/// `(t, y)`. The crossing lies on the first piece that starts short of
+/// `level` and ends having reached it (`≥ level` rising, `≤ level`
+/// falling), where `crossing(start, end, level)` locates it. `None`
+/// when no piece does; a crossing in the other direction does not hide
+/// a later one.
+pub fn first_crossing_on(
+    mut pieces: impl Iterator<Item = [(f64, f64); 2]>,
+    level: f64,
+    direction: CrossingDirection,
+    crossing: impl Fn((f64, f64), (f64, f64), f64) -> f64,
+) -> Option<f64> {
+    let reached = |y: f64| match direction {
+        CrossingDirection::Rising => y >= level,
+        CrossingDirection::Falling => y <= level,
+    };
+    pieces.find(|[a, b]| !reached(a.1) && reached(b.1)).map(|[a, b]| crossing(a, b, level))
+}
+
+/// Time a signal spends inside `band = [lo, hi]` along `pieces`, given
+/// as for [`first_crossing_on`]: each monotone piece enters and leaves
+/// the band at most once, where `crossing(start, end, edge)` locates
+/// the edge.
+pub fn time_in_band_on(
+    pieces: impl Iterator<Item = [(f64, f64); 2]>,
+    band: (f64, f64),
+    crossing: impl Fn((f64, f64), (f64, f64), f64) -> f64,
+) -> f64 {
+    pieces
+        .map(|[(a, fa), (b, fb)]| {
+            monotone_time_in_band((a, b), (fa, fb), band, |v| crossing((a, fa), (b, fb), v))
+        })
+        .sum()
+}
+
+/// Time a signal spends inside `[lo, hi]` on `[a, b]`, over which it
+/// runs monotonically from `fa` to `fb`. `crosses(v)` is when it passes
+/// level `v`, asked only for levels strictly between `fa` and `fb`.
+fn monotone_time_in_band(
+    (a, b): (f64, f64),
+    (fa, fb): (f64, f64),
+    (lo, hi): (f64, f64),
+    crosses: impl Fn(f64) -> f64,
+) -> f64 {
+    // Time spent at or below `v`.
+    let below = |v: f64| {
+        if v >= fa.max(fb) {
+            b - a
+        } else if v <= fa.min(fb) {
+            0.0
+        } else if fb > fa {
+            crosses(v) - a
+        } else {
+            b - crosses(v)
+        }
+    };
+    below(hi) - below(lo)
+}
+
 /// The dense output of an accepted scalar step as the cubic
 /// `y0 + b·s + c·s² + d·s³` in `s = (t − t0)/h`, cut at its stationary
 /// points into at most three monotone pieces, on each of which the
@@ -255,13 +325,8 @@ impl StepCubic {
         direction: CrossingDirection,
         from: f64,
     ) -> Option<f64> {
-        let reached = |y: f64| match direction {
-            CrossingDirection::Rising => y >= level,
-            CrossingDirection::Falling => y <= level,
-        };
-        self.pieces(from, self.step.t1)
-            .find(|[a, b]| !reached(a.1) && reached(b.1))
-            .map(|[a, b]| self.crossing(a, b, level))
+        let pieces = self.pieces(from, self.step.t1);
+        first_crossing_on(pieces, level, direction, |a, b, v| self.crossing(a, b, v))
     }
 
     /// Where the output passes `level` on the monotone piece from
@@ -352,19 +417,13 @@ impl Rk23 {
         self.h
     }
 
-    /// Resets the step-size estimate (e.g. after a discontinuity in the
-    /// right-hand side such as an OPP change).
-    pub fn reset_step(&mut self) {
-        self.h = self.options.initial_step;
-    }
-
     /// Notifies the controller of a right-hand-side discontinuity at a
-    /// step boundary (an OPP change, a threshold reprogram). Unlike
-    /// [`Rk23::reset_step`], this keeps the learned step estimate —
-    /// the first step after the jump is error-controlled like any
-    /// other and is simply rejected and shrunk if the new dynamics
-    /// need it, which costs one extra derivative sweep instead of the
-    /// four-to-five re-growth steps a full reset forces.
+    /// step boundary (an OPP change, a threshold reprogram). It keeps
+    /// the learned step estimate rather than resetting it to the
+    /// initial guess — the first step after the jump is error-controlled
+    /// like any other and is simply rejected and shrunk if the new
+    /// dynamics need it, which costs one extra derivative sweep instead
+    /// of the four-to-five re-growth steps a full reset forces.
     pub fn notify_discontinuity(&mut self) {
         // Trim the estimate slightly: the post-event derivative often
         // differs enough that a full-size first step would be rejected
@@ -527,9 +586,6 @@ mod tests {
         solver.notify_discontinuity();
         let kept = solver.current_step();
         assert!((kept - 0.5 * learned).abs() < 1e-15, "kept {kept} vs learned {learned}");
-        // A full reset still collapses to the initial guess.
-        solver.reset_step();
-        assert_eq!(solver.current_step(), solver.options().initial_step);
         // And the trimmed estimate stays within the configured bounds.
         let mut tiny = Rk23::new(AdaptiveOptions::new());
         for _ in 0..100 {
@@ -661,7 +717,7 @@ mod tests {
     fn two_crossings_inside_one_eighth_of_a_step_are_found() {
         // p(s) = (s − 0.03)(s − 0.09)(1 + s) on [0, 1]: it dips below
         // zero on (0.03, 0.09) only, between two samples of a uniform
-        // 8-way scan.
+        // 8-way scan, which would see no sign change.
         let step = AcceptedStep {
             t0: 0.0,
             t1: 1.0,
@@ -672,8 +728,6 @@ mod tests {
             error_norm: 0.0,
         };
         let signal = |t: f64| step.interpolate(t)[0];
-        let scan = crate::events::first_threshold_crossing(&signal, 0.0, 0.0, 1.0, 8, 1e-9);
-        assert_eq!(scan.unwrap(), None, "the scan sees no sign change");
         let cubic = StepCubic::new(&step);
         let down = cubic.first_crossing(0.0, CrossingDirection::Falling, 0.0).unwrap();
         let up = cubic.first_crossing(0.0, CrossingDirection::Rising, 0.0).unwrap();
@@ -684,6 +738,64 @@ mod tests {
         // Armed past the dip, neither direction is crossed again.
         assert_eq!(cubic.first_crossing(0.0, CrossingDirection::Falling, 0.1), None);
         assert_eq!(cubic.first_crossing(0.0, CrossingDirection::Rising, 0.1), None);
+    }
+
+    #[test]
+    fn band_time_of_a_monotone_span() {
+        let ramp = |v: f64| v; // rising 1 V/s from 0 V at t = 0
+        assert_eq!(monotone_time_in_band((0.0, 4.0), (0.0, 4.0), (1.0, 2.0), ramp), 1.0);
+        let fall = |v: f64| 4.0 - v; // falling from 4 V to 0 V
+        assert_eq!(monotone_time_in_band((0.0, 4.0), (4.0, 0.0), (1.0, 2.0), fall), 1.0);
+        // Wholly inside, wholly outside, and half out of the band.
+        assert_eq!(monotone_time_in_band((0.0, 4.0), (1.0, 1.5), (1.0, 2.0), ramp), 4.0);
+        assert_eq!(monotone_time_in_band((0.0, 4.0), (2.5, 3.0), (1.0, 2.0), ramp), 0.0);
+        assert_eq!(monotone_time_in_band((1.0, 3.0), (1.0, 3.0), (1.0, 2.0), ramp), 1.0);
+    }
+
+    #[test]
+    fn dense_band_time_splits_at_the_extrema() {
+        // Through (10 s, 0 V) and (12 s, 0 V) with slopes 0.5 V/s, the
+        // dense output is p(s) = s(2s − 1)(s − 1) in s = (t − 10)/2:
+        // above zero on (0, 1/2) with its top, ≈0.096 V, at s ≈ 0.211,
+        // and below zero on (1/2, 1).
+        let step = AcceptedStep {
+            t0: 10.0,
+            t1: 12.0,
+            y0: [0.0],
+            y1: [0.0],
+            f0: [0.5],
+            f1: [0.5],
+            error_norm: 0.0,
+        };
+        let p = |s: f64| s * (2.0 * s - 1.0) * (s - 1.0);
+        for s in [0.0, 0.2, 0.5, 0.9, 1.0] {
+            assert!((step.interpolate(10.0 + 2.0 * s)[0] - p(s)).abs() < 1e-15, "at {s}");
+        }
+        let cubic = StepCubic::new(&step);
+        let band_time = |t_end: f64, band: (f64, f64)| {
+            time_in_band_on(cubic.pieces(10.0, t_end), band, |a, b, v| cubic.crossing(a, b, v))
+        };
+        let inside = band_time(12.0, (0.0, 1.0));
+        assert!((inside - 1.0).abs() < 1e-9, "{inside}");
+        // [0.05, 1] holds the hump between the two smallest roots of
+        // p(s) = 0.05.
+        let root = |mut lo: f64, mut hi: f64| {
+            for _ in 0..100 {
+                let mid = 0.5 * (lo + hi);
+                if (p(mid) > 0.05) == (p(hi) > 0.05) {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+            }
+            hi
+        };
+        let (rise, fall) = (root(0.0, 0.2113), root(0.2113, 0.5));
+        let hump = band_time(12.0, (0.05, 1.0));
+        assert!((hump - 2.0 * (fall - rise)).abs() < 1e-9, "{hump}");
+        // Cut short at s = 1/4, past the top: the fall is not reached.
+        let cut = band_time(10.5, (0.05, 1.0));
+        assert!((cut - 2.0 * (0.25 - rise)).abs() < 1e-9, "{cut}");
     }
 
     proptest! {

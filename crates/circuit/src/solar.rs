@@ -177,7 +177,7 @@ impl SolarCell {
     ///
     /// Returns [`CircuitError::InvalidArgument`] when the targets are
     /// unreachable (e.g. `Voc/Rp ≥ Isc`) or any argument is non-positive.
-    pub fn from_targets(
+    fn from_targets(
         isc: Amps,
         voc: Volts,
         n_vt: Volts,
@@ -222,7 +222,7 @@ impl SolarCell {
     /// # Panics
     ///
     /// Panics if `ratio` is not positive and finite.
-    pub fn scaled_by_area(&self, ratio: f64) -> Self {
+    fn scaled_by_area(&self, ratio: f64) -> Self {
         assert!(ratio > 0.0 && ratio.is_finite(), "area ratio must be positive");
         Self::from_params(SolarCellParams {
             il_ref: self.params.il_ref * ratio,

@@ -9,10 +9,14 @@
 //! step is re-expressed as a cubic Hermite in `VC` through its stages'
 //! `(VC, dVC/dt)`. When a monitored level or a band edge is within its
 //! reach, the cubic is cut at its stationary points ([`StepCubic`]),
-//! and threshold and brownout crossings and band edges are located on
-//! its monotone pieces by safeguarded Newton. A step that ends with no
-//! event hands its last stage to the next step as its first (FSAL)
-//! when that step starts there under the same load.
+//! and crossings on its monotone pieces are found by safeguarded
+//! Newton. A step that ends with no event hands its last stage to the
+//! next step as its first (FSAL) when that step starts there under the
+//! same load. A controlled supply pins `VC` to a piecewise-linear
+//! waveform, whose segments are its monotone pieces, crossed in closed
+//! form. On both supplies, threshold and brownout crossings and band
+//! residency come from the same helpers over monotone pieces
+//! ([`first_crossing_on`], [`time_in_band_on`]).
 //!
 //! Governor actions start multi-step OPP transitions whose per-step
 //! latencies and pre-step power draws feed back into the ODE. Threshold
@@ -38,8 +42,10 @@ use crate::runtime::SocRuntime;
 use crate::supply::{OperatingPoint, Supply, SupplyModel, SupplyState};
 use crate::SimError;
 use pn_circuit::capacitor::Supercapacitor;
-use pn_circuit::events::{first_threshold_crossing, CrossingDirection};
-use pn_circuit::ode::{AcceptedStep, AdaptiveOptions, Rk23, StepCubic};
+use pn_circuit::ode::{
+    first_crossing_on, time_in_band_on, AcceptedStep, AdaptiveOptions, CrossingDirection, Rk23,
+    StepCubic,
+};
 use pn_core::events::{Governor, GovernorAction, GovernorEvent, IdleRequest, ThresholdEdge};
 use pn_monitor::monitor::VoltageMonitor;
 use pn_soc::opp::Opp;
@@ -1022,12 +1028,10 @@ impl AdvanceCtx<'_> {
                 // which bounds event granularity and grid-sample spacing
                 // as it does on the PV path.
                 let end = boundary.min(t + solver.options().max_step);
-                let subdivisions = (((end - t) / 0.01).ceil() as usize).clamp(4, 4000);
-                // The first crossing of a level on a scan of
-                // `subdivisions` pieces, if it runs the wanted way.
+                // The waveform's linear pieces are its monotone pieces.
+                let crossing = |a, b, v| waveform.crossing(a, b, v);
                 let locate = |level: f64, want: CrossingDirection, a: f64| {
-                    let found = first_threshold_crossing(&f, level, a, end, subdivisions, 1e-9)?;
-                    Ok(found.filter(|c| c.direction == want).map(|c| c.t))
+                    Ok(first_crossing_on(waveform.pieces(a, end), level, want, crossing))
                 };
                 let found = first_event(&f, locate, (t, end), vmin, (high, low), recheck)?;
                 let (t1, event) = match found {
@@ -1036,19 +1040,7 @@ impl AdvanceCtx<'_> {
                 };
                 // The source pins `VC` and delivers what the load draws.
                 let energy = p_load * (t1 - t);
-                // The waveform is taken as linear across each 10 ms
-                // subdivision, as the crossing scan takes it to cross a
-                // level at most once there.
-                let at = |k: usize| t + (t1 - t) * k as f64 / subdivisions as f64;
-                let band_time = (0..subdivisions)
-                    .map(|k| {
-                        let (a, b) = (at(k), at(k + 1));
-                        let (fa, fb) = (f(a), f(b));
-                        monotone_time_in_band((a, b), (fa, fb), band, |v| {
-                            a + (v - fa) / (fb - fa) * (b - a)
-                        })
-                    })
-                    .sum();
+                let band_time = time_in_band_on(waveform.pieces(t, t1), band, crossing);
                 let accrued = Accrued {
                     energy_in: energy,
                     energy_out: energy,
@@ -1156,7 +1148,8 @@ impl AdvanceCtx<'_> {
                 let band_time = if band.0 <= y_min && y_max <= band.1 {
                     dt
                 } else if reachable(&band.0) || reachable(&band.1) {
-                    dense_time_in_band(cubic(), t1, band)
+                    let crossing = |a, b, v| cubic().crossing(a, b, v);
+                    time_in_band_on(cubic().pieces(step.t0, t1), band, crossing)
                 } else {
                     0.0
                 };
@@ -1187,42 +1180,6 @@ fn stage_quadrature(step: &AcceptedStep<1>, q: [f64; 4], t_end: f64) -> f64 {
     let s = (t_end - step.t0) / h;
     let (s2, s3) = (s * s, s * s * s);
     (s3 - 2.0 * s2 + s) * h * q[0] + (3.0 * s2 - 2.0 * s3) * whole + (s3 - s2) * h * q[3]
-}
-
-/// Time an accepted step's cubic dense output spends inside `band` on
-/// `[t0, t_end]`: each monotone piece enters and leaves the band at most
-/// once, where [`StepCubic::crossing`] locates the edge.
-fn dense_time_in_band(cubic: &StepCubic, t_end: f64, band: (f64, f64)) -> f64 {
-    cubic
-        .pieces(cubic.step().t0, t_end)
-        .map(|[(a, fa), (b, fb)]| {
-            monotone_time_in_band((a, b), (fa, fb), band, |v| cubic.crossing((a, fa), (b, fb), v))
-        })
-        .sum()
-}
-
-/// Time a signal spends inside `[lo, hi]` on `[a, b]`, over which it
-/// runs monotonically from `fa` to `fb`. `crosses(v)` is when it passes
-/// level `v`, asked only for levels strictly between `fa` and `fb`.
-fn monotone_time_in_band(
-    (a, b): (f64, f64),
-    (fa, fb): (f64, f64),
-    (lo, hi): (f64, f64),
-    crosses: impl Fn(f64) -> f64,
-) -> f64 {
-    // Time spent at or below `v`.
-    let below = |v: f64| {
-        if v >= fa.max(fb) {
-            b - a
-        } else if v <= fa.min(fb) {
-            0.0
-        } else if fb > fa {
-            crosses(v) - a
-        } else {
-            b - crosses(v)
-        }
-    };
-    below(hi) - below(lo)
 }
 
 /// Finds the earliest event of the signal `f` on `[a, b]`, given
@@ -1438,9 +1395,10 @@ mod tests {
         assert!(last < first, "frequency should have scaled down: {first} → {last}");
     }
 
-    /// Programs `(5.3 V, 4.5 V)` at start and, on its first edge, pulls
-    /// the rising threshold down to 5.0 V, below `VC`; logs every edge.
-    struct Retune(std::rc::Rc<std::cell::RefCell<Vec<(f64, ThresholdEdge)>>>);
+    /// Programs `(5.3 V, 4.5 V)` at start and logs every edge. With its
+    /// flag set, its first edge pulls the rising threshold down to
+    /// 5.0 V, below `VC`.
+    struct Retune(std::rc::Rc<std::cell::RefCell<Vec<(f64, ThresholdEdge)>>>, bool);
 
     impl Governor for Retune {
         fn name(&self) -> &str {
@@ -1458,7 +1416,7 @@ mod tests {
             };
             let mut edges = self.0.borrow_mut();
             edges.push((t.value(), *edge));
-            if edges.len() > 1 {
+            if !self.1 || edges.len() > 1 {
                 return GovernorAction::none();
             }
             GovernorAction {
@@ -1483,7 +1441,7 @@ mod tests {
         ])
         .unwrap();
         let edges = std::rc::Rc::default();
-        let governor = Box::new(Retune(std::rc::Rc::clone(&edges)));
+        let governor = Box::new(Retune(std::rc::Rc::clone(&edges), true));
         let report =
             build(governor, Supply::Controlled { waveform }, 10.0, Opp::lowest()).run().unwrap();
         assert!(report.survived());
@@ -1493,6 +1451,51 @@ mod tests {
         assert_eq!(first.1, ThresholdEdge::High);
         assert!((4.5..5.5).contains(&first.0), "{edges:?}");
         assert_eq!(second, (first.0 + REARM_DELAY, ThresholdEdge::High));
+    }
+
+    #[test]
+    fn a_crossing_after_one_the_other_way_is_delivered() {
+        // VC falls through 5.3 V at 2.5 ms, the wrong way for the rising
+        // threshold, and rises back through it at 15 ms, inside the same
+        // 50 ms span.
+        let waveform = VoltageWaveform::new(vec![
+            (Seconds::ZERO, Volts::new(5.6)),
+            (Seconds::new(0.005), Volts::new(5.0)),
+            (Seconds::new(0.025), Volts::new(5.6)),
+        ])
+        .unwrap();
+        let supply = Supply::Controlled { waveform: waveform.clone() };
+        let edges = std::rc::Rc::default();
+        let governor = Box::new(Retune(std::rc::Rc::clone(&edges), false));
+        build(governor, supply, 0.05, Opp::lowest()).run().unwrap();
+        let (high, _) = VoltageMonitor::paper_board()
+            .unwrap()
+            .set_thresholds(Volts::new(5.3), Volts::new(4.5))
+            .unwrap();
+        let edges = edges.borrow();
+        assert_eq!(edges.len(), 1, "{edges:?}");
+        let (t, edge) = edges[0];
+        assert_eq!(edge, ThresholdEdge::High);
+        assert!((0.0149..0.0150).contains(&t), "{edges:?}");
+        assert!(waveform.sample(Seconds::new(t)) >= high, "{t}");
+    }
+
+    #[test]
+    fn band_time_is_exact_across_a_waveform_breakpoint() {
+        // A 5 ms excursion to 5.9 V and back leaves the 5.3 V ± 5 % band
+        // while above 5.565 V: 2 · 5 ms · (1 − 0.265/0.6) of the second.
+        let waveform = VoltageWaveform::new(vec![
+            (Seconds::ZERO, Volts::new(5.3)),
+            (Seconds::new(0.005), Volts::new(5.9)),
+            (Seconds::new(0.010), Volts::new(5.3)),
+            (Seconds::new(1.0), Volts::new(5.3)),
+        ])
+        .unwrap();
+        let performance = Box::new(Performance::new());
+        let report =
+            build(performance, Supply::Controlled { waveform }, 1.0, Opp::lowest()).run().unwrap();
+        let stability = report.vc_stability();
+        assert!((stability - (1.0 - 0.335 / 60.0)).abs() < 1e-9, "{stability}");
     }
 
     #[test]
@@ -1607,60 +1610,6 @@ mod tests {
         for (t, c) in stages.iter().zip([0.5, 0.75, 1.0]) {
             assert!((t - (2.0 + c * h)).abs() < 1e-12, "{stages:?} for h = {h}");
         }
-    }
-
-    #[test]
-    fn band_time_of_a_monotone_span() {
-        let ramp = |v: f64| v; // rising 1 V/s from 0 V at t = 0
-        assert_eq!(monotone_time_in_band((0.0, 4.0), (0.0, 4.0), (1.0, 2.0), ramp), 1.0);
-        let fall = |v: f64| 4.0 - v; // falling from 4 V to 0 V
-        assert_eq!(monotone_time_in_band((0.0, 4.0), (4.0, 0.0), (1.0, 2.0), fall), 1.0);
-        // Wholly inside, wholly outside, and half out of the band.
-        assert_eq!(monotone_time_in_band((0.0, 4.0), (1.0, 1.5), (1.0, 2.0), ramp), 4.0);
-        assert_eq!(monotone_time_in_band((0.0, 4.0), (2.5, 3.0), (1.0, 2.0), ramp), 0.0);
-        assert_eq!(monotone_time_in_band((1.0, 3.0), (1.0, 3.0), (1.0, 2.0), ramp), 1.0);
-    }
-
-    #[test]
-    fn dense_band_time_splits_at_the_extrema() {
-        // Through (10 s, 0 V) and (12 s, 0 V) with slopes 0.5 V/s, the
-        // dense output is p(s) = s(2s − 1)(s − 1) in s = (t − 10)/2:
-        // above zero on (0, 1/2) with its top, ≈0.096 V, at s ≈ 0.211,
-        // and below zero on (1/2, 1).
-        let step = AcceptedStep {
-            t0: 10.0,
-            t1: 12.0,
-            y0: [0.0],
-            y1: [0.0],
-            f0: [0.5],
-            f1: [0.5],
-            error_norm: 0.0,
-        };
-        let p = |s: f64| s * (2.0 * s - 1.0) * (s - 1.0);
-        for s in [0.0, 0.2, 0.5, 0.9, 1.0] {
-            assert!((step.interpolate(10.0 + 2.0 * s)[0] - p(s)).abs() < 1e-15, "at {s}");
-        }
-        let inside = dense_time_in_band(&StepCubic::new(&step), 12.0, (0.0, 1.0));
-        assert!((inside - 1.0).abs() < 1e-9, "{inside}");
-        // [0.05, 1] holds the hump between the two smallest roots of
-        // p(s) = 0.05.
-        let root = |mut lo: f64, mut hi: f64| {
-            for _ in 0..100 {
-                let mid = 0.5 * (lo + hi);
-                if (p(mid) > 0.05) == (p(hi) > 0.05) {
-                    hi = mid;
-                } else {
-                    lo = mid;
-                }
-            }
-            hi
-        };
-        let (rise, fall) = (root(0.0, 0.2113), root(0.2113, 0.5));
-        let hump = dense_time_in_band(&StepCubic::new(&step), 12.0, (0.05, 1.0));
-        assert!((hump - 2.0 * (fall - rise)).abs() < 1e-9, "{hump}");
-        // Cut short at s = 1/4, past the top: the fall is not reached.
-        let cut = dense_time_in_band(&StepCubic::new(&step), 10.5, (0.05, 1.0));
-        assert!((cut - 2.0 * (0.25 - rise)).abs() < 1e-9, "{cut}");
     }
 
     #[test]

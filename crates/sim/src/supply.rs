@@ -12,7 +12,10 @@ use pn_units::{Amps, Seconds, Volts, WattsPerSquareMeter};
 use std::sync::Arc;
 
 /// A prescribed supply-voltage waveform (the paper's §V-A bench test
-/// with a controlled variable supply, Fig. 11).
+/// with a controlled variable supply, Fig. 11): linear between its
+/// samples, so each segment is monotone. The engine walks those
+/// segments and finds comparator crossings and band residency on them
+/// in closed form, as it does on an integrated step's cubic.
 ///
 /// # Examples
 ///
@@ -92,6 +95,52 @@ impl VoltageWaveform {
         let (t0, v0) = s[idx - 1];
         let (t1, v1) = s[idx];
         v0 + (v1 - v0) * ((t - t0) / (t1 - t0))
+    }
+
+    /// The monotone pieces of `[from, to]` (seconds), in time order,
+    /// each as its two end points `(t, v)`: the pieces run between the
+    /// window's ends and the samples strictly inside it, the shape of
+    /// [`StepCubic::pieces`](pn_circuit::ode::StepCubic::pieces).
+    pub(crate) fn pieces(&self, from: f64, to: f64) -> impl Iterator<Item = [(f64, f64); 2]> + '_ {
+        let at = |t: f64| (t, self.sample(Seconds::new(t)).value());
+        let first = self.samples.partition_point(|(ts, _)| ts.value() <= from);
+        let mut start = at(from);
+        self.samples[first..]
+            .iter()
+            .map(|&(t, v)| (t.value(), v.value()))
+            .take_while(move |&(t, _)| t < to)
+            .chain(std::iter::once(at(to)))
+            .map(move |end| [std::mem::replace(&mut start, end), end])
+    }
+
+    /// Where the waveform passes `level` on the piece from `(ta, va)`
+    /// to `(tb, vb)` of [`VoltageWaveform::pieces`], with `level`
+    /// beyond `va` and not beyond `vb`: the first instant of `(ta, tb]`
+    /// at which [`VoltageWaveform::sample`] has reached `level` (`≥`
+    /// rising, `≤` falling). The closed-form root is off by rounding
+    /// only, so the neighbouring instants settle it; a near-flat piece
+    /// that needs more than a few is bisected instead.
+    pub(crate) fn crossing(&self, (ta, va): (f64, f64), (tb, vb): (f64, f64), level: f64) -> f64 {
+        let reached = |t: f64| {
+            let v = self.sample(Seconds::new(t)).value();
+            if vb > va { v >= level } else { v <= level }
+        };
+        let (mut lo, mut hi) = (ta, tb);
+        let mut t = ta + (level - va) / (vb - va) * (tb - ta);
+        for probe in 0.. {
+            if !(t > lo && t < hi) || probe > 8 {
+                t = 0.5 * (lo + hi);
+                if !(t > lo && t < hi) {
+                    break;
+                }
+            }
+            if reached(t) {
+                (hi, t) = (t, t.next_down());
+            } else {
+                (lo, t) = (t, t.next_up());
+            }
+        }
+        hi
     }
 
     /// End time of the waveform.
@@ -396,6 +445,8 @@ impl SupplyState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pn_circuit::ode::{first_crossing_on, CrossingDirection, CROSSING_TOLERANCE};
+    use proptest::prelude::*;
 
     #[test]
     fn waveform_validation() {
@@ -416,6 +467,93 @@ mod tests {
         .unwrap();
         assert_eq!(w.sample(Seconds::ZERO), Volts::new(4.5));
         assert_eq!(w.sample(Seconds::new(3.0)), Volts::new(5.5));
+    }
+
+    #[test]
+    fn waveform_pieces_split_at_the_samples_inside_the_window() {
+        let w = VoltageWaveform::new(vec![
+            (Seconds::new(1.0), Volts::new(4.5)),
+            (Seconds::new(2.0), Volts::new(5.5)),
+            (Seconds::new(3.0), Volts::new(5.0)),
+        ])
+        .unwrap();
+        let pieces: Vec<_> = w.pieces(1.5, 3.5).collect();
+        assert_eq!(
+            pieces,
+            [[(1.5, 5.0), (2.0, 5.5)], [(2.0, 5.5), (3.0, 5.0)], [(3.0, 5.0), (3.5, 5.0)]]
+        );
+        // A window on a sample or inside one segment cuts nothing.
+        assert_eq!(w.pieces(2.0, 2.5).collect::<Vec<_>>(), [[(2.0, 5.5), (2.5, 5.25)]]);
+    }
+
+    /// Where the waveform sampled at 10⁴ points of `[from, to]` (and at
+    /// its own samples inside, where its slope changes) first reaches
+    /// `level` from short of it, refined by bisection to a bracket
+    /// `(lo, hi]`.
+    fn sampled_first_crossing(
+        w: &VoltageWaveform,
+        (from, to): (f64, f64),
+        level: f64,
+        rising: bool,
+    ) -> Option<(f64, f64)> {
+        let reached = |t: f64| {
+            let v = w.sample(Seconds::new(t)).value();
+            if rising { v >= level } else { v <= level }
+        };
+        const N: usize = 10_000;
+        let at = |k: usize| if k == N { to } else { from + (to - from) * k as f64 / N as f64 };
+        let mut grid: Vec<f64> = (0..=N).map(at).collect();
+        grid.extend(w.samples.iter().map(|s| s.0.value()).filter(|&t| t > from && t < to));
+        grid.sort_by(f64::total_cmp);
+        let k = grid.windows(2).position(|g| !reached(g[0]) && reached(g[1]))?;
+        let (mut lo, mut hi) = (grid[k], grid[k + 1]);
+        loop {
+            let mid = 0.5 * (lo + hi);
+            if mid <= lo || mid >= hi {
+                return Some((lo, hi));
+            }
+            if reached(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn waveform_pieces_find_the_first_crossing_of_the_sampled_waveform(
+            t0 in 0.0f64..100.0,
+            gaps in proptest::collection::vec(1e-3f64..1.0, 11..12),
+            volts in proptest::collection::vec(4.0f64..6.0, 2..13),
+            pick in 0usize..24,
+            level in 3.9f64..6.1,
+            rising in proptest::bool::ANY,
+            arm in -0.1f64..1.0,
+        ) {
+            let mut t = t0;
+            let mut samples = vec![(Seconds::new(t), Volts::new(volts[0]))];
+            for (gap, &v) in gaps.iter().zip(&volts[1..]) {
+                t += gap;
+                samples.push((Seconds::new(t), Volts::new(v)));
+            }
+            let w = VoltageWaveform::new(samples).unwrap();
+            // Half the cases ask for a level the waveform passes through
+            // a sample exactly.
+            let level = volts.get(pick).copied().unwrap_or(level);
+            let window = (t0 + arm * (t - t0), t + 0.1 * (t - t0));
+            let direction =
+                if rising { CrossingDirection::Rising } else { CrossingDirection::Falling };
+            let pieces = w.pieces(window.0, window.1);
+            let found = first_crossing_on(pieces, level, direction, |a, b, v| w.crossing(a, b, v));
+            let reference = sampled_first_crossing(&w, window, level, rising);
+            prop_assert_eq!(found.is_some(), reference.is_some(), "{:?} vs {:?}", found, reference);
+            if let (Some(t), Some((lo, hi))) = (found, reference) {
+                let v = w.sample(Seconds::new(t)).value();
+                prop_assert!(if rising { v >= level } else { v <= level }, "{} at {}", v, t);
+                prop_assert!(t > lo && t - hi <= CROSSING_TOLERANCE, "{} vs ({}, {}]", t, lo, hi);
+            }
+        }
     }
 
     #[test]
