@@ -39,13 +39,6 @@ impl ChartOptions {
         self.x_label = x.into();
         self
     }
-
-    /// Sets the plot size (builder style).
-    pub fn with_size(mut self, width: usize, height: usize) -> Self {
-        self.width = width.max(8);
-        self.height = height.max(4);
-        self
-    }
 }
 
 /// Renders one or more series as an ASCII chart. Each series gets its

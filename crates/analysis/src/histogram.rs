@@ -9,14 +9,19 @@ use crate::AnalysisError;
 ///
 /// ```
 /// use pn_analysis::histogram::Histogram;
+/// use pn_analysis::series::SeriesView;
 ///
 /// # fn main() -> Result<(), pn_analysis::AnalysisError> {
+/// // Each segment lands at its midpoint value, weighted by its
+/// // duration: 1 s at 2.5, 3 s at 2.6 and 1 s at 6.3.
+/// let (t, v) = ([0.0, 1.0, 4.0, 5.0], [2.5, 2.5, 2.7, 9.9]);
 /// let mut h = Histogram::new(0.0, 10.0, 5)?;
-/// h.add(2.5, 1.0);
-/// h.add(2.6, 3.0);
-/// h.add(9.9, 1.0);
+/// h.add_series(SeriesView::new("vc", &t, &v));
 /// assert_eq!(h.count(1), 4.0);
-/// assert!((h.fraction(1) - 0.8).abs() < 1e-12);
+/// assert_eq!(h.count(3), 1.0);
+/// let (center, fraction) = h.iter().nth(1).unwrap();
+/// assert_eq!(center, 3.0);
+/// assert!((fraction - 0.8).abs() < 1e-12);
 /// # Ok(())
 /// # }
 /// ```
@@ -48,12 +53,12 @@ impl Histogram {
     }
 
     /// Number of bins.
-    pub fn bins(&self) -> usize {
+    fn bins(&self) -> usize {
         self.counts.len()
     }
 
     /// Bin width.
-    pub fn bin_width(&self) -> f64 {
+    fn bin_width(&self) -> f64 {
         (self.hi - self.lo) / self.counts.len() as f64
     }
 
@@ -69,7 +74,7 @@ impl Histogram {
 
     /// Adds `weight` at `value`; out-of-range values land in the
     /// under/overflow accumulators but still count toward the total.
-    pub fn add(&mut self, value: f64, weight: f64) {
+    fn add(&mut self, value: f64, weight: f64) {
         self.total += weight;
         if value < self.lo {
             self.underflow += weight;
@@ -108,7 +113,7 @@ impl Histogram {
 
     /// Fraction of total weight in bin `idx` (0 when nothing has been
     /// added).
-    pub fn fraction(&self, idx: usize) -> f64 {
+    fn fraction(&self, idx: usize) -> f64 {
         if self.total > 0.0 {
             self.counts[idx] / self.total
         } else {

@@ -121,57 +121,6 @@ pub fn time_integral<'a>(series: impl Into<SeriesView<'a>>) -> Result<f64, Analy
     Ok(acc)
 }
 
-/// Root-mean-square tracking error of `series` against a constant
-/// target.
-///
-/// # Errors
-///
-/// Returns [`AnalysisError::NotEnoughSamples`] for fewer than two
-/// samples.
-pub fn rms_error<'a>(series: impl Into<SeriesView<'a>>, target: f64) -> Result<f64, AnalysisError> {
-    let series = series.into();
-    if series.len() < 2 {
-        return Err(AnalysisError::NotEnoughSamples { needed: 2, available: series.len() });
-    }
-    let times = series.times();
-    let values = series.values();
-    let mut acc = 0.0;
-    for i in 1..series.len() {
-        let dt = times[i] - times[i - 1];
-        let e0 = values[i - 1] - target;
-        let e1 = values[i] - target;
-        // Exact integral of a linear error squared over the segment.
-        acc += dt * (e0 * e0 + e0 * e1 + e1 * e1) / 3.0;
-    }
-    Ok((acc / series.duration()).sqrt())
-}
-
-/// The first time `series` falls below `threshold`, or `None` if it
-/// never does — the Table II "lifetime" detector (brownout time).
-pub fn first_time_below<'a>(series: impl Into<SeriesView<'a>>, threshold: f64) -> Option<f64> {
-    let series = series.into();
-    let times = series.times();
-    let values = series.values();
-    if values.is_empty() {
-        return None;
-    }
-    if values[0] < threshold {
-        return Some(times[0]);
-    }
-    for i in 1..values.len() {
-        if values[i] < threshold {
-            let (t0, v0) = (times[i - 1], values[i - 1]);
-            let (t1, v1) = (times[i], values[i]);
-            if v0 == v1 {
-                return Some(t1);
-            }
-            let s = (threshold - v0) / (v1 - v0);
-            return Some(t0 + s.clamp(0.0, 1.0) * (t1 - t0));
-        }
-    }
-    None
-}
-
 /// Mean absolute tracking ratio between two series (consumed power vs
 /// available power, Fig. 14): the time-weighted mean of
 /// `consumed/available` wherever `available > floor`.
@@ -246,21 +195,6 @@ mod tests {
         assert!((time_integral(&s).unwrap() - 4.0).abs() < 1e-12);
         let short = TimeSeries::from_samples("p", vec![0.0], vec![1.0]).unwrap();
         assert!(time_integral(&short).is_err());
-    }
-
-    #[test]
-    fn rms_of_constant_error() {
-        let s = TimeSeries::from_samples("x", vec![0.0, 2.0], vec![5.5, 5.5]).unwrap();
-        assert!((rms_error(&s, 5.3).unwrap() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lifetime_detector_interpolates() {
-        let s =
-            TimeSeries::from_samples("vc", vec![0.0, 1.0, 2.0], vec![5.0, 4.5, 3.5]).unwrap();
-        let t = first_time_below(&s, 4.1).unwrap();
-        assert!((t - 1.4).abs() < 1e-9, "t = {t}");
-        assert!(first_time_below(&s, 3.0).is_none());
     }
 
     #[test]

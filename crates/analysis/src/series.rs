@@ -170,30 +170,6 @@ impl<'a> SeriesView<'a> {
     pub fn max(&self) -> Option<f64> {
         self.values.iter().copied().fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
     }
-
-    /// Resamples onto a uniform grid of `n` points spanning the series.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalysisError::InvalidParameter`] for `n < 2` and
-    /// [`AnalysisError::NotEnoughSamples`] for an empty series.
-    pub fn resample(&self, n: usize) -> Result<TimeSeries, AnalysisError> {
-        if n < 2 {
-            return Err(AnalysisError::InvalidParameter("resample needs n >= 2"));
-        }
-        let (Some(a), Some(b)) = (self.start(), self.end()) else {
-            return Err(AnalysisError::NotEnoughSamples { needed: 1, available: 0 });
-        };
-        let mut out = TimeSeries::with_capacity(self.name, n);
-        for k in 0..n {
-            let t = a + (b - a) * k as f64 / (n - 1) as f64;
-            let v = self.sample(t)?;
-            // Uniform grid times strictly increase by construction.
-            out.times.push(t);
-            out.values.push(v);
-        }
-        Ok(out)
-    }
 }
 
 /// A named, time-ordered series of `f64` samples that owns its columns.
@@ -363,16 +339,6 @@ impl TimeSeries {
     pub fn max(&self) -> Option<f64> {
         self.as_series().max()
     }
-
-    /// Resamples onto a uniform grid; see [`SeriesView::resample`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalysisError::InvalidParameter`] for `n < 2` and
-    /// [`AnalysisError::NotEnoughSamples`] for an empty series.
-    pub fn resample(&self, n: usize) -> Result<TimeSeries, AnalysisError> {
-        self.as_series().resample(n)
-    }
 }
 
 impl<'a> From<&'a TimeSeries> for SeriesView<'a> {
@@ -422,15 +388,6 @@ mod tests {
         let s = ramp();
         assert!((s.integrate().unwrap() - 2.0).abs() < 1e-12);
         assert!((s.mean().unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn resample_preserves_endpoints() {
-        let s = ramp();
-        let r = s.resample(5).unwrap();
-        assert_eq!(r.len(), 5);
-        assert_eq!(r.values()[0], 0.0);
-        assert_eq!(*r.values().last().unwrap(), 2.0);
     }
 
     #[test]

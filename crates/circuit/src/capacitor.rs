@@ -1,76 +1,33 @@
-//! Buffer-capacitor models.
+//! The buffer-capacitor model.
 //!
 //! The power-neutral system deliberately shrinks the energy buffer to a
 //! few tens of millifarads (47 mF in the paper's rig — *three orders of
-//! magnitude* below typical energy-neutral supercapacitor banks). Two
-//! models are provided:
-//!
-//! * [`Capacitor`] — ideal `C`,
-//! * [`Supercapacitor`] — `C` plus equivalent series resistance and a
-//!   parallel leakage path, the two dominant non-idealities called out
-//!   in the paper's discussion of buffer losses.
+//! magnitude* below typical energy-neutral supercapacitor banks).
+//! [`Supercapacitor`] models it as a capacitance with a parallel
+//! leakage path, the buffer loss the engine integrates.
 
 use crate::CircuitError;
 use pn_units::{Amps, Farads, Joules, Ohms, Volts};
 
-/// An ideal capacitor.
+/// A supercapacitor: ideal `C` with a parallel leakage resistance.
 ///
 /// # Examples
 ///
 /// ```
-/// use pn_circuit::capacitor::Capacitor;
-/// use pn_units::{Amps, Farads, Volts};
+/// use pn_circuit::capacitor::Supercapacitor;
+/// use pn_units::{Amps, Farads, Ohms, Volts};
 ///
 /// # fn main() -> Result<(), pn_circuit::CircuitError> {
-/// let c = Capacitor::new(Farads::from_millifarads(47.0))?;
+/// let c = Supercapacitor::new(Farads::from_millifarads(47.0), Ohms::new(1e15))?;
 /// // 1 A of net charge current raises 47 mF at ~21 V/s.
-/// let slope = c.dv_dt(Volts::new(5.0), Amps::new(1.0));
+/// let slope = c.dv_dt(Volts::new(5.0), Amps::new(1.0), Amps::ZERO);
 /// assert!((slope - 1.0 / 0.047).abs() < 1e-9);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Capacitor {
-    capacitance: Farads,
-}
-
-impl Capacitor {
-    /// Creates an ideal capacitor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::InvalidArgument`] for a non-positive or
-    /// non-finite capacitance.
-    pub fn new(capacitance: Farads) -> Result<Self, CircuitError> {
-        if !(capacitance.value() > 0.0) || !capacitance.is_finite() {
-            return Err(CircuitError::InvalidArgument("capacitance must be positive and finite"));
-        }
-        Ok(Self { capacitance })
-    }
-
-    /// The capacitance.
-    pub fn capacitance(&self) -> Farads {
-        self.capacitance
-    }
-
-    /// Stored energy at voltage `v`: `E = ½CV²`.
-    pub fn energy(&self, v: Volts) -> Joules {
-        Joules::new(0.5 * self.capacitance.value() * v.value() * v.value())
-    }
-
-    /// Voltage slope for a net charging current (`dV/dt = I/C`), in
-    /// volts per second.
-    pub fn dv_dt(&self, _v: Volts, net_current: Amps) -> f64 {
-        net_current.value() / self.capacitance.value()
-    }
-}
-
-/// A supercapacitor: ideal `C` with series resistance (ESR) and a
-/// parallel leakage resistance.
-#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Supercapacitor {
-    cell: Capacitor,
-    esr: Ohms,
+    capacitance: Farads,
     leakage_resistance: Ohms,
     /// `1/C` and `1/R_leak`, so that [`Supercapacitor::dv_dt`] divides
     /// by nothing.
@@ -83,16 +40,11 @@ impl Supercapacitor {
     ///
     /// # Errors
     ///
-    /// Returns [`CircuitError::InvalidArgument`] when the capacitance,
-    /// ESR or leakage resistance is non-positive or non-finite.
-    pub fn new(
-        capacitance: Farads,
-        esr: Ohms,
-        leakage_resistance: Ohms,
-    ) -> Result<Self, CircuitError> {
-        let cell = Capacitor::new(capacitance)?;
-        if !(esr.value() >= 0.0) || !esr.is_finite() {
-            return Err(CircuitError::InvalidArgument("esr must be non-negative and finite"));
+    /// Returns [`CircuitError::InvalidArgument`] when the capacitance or
+    /// leakage resistance is non-positive or non-finite.
+    pub fn new(capacitance: Farads, leakage_resistance: Ohms) -> Result<Self, CircuitError> {
+        if !(capacitance.value() > 0.0) || !capacitance.is_finite() {
+            return Err(CircuitError::InvalidArgument("capacitance must be positive and finite"));
         }
         if !(leakage_resistance.value() > 0.0) || !leakage_resistance.is_finite() {
             return Err(CircuitError::InvalidArgument(
@@ -100,8 +52,7 @@ impl Supercapacitor {
             ));
         }
         Ok(Self {
-            cell,
-            esr,
+            capacitance,
             leakage_resistance,
             inv_c: 1.0 / capacitance.value(),
             g_leak: 1.0 / leakage_resistance.value(),
@@ -109,20 +60,15 @@ impl Supercapacitor {
     }
 
     /// The 47 mF buffer used for the paper's experiments (§IV-A), with
-    /// datasheet-typical ESR and leakage for a small supercap.
+    /// datasheet-typical leakage for a small supercap.
     pub fn paper_buffer() -> Self {
-        Self::new(Farads::from_millifarads(47.0), Ohms::new(0.025), Ohms::new(40_000.0))
+        Self::new(Farads::from_millifarads(47.0), Ohms::new(40_000.0))
             .expect("preset parameters are valid")
     }
 
     /// The capacitance.
     pub fn capacitance(&self) -> Farads {
-        self.cell.capacitance()
-    }
-
-    /// The equivalent series resistance.
-    pub fn esr(&self) -> Ohms {
-        self.esr
+        self.capacitance
     }
 
     /// The parallel leakage resistance.
@@ -139,11 +85,7 @@ impl Supercapacitor {
     /// use pn_units::{Farads, Ohms};
     ///
     /// # fn main() -> Result<(), pn_circuit::CircuitError> {
-    /// let sc = Supercapacitor::new(
-    ///     Farads::from_millifarads(47.0),
-    ///     Ohms::new(0.025),
-    ///     Ohms::new(40_000.0),
-    /// )?;
+    /// let sc = Supercapacitor::new(Farads::from_millifarads(47.0), Ohms::new(40_000.0))?;
     /// let leak = 5.3 * sc.leakage_conductance(); // amps at 5.3 V
     /// assert!(leak < 2e-4); // sub-milliamp leakage
     /// # Ok(())
@@ -153,23 +95,16 @@ impl Supercapacitor {
         self.g_leak
     }
 
-    /// Stored energy at internal voltage `v`.
+    /// Stored energy at voltage `v`: `E = ½CV²`.
     pub fn energy(&self, v: Volts) -> Joules {
-        self.cell.energy(v)
+        Joules::new(0.5 * self.capacitance.value() * v.value() * v.value())
     }
 
-    /// Voltage slope of the internal node given the externally supplied
+    /// Voltage slope of the capacitor node given the externally supplied
     /// and drawn currents: `dV/dt = (I_in − I_out − V/R_leak)/C`.
     #[inline]
     pub fn dv_dt(&self, v: Volts, i_in: Amps, i_out: Amps) -> f64 {
         (i_in.value() - i_out.value() - v.value() * self.g_leak) * self.inv_c
-    }
-
-    /// Terminal voltage seen by the load: the internal voltage minus the
-    /// ESR drop of the *net* outgoing current.
-    pub fn terminal_voltage(&self, v: Volts, i_in: Amps, i_out: Amps) -> Volts {
-        let net_out = i_out - i_in;
-        v - net_out * self.esr
     }
 }
 
@@ -180,15 +115,14 @@ mod tests {
 
     #[test]
     fn rejects_bad_parameters() {
-        assert!(Capacitor::new(Farads::new(0.0)).is_err());
-        assert!(Capacitor::new(Farads::new(-1.0)).is_err());
-        assert!(Supercapacitor::new(Farads::new(0.047), Ohms::new(-0.1), Ohms::new(1e4)).is_err());
-        assert!(Supercapacitor::new(Farads::new(0.047), Ohms::new(0.1), Ohms::new(0.0)).is_err());
+        assert!(Supercapacitor::new(Farads::new(0.0), Ohms::new(1e4)).is_err());
+        assert!(Supercapacitor::new(Farads::new(-1.0), Ohms::new(1e4)).is_err());
+        assert!(Supercapacitor::new(Farads::new(0.047), Ohms::new(0.0)).is_err());
     }
 
     #[test]
     fn energy_is_half_c_v_squared() {
-        let c = Capacitor::new(Farads::new(0.047)).unwrap();
+        let c = Supercapacitor::new(Farads::new(0.047), Ohms::new(1e4)).unwrap();
         let e = c.energy(Volts::new(5.3));
         assert!((e.value() - 0.5 * 0.047 * 5.3 * 5.3).abs() < 1e-12);
     }
@@ -211,26 +145,16 @@ mod tests {
         assert!((slope + 0.5 / 0.047).abs() < 0.1);
     }
 
-    #[test]
-    fn terminal_voltage_sags_under_load() {
-        let sc = Supercapacitor::new(Farads::new(0.047), Ohms::new(0.1), Ohms::new(1e5)).unwrap();
-        let vt = sc.terminal_voltage(Volts::new(5.0), Amps::ZERO, Amps::new(1.0));
-        assert!((vt.value() - 4.9).abs() < 1e-12);
-        // And rises while charging.
-        let vt = sc.terminal_voltage(Volts::new(5.0), Amps::new(1.0), Amps::ZERO);
-        assert!((vt.value() - 5.1).abs() < 1e-12);
-    }
-
     proptest! {
         #[test]
         fn energy_monotone_in_voltage(c in 1e-3f64..1.0, v in 0.0f64..10.0, dv in 0.01f64..1.0) {
-            let cap = Capacitor::new(Farads::new(c)).unwrap();
+            let cap = Supercapacitor::new(Farads::new(c), Ohms::new(1e4)).unwrap();
             prop_assert!(cap.energy(Volts::new(v + dv)) > cap.energy(Volts::new(v)));
         }
 
         #[test]
         fn charge_balance_slope(c in 1e-3f64..1.0, i_in in 0.0f64..2.0, i_out in 0.0f64..2.0) {
-            let sc = Supercapacitor::new(Farads::new(c), Ohms::new(0.02), Ohms::new(1e15)).unwrap();
+            let sc = Supercapacitor::new(Farads::new(c), Ohms::new(1e15)).unwrap();
             let slope = sc.dv_dt(Volts::new(5.0), Amps::new(i_in), Amps::new(i_out));
             // With astronomically large leakage resistance the slope is
             // just (i_in − i_out)/C.

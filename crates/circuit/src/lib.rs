@@ -18,8 +18,7 @@
 //! * [`surface`] — a pretabulated, build-time-validated bilinear
 //!   interpolation surface over the single-diode current (the
 //!   engine's supply fast path),
-//! * [`capacitor`] — ideal and supercapacitor (ESR + leakage) buffer
-//!   models.
+//! * [`capacitor`] — the supercapacitor buffer (capacitance + leakage).
 //!
 //! # Examples
 //!

@@ -277,11 +277,6 @@ impl StepCubic {
         cubic
     }
 
-    /// The step it was built from.
-    pub fn step(&self) -> &AcceptedStep<1> {
-        &self.step
-    }
-
     /// The dense output at `t`: [`AcceptedStep::interpolate`].
     fn value(&self, t: f64) -> f64 {
         self.step.interpolate(t)[0]
@@ -387,10 +382,14 @@ impl StepCubic {
 /// use pn_circuit::ode::{AdaptiveOptions, Rk23};
 ///
 /// # fn main() -> Result<(), pn_circuit::CircuitError> {
-/// // dy/dt = -y, y(0) = 1  ⇒  y(1) = e⁻¹.
+/// // dy/dt = -y, y(0) = 1  ⇒  y(1) = e⁻¹, one accepted step at a time.
 /// let mut solver = Rk23::new(AdaptiveOptions::new());
 /// let mut f = |_t: f64, y: &[f64; 1]| [-y[0]];
-/// let y = solver.integrate(&mut f, 0.0, [1.0], 1.0)?;
+/// let (mut t, mut y) = (0.0, [1.0]);
+/// while t < 1.0 {
+///     let step = solver.step(&mut f, t, &y, 1.0)?;
+///     (t, y) = (step.t1, step.y1);
+/// }
 /// assert!((y[0] - (-1.0f64).exp()).abs() < 1e-5);
 /// # Ok(())
 /// # }
@@ -410,11 +409,6 @@ impl Rk23 {
     /// The solver options.
     pub fn options(&self) -> &AdaptiveOptions {
         &self.options
-    }
-
-    /// Current step-size estimate.
-    pub fn current_step(&self) -> f64 {
-        self.h
     }
 
     /// Notifies the controller of a right-hand-side discontinuity at a
@@ -516,37 +510,6 @@ impl Rk23 {
             h = (h * shrink).max(opts.min_step);
         }
     }
-
-    /// Integrates from `t0` to `t_end`, returning the final state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the errors of [`Rk23::step`]; additionally rejects a
-    /// backwards time span.
-    pub fn integrate<const N: usize>(
-        &mut self,
-        system: &mut impl OdeSystem<N>,
-        t0: f64,
-        y0: [f64; N],
-        t_end: f64,
-    ) -> Result<[f64; N], CircuitError> {
-        if t_end < t0 {
-            return Err(CircuitError::InvalidArgument("t_end must not precede t0"));
-        }
-        let mut t = t0;
-        let mut y = y0;
-        // The derivative at `(t, y)`: each step's last stage serves as
-        // the next one's first.
-        let mut f = None;
-        while t < t_end {
-            let f0 = f.unwrap_or_else(|| system.eval(t, &y));
-            let step = self.step_from(system, t, &y, f0, t_end)?;
-            t = step.t1;
-            y = step.y1;
-            f = Some(step.f1);
-        }
-        Ok(y)
-    }
 }
 
 #[cfg(test)]
@@ -558,10 +521,29 @@ mod tests {
         [-y[0]]
     }
 
+    /// Integrates from `t0` to `t_end` and returns the final state;
+    /// each step's last stage serves as the next one's first.
+    fn integrate<const N: usize>(
+        solver: &mut Rk23,
+        system: &mut impl OdeSystem<N>,
+        t0: f64,
+        y0: [f64; N],
+        t_end: f64,
+    ) -> [f64; N] {
+        let (mut t, mut y) = (t0, y0);
+        let mut f = None;
+        while t < t_end {
+            let f0 = f.unwrap_or_else(|| system.eval(t, &y));
+            let step = solver.step_from(system, t, &y, f0, t_end).unwrap();
+            (t, y, f) = (step.t1, step.y1, Some(step.f1));
+        }
+        y
+    }
+
     #[test]
     fn rk23_matches_analytic_exponential() {
         let mut solver = Rk23::new(AdaptiveOptions::new().with_max_step(0.5));
-        let y = solver.integrate(&mut exp_decay, 0.0, [1.0], 3.0).unwrap();
+        let y = integrate(&mut solver, &mut exp_decay, 0.0, [1.0], 3.0);
         assert!((y[0] - (-3.0f64).exp()).abs() < 1e-5);
     }
 
@@ -571,7 +553,7 @@ mod tests {
         let mut f = |_t: f64, y: &[f64; 2]| [y[1], -y[0]];
         let mut solver =
             Rk23::new(AdaptiveOptions::new().with_tolerances(1e-9, 1e-12).with_max_step(0.1));
-        let y = solver.integrate(&mut f, 0.0, [1.0, 0.0], 20.0 * std::f64::consts::PI).unwrap();
+        let y = integrate(&mut solver, &mut f, 0.0, [1.0, 0.0], 20.0 * std::f64::consts::PI);
         let energy = y[0] * y[0] + y[1] * y[1];
         assert!((energy - 1.0).abs() < 1e-4, "energy drift {energy}");
     }
@@ -580,18 +562,18 @@ mod tests {
     fn notify_discontinuity_keeps_the_learned_step() {
         let mut solver = Rk23::new(AdaptiveOptions::new());
         // Let the controller grow the step on an easy problem.
-        solver.integrate(&mut exp_decay, 0.0, [1.0], 2.0).unwrap();
-        let learned = solver.current_step();
+        integrate(&mut solver, &mut exp_decay, 0.0, [1.0], 2.0);
+        let learned = solver.h;
         assert!(learned > 10.0 * solver.options().initial_step, "step never grew: {learned}");
         solver.notify_discontinuity();
-        let kept = solver.current_step();
+        let kept = solver.h;
         assert!((kept - 0.5 * learned).abs() < 1e-15, "kept {kept} vs learned {learned}");
         // And the trimmed estimate stays within the configured bounds.
         let mut tiny = Rk23::new(AdaptiveOptions::new());
         for _ in 0..100 {
             tiny.notify_discontinuity();
         }
-        assert!(tiny.current_step() >= tiny.options().min_step);
+        assert!(tiny.h >= tiny.options().min_step);
     }
 
     #[test]
@@ -605,7 +587,7 @@ mod tests {
     fn rk23_rejects_backwards_span() {
         let mut solver = Rk23::new(AdaptiveOptions::new());
         assert!(matches!(
-            solver.integrate(&mut exp_decay, 1.0, [1.0], 0.0),
+            solver.step(&mut exp_decay, 1.0, &[1.0], 0.0),
             Err(CircuitError::InvalidArgument(_))
         ));
     }
@@ -675,11 +657,6 @@ mod tests {
             steps += 1;
         }
         assert!(steps > 20, "{steps} steps");
-        assert_eq!(evaluations.get(), 1 + 3 * steps);
-        // `integrate` reuses the last stage the same way.
-        evaluations.set(0);
-        let end = Rk23::new(options).integrate(&mut counted, 0.0, [0.5], 4.0).unwrap();
-        assert_eq!(end[0].to_bits(), y[0].to_bits());
         assert_eq!(evaluations.get(), 1 + 3 * steps);
     }
 
@@ -836,7 +813,7 @@ mod tests {
         fn rk23_exponential_growth(rate in -2.0f64..2.0, t_end in 0.1f64..3.0) {
             let mut f = move |_t: f64, y: &[f64; 1]| [rate * y[0]];
             let mut solver = Rk23::new(AdaptiveOptions::new().with_max_step(0.25));
-            let y = solver.integrate(&mut f, 0.0, [1.0], t_end).unwrap();
+            let y = integrate(&mut solver, &mut f, 0.0, [1.0], t_end);
             let exact = (rate * t_end).exp();
             prop_assert!((y[0] - exact).abs() < 1e-4 * (1.0 + exact.abs()));
         }

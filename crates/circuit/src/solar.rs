@@ -146,7 +146,7 @@ impl SolarCell {
     ///
     /// Returns [`CircuitError::InvalidArgument`] when any parameter is
     /// non-positive or non-finite.
-    pub fn new(params: SolarCellParams) -> Result<Self, CircuitError> {
+    fn new(params: SolarCellParams) -> Result<Self, CircuitError> {
         let ok = params.il_ref.value() > 0.0
             && params.i0.value() > 0.0
             && params.rs.value() > 0.0
@@ -239,7 +239,7 @@ impl SolarCell {
     }
 
     /// Light-generated current at irradiance `g` (linear scaling).
-    pub fn light_current(&self, g: WattsPerSquareMeter) -> Amps {
+    fn light_current(&self, g: WattsPerSquareMeter) -> Amps {
         self.params.il_ref * (g.value().max(0.0) / REFERENCE_IRRADIANCE.value())
     }
 
@@ -294,7 +294,7 @@ impl SolarCell {
     /// # Errors
     ///
     /// Same contract as [`SolarCell::current`].
-    pub fn solve_seeded(
+    fn solve_seeded(
         &self,
         v: Volts,
         g: WattsPerSquareMeter,
@@ -362,17 +362,8 @@ impl SolarCell {
     /// # Errors
     ///
     /// Propagates the errors of [`SolarCell::current`].
-    pub fn power(&self, v: Volts, g: WattsPerSquareMeter) -> Result<Watts, CircuitError> {
+    fn power(&self, v: Volts, g: WattsPerSquareMeter) -> Result<Watts, CircuitError> {
         Ok(v * self.current(v, g)?)
-    }
-
-    /// Short-circuit current at irradiance `g`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the errors of [`SolarCell::current`].
-    pub fn short_circuit_current(&self, g: WattsPerSquareMeter) -> Result<Amps, CircuitError> {
-        self.current(Volts::ZERO, g)
     }
 
     /// Open-circuit voltage at irradiance `g` (zero for zero harvest).
@@ -478,7 +469,7 @@ mod tests {
     #[test]
     fn odroid_array_matches_fig13_targets() {
         let cell = SolarCell::odroid_array();
-        let isc = cell.short_circuit_current(FULL_SUN).unwrap();
+        let isc = cell.current(Volts::ZERO, FULL_SUN).unwrap();
         let voc = cell.open_circuit_voltage(FULL_SUN).unwrap();
         let mpp = cell.max_power_point(FULL_SUN).unwrap();
         assert!((isc.value() - 1.2).abs() < 0.02, "isc = {isc}");

@@ -82,7 +82,7 @@ pub fn required_capacitance(
 /// # Errors
 ///
 /// Propagates planning/costing failures as [`CoreError::InvalidPlatform`].
-pub fn worst_case_sizing(
+fn worst_case_sizing(
     platform: &Platform,
     strategy: TransitionStrategy,
 ) -> Result<BufferSizing, CoreError> {
@@ -112,7 +112,7 @@ pub fn worst_case_sizing(
 ///
 /// # Errors
 ///
-/// Propagates [`worst_case_sizing`] failures.
+/// Propagates planning/costing failures as [`CoreError::InvalidPlatform`].
 pub fn table1(platform: &Platform) -> Result<(BufferSizing, BufferSizing), CoreError> {
     Ok((
         worst_case_sizing(platform, TransitionStrategy::FrequencyFirst)?,

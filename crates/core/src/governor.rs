@@ -28,27 +28,6 @@ use pn_soc::platform::Platform;
 use pn_soc::transition::TransitionStrategy;
 use pn_units::{Seconds, Volts};
 
-/// Statistics the governor keeps about its own activity (the basis of
-/// the Fig. 15 overhead analysis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct GovernorStats {
-    /// Number of `Vlow` interrupts handled.
-    pub low_crossings: u64,
-    /// Number of `Vhigh` interrupts handled.
-    pub high_crossings: u64,
-    /// DVFS steps commanded.
-    pub dvfs_steps: u64,
-    /// Core plug/unplug operations commanded.
-    pub hotplug_ops: u64,
-}
-
-impl GovernorStats {
-    /// Total threshold interrupts handled.
-    pub fn total_crossings(&self) -> u64 {
-        self.low_crossings + self.high_crossings
-    }
-}
-
 /// The interrupt-driven power-neutral governor.
 ///
 /// See the [crate-level documentation](crate) for a worked example.
@@ -60,7 +39,6 @@ pub struct PowerNeutralGovernor {
     window_min: Volts,
     window_max: Volts,
     last_crossing: Option<Seconds>,
-    stats: GovernorStats,
 }
 
 impl PowerNeutralGovernor {
@@ -86,23 +64,7 @@ impl PowerNeutralGovernor {
             window_min: window.min,
             window_max: window.max + Volts::new(0.2),
             last_crossing: None,
-            stats: GovernorStats::default(),
         })
-    }
-
-    /// The active control parameters.
-    pub fn params(&self) -> &ControlParams {
-        &self.params
-    }
-
-    /// The current threshold pair, if the governor has started.
-    pub fn thresholds(&self) -> Option<&ThresholdPair> {
-        self.thresholds.as_ref()
-    }
-
-    /// Activity statistics.
-    pub fn stats(&self) -> GovernorStats {
-        self.stats
     }
 
     fn apply_core_scaling(opp: Opp, scaling: CoreScaling) -> Opp {
@@ -139,19 +101,11 @@ impl PowerNeutralGovernor {
         self.last_crossing = Some(t);
 
         // 1. DVFS response (Fig. 5, first box).
+        let level = current.level();
         let (new_level, sign) = match edge {
-            ThresholdEdge::Low => {
-                self.stats.low_crossings += 1;
-                (self.frequencies.step_down(current.level()), CrossingSign::Falling)
-            }
-            ThresholdEdge::High => {
-                self.stats.high_crossings += 1;
-                (self.frequencies.step_up(current.level()), CrossingSign::Rising)
-            }
+            ThresholdEdge::Low => (self.frequencies.step_down(level), CrossingSign::Falling),
+            ThresholdEdge::High => (self.frequencies.step_up(level), CrossingSign::Rising),
         };
-        if new_level != current.level() {
-            self.stats.dvfs_steps += 1;
-        }
 
         // 2. Core hot-plug response (Eqs. 2–3).
         let scaling = if tau.is_finite() {
@@ -160,10 +114,6 @@ impl PowerNeutralGovernor {
             CoreScaling::NONE
         };
         let mut target = Self::apply_core_scaling(current.with_level(new_level), scaling);
-        if target.config() != current.config() {
-            let delta = i32::from(target.config().total()) - i32::from(current.config().total());
-            self.stats.hotplug_ops += delta.unsigned_abs() as u64;
-        }
         if target == current {
             target = current; // saturated at a ladder end; nothing to do
         }
@@ -334,23 +284,8 @@ mod tests {
         let (h0, _) = start.thresholds.unwrap();
         let a1 = g.on_event(&cross(ThresholdEdge::Low, 1.0), opp);
         let (h1, _) = a1.thresholds.unwrap();
-        assert!((h0 - h1 - g.params().v_q()).abs() < Volts::new(1e-9));
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let mut g = governor();
-        let opp = Opp::new(CoreConfig::new(4, 2).unwrap(), 5);
-        g.start(Seconds::ZERO, Volts::new(5.3), opp);
-        g.on_event(&cross(ThresholdEdge::Low, 1.0), opp);
-        g.on_event(&cross(ThresholdEdge::Low, 1.05), opp);
-        g.on_event(&cross(ThresholdEdge::High, 1.3), opp);
-        let s = g.stats();
-        assert_eq!(s.low_crossings, 2);
-        assert_eq!(s.high_crossings, 1);
-        assert_eq!(s.total_crossings(), 3);
-        assert!(s.dvfs_steps >= 3);
-        assert!(s.hotplug_ops >= 2);
+        let v_q = ControlParams::paper_optimal().unwrap().v_q();
+        assert!((h0 - h1 - v_q).abs() < Volts::new(1e-9));
     }
 
     #[test]

@@ -123,18 +123,6 @@ impl ControlParams {
     pub fn beta(&self) -> SlopeThreshold {
         self.beta
     }
-
-    /// The crossing interval τ below which a big-core response fires:
-    /// `τ_b = Vq/β` (from substituting Eq. 3 into Eq. 2).
-    pub fn big_response_tau(&self) -> f64 {
-        self.v_q.value() / self.beta
-    }
-
-    /// The crossing interval τ below which a LITTLE-core response
-    /// fires: `τ_L = Vq/α`.
-    pub fn little_response_tau(&self) -> f64 {
-        self.v_q.value() / self.alpha
-    }
 }
 
 #[cfg(test)]
@@ -154,17 +142,6 @@ mod tests {
 
         let fig11 = ControlParams::fig11_demo().unwrap();
         assert!((fig11.v_q().to_millivolts() - 190.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn response_taus_are_ordered() {
-        // β > α ⇒ the big-core response requires a *faster* crossing.
-        let p = ControlParams::paper_optimal().unwrap();
-        assert!(p.big_response_tau() < p.little_response_tau());
-        // Numerically: 47.9 mV / 0.479 V/s = 0.1 s.
-        assert!((p.big_response_tau() - 0.1).abs() < 1e-9);
-        // 47.9 mV / 0.120 V/s ≈ 0.399 s.
-        assert!((p.little_response_tau() - 0.399).abs() < 0.001);
     }
 
     #[test]
@@ -190,7 +167,7 @@ mod tests {
             );
             prop_assert!(p.is_ok());
             let p = p.unwrap();
-            prop_assert!(p.big_response_tau() < p.little_response_tau());
+            prop_assert!(p.alpha() < p.beta());
         }
 
         #[test]

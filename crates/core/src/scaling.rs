@@ -47,11 +47,6 @@ pub struct CoreScaling {
 impl CoreScaling {
     /// No core change.
     pub const NONE: CoreScaling = CoreScaling { big: 0, little: 0 };
-
-    /// `true` when neither cluster changes.
-    pub fn is_none(&self) -> bool {
-        self.big == 0 && self.little == 0
-    }
 }
 
 /// Estimates `dVC/dt` from a crossing interval per Eq. (3).
@@ -60,18 +55,7 @@ impl CoreScaling {
 /// sign follows the crossing direction. A non-positive τ (the very
 /// first crossing, or two crossings located at the same instant) is
 /// treated as an infinitely fast excursion.
-///
-/// # Examples
-///
-/// ```
-/// use pn_core::scaling::{estimate_slope, CrossingSign};
-/// use pn_units::{Seconds, Volts};
-///
-/// let slope = estimate_slope(Volts::from_millivolts(47.9), Seconds::new(0.1),
-///                            CrossingSign::Falling);
-/// assert!((slope + 0.479).abs() < 1e-9);
-/// ```
-pub fn estimate_slope(v_q: pn_units::Volts, tau: Seconds, sign: CrossingSign) -> f64 {
+fn estimate_slope(v_q: pn_units::Volts, tau: Seconds, sign: CrossingSign) -> f64 {
     let magnitude = if tau.value() > 0.0 { v_q.value() / tau.value() } else { f64::INFINITY };
     match sign {
         CrossingSign::Rising => magnitude,
@@ -80,25 +64,7 @@ pub fn estimate_slope(v_q: pn_units::Volts, tau: Seconds, sign: CrossingSign) ->
 }
 
 /// Computes the core-scaling factors of Eq. (2) from a signed slope.
-///
-/// # Examples
-///
-/// ```
-/// use pn_core::params::ControlParams;
-/// use pn_core::scaling::scaling_from_slope;
-///
-/// # fn main() -> Result<(), pn_core::CoreError> {
-/// let p = ControlParams::paper_optimal()?;
-/// // A violent collapse (−1 V/s) sheds a big AND a LITTLE core.
-/// let s = scaling_from_slope(-1.0, &p);
-/// assert_eq!((s.big, s.little), (-1, -1));
-/// // A moderate fall (−0.2 V/s) sheds only a LITTLE core.
-/// let s = scaling_from_slope(-0.2, &p);
-/// assert_eq!((s.big, s.little), (0, -1));
-/// # Ok(())
-/// # }
-/// ```
-pub fn scaling_from_slope(dv_dt: f64, params: &ControlParams) -> CoreScaling {
+fn scaling_from_slope(dv_dt: f64, params: &ControlParams) -> CoreScaling {
     let big = if dv_dt > params.beta() {
         1
     } else if dv_dt < -params.beta() {
@@ -129,6 +95,7 @@ pub fn scaling_from_crossing(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pn_units::Volts;
     use proptest::prelude::*;
 
     fn params() -> ControlParams {
@@ -139,7 +106,38 @@ mod tests {
     fn slow_drift_changes_no_cores() {
         // τ = 1 s ⇒ |slope| = 47.9 mV/s < α.
         let s = scaling_from_crossing(Seconds::new(1.0), CrossingSign::Falling, &params());
-        assert!(s.is_none());
+        assert_eq!(s, CoreScaling::NONE);
+    }
+
+    /// The crossing interval at which Eq. (3) estimates `dv_dt` volts
+    /// per second under `p` (a falling slope reads as its magnitude).
+    fn tau_for_slope(dv_dt: f64, p: &ControlParams) -> Seconds {
+        Seconds::new(p.v_q().value() / dv_dt.abs())
+    }
+
+    #[test]
+    fn a_violent_collapse_sheds_a_big_and_a_little_core() {
+        // −1 V/s: beyond β.
+        let p = params();
+        let s = scaling_from_crossing(tau_for_slope(-1.0, &p), CrossingSign::Falling, &p);
+        assert_eq!(s, CoreScaling { big: -1, little: -1 });
+    }
+
+    #[test]
+    fn a_moderate_fall_of_0_2_v_per_s_sheds_only_a_little_core() {
+        // −0.2 V/s: beyond α, within β.
+        let p = params();
+        let s = scaling_from_crossing(tau_for_slope(-0.2, &p), CrossingSign::Falling, &p);
+        assert_eq!(s, CoreScaling { big: 0, little: -1 });
+    }
+
+    #[test]
+    fn the_slope_takes_the_crossing_direction_as_its_sign() {
+        let v_q = Volts::from_millivolts(47.9);
+        let falling = estimate_slope(v_q, Seconds::new(0.1), CrossingSign::Falling);
+        assert!((falling + 0.479).abs() < 1e-9);
+        let rising = estimate_slope(v_q, Seconds::new(0.1), CrossingSign::Rising);
+        assert!((rising - 0.479).abs() < 1e-9);
     }
 
     #[test]
@@ -173,16 +171,18 @@ mod tests {
     #[test]
     fn boundary_taus_match_params() {
         let p = params();
+        // τ_b = Vq/β, from substituting Eq. 3 into Eq. 2.
+        let big_response_tau = p.v_q().value() / p.beta();
         // Just inside the big-response window.
         let s = scaling_from_crossing(
-            Seconds::new(p.big_response_tau() * 0.99),
+            Seconds::new(big_response_tau * 0.99),
             CrossingSign::Falling,
             &p,
         );
         assert_eq!(s.big, -1);
         // Just outside it: only the LITTLE response fires.
         let s = scaling_from_crossing(
-            Seconds::new(p.big_response_tau() * 1.01),
+            Seconds::new(big_response_tau * 1.01),
             CrossingSign::Falling,
             &p,
         );

@@ -90,21 +90,6 @@ impl ThresholdPair {
         self.low
     }
 
-    /// Current separation between the thresholds.
-    pub fn width(&self) -> Volts {
-        self.high - self.low
-    }
-
-    /// The tracking window as `(min, max)`.
-    pub fn window(&self) -> (Volts, Volts) {
-        (self.window_min, self.window_max)
-    }
-
-    /// `true` when `vc` lies strictly between the thresholds.
-    pub fn contains(&self, vc: Volts) -> bool {
-        vc > self.low && vc < self.high
-    }
-
     /// Shifts both thresholds down by `vq` (a `Vlow` crossing
     /// response), clamped so `low` never drops below the window floor.
     pub fn shift_down(&mut self, vq: Volts) {
@@ -121,16 +106,6 @@ impl ThresholdPair {
         let shift = vq.min(allowed);
         self.low += shift;
         self.high += shift;
-    }
-
-    /// Re-centres the pair on a new `vc` (used when the governor
-    /// resynchronises after an excursion), preserving the current
-    /// width.
-    pub fn recenter(&mut self, vc: Volts) {
-        let half = self.width() * 0.5;
-        self.high = vc + half;
-        self.low = vc - half;
-        self.clamp_into_window();
     }
 
     fn clamp_into_window(&mut self) {
@@ -162,22 +137,26 @@ mod tests {
         .unwrap()
     }
 
+    /// Current separation between the thresholds.
+    fn width(p: &ThresholdPair) -> Volts {
+        p.high() - p.low()
+    }
+
     #[test]
     fn eq1_initialisation() {
         let p = pair();
         assert!((p.high().value() - 5.372).abs() < 1e-12);
         assert!((p.low().value() - 5.228).abs() < 1e-12);
-        assert!(p.contains(Volts::new(5.3)));
     }
 
     #[test]
     fn shifts_preserve_width() {
         let mut p = pair();
-        let w = p.width();
+        let w = width(&p);
         p.shift_down(Volts::new(0.0479));
-        assert!((p.width() - w).abs() < Volts::new(1e-12));
+        assert!((width(&p) - w).abs() < Volts::new(1e-12));
         p.shift_up(Volts::new(0.0479));
-        assert!((p.width() - w).abs() < Volts::new(1e-12));
+        assert!((width(&p) - w).abs() < Volts::new(1e-12));
     }
 
     #[test]
@@ -188,7 +167,7 @@ mod tests {
         }
         assert!((p.low() - Volts::new(4.1)).abs() < Volts::new(1e-9));
         // Width is still intact — the whole pair stopped.
-        assert!((p.width().value() - 0.144).abs() < 1e-9);
+        assert!((width(&p).value() - 0.144).abs() < 1e-9);
     }
 
     #[test]
@@ -212,15 +191,7 @@ mod tests {
         )
         .unwrap();
         assert!(p.low() >= Volts::new(4.1));
-        assert!((p.width().value() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn recenter_preserves_width() {
-        let mut p = pair();
-        p.recenter(Volts::new(4.8));
-        assert!((p.width().value() - 0.144).abs() < 1e-12);
-        assert!(p.contains(Volts::new(4.8)));
+        assert!((width(&p).value() - 0.2).abs() < 1e-12);
     }
 
     #[test]
@@ -261,7 +232,7 @@ mod tests {
                 prop_assert!(p.low() < p.high());
                 prop_assert!(p.low() >= Volts::new(4.1) - Volts::new(1e-9));
                 prop_assert!(p.high() <= Volts::new(5.9) + Volts::new(1e-9));
-                prop_assert!((p.width().value() - 0.144).abs() < 1e-9);
+                prop_assert!((width(&p).value() - 0.144).abs() < 1e-9);
             }
         }
     }

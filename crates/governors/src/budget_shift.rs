@@ -29,17 +29,17 @@ use std::sync::Arc;
 
 /// Default proportional gain: watts of budget per volt of charge held
 /// above the reserve voltage.
-pub const DEFAULT_GAIN_W_PER_V: f64 = 5.0;
+const DEFAULT_GAIN_W_PER_V: f64 = 5.0;
 
 /// Default reserve voltage: the budget reaches zero here, comfortably
 /// above the platform's 4.1 V brown-out floor.
-pub const DEFAULT_RESERVE: Volts = Volts::new(4.6);
+const DEFAULT_RESERVE: Volts = Volts::new(4.6);
 
 /// Default sampling period. Deliberately short: a small supercapacitor
 /// buffer (the paper's 47 mF point sees ~4 V/s of sag under a
 /// mis-sized plan) can burn through the whole reserve between two slow
 /// ticks, and the budget must shrink before the floor is reached.
-pub const DEFAULT_PERIOD: Seconds = Seconds::new(0.1);
+const DEFAULT_PERIOD: Seconds = Seconds::new(0.1);
 
 /// Sampling multi-domain governor planning against a shared budget.
 ///

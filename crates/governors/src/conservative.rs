@@ -13,13 +13,13 @@ use pn_soc::opp::Opp;
 use pn_units::{Hertz, Seconds, Volts};
 
 /// Kernel defaults for the conservative governor.
-pub const DEFAULT_UP_THRESHOLD: f64 = 0.80;
+const DEFAULT_UP_THRESHOLD: f64 = 0.80;
 /// Load below which the governor steps down.
-pub const DEFAULT_DOWN_THRESHOLD: f64 = 0.20;
+const DEFAULT_DOWN_THRESHOLD: f64 = 0.20;
 /// Step size as a fraction of the maximum frequency.
-pub const DEFAULT_FREQ_STEP: f64 = 0.05;
+const DEFAULT_FREQ_STEP: f64 = 0.05;
 /// Default sampling period.
-pub const DEFAULT_SAMPLING_PERIOD: Seconds = Seconds::new(0.2);
+const DEFAULT_SAMPLING_PERIOD: Seconds = Seconds::new(0.2);
 
 /// The `conservative` cpufreq governor.
 ///
@@ -52,11 +52,6 @@ impl Conservative {
     pub fn new(table: FrequencyTable) -> Self {
         let requested = table.min_frequency();
         Self { table, requested }
-    }
-
-    /// The internally tracked requested frequency.
-    pub fn requested_frequency(&self) -> Hertz {
-        self.requested
     }
 }
 
@@ -165,6 +160,6 @@ mod tests {
         }
         let action = g.start(Seconds::ZERO, Volts::new(5.3), Opp::lowest().with_level(7));
         assert_eq!(action.target_opp.unwrap().level(), 0);
-        assert_eq!(g.requested_frequency(), FrequencyTable::paper_levels().min_frequency());
+        assert_eq!(g.requested, FrequencyTable::paper_levels().min_frequency());
     }
 }

@@ -13,13 +13,13 @@ use pn_soc::opp::Opp;
 use pn_units::{Seconds, Volts};
 
 /// Default load fraction that triggers the hispeed burst.
-pub const DEFAULT_GO_HISPEED_LOAD: f64 = 0.85;
+const DEFAULT_GO_HISPEED_LOAD: f64 = 0.85;
 /// Default dwell before exceeding hispeed.
-pub const DEFAULT_ABOVE_HISPEED_DELAY: Seconds = Seconds::new(0.08);
+const DEFAULT_ABOVE_HISPEED_DELAY: Seconds = Seconds::new(0.08);
 /// Default minimum time at a speed before slowing down.
-pub const DEFAULT_MIN_SAMPLE_TIME: Seconds = Seconds::new(0.08);
+const DEFAULT_MIN_SAMPLE_TIME: Seconds = Seconds::new(0.08);
 /// Default sampling period (the governor's timer).
-pub const DEFAULT_SAMPLING_PERIOD: Seconds = Seconds::new(0.05);
+const DEFAULT_SAMPLING_PERIOD: Seconds = Seconds::new(0.05);
 
 /// The `interactive` governor.
 ///
@@ -54,11 +54,6 @@ impl Interactive {
         let hispeed_target = table.max_frequency() * 0.8;
         let hispeed_level = table.resolve_at_least(hispeed_target);
         Self { table, hispeed_level, hispeed_since: None, last_increase: Seconds::ZERO }
-    }
-
-    /// The hispeed level index.
-    pub fn hispeed_level(&self) -> usize {
-        self.hispeed_level
     }
 }
 
@@ -126,7 +121,7 @@ mod tests {
         let mut g = Interactive::new(FrequencyTable::paper_levels());
         g.start(Seconds::ZERO, Volts::new(5.3), Opp::lowest());
         let action = g.on_event(&tick(0.05, 1.0), Opp::lowest());
-        assert_eq!(action.target_opp.unwrap().level(), g.hispeed_level());
+        assert_eq!(action.target_opp.unwrap().level(), g.hispeed_level);
     }
 
     #[test]
@@ -149,13 +144,13 @@ mod tests {
         let mut g = Interactive::new(FrequencyTable::paper_levels());
         g.start(Seconds::ZERO, Volts::new(5.3), Opp::lowest());
         g.on_event(&tick(0.05, 1.0), Opp::lowest());
-        let high = Opp::lowest().with_level(g.hispeed_level());
+        let high = Opp::lowest().with_level(g.hispeed_level);
         // Too soon to slow down.
         let action = g.on_event(&tick(0.06, 0.1), high);
         assert!(action.is_none());
         // After min_sample_time it may slow.
         let action = g.on_event(&tick(0.30, 0.1), high);
         let opp = action.target_opp.unwrap();
-        assert!(opp.level() < g.hispeed_level());
+        assert!(opp.level() < g.hispeed_level);
     }
 }

@@ -3,8 +3,9 @@
 //! The paper compares its power-neutral scheme against the default
 //! Linux power-management governors while harvesting from the PV
 //! array. This crate reimplements the *policy semantics* of each
-//! governor against the same [`Governor`] interface the power-neutral
-//! controller uses:
+//! governor against the same
+//! [`Governor`](pn_core::events::Governor) interface the
+//! power-neutral controller uses:
 //!
 //! * [`hold`] — pin the starting OPP entirely (the "static"
 //!   comparator of Figs. 3 and 6, no management at all),
@@ -52,30 +53,23 @@ pub use powersave::Powersave;
 pub use race_to_idle::RaceToIdle;
 pub use userspace::Userspace;
 
-use pn_core::events::Governor;
-use pn_soc::freq::FrequencyTable;
-use pn_units::Hertz;
-
-/// Instantiates every baseline governor for Table II-style sweeps.
-///
-/// The `userspace` instance is pinned to the table's median frequency.
-pub fn all_baselines(table: &FrequencyTable) -> Vec<Box<dyn Governor>> {
-    let median = table
-        .frequency(table.len() / 2)
-        .unwrap_or_else(|_| Hertz::from_gigahertz(0.72));
-    vec![
-        Box::new(Performance::new()),
-        Box::new(Powersave::new()),
-        Box::new(Userspace::new(median)),
-        Box::new(Ondemand::new(table.clone())),
-        Box::new(Conservative::new(table.clone())),
-        Box::new(Interactive::new(table.clone())),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pn_core::events::Governor;
+    use pn_soc::freq::FrequencyTable;
+
+    /// Every baseline governor of Table II-style sweeps.
+    fn all_baselines(table: &FrequencyTable) -> Vec<Box<dyn Governor>> {
+        vec![
+            Box::new(Performance::new()),
+            Box::new(Powersave::new()),
+            Box::new(Userspace::pinned(table.len() / 2)),
+            Box::new(Ondemand::new(table.clone())),
+            Box::new(Conservative::new(table.clone())),
+            Box::new(Interactive::new(table.clone())),
+        ]
+    }
 
     #[test]
     fn all_baselines_have_unique_names() {

@@ -12,10 +12,10 @@ use pn_soc::opp::Opp;
 use pn_units::{Seconds, Volts};
 
 /// The kernel's default `up_threshold` (percent of full load).
-pub const DEFAULT_UP_THRESHOLD: f64 = 0.80;
+const DEFAULT_UP_THRESHOLD: f64 = 0.80;
 
 /// The kernel's default sampling rate for our platform class.
-pub const DEFAULT_SAMPLING_PERIOD: Seconds = Seconds::new(0.1);
+const DEFAULT_SAMPLING_PERIOD: Seconds = Seconds::new(0.1);
 
 /// The `ondemand` cpufreq governor.
 ///

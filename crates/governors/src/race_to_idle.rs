@@ -13,10 +13,10 @@ use pn_soc::opp::Opp;
 use pn_units::{Seconds, Volts};
 
 /// Wake threshold: above this much stored charge, racing resumes.
-pub const DEFAULT_HIGH_THRESHOLD: Volts = Volts::new(5.2);
+const DEFAULT_HIGH_THRESHOLD: Volts = Volts::new(5.2);
 
 /// Sleep threshold: below this, the governor parks the SoC.
-pub const DEFAULT_LOW_THRESHOLD: Volts = Volts::new(4.6);
+const DEFAULT_LOW_THRESHOLD: Volts = Volts::new(4.6);
 
 /// Interrupt-driven race-to-idle policy.
 ///

@@ -1,24 +1,22 @@
 //! The `userspace` governor: a fixed, user-chosen frequency.
 
 use pn_core::events::{Governor, GovernorAction, GovernorEvent};
-use pn_soc::freq::FrequencyTable;
 use pn_soc::opp::Opp;
-use pn_units::{Hertz, Seconds, Volts};
+use pn_units::{Seconds, Volts};
 
-/// Pins a fixed frequency chosen by the user, resolved against the
-/// platform table with cpufreq `RELATION_L` semantics (lowest level at
-/// or above the request).
+/// Pins a fixed frequency level chosen by the user.
 ///
 /// # Examples
 ///
 /// ```
+/// use pn_core::events::Governor;
 /// use pn_governors::Userspace;
-/// use pn_soc::freq::FrequencyTable;
-/// use pn_units::Hertz;
+/// use pn_soc::opp::Opp;
+/// use pn_units::{Seconds, Volts};
 ///
-/// let table = FrequencyTable::paper_levels();
-/// let gov = Userspace::resolved(Hertz::from_gigahertz(1.0), &table);
-/// assert_eq!(gov.level(), 4); // 1.1 GHz is the lowest level ≥ 1.0 GHz
+/// let mut gov = Userspace::pinned(4);
+/// let action = gov.start(Seconds::ZERO, Volts::new(5.3), Opp::lowest());
+/// assert_eq!(action.target_opp.unwrap().level(), 4);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Userspace {
@@ -26,26 +24,9 @@ pub struct Userspace {
 }
 
 impl Userspace {
-    /// Creates the governor pinned to the median-resolved `target`
-    /// frequency of the paper's table.
-    pub fn new(target: Hertz) -> Self {
-        Self::resolved(target, &FrequencyTable::paper_levels())
-    }
-
-    /// Creates the governor resolving `target` against an explicit
-    /// table.
-    pub fn resolved(target: Hertz, table: &FrequencyTable) -> Self {
-        Self { level: table.resolve_at_least(target) }
-    }
-
     /// Creates the governor pinned to an explicit level index.
     pub fn pinned(level: usize) -> Self {
         Self { level }
-    }
-
-    /// The pinned level.
-    pub fn level(&self) -> usize {
-        self.level
     }
 }
 
@@ -77,14 +58,6 @@ impl Governor for Userspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn resolution_uses_relation_l() {
-        let table = FrequencyTable::paper_levels();
-        assert_eq!(Userspace::resolved(Hertz::from_gigahertz(0.2), &table).level(), 0);
-        assert_eq!(Userspace::resolved(Hertz::from_gigahertz(0.5), &table).level(), 2);
-        assert_eq!(Userspace::resolved(Hertz::from_gigahertz(2.0), &table).level(), 7);
-    }
 
     #[test]
     fn start_requests_pinned_level() {

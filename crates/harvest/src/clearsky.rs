@@ -43,7 +43,7 @@ impl ClearSky {
     /// Returns [`HarvestError::InvalidParameter`] when sunset does not
     /// follow sunrise, the peak is negative, or `sharpness` is not in
     /// `(0, 4]`.
-    pub fn new(
+    fn new(
         sunrise: Seconds,
         sunset: Seconds,
         peak: WattsPerSquareMeter,
@@ -66,8 +66,8 @@ impl ClearSky {
     ///
     /// # Errors
     ///
-    /// Never fails for the preset constants; the `Result` mirrors
-    /// [`ClearSky::new`].
+    /// Never fails for the preset constants; the `Result` mirrors the
+    /// validating constructor.
     pub fn temperate_day() -> Result<Self, HarvestError> {
         Self::new(
             Seconds::from_hours(6.0),
@@ -122,11 +122,6 @@ impl ClearSky {
         let s = (std::f64::consts::PI * phase).sin().max(0.0);
         self.peak * s.powf(self.sharpness)
     }
-
-    /// Solar noon (midpoint of daylight).
-    pub fn solar_noon(&self) -> Seconds {
-        self.sunrise + (self.sunset - self.sunrise) * 0.5
-    }
 }
 
 #[cfg(test)]
@@ -143,10 +138,15 @@ mod tests {
         assert_eq!(sky.irradiance(Seconds::from_hours(23.0)).value(), 0.0);
     }
 
+    /// Solar noon (midpoint of daylight).
+    fn solar_noon(sky: &ClearSky) -> Seconds {
+        sky.sunrise + (sky.sunset - sky.sunrise) * 0.5
+    }
+
     #[test]
     fn peaks_at_solar_noon() {
         let sky = ClearSky::temperate_day().unwrap();
-        let noon = sky.irradiance(sky.solar_noon());
+        let noon = sky.irradiance(solar_noon(&sky));
         assert!((noon.value() - 1000.0).abs() < 1e-6);
         assert!(sky.irradiance(Seconds::from_hours(9.0)) < noon);
     }
@@ -154,7 +154,7 @@ mod tests {
     #[test]
     fn paper_test_day_is_weak() {
         let sky = ClearSky::paper_test_day().unwrap();
-        assert!(sky.irradiance(sky.solar_noon()).value() < 700.0);
+        assert!(sky.irradiance(solar_noon(&sky)).value() < 700.0);
     }
 
     #[test]

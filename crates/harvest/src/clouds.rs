@@ -153,20 +153,6 @@ impl CloudField {
         Ok(Self { events, params })
     }
 
-    /// A field with no clouds at all.
-    pub fn clear() -> Self {
-        Self {
-            events: Vec::new(),
-            params: CloudParams {
-                events_per_hour: 0.0,
-                mean_duration: Seconds::new(1.0),
-                depth_range: (0.0, 0.0),
-                ramp: Seconds::ZERO,
-                overcast_transmittance: 1.0,
-            },
-        }
-    }
-
     /// The generated events.
     pub fn events(&self) -> &[CloudEvent] {
         &self.events
@@ -296,12 +282,6 @@ mod tests {
         let n = field.events().len() as f64;
         // Expect ~200 events; Poisson 3σ ≈ 42.
         assert!((n - 200.0).abs() < 60.0, "generated {n} events");
-    }
-
-    #[test]
-    fn clear_field_is_transparent() {
-        let field = CloudField::clear();
-        assert_eq!(field.transmittance(Seconds::from_hours(12.0)), 1.0);
     }
 
     #[test]

@@ -57,11 +57,6 @@ impl PowerEstimator {
         Ok(Self { calibration })
     }
 
-    /// The calibration table.
-    pub fn calibration(&self) -> &[(Volts, Watts)] {
-        &self.calibration
-    }
-
     /// Estimated maximum available power for an observed open-circuit
     /// voltage (linear interpolation, clamped at the table's ends —
     /// below the first calibration point the estimate falls linearly

@@ -15,7 +15,7 @@
 //!   collapses (connector corrosion, MPPT resets): exponentially
 //!   spaced events of fixed length, near-total attenuation.
 //!
-//! Both expose their event intervals through [`FaultSpec::events_in`],
+//! Both count their event intervals through [`FaultSpec::count_in`],
 //! so campaign reducers can count injected faults deterministically
 //! without re-deriving the trace.
 
@@ -147,7 +147,7 @@ impl FaultSpec {
     /// the brown-out stream is generated from absolute time zero, so
     /// the same seed yields the same storm regardless of the window
     /// queried.
-    pub fn events_in(&self, seed: u64, t0: f64, t1: f64) -> Vec<(f64, f64)> {
+    fn events_in(&self, seed: u64, t0: f64, t1: f64) -> Vec<(f64, f64)> {
         let mut out = Vec::new();
         if t1 <= t0 {
             return out;

@@ -173,17 +173,6 @@ impl IrradianceTrace {
         }
         WattsPerSquareMeter::new(area / self.duration().value())
     }
-
-    /// Returns a copy scaled by `factor` (e.g. unit conversion or
-    /// panel-degradation studies).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `factor` is negative or non-finite.
-    pub fn scaled(&self, factor: f64) -> Self {
-        assert!(factor >= 0.0 && factor.is_finite(), "scale factor must be non-negative");
-        Self { samples: self.samples.iter().map(|(t, g)| (*t, *g * factor)).collect() }
-    }
 }
 
 /// Linear interpolation on one segment (shared by the random-access
@@ -373,12 +362,6 @@ mod tests {
             WattsPerSquareMeter::ZERO
         )
         .is_err());
-    }
-
-    #[test]
-    fn scaling() {
-        let t = simple().scaled(0.5);
-        assert_eq!(t.peak().value(), 150.0);
     }
 
     #[test]

@@ -42,10 +42,11 @@ impl Weather {
     /// Every condition, brightest first.
     ///
     /// The ordering is a contract: conditions are listed by decreasing
-    /// expected harvest, the first four entries are exactly
-    /// [`Weather::paper_conditions`] (in the same order), and the
-    /// trailing [`Weather::Stormy`] / [`Weather::Winter`] pair are
-    /// campaign-only extensions that the paper never tested. Campaign
+    /// expected harvest, the first four entries are exactly the
+    /// conditions §V-B of the paper reports testing under (in the same
+    /// order), and the trailing [`Weather::Stormy`] /
+    /// [`Weather::Winter`] pair are campaign-only extensions that the
+    /// paper never tested. Campaign
     /// matrices, persisted reports and plots all rely on this order
     /// staying stable.
     pub fn all() -> [Weather; 6] {
@@ -57,14 +58,6 @@ impl Weather {
             Weather::Stormy,
             Weather::Winter,
         ]
-    }
-
-    /// The four conditions §V-B of the paper reports testing under —
-    /// exactly the first four entries of [`Weather::all`], brightest
-    /// first. [`Weather::Stormy`] and [`Weather::Winter`] are *not*
-    /// part of this set: they are synthetic campaign-matrix extensions.
-    pub fn paper_conditions() -> [Weather; 4] {
-        [Weather::FullSun, Weather::PartialSun, Weather::Cloudy, Weather::Hail]
     }
 
     /// Stable machine-readable token for persistence and CSV export
@@ -235,10 +228,10 @@ impl DayProfile {
     /// The cache key covers everything [`DayProfile::build`] reads —
     /// weather, seed, the clear-sky envelope (by exact bit pattern) and
     /// the span/`dt` — so a hit is bitwise-identical to a fresh render.
-    /// The memo is capacity-capped with first-in-first-out eviction, so
-    /// a campaign touching more than [`DAY_CACHE_CAPACITY`] distinct
-    /// days keeps sharing its *recent* days instead of building every
-    /// day past the cap from scratch on each request.
+    /// The memo is capacity-capped (64 days) with first-in-first-out
+    /// eviction, so a campaign touching more distinct days keeps
+    /// sharing its *recent* days instead of building every day past the
+    /// cap from scratch on each request.
     ///
     /// The memo is safe to share across threads: concurrent requests
     /// for the same day render it once (the others wait for that
@@ -304,7 +297,7 @@ struct DayKey {
 /// campaign cell's window (62 samples for a 60 s cell) is about 1 KB.
 /// Reaching the cap evicts the oldest entry rather than pinning the
 /// memo's contents forever.
-pub const DAY_CACHE_CAPACITY: usize = 64;
+const DAY_CACHE_CAPACITY: usize = 64;
 
 /// One memoised day: empty until its first render completes. Each day
 /// has its own lock, so a render blocks only requests for that day.
@@ -437,14 +430,12 @@ mod tests {
 
     #[test]
     fn campaign_conditions_extend_the_paper_set() {
-        assert_eq!(Weather::all().len(), 6);
-        assert_eq!(Weather::paper_conditions().len(), 4);
-        // Ordering contract: the paper set is exactly the brightest
-        // four, in order, and the campaign-only extensions trail it.
-        assert_eq!(Weather::all()[..4], Weather::paper_conditions());
+        // Ordering contract: the paper's four §V-B conditions are
+        // exactly the brightest four, in order, and the campaign-only
+        // extensions trail them.
+        let paper = [Weather::FullSun, Weather::PartialSun, Weather::Cloudy, Weather::Hail];
+        assert_eq!(Weather::all()[..4], paper);
         assert_eq!(Weather::all()[4..], [Weather::Stormy, Weather::Winter]);
-        assert!(!Weather::paper_conditions().contains(&Weather::Stormy));
-        assert!(!Weather::paper_conditions().contains(&Weather::Winter));
     }
 
     #[test]

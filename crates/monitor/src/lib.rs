@@ -12,14 +12,12 @@
 //!
 //! This crate models each stage:
 //!
-//! * [`divider`] — resistive dividers with loading-free ideal ratios,
 //! * [`potentiometer`] — the 129-tap MCP4131 with SPI transaction
 //!   timing,
-//! * [`comparator`] — the LT6703 with hysteresis and propagation delay,
-//! * [`threshold`] — one complete channel: requested threshold →
-//!   quantised achievable threshold,
-//! * [`monitor`] — the dual-channel [`monitor::VoltageMonitor`] with
-//!   interrupt-latency accounting.
+//! * [`threshold`] — one complete channel (front divider and pot trim
+//!   as one effective ratio against the LT6703's 400 mV reference):
+//!   requested threshold → quantised achievable threshold,
+//! * [`monitor`] — the dual-channel [`monitor::VoltageMonitor`].
 //!
 //! # Examples
 //!
@@ -38,8 +36,6 @@
 //! # }
 //! ```
 
-pub mod comparator;
-pub mod divider;
 pub mod monitor;
 pub mod potentiometer;
 pub mod threshold;

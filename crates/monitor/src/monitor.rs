@@ -1,35 +1,26 @@
 //! The dual-channel voltage monitor.
 //!
 //! Two [`ThresholdChannel`]s — one for `Vhigh`, one for `Vlow` — plus
-//! the interrupt-latency budget and the measured 1.61 mW power draw of
-//! the external board (§V-D of the paper).
+//! the measured 1.61 mW power draw of the external board (§V-D of the
+//! paper).
 
 use crate::threshold::ThresholdChannel;
 use crate::MonitorError;
 use pn_units::{Seconds, Volts, Watts};
-
-/// Which threshold channel produced an interrupt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ThresholdKind {
-    /// The upper (`Vhigh`) threshold.
-    High,
-    /// The lower (`Vlow`) threshold.
-    Low,
-}
 
 /// The complete external monitoring board of Fig. 9.
 ///
 /// # Examples
 ///
 /// ```
-/// use pn_monitor::monitor::{ThresholdKind, VoltageMonitor};
+/// use pn_monitor::monitor::VoltageMonitor;
 /// use pn_units::Volts;
 ///
 /// # fn main() -> Result<(), pn_monitor::MonitorError> {
 /// let mut mon = VoltageMonitor::paper_board()?;
 /// mon.set_thresholds(Volts::new(5.4), Volts::new(5.2))?;
-/// assert!(mon.effective_threshold(ThresholdKind::High)
-///     > mon.effective_threshold(ThresholdKind::Low));
+/// let (high, low) = mon.effective_thresholds();
+/// assert!(high > low);
 /// # Ok(())
 /// # }
 /// ```
@@ -37,44 +28,22 @@ pub enum ThresholdKind {
 pub struct VoltageMonitor {
     high: ThresholdChannel,
     low: ThresholdChannel,
-    interrupt_latency: Seconds,
     power: Watts,
 }
 
 impl VoltageMonitor {
-    /// Builds the board from two channels.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorError::InvalidParameter`] for negative latency
-    /// or power figures.
-    pub fn new(
-        high: ThresholdChannel,
-        low: ThresholdChannel,
-        interrupt_latency: Seconds,
-        power: Watts,
-    ) -> Result<Self, MonitorError> {
-        if interrupt_latency.value() < 0.0 || power.value() < 0.0 {
-            return Err(MonitorError::InvalidParameter(
-                "latency and power must be non-negative",
-            ));
-        }
-        Ok(Self { high, low, interrupt_latency, power })
-    }
-
-    /// The paper's board: two Fig. 9 channels, a 50 µs SoC
-    /// interrupt-entry latency and the measured 1.61 mW draw.
+    /// The paper's board: two Fig. 9 channels and the measured 1.61 mW
+    /// draw.
     ///
     /// # Errors
     ///
     /// Never fails for the preset constants.
     pub fn paper_board() -> Result<Self, MonitorError> {
-        Self::new(
-            ThresholdChannel::paper_channel()?,
-            ThresholdChannel::paper_channel()?,
-            Seconds::new(50e-6),
-            Watts::from_milliwatts(1.61),
-        )
+        Ok(Self {
+            high: ThresholdChannel::paper_channel()?,
+            low: ThresholdChannel::paper_channel()?,
+            power: Watts::from_milliwatts(1.61),
+        })
     }
 
     /// Programs both thresholds (quantised); returns the achieved pair
@@ -103,31 +72,9 @@ impl VoltageMonitor {
         Ok((achieved_high, achieved_low))
     }
 
-    /// The threshold a channel currently realises.
-    pub fn effective_threshold(&self, kind: ThresholdKind) -> Volts {
-        match kind {
-            ThresholdKind::High => self.high.effective_threshold(),
-            ThresholdKind::Low => self.low.effective_threshold(),
-        }
-    }
-
     /// Both effective thresholds as `(high, low)`.
     pub fn effective_thresholds(&self) -> (Volts, Volts) {
         (self.high.effective_threshold(), self.low.effective_threshold())
-    }
-
-    /// Access to a channel.
-    pub fn channel(&self, kind: ThresholdKind) -> &ThresholdChannel {
-        match kind {
-            ThresholdKind::High => &self.high,
-            ThresholdKind::Low => &self.low,
-        }
-    }
-
-    /// Total delay from a physical crossing to the governor's handler
-    /// running: comparator propagation plus SoC interrupt entry.
-    pub fn total_interrupt_latency(&self, kind: ThresholdKind) -> Seconds {
-        self.channel(kind).comparator().propagation_delay() + self.interrupt_latency
     }
 
     /// Latency to reprogram both thresholds over SPI.
@@ -149,7 +96,7 @@ mod tests {
     #[test]
     fn paper_board_power_matches_section_v_d() {
         let mon = VoltageMonitor::paper_board().unwrap();
-        assert!((mon.power().to_milliwatts() - 1.61).abs() < 1e-9);
+        assert!((mon.power().value() * 1e3 - 1.61).abs() < 1e-9);
         // The paper notes this is below 0.82 % of the minimum system
         // power (≈1.8 W at the lowest OPP).
         assert!(mon.power().value() / 1.8 < 0.0082);
@@ -173,15 +120,6 @@ mod tests {
         assert!(h.value() < 6.2);
         assert!(l.value() > 3.9);
         assert!(h > l);
-    }
-
-    #[test]
-    fn interrupt_latency_is_sub_millisecond() {
-        let mon = VoltageMonitor::paper_board().unwrap();
-        for kind in [ThresholdKind::High, ThresholdKind::Low] {
-            let lat = mon.total_interrupt_latency(kind).value();
-            assert!(lat > 0.0 && lat < 1e-3, "latency {lat}");
-        }
     }
 
     #[test]

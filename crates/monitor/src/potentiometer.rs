@@ -6,7 +6,7 @@
 //! threshold after every crossing.
 
 use crate::MonitorError;
-use pn_units::{Ohms, Seconds};
+use pn_units::Seconds;
 
 /// Number of wiper positions of the MCP4131 (7-bit + full-scale).
 pub const MCP4131_TAPS: u16 = 129;
@@ -27,48 +27,34 @@ pub const MCP4131_TAPS: u16 = 129;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mcp4131 {
-    full_scale: Ohms,
-    wiper_resistance: Ohms,
     spi_clock_hz: f64,
     tap: u16,
 }
 
 impl Mcp4131 {
-    /// Creates a potentiometer with the given end-to-end resistance and
-    /// SPI clock.
+    /// Creates a potentiometer at mid-scale on the given SPI clock.
     ///
     /// # Errors
     ///
-    /// Returns [`MonitorError::InvalidParameter`] for non-positive
-    /// resistance or clock.
-    pub fn new(full_scale: Ohms, spi_clock_hz: f64) -> Result<Self, MonitorError> {
-        if !(full_scale.value() > 0.0) {
-            return Err(MonitorError::InvalidParameter("full-scale resistance must be positive"));
-        }
+    /// Returns [`MonitorError::InvalidParameter`] for a non-positive
+    /// clock.
+    fn new(spi_clock_hz: f64) -> Result<Self, MonitorError> {
         if !(spi_clock_hz > 0.0) {
             return Err(MonitorError::InvalidParameter("spi clock must be positive"));
         }
-        Ok(Self {
-            full_scale,
-            wiper_resistance: Ohms::new(75.0), // datasheet typical
-            spi_clock_hz,
-            tap: MCP4131_TAPS / 2,
-        })
+        Ok(Self { spi_clock_hz, tap: MCP4131_TAPS / 2 })
     }
 
     /// The 100 kΩ variant at a 1 MHz SPI clock (the paper's schematic
-    /// labels the part MCP4131-104).
+    /// labels the part MCP4131-104). The end-to-end resistance cancels
+    /// out of the channel's division ratio, so the model keeps only the
+    /// wiper position and the SPI timing.
     ///
     /// # Errors
     ///
     /// Never fails for the preset constants.
     pub fn new_100k() -> Result<Self, MonitorError> {
-        Self::new(Ohms::new(100e3), 1.0e6)
-    }
-
-    /// Current wiper tap (0 ..= 128).
-    pub fn tap(&self) -> u16 {
-        self.tap
+        Self::new(1.0e6)
     }
 
     /// Sets the wiper tap.
@@ -87,16 +73,6 @@ impl Mcp4131 {
     /// Wiper position as a fraction of full scale.
     pub fn wiper_fraction(&self) -> f64 {
         f64::from(self.tap) / f64::from(MCP4131_TAPS - 1)
-    }
-
-    /// Resistance between wiper and the B terminal.
-    pub fn resistance_wb(&self) -> Ohms {
-        self.full_scale * self.wiper_fraction() + self.wiper_resistance
-    }
-
-    /// Resistance between wiper and the A terminal.
-    pub fn resistance_wa(&self) -> Ohms {
-        self.full_scale * (1.0 - self.wiper_fraction()) + self.wiper_resistance
     }
 
     /// Duration of one wiper write: a 16-bit SPI frame plus chip-select
@@ -125,10 +101,8 @@ mod tests {
         let mut pot = Mcp4131::new_100k().unwrap();
         pot.set_tap(0).unwrap();
         assert_eq!(pot.wiper_fraction(), 0.0);
-        assert!((pot.resistance_wb().value() - 75.0).abs() < 1e-9);
         pot.set_tap(128).unwrap();
         assert_eq!(pot.wiper_fraction(), 1.0);
-        assert!((pot.resistance_wa().value() - 75.0).abs() < 1e-9);
     }
 
     #[test]
@@ -140,27 +114,18 @@ mod tests {
 
     #[test]
     fn rejects_bad_construction() {
-        assert!(Mcp4131::new(Ohms::new(0.0), 1e6).is_err());
-        assert!(Mcp4131::new(Ohms::new(1e5), 0.0).is_err());
+        assert!(Mcp4131::new(0.0).is_err());
+        assert!(Mcp4131::new(-1e6).is_err());
     }
 
     proptest! {
-        #[test]
-        fn wa_plus_wb_is_constant(tap in 0u16..129) {
-            let mut pot = Mcp4131::new_100k().unwrap();
-            pot.set_tap(tap).unwrap();
-            let total = pot.resistance_wa().value() + pot.resistance_wb().value();
-            // Full scale + 2 wiper resistances.
-            prop_assert!((total - (100e3 + 150.0)).abs() < 1e-6);
-        }
-
         #[test]
         fn tap_round_trips_through_wiper_fraction(tap in 0u16..129) {
             // tap → fraction → tap is lossless: the wiper grid is the
             // quantization authority for the whole threshold channel.
             let mut pot = Mcp4131::new_100k().unwrap();
             pot.set_tap(tap).unwrap();
-            prop_assert_eq!(pot.tap(), tap);
+            prop_assert_eq!(pot.tap, tap);
             let back = (pot.wiper_fraction() * f64::from(MCP4131_TAPS - 1)).round() as u16;
             prop_assert_eq!(back, tap);
         }

@@ -5,13 +5,16 @@
 //! the potentiometer trims it over a span of roughly ±17.5 %, so the
 //! achievable thresholds form a 129-point grid over approximately
 //! 4.1 … 5.9 V with ≈14 mV resolution — comfortably finer than the
-//! paper's optimal `Vq` of 47.9 mV.
+//! paper's optimal `Vq` of 47.9 mV. The LT6703 comparator trips where
+//! the divided supply meets its built-in 400 mV reference, and the
+//! channel models it as that reference alone.
 
-use crate::comparator::Comparator;
-use crate::divider::Divider;
 use crate::potentiometer::{Mcp4131, MCP4131_TAPS};
 use crate::MonitorError;
 use pn_units::{Seconds, Volts};
+
+/// The LT6703's internal reference voltage.
+const LT6703_REFERENCE: Volts = Volts::new(0.400);
 
 /// A single configurable threshold channel of Fig. 9.
 ///
@@ -23,8 +26,9 @@ use pn_units::{Seconds, Volts};
 ///
 /// # fn main() -> Result<(), pn_monitor::MonitorError> {
 /// let mut ch = ThresholdChannel::paper_channel()?;
-/// let achieved = ch.set_threshold(Volts::new(5.30))?;
-/// assert!((achieved.value() - 5.30).abs() < ch.quantization_step().value());
+/// // The nearest pot tap lands within one 16 mV grid step.
+/// let achieved = ch.set_threshold_clamped(Volts::new(5.30));
+/// assert!((achieved.value() - 5.30).abs() < 0.016);
 /// # Ok(())
 /// # }
 /// ```
@@ -33,7 +37,6 @@ pub struct ThresholdChannel {
     base_ratio: f64,
     trim_span: f64,
     pot: Mcp4131,
-    comparator: Comparator,
 }
 
 impl ThresholdChannel {
@@ -46,19 +49,14 @@ impl ThresholdChannel {
     ///
     /// Returns [`MonitorError::InvalidParameter`] when `base_ratio` is
     /// not in `(0, 1)` or `trim_span` not in `(0, 1)`.
-    pub fn new(
-        base_ratio: f64,
-        trim_span: f64,
-        pot: Mcp4131,
-        comparator: Comparator,
-    ) -> Result<Self, MonitorError> {
+    fn new(base_ratio: f64, trim_span: f64, pot: Mcp4131) -> Result<Self, MonitorError> {
         if !(base_ratio > 0.0 && base_ratio < 1.0) {
             return Err(MonitorError::InvalidParameter("base_ratio must be in (0, 1)"));
         }
         if !(trim_span > 0.0 && trim_span < 1.0) {
             return Err(MonitorError::InvalidParameter("trim_span must be in (0, 1)"));
         }
-        Ok(Self { base_ratio, trim_span, pot, comparator })
+        Ok(Self { base_ratio, trim_span, pot })
     }
 
     /// The paper's channel: front divider plus 1 MΩ/1 MΩ trim network
@@ -70,16 +68,15 @@ impl ThresholdChannel {
     /// Never fails for the preset constants.
     pub fn paper_channel() -> Result<Self, MonitorError> {
         // Mid-tap threshold centred at 4.9 V: ratio = 0.4 V / 4.9 V.
-        let divider = Divider::paper_front_divider();
-        // The front divider provides 0.1754; the 1M/1M + pot network
-        // scales the remainder. We model the combined effective ratio
-        // directly, which preserves the achievable-threshold grid.
-        let _ = divider; // front stage documented; combined ratio below
-        Self::new(0.4 / 4.9, 0.40, Mcp4131::new_100k()?, Comparator::lt6703()?)
+        // The 470 kΩ/100 kΩ front divider provides 0.1754; the 1M/1M +
+        // pot network scales the remainder. The channel models the
+        // combined effective ratio directly, which preserves the
+        // achievable-threshold grid.
+        Self::new(0.4 / 4.9, 0.40, Mcp4131::new_100k()?)
     }
 
     /// Effective division ratio at the current pot tap.
-    pub fn ratio(&self) -> f64 {
+    fn ratio(&self) -> f64 {
         let trim = self.trim_span * (self.pot.wiper_fraction() - 0.5);
         self.base_ratio * (1.0 + trim)
     }
@@ -88,28 +85,20 @@ impl ThresholdChannel {
     /// the input voltage at which the divided signal meets the
     /// comparator reference.
     pub fn effective_threshold(&self) -> Volts {
-        Volts::new(self.comparator.reference().value() / self.ratio())
+        Volts::new(LT6703_REFERENCE.value() / self.ratio())
     }
 
     /// Lowest achievable threshold (pot at full scale).
-    pub fn min_threshold(&self) -> Volts {
+    fn min_threshold(&self) -> Volts {
         Volts::new(
-            self.comparator.reference().value() / (self.base_ratio * (1.0 + self.trim_span * 0.5)),
+            LT6703_REFERENCE.value() / (self.base_ratio * (1.0 + self.trim_span * 0.5)),
         )
     }
 
     /// Highest achievable threshold (pot at zero).
-    pub fn max_threshold(&self) -> Volts {
+    fn max_threshold(&self) -> Volts {
         Volts::new(
-            self.comparator.reference().value() / (self.base_ratio * (1.0 - self.trim_span * 0.5)),
-        )
-    }
-
-    /// Approximate threshold resolution (one pot tap near mid-scale).
-    pub fn quantization_step(&self) -> Volts {
-        Volts::new(
-            (self.max_threshold().value() - self.min_threshold().value())
-                / f64::from(MCP4131_TAPS - 1),
+            LT6703_REFERENCE.value() / (self.base_ratio * (1.0 - self.trim_span * 0.5)),
         )
     }
 
@@ -120,7 +109,7 @@ impl ThresholdChannel {
     ///
     /// Returns [`MonitorError::ThresholdOutOfRange`] when the request
     /// lies outside the achievable grid.
-    pub fn set_threshold(&mut self, requested: Volts) -> Result<Volts, MonitorError> {
+    fn set_threshold(&mut self, requested: Volts) -> Result<Volts, MonitorError> {
         let (min, max) = (self.min_threshold(), self.max_threshold());
         if requested < min || requested > max {
             return Err(MonitorError::ThresholdOutOfRange {
@@ -130,7 +119,7 @@ impl ThresholdChannel {
             });
         }
         // Invert threshold → ratio → wiper fraction → tap.
-        let ratio = self.comparator.reference().value() / requested.value();
+        let ratio = LT6703_REFERENCE.value() / requested.value();
         let fraction = ((ratio / self.base_ratio - 1.0) / self.trim_span + 0.5).clamp(0.0, 1.0);
         let tap = (fraction * f64::from(MCP4131_TAPS - 1)).round() as u16;
         self.pot.set_tap(tap.min(MCP4131_TAPS - 1))?;
@@ -148,28 +137,19 @@ impl ThresholdChannel {
     pub fn reprogram_latency(&self) -> Seconds {
         self.pot.write_latency()
     }
-
-    /// The comparator stage (stateful interrupt generation).
-    pub fn comparator(&self) -> &Comparator {
-        &self.comparator
-    }
-
-    /// Mutable access to the comparator stage.
-    pub fn comparator_mut(&mut self) -> &mut Comparator {
-        &mut self.comparator
-    }
-
-    /// Divided-and-trimmed voltage presented to the comparator for a
-    /// given supply voltage.
-    pub fn sense_voltage(&self, supply: Volts) -> Volts {
-        supply * self.ratio()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Approximate threshold resolution (one pot tap near mid-scale).
+    fn quantization_step(ch: &ThresholdChannel) -> Volts {
+        Volts::new(
+            (ch.max_threshold().value() - ch.min_threshold().value()) / f64::from(MCP4131_TAPS - 1),
+        )
+    }
 
     #[test]
     fn range_covers_operating_window() {
@@ -182,7 +162,7 @@ mod tests {
     fn quantization_is_finer_than_vq() {
         let ch = ThresholdChannel::paper_channel().unwrap();
         // Paper's optimal Vq is 47.9 mV; the hardware grid must resolve it.
-        assert!(ch.quantization_step().to_millivolts() < 20.0);
+        assert!(quantization_step(&ch).to_millivolts() < 20.0);
     }
 
     #[test]
@@ -191,7 +171,7 @@ mod tests {
         for target in [4.2, 4.7, 5.0, 5.3, 5.65] {
             let achieved = ch.set_threshold(Volts::new(target)).unwrap();
             assert!(
-                (achieved.value() - target).abs() <= ch.quantization_step().value(),
+                (achieved.value() - target).abs() <= quantization_step(&ch).value(),
                 "target {target}, achieved {achieved}"
             );
         }
@@ -205,25 +185,25 @@ mod tests {
             Err(MonitorError::ThresholdOutOfRange { .. })
         ));
         let clamped = ch.set_threshold_clamped(Volts::new(9.0));
-        assert!((clamped - ch.max_threshold()).abs() <= ch.quantization_step());
+        assert!((clamped - ch.max_threshold()).abs() <= quantization_step(&ch));
         let clamped = ch.set_threshold_clamped(Volts::new(1.0));
-        assert!((clamped - ch.min_threshold()).abs() <= ch.quantization_step());
+        assert!((clamped - ch.min_threshold()).abs() <= quantization_step(&ch));
     }
 
     #[test]
     fn sense_voltage_meets_reference_at_threshold() {
         let mut ch = ThresholdChannel::paper_channel().unwrap();
         let achieved = ch.set_threshold(Volts::new(5.3)).unwrap();
-        let sense = ch.sense_voltage(achieved);
+        // The divided-and-trimmed supply the comparator sees.
+        let sense = achieved * ch.ratio();
         assert!((sense.value() - 0.4).abs() < 1e-9);
     }
 
     #[test]
     fn constructor_validates() {
         let pot = Mcp4131::new_100k().unwrap();
-        let cmp = Comparator::lt6703().unwrap();
-        assert!(ThresholdChannel::new(0.0, 0.3, pot, cmp).is_err());
-        assert!(ThresholdChannel::new(0.1, 1.5, pot, cmp).is_err());
+        assert!(ThresholdChannel::new(0.0, 0.3, pot).is_err());
+        assert!(ThresholdChannel::new(0.1, 1.5, pot).is_err());
     }
 
     proptest! {
@@ -243,7 +223,7 @@ mod tests {
             let mut ch = ThresholdChannel::paper_channel().unwrap();
             let achieved = ch.set_threshold(Volts::new(target)).unwrap();
             prop_assert!(
-                (achieved.value() - target).abs() <= ch.quantization_step().value(),
+                (achieved.value() - target).abs() <= quantization_step(&ch).value(),
                 "target {} achieved {}", target, achieved
             );
         }
@@ -255,9 +235,9 @@ mod tests {
             // move the wiper again.
             let mut ch = ThresholdChannel::paper_channel().unwrap();
             let achieved = ch.set_threshold(Volts::new(target)).unwrap();
-            let tap = ch.pot.tap();
+            let wiper = ch.pot.wiper_fraction();
             let again = ch.set_threshold(achieved).unwrap();
-            prop_assert_eq!(ch.pot.tap(), tap);
+            prop_assert_eq!(ch.pot.wiper_fraction(), wiper);
             prop_assert!((again - achieved).abs() < Volts::new(1e-12));
         }
     }

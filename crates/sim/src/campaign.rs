@@ -501,12 +501,9 @@ impl CampaignCell {
         if !(self.duration.value() > 0.0) {
             return Err(SimError::InvalidConfig("cell duration must be positive"));
         }
-        // Paper-typical ESR and leakage; only the capacitance is swept.
-        let buffer = Supercapacitor::new(
-            Farads::from_millifarads(self.buffer_mf),
-            Ohms::new(0.025),
-            Ohms::new(40_000.0),
-        )?;
+        // Paper-typical leakage; only the capacitance is swept.
+        let buffer =
+            Supercapacitor::new(Farads::from_millifarads(self.buffer_mf), Ohms::new(40_000.0))?;
         let shared = scenario::weather_day_trace_shared(self.weather, self.seed, self.duration);
         let day = scenario::weather_day_with_trace(self.faulted_trace(shared)?);
         let built = day.with_duration(self.duration).with_buffer(buffer).with_params(self.params);

@@ -143,7 +143,7 @@ pub enum ChaosProfile {
 
 impl ChaosProfile {
     /// Stable token for the CLI and logs.
-    pub fn slug(self) -> &'static str {
+    fn slug(self) -> &'static str {
         match self {
             ChaosProfile::Io => "io",
             ChaosProfile::Net => "net",
@@ -152,7 +152,7 @@ impl ChaosProfile {
     }
 
     /// Inverse of [`ChaosProfile::slug`].
-    pub fn from_slug(slug: &str) -> Option<Self> {
+    fn from_slug(slug: &str) -> Option<Self> {
         match slug {
             "io" => Some(ChaosProfile::Io),
             "net" => Some(ChaosProfile::Net),

@@ -166,8 +166,8 @@ pub struct DaemonConfig {
     /// Checkpoint directory (created if missing); restartable state
     /// lives here and nowhere else.
     pub dir: PathBuf,
-    /// Worker-thread count; `0` selects
-    /// [`Executor::default_parallelism`].
+    /// Worker-thread count; `0` selects the machine's available
+    /// parallelism, capped at 16.
     pub workers: usize,
     /// Optional pause after each finished shard — a scheduling
     /// throttle for tests and demos that want to interrupt a run

@@ -294,9 +294,7 @@ impl SimReport {
     /// Energy lost through the buffer's leakage resistance while alive:
     /// `∫ VC²/R_leak dt` (zero on a controlled supply, which pins `VC`).
     /// With the stored-energy change it closes the PV energy balance
-    /// `E_in = E_out + E_leaked + ½C(V_end² − V_0²)`. The ESR has no
-    /// term: it does not enter the buffer's voltage dynamics
-    /// (`Supercapacitor::dv_dt`).
+    /// `E_in = E_out + E_leaked + ½C(V_end² − V_0²)`.
     pub fn energy_leaked(&self) -> Joules {
         self.energy_leaked
     }
@@ -642,20 +640,7 @@ impl Lane {
             } else {
                 (None, None)
             };
-            let ctx = AdvanceCtx {
-                supply: &self.supply,
-                supply_state: &mut self.supply_state,
-                buffer: &self.buffer,
-                solver: &mut self.solver,
-                fsal: self.fsal,
-                p_load,
-                vmin: self.vmin,
-                high,
-                low,
-                recheck,
-                band: self.band,
-            };
-            let outcome = ctx.advance(self.t, self.y, boundary)?;
+            let outcome = self.advance(p_load, (high, low), recheck, boundary)?;
             if recheck.is_some_and(|r| r <= outcome.t) {
                 self.recheck_at = None;
             }
@@ -973,54 +958,34 @@ impl Lane {
             v_low,
         });
     }
-}
 
-/// The continuous-phase context of one lane: the integration resources
-/// (supply, fast-path state, buffer, solver) plus the load power, the
-/// armed threshold set and the stability band, assembled by each
-/// `Lane::step` from its own fields.
-struct AdvanceCtx<'a> {
-    supply: &'a Supply,
-    supply_state: &'a mut SupplyState,
-    buffer: &'a Supercapacitor,
-    solver: &'a mut Rk23,
-    /// The last stage of the lane's previous step.
-    fsal: Option<Fsal>,
-    /// Total load power drawn from the buffer node, watts.
-    p_load: f64,
-    /// Brown-out level (always armed: a lane stops at brownout).
-    vmin: f64,
-    /// Rising threshold — armed when interrupts are live.
-    high: Option<f64>,
-    /// Falling threshold — armed when interrupts are live.
-    low: Option<f64>,
-    /// A pending post-action recheck before the boundary: the armed
-    /// thresholds apply from it on (see [`first_event`]).
-    recheck: Option<f64>,
-    /// The `VC` stability band, `[lo, hi]` volts.
-    band: (f64, f64),
-}
-
-impl AdvanceCtx<'_> {
     /// Advances the continuous state from `(t, y)` (`y` in the
-    /// integrator's variable) by one accepted step toward `boundary`,
-    /// stopping at the earliest event (brownout, Vhigh rising, Vlow
-    /// falling, or an edge the pending recheck delivers), and accrues
-    /// the span.
-    fn advance(self, t: f64, y: f64, boundary: f64) -> Result<AdvanceOutcome, SimError> {
-        let AdvanceCtx {
-            supply,
-            supply_state,
-            buffer,
-            solver,
+    /// integrator's variable) by one accepted step toward `boundary`
+    /// under the load power `p_load`, watts, stopping at the earliest
+    /// event, and accrues the span. The events are a brownout (always
+    /// armed: a lane stops at brownout), a rising crossing of `high` or
+    /// a falling one of `low` (each `Some` when interrupts are live),
+    /// and an edge that a pending post-action `recheck` before the
+    /// boundary delivers (see [`first_event`]).
+    fn advance(
+        &mut self,
+        p_load: f64,
+        (high, low): (Option<f64>, Option<f64>),
+        recheck: Option<f64>,
+        boundary: f64,
+    ) -> Result<AdvanceOutcome, SimError> {
+        let Lane {
+            ref supply,
+            ref mut supply_state,
+            ref buffer,
+            ref mut solver,
             fsal,
-            p_load,
             vmin,
-            high,
-            low,
-            recheck,
             band,
-        } = self;
+            t,
+            y,
+            ..
+        } = *self;
         match supply {
             Supply::Controlled { waveform } => {
                 let f = |tt: f64| waveform.sample(Seconds::new(tt)).value();
@@ -1031,9 +996,9 @@ impl AdvanceCtx<'_> {
                 // The waveform's linear pieces are its monotone pieces.
                 let crossing = |a, b, v| waveform.crossing(a, b, v);
                 let locate = |level: f64, want: CrossingDirection, a: f64| {
-                    Ok(first_crossing_on(waveform.pieces(a, end), level, want, crossing))
+                    first_crossing_on(waveform.pieces(a, end), level, want, crossing)
                 };
-                let found = first_event(&f, locate, (t, end), vmin, (high, low), recheck)?;
+                let found = first_event(&f, locate, (t, end), vmin, (high, low), recheck);
                 let (t1, event) = match found {
                     Some((tc, kind)) => (tc, Some(kind)),
                     None => (end, None),
@@ -1122,10 +1087,10 @@ impl AdvanceCtx<'_> {
                 let cubic = || cubic.get_or_init(|| StepCubic::new(&step_vc));
                 let f = |tt: f64| step_vc.interpolate(tt)[0];
                 let locate = |level: f64, want: CrossingDirection, a: f64| {
-                    Ok(reachable(&level).then(|| cubic().first_crossing(level, want, a)).flatten())
+                    reachable(&level).then(|| cubic().first_crossing(level, want, a)).flatten()
                 };
                 let span = (step.t0, step.t1);
-                let found = first_event(&f, locate, span, vmin, (high, low), recheck)?;
+                let found = first_event(&f, locate, span, vmin, (high, low), recheck);
                 let (t1, vc1, y1, i1, event, fsal) = match found {
                     Some((tc, kind)) => {
                         // The event's own operating point, solved exactly:
@@ -1193,18 +1158,18 @@ fn stage_quadrature(step: &AcceptedStep<1>, q: [f64; 4], t_end: f64) -> f64 {
 /// a recheck resolves the same way on either.
 fn first_event(
     f: &impl Fn(f64) -> f64,
-    locate: impl Fn(f64, CrossingDirection, f64) -> Result<Option<f64>, SimError>,
+    locate: impl Fn(f64, CrossingDirection, f64) -> Option<f64>,
     (a, b): (f64, f64),
     vmin: f64,
     (high, low): (Option<f64>, Option<f64>),
     recheck: Option<f64>,
-) -> Result<Option<(f64, CrossKind)>, SimError> {
+) -> Option<(f64, CrossKind)> {
     let Some(r) = recheck else {
         return earliest_crossing(&locate, a, Some(vmin), high, low);
     };
-    let brownout = earliest_crossing(&locate, a, Some(vmin), None, None)?;
+    let brownout = earliest_crossing(&locate, a, Some(vmin), None, None);
     if r > b {
-        return Ok(brownout);
+        return brownout;
     }
     let r = r.max(a);
     let level = f(r);
@@ -1213,27 +1178,27 @@ fn first_event(
     } else if low.is_some_and(|l| level <= l) {
         Some((r, CrossKind::Low))
     } else if r < b {
-        earliest_crossing(&locate, r, None, high, low)?
+        earliest_crossing(&locate, r, None, high, low)
     } else {
         None
     };
     // A brownout at the same instant wins, as in `earliest_crossing`.
-    Ok(match (brownout, edge) {
+    match (brownout, edge) {
         (Some(down), Some(up)) if up.0 < down.0 => Some(up),
         (None, edge) => edge,
         (down, _) => down,
-    })
+    }
 }
 
 /// Finds the earliest crossing of the three monitored levels from `a`
 /// on, each in the direction that raises its event.
 fn earliest_crossing(
-    locate: &impl Fn(f64, CrossingDirection, f64) -> Result<Option<f64>, SimError>,
+    locate: &impl Fn(f64, CrossingDirection, f64) -> Option<f64>,
     a: f64,
     vmin: Option<f64>,
     high: Option<f64>,
     low: Option<f64>,
-) -> Result<Option<(f64, CrossKind)>, SimError> {
+) -> Option<(f64, CrossKind)> {
     let mut best: Option<(f64, CrossKind)> = None;
     let levels = [
         (vmin, CrossingDirection::Falling, CrossKind::Brownout),
@@ -1242,13 +1207,13 @@ fn earliest_crossing(
     ];
     for (level, want, kind) in levels {
         let Some(level) = level else { continue };
-        if let Some(t) = locate(level, want, a)? {
+        if let Some(t) = locate(level, want, a) {
             if best.is_none_or(|(bt, _)| t < bt) {
                 best = Some((t, kind));
             }
         }
     }
-    Ok(best)
+    best
 }
 
 #[cfg(test)]

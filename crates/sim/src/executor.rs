@@ -41,7 +41,7 @@ pub struct Executor {
 
 impl Executor {
     /// Creates an executor with exactly `threads` workers; `0` selects
-    /// [`Executor::default_parallelism`].
+    /// the machine's available parallelism, capped at 16.
     pub fn new(threads: usize) -> Self {
         let threads = if threads == 0 { Self::default_parallelism() } else { threads };
         Self { threads }
@@ -56,7 +56,7 @@ impl Executor {
     /// The default worker count: the machine's available parallelism,
     /// capped at 16 (simulation batches stop scaling long before the
     /// core counts of large servers).
-    pub fn default_parallelism() -> usize {
+    fn default_parallelism() -> usize {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(16)
     }
 

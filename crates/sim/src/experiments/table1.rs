@@ -29,14 +29,6 @@ pub struct Table1 {
     pub core_first: Table1Row,
 }
 
-impl Table1 {
-    /// Ratio of required capacitances, (a)/(b) — the paper's argument
-    /// for the core-first ordering.
-    pub fn capacitance_ratio(&self) -> f64 {
-        self.frequency_first.required_mf / self.core_first.required_mf
-    }
-}
-
 /// Regenerates Table I on the XU4 platform preset.
 ///
 /// # Errors
@@ -64,7 +56,9 @@ mod tests {
         // Paper: (a) 345 ms / 0.1299 C vs (b) 63 ms / 0.0461 C.
         assert!(t.frequency_first.transition_ms > 2.0 * t.core_first.transition_ms);
         assert!(t.frequency_first.charge_c > 1.4 * t.core_first.charge_c);
-        assert!(t.capacitance_ratio() > 1.4);
+        // So does the buffer each requires, (a)/(b): the paper's
+        // argument for the core-first ordering.
+        assert!(t.frequency_first.required_mf > 1.4 * t.core_first.required_mf);
         // The paper's 47 mF part covers the core-first requirement.
         assert!(t.core_first.required_mf < 47.0);
         // Magnitudes in the paper's ballpark.

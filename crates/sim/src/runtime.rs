@@ -137,12 +137,6 @@ impl SocRuntime {
         self.idle.is_some()
     }
 
-    /// `true` while the SoC sits *resident* in an idle state (wake
-    /// interrupts are live).
-    pub fn is_idle_resident(&self) -> bool {
-        matches!(self.idle, Some(IdleFlight { phase: IdlePhase::Resident { .. }, .. }))
-    }
-
     /// `true` while an idle entry or exit masks interrupts (like an
     /// OPP transition does).
     pub fn idle_masks_interrupts(&self) -> bool {
@@ -150,11 +144,6 @@ impl SocRuntime {
             self.idle,
             Some(IdleFlight { phase: IdlePhase::Entering | IdlePhase::Exiting, .. })
         )
-    }
-
-    /// Ladder index of the idle state in flight, if any.
-    pub fn idle_state_index(&self) -> Option<usize> {
-        self.idle.map(|f| f.index)
     }
 
     /// Accumulated time spent resident in idle states.
@@ -369,6 +358,12 @@ mod tests {
     use pn_soc::cores::CoreConfig;
     use pn_soc::transition::{plan_transition, TransitionStrategy};
 
+    /// `true` while the SoC sits *resident* in an idle state (wake
+    /// interrupts are live).
+    fn is_idle_resident(rt: &SocRuntime) -> bool {
+        matches!(rt.idle, Some(IdleFlight { phase: IdlePhase::Resident { .. }, .. }))
+    }
+
     fn runtime() -> SocRuntime {
         SocRuntime::new(Platform::odroid_xu4(), Opp::lowest())
     }
@@ -506,16 +501,16 @@ mod tests {
         let active = rt.power();
 
         assert!(rt.begin_idle(usize::MAX, Seconds::ZERO)); // clamps to deepest
-        assert_eq!(rt.idle_state_index(), Some(1));
+        assert_eq!(rt.idle.map(|f| f.index), Some(1));
         assert!(rt.idle_masks_interrupts());
-        assert!(!rt.is_idle_resident());
+        assert!(!is_idle_resident(&rt));
         // Entering burns more than active (transition energy amortized).
         assert!(rt.power() > active);
         let entered = rt.step_deadline().unwrap();
         assert_eq!(entered, Seconds::ZERO + deep.entry_latency());
 
         assert!(rt.complete_step(entered));
-        assert!(rt.is_idle_resident());
+        assert!(is_idle_resident(&rt));
         assert!(!rt.idle_masks_interrupts());
         assert_eq!(rt.power(), deep.power());
         assert_eq!(rt.step_deadline(), None);

@@ -36,7 +36,7 @@ pub struct Scenario {
 
 impl Scenario {
     /// Generic constructor used by the canned builders below.
-    pub fn new(supply: Supply, options: SimOptions) -> Self {
+    fn new(supply: Supply, options: SimOptions) -> Self {
         let platform = Platform::odroid_xu4();
         Self {
             initial_vc: platform.target_voltage(),
@@ -62,13 +62,13 @@ impl Scenario {
     }
 
     /// Overrides the initial OPP (builder style).
-    pub fn with_initial_opp(mut self, opp: Opp) -> Self {
+    fn with_initial_opp(mut self, opp: Opp) -> Self {
         self.initial_opp = opp;
         self
     }
 
     /// Overrides the initial capacitor voltage (builder style).
-    pub fn with_initial_vc(mut self, vc: Volts) -> Self {
+    fn with_initial_vc(mut self, vc: Volts) -> Self {
         self.initial_vc = vc;
         self
     }

@@ -142,11 +142,6 @@ impl VoltageWaveform {
         }
         hi
     }
-
-    /// End time of the waveform.
-    pub fn end(&self) -> Seconds {
-        self.samples[self.samples.len() - 1].0
-    }
 }
 
 /// The energy source of the simulated system.
@@ -198,11 +193,6 @@ impl Supply {
             }
             Supply::Controlled { .. } => Ok(Amps::ZERO),
         }
-    }
-
-    /// `true` for the controlled-voltage variant.
-    pub fn is_controlled(&self) -> bool {
-        matches!(self, Supply::Controlled { .. })
     }
 }
 
@@ -325,7 +315,6 @@ impl OperatingPoint {
 /// lane's start and at its event points.
 #[derive(Debug, Clone)]
 pub struct SupplyState {
-    model: SupplyModel,
     surface: Option<Arc<PanelSurface>>,
     cursor: IrradianceCursor,
     last_root: Option<f64>,
@@ -346,12 +335,7 @@ impl SupplyState {
             }
             _ => None,
         };
-        Ok(Self { model, surface, cursor: IrradianceCursor::new(), last_root: None })
-    }
-
-    /// The model this state evaluates.
-    pub fn model(&self) -> SupplyModel {
-        self.model
+        Ok(Self { surface, cursor: IrradianceCursor::new(), last_root: None })
     }
 
     /// Irradiance at `t` through the monotone cursor (zero for
@@ -569,7 +553,6 @@ mod tests {
         );
         let i = supply.current(Seconds::new(1.0), Volts::new(5.0)).unwrap();
         assert!(i.value() > 1.0);
-        assert!(!supply.is_controlled());
     }
 
     #[test]
@@ -605,7 +588,6 @@ mod tests {
         // Exact model: same roots as Supply::current to solver
         // tolerance, irradiance bitwise identical, cursor advancing.
         let mut state = SupplyState::new(&supply, SupplyModel::Exact).unwrap();
-        assert_eq!(state.model(), SupplyModel::Exact);
         for k in 0..20 {
             let t = Seconds::new(k as f64 * 0.5);
             let v = Volts::new(4.5 + 0.02 * k as f64);
@@ -685,6 +667,5 @@ mod tests {
             .unwrap(),
         };
         assert_eq!(supply.current(Seconds::ZERO, Volts::new(5.0)).unwrap(), Amps::ZERO);
-        assert!(supply.is_controlled());
     }
 }

@@ -38,7 +38,7 @@ impl SweepGrid {
     }
 
     /// Enumerates every valid [`ControlParams`] on the grid.
-    pub fn candidates(&self) -> Vec<ControlParams> {
+    fn candidates(&self) -> Vec<ControlParams> {
         let mut out = Vec::new();
         for &w in &self.v_width_mv {
             for &qf in &self.v_q_fraction {

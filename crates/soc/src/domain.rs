@@ -28,10 +28,10 @@ pub enum Domain {
 
 impl Domain {
     /// Every domain, in the order power sums are taken (LITTLE first).
-    pub const ALL: [Domain; 2] = [Domain::Little, Domain::Big];
+    const ALL: [Domain; 2] = [Domain::Little, Domain::Big];
 
     /// Human-readable domain name.
-    pub fn name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         match self {
             Domain::Little => "LITTLE",
             Domain::Big => "big",
@@ -61,7 +61,7 @@ impl Domain {
     }
 
     /// Online cores of this domain in a combined configuration.
-    pub fn cores_in(&self, config: CoreConfig) -> u8 {
+    fn cores_in(&self, config: CoreConfig) -> u8 {
         config.count(self.core_type())
     }
 }

@@ -11,7 +11,7 @@ use crate::SocError;
 use pn_units::Hertz;
 
 /// The frequency levels, in GHz, used throughout the paper.
-pub const PAPER_LEVELS_GHZ: [f64; 8] = [0.2, 0.45, 0.72, 0.92, 1.1, 1.2, 1.3, 1.4];
+const PAPER_LEVELS_GHZ: [f64; 8] = [0.2, 0.45, 0.72, 0.92, 1.1, 1.2, 1.3, 1.4];
 
 /// An ordered table of DVFS frequency levels.
 ///
@@ -82,11 +82,6 @@ impl FrequencyTable {
             .get(level)
             .copied()
             .ok_or(SocError::LevelOutOfRange { level, available: self.levels.len() })
-    }
-
-    /// Index of the lowest level.
-    pub fn min_level(&self) -> usize {
-        0
     }
 
     /// Index of the highest level.

@@ -63,7 +63,7 @@ impl LatencyModel {
     /// # Errors
     ///
     /// Returns [`SocError::InvalidParameter`] for negative terms.
-    pub fn new(
+    fn new(
         hotplug_base_ms: f64,
         hotplug_per_core_ms: f64,
         hotplug_freq_factor: f64,

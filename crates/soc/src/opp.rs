@@ -8,7 +8,6 @@
 
 use crate::cores::CoreConfig;
 use crate::freq::FrequencyTable;
-use crate::perf::PerfModel;
 use crate::power::PowerModel;
 use crate::SocError;
 use pn_units::{Hertz, Watts};
@@ -94,20 +93,6 @@ impl Opp {
     pub fn power(&self, power: &PowerModel, table: &FrequencyTable) -> Result<Watts, SocError> {
         Ok(power.board_power(self.config, self.frequency(table)?))
     }
-
-    /// Raytrace throughput at this OPP, in benchmark frames/s.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SocError::LevelOutOfRange`] when the level does not
-    /// exist in `table`.
-    pub fn frames_per_second(
-        &self,
-        perf: &PerfModel,
-        table: &FrequencyTable,
-    ) -> Result<f64, SocError> {
-        Ok(perf.frames_per_second(self.config, self.frequency(table)?))
-    }
 }
 
 impl fmt::Display for Opp {
@@ -131,6 +116,7 @@ pub fn ladder_opps(table: &FrequencyTable) -> Vec<Opp> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::perf::PerfModel;
 
     #[test]
     fn ladder_opps_covers_the_grid() {
@@ -151,7 +137,7 @@ mod tests {
         assert!((p.value() - power.board_power(opp.config(), Hertz::from_gigahertz(1.4)).value())
             .abs()
             < 1e-12);
-        let fps = opp.frames_per_second(&perf, &table).unwrap();
+        let fps = perf.frames_per_second(opp.config(), opp.frequency(&table).unwrap());
         assert!(fps > 0.05 && fps < 0.08);
     }
 

@@ -91,7 +91,7 @@ impl PerfModel {
     }
 
     /// Parallel efficiency for `n` online cores.
-    pub fn parallel_efficiency(&self, n: u8) -> f64 {
+    fn parallel_efficiency(&self, n: u8) -> f64 {
         (1.0 - self.efficiency_loss_per_core * f64::from(n.saturating_sub(1))).max(0.5)
     }
 
@@ -108,11 +108,6 @@ impl PerfModel {
         let per_cycle = f64::from(config.little()) * self.ipc_little
             + f64::from(config.big()) * self.ipc_big;
         per_cycle * f.value() * self.parallel_efficiency(config.total())
-    }
-
-    /// Ratio of big-core to LITTLE-core single-thread raytrace speed.
-    pub fn big_little_speed_ratio(&self) -> f64 {
-        self.fps_per_ghz_big / self.fps_per_ghz_little
     }
 }
 
@@ -148,7 +143,7 @@ mod tests {
     #[test]
     fn big_cores_are_about_three_times_faster() {
         let m = PerfModel::odroid_xu4();
-        let r = m.big_little_speed_ratio();
+        let r = m.fps_per_ghz_big / m.fps_per_ghz_little;
         assert!(r > 2.5 && r < 3.8, "ratio = {r}");
     }
 

@@ -17,7 +17,6 @@
 
 use crate::cores::{CoreConfig, CoreType};
 use crate::domain::Domain;
-use crate::freq::FrequencyTable;
 use crate::SocError;
 use pn_units::{Hertz, Volts, Watts};
 
@@ -64,7 +63,7 @@ impl RailVoltage {
 
     /// Rail voltage at frequency `f` (linear interpolation, clamped at
     /// the map's ends).
-    pub fn voltage(&self, f: Hertz) -> Volts {
+    fn voltage(&self, f: Hertz) -> Volts {
         let pts = &self.points;
         if f <= pts[0].0 {
             return pts[0].1;
@@ -166,13 +165,8 @@ impl PowerModel {
         self.base
     }
 
-    /// The rail map used by the model.
-    pub fn rail(&self) -> &RailVoltage {
-        &self.rail
-    }
-
     /// Dynamic power of a single core of `kind` at frequency `f`.
-    pub fn core_dynamic_power(&self, kind: CoreType, f: Hertz) -> Watts {
+    fn core_dynamic_power(&self, kind: CoreType, f: Hertz) -> Watts {
         let cluster = match kind {
             CoreType::Little => &self.little,
             CoreType::Big => &self.big,
@@ -182,7 +176,7 @@ impl PowerModel {
     }
 
     /// Total per-core power (dynamic + static) of `kind` at `f`.
-    pub fn core_power(&self, kind: CoreType, f: Hertz) -> Watts {
+    fn core_power(&self, kind: CoreType, f: Hertz) -> Watts {
         let cluster = match kind {
             CoreType::Little => &self.little,
             CoreType::Big => &self.big,
@@ -203,48 +197,6 @@ impl PowerModel {
         self.base
             + self.domain_power(Domain::Little, config.little(), f)
             + self.domain_power(Domain::Big, config.big(), f)
-    }
-
-    /// Selects `n` frequencies between the table's bounds such that the
-    /// board power at `config` is (approximately) linearly spaced — the
-    /// procedure the paper used to pick its eight levels (§III).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SocError::InvalidParameter`] when `n < 2`.
-    pub fn linearly_spaced_levels(
-        &self,
-        config: CoreConfig,
-        f_min: Hertz,
-        f_max: Hertz,
-        n: usize,
-    ) -> Result<FrequencyTable, SocError> {
-        if n < 2 {
-            return Err(SocError::InvalidParameter("need at least two levels"));
-        }
-        if f_max <= f_min {
-            return Err(SocError::InvalidParameter("f_max must exceed f_min"));
-        }
-        let p_min = self.board_power(config, f_min).value();
-        let p_max = self.board_power(config, f_max).value();
-        let mut levels = Vec::with_capacity(n);
-        for k in 0..n {
-            let target_p = p_min + (p_max - p_min) * (k as f64) / ((n - 1) as f64);
-            // Invert P(f) by bisection: board power is monotone in f.
-            let (mut lo, mut hi) = (f_min.value(), f_max.value());
-            for _ in 0..60 {
-                let mid = 0.5 * (lo + hi);
-                if self.board_power(config, Hertz::new(mid)).value() < target_p {
-                    lo = mid;
-                } else {
-                    hi = mid;
-                }
-            }
-            levels.push(Hertz::new(0.5 * (lo + hi)));
-        }
-        // De-duplicate pathological near-equal endpoints before building.
-        levels.dedup_by(|a, b| (a.value() - b.value()).abs() < 1.0);
-        FrequencyTable::new(levels)
     }
 }
 
@@ -315,19 +267,6 @@ mod tests {
                 (gap - ideal_gap).abs() < 0.35 * ideal_gap + 0.12,
                 "gap {gap} vs ideal {ideal_gap}"
             );
-        }
-    }
-
-    #[test]
-    fn linearly_spaced_levels_inverts_the_power_curve() {
-        let m = PowerModel::odroid_xu4();
-        let config = CoreConfig::MAX;
-        let table = m.linearly_spaced_levels(config, ghz(0.2), ghz(1.4), 8).unwrap();
-        let powers: Vec<f64> =
-            table.iter().map(|(_, f)| m.board_power(config, f).value()).collect();
-        let ideal_gap = (powers[powers.len() - 1] - powers[0]) / (powers.len() - 1) as f64;
-        for w in powers.windows(2) {
-            assert!((w[1] - w[0] - ideal_gap).abs() < 0.02, "non-linear spacing");
         }
     }
 

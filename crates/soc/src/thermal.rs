@@ -182,18 +182,18 @@ pub struct RcThermal {
 
 impl RcThermal {
     /// The thermal time constant τ = R·C, seconds.
-    pub fn tau_s(&self) -> f64 {
+    fn tau_s(&self) -> f64 {
         self.r_c_per_w * self.c_j_per_c
     }
 
     /// Steady-state die temperature under constant power `p_w`.
-    pub fn steady_state_c(&self, p_w: f64) -> f64 {
+    fn steady_state_c(&self, p_w: f64) -> f64 {
         self.ambient_c + p_w * self.r_c_per_w
     }
 
     /// Closed-form temperature after holding power `p_w` for `dt_s`
     /// seconds starting from `temp_c`.
-    pub fn step_c(&self, temp_c: f64, p_w: f64, dt_s: f64) -> f64 {
+    fn step_c(&self, temp_c: f64, p_w: f64, dt_s: f64) -> f64 {
         let ss = self.steady_state_c(p_w);
         ss + (temp_c - ss) * (-dt_s / self.tau_s()).exp()
     }
@@ -202,7 +202,7 @@ impl RcThermal {
     /// `p_w` crosses `target_c`, or `None` when it never does (the
     /// steady state sits on the wrong side, or the die is already
     /// past the target). The returned time is strictly positive.
-    pub fn crossing_time_s(&self, temp_c: f64, p_w: f64, target_c: f64) -> Option<f64> {
+    fn crossing_time_s(&self, temp_c: f64, p_w: f64, target_c: f64) -> Option<f64> {
         let ss = self.steady_state_c(p_w);
         let from = temp_c - ss;
         let to = target_c - ss;
@@ -324,16 +324,6 @@ impl ThermalState {
         }
     }
 
-    /// The model parameters.
-    pub fn spec(&self) -> &RcThermal {
-        &self.spec
-    }
-
-    /// Current die temperature, °C.
-    pub fn temp_c(&self) -> f64 {
-        self.temp_c
-    }
-
     /// Hottest temperature reached so far, °C.
     pub fn peak_c(&self) -> f64 {
         self.peak_c
@@ -342,11 +332,6 @@ impl ThermalState {
     /// Whether the OPP ladder is currently capped.
     pub fn throttled(&self) -> bool {
         self.throttled
-    }
-
-    /// Whether boost is currently engaged.
-    pub fn boosting(&self) -> bool {
-        self.boosting
     }
 
     /// Total time spent throttled so far, seconds.
@@ -539,7 +524,7 @@ mod tests {
     #[test]
     fn state_machine_trips_releases_and_spends_boost() {
         let mut st = ThermalState::new(rc());
-        assert!(st.boosting(), "cold start engages boost");
+        assert!(st.boosting, "cold start engages boost");
         assert!(!st.throttled());
         // Run hot until the budget empties, firing each event in turn.
         let p_hot = 8.0;
@@ -557,7 +542,7 @@ mod tests {
         assert!(fired.contains(&ThermalEvent::ThrottleOn));
         assert!(st.throttled());
         assert_eq!(st.level_cap(), Some(2));
-        assert_eq!(st.temp_c(), 75.0, "trip snaps onto the threshold");
+        assert_eq!(st.temp_c, 75.0, "trip snaps onto the threshold");
         assert!(st.boost_time_s() > 0.0);
         assert!(st.throttle_time_s() == 0.0, "residency starts after the trip");
         // Cool off: the release event lifts the cap and accrues
@@ -569,7 +554,7 @@ mod tests {
         st.apply_event(ev);
         assert!(!st.throttled());
         assert_eq!(st.level_cap(), None);
-        assert_eq!(st.temp_c(), 70.0);
+        assert_eq!(st.temp_c, 70.0);
         assert!(st.throttle_time_s() > 0.0);
         // Keep cooling: boost wants to re-engage at the entry point iff
         // budget remains.
@@ -600,7 +585,7 @@ mod tests {
         assert_eq!(dt, 3.0);
         st.advance(p, dt);
         st.apply_event(ev);
-        assert!(!st.boosting());
+        assert!(!st.boosting);
         assert_eq!(st.boost_time_s(), 3.0);
         assert_eq!(st.power_factor(), 1.0);
         // Budget gone: cooling below the entry point schedules nothing.

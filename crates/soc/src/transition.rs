@@ -208,25 +208,24 @@ pub fn transition_cost(
     Ok(TransitionCost { duration, charge, energy })
 }
 
-/// Net energy saved by parking an idle gap of length `gap` in `state`
-/// rather than staying up at active draw `active`: negative when the
-/// gap is too short to amortize the state's transition overheads.
-///
-/// This is the costing dual of
-/// [`IdleState::break_even`](crate::latency::IdleState::break_even):
-/// the saving crosses zero exactly at the break-even gap (when the
-/// payback term dominates the residency floor).
-pub fn idle_savings(state: &crate::latency::IdleState, active: Watts, gap: Seconds) -> Joules {
-    let resident = Seconds::new((gap.value() - state.overhead().value()).max(0.0));
-    let margin = Watts::new(active.value() - state.power().value());
-    margin * resident - state.transition_energy()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::latency::{odroid_xu4_idle_states, IdleState};
     use proptest::prelude::*;
+
+    /// Net energy saved by parking an idle gap of length `gap` in `state`
+    /// rather than staying up at active draw `active`: negative when the
+    /// gap is too short to amortize the state's transition overheads.
+    ///
+    /// This is the costing dual of [`IdleState::break_even`]: the saving
+    /// crosses zero exactly at the break-even gap (when the payback term
+    /// dominates the residency floor).
+    fn idle_savings(state: &IdleState, active: Watts, gap: Seconds) -> Joules {
+        let resident = Seconds::new((gap.value() - state.overhead().value()).max(0.0));
+        let margin = Watts::new(active.value() - state.power().value());
+        margin * resident - state.transition_energy()
+    }
 
     fn setup() -> (FrequencyTable, PowerModel, LatencyModel) {
         (FrequencyTable::paper_levels(), PowerModel::odroid_xu4(), LatencyModel::odroid_xu4())

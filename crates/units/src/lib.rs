@@ -26,40 +26,6 @@
 mod quantity;
 
 pub use quantity::{
-    Amps, Celsius, Coulombs, Farads, Gigahertz, Hertz, Joules, Ohms, Seconds, Volts, Watts,
+    Amps, Coulombs, Farads, Gigahertz, Hertz, Joules, Ohms, Seconds, Volts, Watts,
     WattsPerSquareMeter,
 };
-
-/// Boltzmann constant divided by elementary charge, in volts per kelvin.
-///
-/// Used to compute the diode thermal voltage `V_T = k·T/q`.
-pub const BOLTZMANN_OVER_CHARGE: f64 = 8.617_333_262e-5;
-
-/// Diode thermal voltage at the given cell temperature.
-///
-/// # Examples
-///
-/// ```
-/// use pn_units::{thermal_voltage, Celsius};
-/// let vt = thermal_voltage(Celsius::new(25.0));
-/// assert!((vt.value() - 0.02569).abs() < 1e-4);
-/// ```
-pub fn thermal_voltage(temperature: Celsius) -> Volts {
-    Volts::new(BOLTZMANN_OVER_CHARGE * temperature.to_kelvin())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn thermal_voltage_at_room_temperature() {
-        let vt = thermal_voltage(Celsius::new(25.0));
-        assert!((vt.value() - 0.025693).abs() < 1e-5, "got {vt}");
-    }
-
-    #[test]
-    fn thermal_voltage_scales_with_temperature() {
-        assert!(thermal_voltage(Celsius::new(60.0)) > thermal_voltage(Celsius::new(20.0)));
-    }
-}

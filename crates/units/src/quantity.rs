@@ -216,11 +216,6 @@ quantity!(
     WattsPerSquareMeter,
     "W/m²"
 );
-quantity!(
-    /// Temperature in degrees Celsius.
-    Celsius,
-    "°C"
-);
 
 // ---------------------------------------------------------------------------
 // Cross-dimension physical laws.
@@ -417,11 +412,6 @@ impl Watts {
     pub fn from_milliwatts(mw: f64) -> Self {
         Self::new(mw / 1e3)
     }
-
-    /// This power expressed in milliwatts.
-    pub fn to_milliwatts(self) -> f64 {
-        self.value() * 1e3
-    }
 }
 
 impl Seconds {
@@ -452,24 +442,6 @@ impl Seconds {
         self.value() * 1e3
     }
 
-    /// This duration expressed in hours.
-    pub fn to_hours(self) -> f64 {
-        self.value() / 3600.0
-    }
-
-    /// Formats the duration as `HH:MM:SS` (wall-clock style).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use pn_units::Seconds;
-    /// assert_eq!(Seconds::from_hours(10.5).to_hhmmss(), "10:30:00");
-    /// ```
-    pub fn to_hhmmss(self) -> String {
-        let total = self.value().max(0.0).round() as u64;
-        format!("{:02}:{:02}:{:02}", total / 3600, (total % 3600) / 60, total % 60)
-    }
-
     /// Formats the duration as `MM:SS` (as used by the paper's Table II).
     ///
     /// # Examples
@@ -486,11 +458,6 @@ impl Seconds {
 }
 
 impl Hertz {
-    /// Constructs a frequency given in megahertz.
-    pub fn from_megahertz(mhz: f64) -> Self {
-        Self::new(mhz * 1e6)
-    }
-
     /// Constructs a frequency given in gigahertz.
     ///
     /// # Examples
@@ -503,11 +470,6 @@ impl Hertz {
         Self::new(ghz * 1e9)
     }
 
-    /// This frequency expressed in megahertz.
-    pub fn to_megahertz(self) -> f64 {
-        self.value() / 1e6
-    }
-
     /// This frequency expressed in gigahertz.
     pub fn to_gigahertz(self) -> f64 {
         self.value() / 1e9
@@ -517,20 +479,6 @@ impl Hertz {
 /// Alias-style helper: gigahertz are common enough in the platform model
 /// to deserve a dedicated constructor type.
 pub type Gigahertz = Hertz;
-
-impl Celsius {
-    /// This temperature in kelvin.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use pn_units::Celsius;
-    /// assert!((Celsius::new(25.0).to_kelvin() - 298.15).abs() < 1e-9);
-    /// ```
-    pub fn to_kelvin(self) -> f64 {
-        self.value() + 273.15
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -560,12 +508,6 @@ mod tests {
     fn display_with_precision() {
         assert_eq!(format!("{:.2}", Volts::new(5.3456)), "5.35 V");
         assert_eq!(format!("{:.1}", Watts::new(1.24)), "1.2 W");
-    }
-
-    #[test]
-    fn hhmmss_formats() {
-        assert_eq!(Seconds::new(0.0).to_hhmmss(), "00:00:00");
-        assert_eq!(Seconds::new(3661.0).to_hhmmss(), "01:01:01");
     }
 
     #[test]

@@ -112,7 +112,6 @@ struct Segment {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalTimeline {
     segments: Vec<Segment>,
-    end: f64,
 }
 
 impl ArrivalTimeline {
@@ -140,7 +139,7 @@ impl ArrivalTimeline {
                 }
             }
         }
-        ArrivalTimeline { segments, end: t_end }
+        ArrivalTimeline { segments }
     }
 
     /// The demand level at time `t` (clamped into the window).
@@ -155,22 +154,6 @@ impl ArrivalTimeline {
         self.segments.get(self.segment_index(t) + 1).map(|s| s.start)
     }
 
-    /// Number of segments over the window (1 for `Saturated`).
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// Demand-weighted fraction of the window: 1.0 for `Saturated`,
-    /// below 1.0 whenever gaps exist.
-    pub fn mean_duty(&self) -> f64 {
-        let mut sum = 0.0;
-        for (i, s) in self.segments.iter().enumerate() {
-            let stop = self.segments.get(i + 1).map_or(self.end, |n| n.start);
-            sum += s.duty * (stop - s.start);
-        }
-        sum / (self.end - self.segments[0].start)
-    }
-
     fn segment_index(&self, t: f64) -> usize {
         // partition_point returns the count of segments starting at or
         // before t; the active segment is the last of those.
@@ -181,6 +164,22 @@ impl ArrivalTimeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of segments over the window (1 for `Saturated`).
+    fn segment_count(tl: &ArrivalTimeline) -> usize {
+        tl.segments.len()
+    }
+
+    /// Demand-weighted fraction of the window ending at `end`: 1.0 for
+    /// `Saturated`, below 1.0 whenever gaps exist.
+    fn mean_duty(tl: &ArrivalTimeline, end: f64) -> f64 {
+        let mut sum = 0.0;
+        for (i, s) in tl.segments.iter().enumerate() {
+            let stop = tl.segments.get(i + 1).map_or(end, |n| n.start);
+            sum += s.duty * (stop - s.start);
+        }
+        sum / (end - tl.segments[0].start)
+    }
 
     #[test]
     fn slugs_round_trip_exactly() {
@@ -203,11 +202,11 @@ mod tests {
     #[test]
     fn saturated_is_one_flat_segment() {
         let tl = ArrivalTimeline::build(ArrivalSpec::Saturated, 42, 100.0, 500.0);
-        assert_eq!(tl.segment_count(), 1);
+        assert_eq!(segment_count(&tl), 1);
         assert_eq!(tl.duty_at(100.0), 1.0);
         assert_eq!(tl.duty_at(499.0), 1.0);
         assert_eq!(tl.next_edge_after(100.0), None);
-        assert_eq!(tl.mean_duty(), 1.0);
+        assert_eq!(mean_duty(&tl, 500.0), 1.0);
     }
 
     #[test]
@@ -224,7 +223,7 @@ mod tests {
     fn bursty_alternates_on_and_off_duty() {
         let spec = ArrivalSpec::Bursty { rate_hz: 0.1, mean_burst_s: 5.0, idle_duty: 0.25 };
         let tl = ArrivalTimeline::build(spec, 3, 0.0, 10_000.0);
-        assert!(tl.segment_count() > 10, "window should hold many segments");
+        assert!(segment_count(&tl) > 10, "window should hold many segments");
         for (i, s) in tl.segments.iter().enumerate() {
             let expect = if i % 2 == 0 { 1.0 } else { 0.25 };
             assert_eq!(s.duty, expect, "segment {i}");
@@ -232,7 +231,7 @@ mod tests {
                 assert!(s.start > tl.segments[i - 1].start, "edges must advance");
             }
         }
-        let mean = tl.mean_duty();
+        let mean = mean_duty(&tl, 10_000.0);
         assert!(mean > 0.25 && mean < 1.0, "mean duty {mean}");
     }
 
@@ -249,7 +248,7 @@ mod tests {
             t = next;
             edges += 1;
         }
-        assert_eq!(edges, tl.segment_count() - 1);
+        assert_eq!(edges, segment_count(&tl) - 1);
         assert!((t..800.0).contains(&tl.segments.last().unwrap().start));
     }
 
@@ -262,7 +261,7 @@ mod tests {
         let mut acc = 0.0;
         let n = 32;
         for seed in 0..n {
-            acc += ArrivalTimeline::build(spec, seed, 0.0, 100_000.0).mean_duty();
+            acc += mean_duty(&ArrivalTimeline::build(spec, seed, 0.0, 100_000.0), 100_000.0);
         }
         let mean = acc / n as f64;
         let expect = burst / (burst + 1.0 / rate);

@@ -15,7 +15,7 @@
 /// against an average throughput that would complete several benchmark
 /// frames per minute). The factor is calibrated so the reproduction's
 /// Table II lands near the paper's renders-per-minute column.
-pub const BENCHMARK_FRAMES_PER_RENDER: f64 = 17.0;
+const BENCHMARK_FRAMES_PER_RENDER: f64 = 17.0;
 
 /// Accumulates completed work from piecewise-constant throughput.
 ///
@@ -34,7 +34,6 @@ pub const BENCHMARK_FRAMES_PER_RENDER: f64 = 17.0;
 pub struct WorkAccount {
     frames: f64,
     instructions: f64,
-    busy_time: f64,
 }
 
 impl WorkAccount {
@@ -53,7 +52,6 @@ impl WorkAccount {
         debug_assert!(dt >= 0.0 && frames_per_second >= 0.0 && instructions_per_second >= 0.0);
         self.frames += frames_per_second * dt;
         self.instructions += instructions_per_second * dt;
-        self.busy_time += dt;
     }
 
     /// Completed benchmark frames (Fig. 7 units).
@@ -84,11 +82,6 @@ impl WorkAccount {
     /// column).
     pub fn instructions_billions(&self) -> f64 {
         self.instructions / 1e9
-    }
-
-    /// Total time accrued while alive.
-    pub fn busy_time(&self) -> f64 {
-        self.busy_time
     }
 }
 

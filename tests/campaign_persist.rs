@@ -280,7 +280,6 @@ fn fresh_scenario(cell: &CampaignCell) -> Scenario {
     };
     let buffer = Supercapacitor::new(
         Farads::from_millifarads(cell.buffer_mf),
-        Ohms::new(0.025),
         Ohms::new(40_000.0),
     )
     .unwrap();

@@ -43,12 +43,7 @@ fn undersized_buffers_degrade_shadow_survival() {
     let tiny = base
         .clone()
         .with_buffer(
-            Supercapacitor::new(
-                Farads::from_millifarads(2.0),
-                Ohms::new(0.025),
-                Ohms::new(40_000.0),
-            )
-            .expect("valid"),
+            Supercapacitor::new(Farads::from_millifarads(2.0), Ohms::new(40_000.0)).expect("valid"),
         )
         .run_power_neutral()
         .expect("2 mF run");

@@ -78,8 +78,7 @@ fn bigger_buffers_change_nothing_in_steady_state() {
     let big = base
         .clone()
         .with_buffer(
-            Supercapacitor::new(Farads::new(1.0), Ohms::new(0.02), Ohms::new(40_000.0))
-                .expect("valid buffer"),
+            Supercapacitor::new(Farads::new(1.0), Ohms::new(40_000.0)).expect("valid buffer"),
         )
         .run_power_neutral()
         .expect("1 F run");
