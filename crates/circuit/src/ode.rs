@@ -496,13 +496,8 @@ impl Rk23 {
                     }
                 }
                 // Step accepted: update the stored step estimate for the
-                // next call (standard I-controller, order 3 ⇒ exponent 1/3).
-                let grow = if error_norm > 0.0 {
-                    (0.9 / error_norm.cbrt()).clamp(0.2, 5.0)
-                } else {
-                    5.0
-                };
-                self.h = (h * grow).clamp(opts.min_step, opts.max_step);
+                // next call.
+                self.h = (h * growth(error_norm)).clamp(opts.min_step, opts.max_step);
                 return Ok(AcceptedStep { t0: t, t1: t + h, y0: *y, y1, f0: k1, f1: k4, error_norm });
             }
             // Step rejected: shrink and retry.
@@ -512,10 +507,47 @@ impl Rk23 {
     }
 }
 
+/// Error norm below which the step-growth clamp decides alone:
+/// `0.9 / ∛0.005 ≈ 5.26` already exceeds the largest growth, 5.
+const GROWTH_CLAMPED_BELOW: f64 = 0.005;
+
+/// Step growth after an accepted step: the standard I-controller for
+/// order 3, `0.9 / ∛error_norm` clamped to `[0.2, 5]`. Half the accepted
+/// steps of a power-neutral hour land below [`GROWTH_CLAMPED_BELOW`],
+/// where the clamp returns 5 and the `cbrt` is skipped.
+fn growth(error_norm: f64) -> f64 {
+    if error_norm < GROWTH_CLAMPED_BELOW {
+        5.0
+    } else {
+        (0.9 / error_norm.cbrt()).clamp(0.2, 5.0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn growth_shortcut_matches_the_clamped_cbrt_bitwise() {
+        let full = |e: f64| (0.9 / e.cbrt()).clamp(0.2, 5.0);
+        let mut below = vec![f64::from_bits(1), f64::MIN_POSITIVE, 1e-300, 1e-12, 1e-6, 1e-3];
+        let mut e = GROWTH_CLAMPED_BELOW;
+        for _ in 0..1000 {
+            e = e.next_down();
+            below.push(e);
+        }
+        below.extend((1..5000).map(|k| GROWTH_CLAMPED_BELOW * f64::from(k) / 5000.0));
+        for e in below {
+            assert!(e < GROWTH_CLAMPED_BELOW);
+            assert_eq!(growth(e).to_bits(), full(e).to_bits(), "error norm {e:e}");
+        }
+        // An exact step (zero error norm) grows by the ceiling.
+        assert_eq!(growth(0.0), 5.0);
+        for e in [GROWTH_CLAMPED_BELOW, 0.01, 0.5, 1.0] {
+            assert_eq!(growth(e).to_bits(), full(e).to_bits(), "error norm {e:e}");
+        }
+    }
 
     fn exp_decay(_t: f64, y: &[f64; 1]) -> [f64; 1] {
         [-y[0]]

@@ -399,7 +399,8 @@ impl Simulation {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] for an empty window or an
-    /// initial voltage outside a sane range.
+    /// initial voltage outside a sane range, and [`SimError::Soc`] for
+    /// a thermal model that [`ThermalSpec::validate`] rejects.
     #[allow(clippy::too_many_arguments)] // one parameter per physical subsystem
     pub fn new(
         platform: Platform,
@@ -417,6 +418,7 @@ impl Simulation {
         if !(initial_vc.value() > 0.0) || initial_vc.value() > 10.0 {
             return Err(SimError::InvalidConfig("initial vc out of range"));
         }
+        options.thermal.validate()?;
         Ok(Self { platform, supply, buffer, monitor, governor, initial_opp, initial_vc, options })
     }
 
@@ -1224,6 +1226,7 @@ mod tests {
     use pn_core::params::ControlParams;
     use pn_governors::{Performance, Powersave};
     use pn_harvest::irradiance::IrradianceTrace;
+    use pn_soc::thermal::RcThermal;
     use pn_units::WattsPerSquareMeter;
 
     fn pv_supply(g: f64, t_end: f64) -> Supply {
@@ -1670,6 +1673,35 @@ mod tests {
         );
         other.options = other.options.with_arrival(ArrivalSpec::bursty_stress(), 18);
         assert_ne!(bursty, other.run().unwrap());
+    }
+
+    #[test]
+    fn rejects_an_invalid_thermal_model() {
+        let with_thermal = |thermal: ThermalSpec| {
+            Simulation::new(
+                Platform::odroid_xu4(),
+                pv_supply(560.0, 20.0),
+                Supercapacitor::paper_buffer(),
+                VoltageMonitor::paper_board().unwrap(),
+                pn_governor(),
+                Opp::lowest(),
+                Volts::new(5.3),
+                SimOptions::new(Seconds::new(20.0)).with_thermal(thermal),
+            )
+        };
+        let ThermalSpec::Rc(stress) = ThermalSpec::stress() else {
+            panic!("the stress preset is an RC model")
+        };
+        // A zero resistance never heats the die; a release above the
+        // trip point never lets the throttle go.
+        for bad in [RcThermal { r_c_per_w: 0.0, ..stress }, RcThermal { release_c: 80.0, ..stress }]
+        {
+            let result = with_thermal(ThermalSpec::Rc(bad));
+            assert!(matches!(result, Err(SimError::Soc(_))), "{bad:?} was accepted");
+        }
+        for good in [ThermalSpec::Off, ThermalSpec::stress()] {
+            with_thermal(good).unwrap().run().unwrap();
+        }
     }
 
     #[test]

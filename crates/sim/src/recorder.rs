@@ -1,22 +1,43 @@
 //! Recorded simulation traces.
 //!
-//! A [`Recorder`] stores one time column plus one value column per
-//! traced quantity — ten `f64` per snapshot. Each accessor returns a
-//! borrowed [`SeriesView`] pairing the shared time column with that
-//! quantity's values, so no timestamp is stored twice. When a run
-//! finishes the engine releases every column's spare capacity of a
-//! page or more, so a finished report holds what it recorded plus less
-//! than 4 KiB per column.
+//! A [`Recorder`] stores one time column plus one column per traced
+//! quantity, each as narrow as its values allow. `VC` and the harvested
+//! power vary continuously and stay `f64`. The core counts are `u8`,
+//! and their total is computed on read. Frequency, board power and the
+//! two thresholds are step functions with a few hundred distinct values
+//! at most: each sample is a one-byte code into that column's palette
+//! of distinct values, and the 257th distinct value widens the column
+//! to plain `f64`. A snapshot costs 30 bytes instead of 80.
+//!
+//! Each accessor returns a borrowed [`SeriesView`] pairing the shared
+//! time column with that quantity's `f64` values, so no timestamp is
+//! stored twice. A narrow column is expanded to `f64` on its first read
+//! and kept until the next [`Recorder::record`]; a run that is never
+//! read never pays for the expansion. When a run finishes the engine
+//! releases every vector's spare capacity of a page or more, so a
+//! finished report holds what it recorded plus less than 4 KiB per
+//! vector.
+
+use std::mem;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 
 use pn_analysis::series::SeriesView;
 use pn_units::{Seconds, Volts, Watts};
 
-/// Spare capacity, in samples, from which a finished column is trimmed:
-/// 512 `f64` is one 4 KiB page. A shorter tail cannot lower the resident
-/// set, and reallocating it only fragments the heap (trimming every
-/// column raised `campaign_sweep`'s peak RSS by 7 %, with its
-/// reports of a few hundred snapshots).
-const TRIM_SLACK: usize = 512;
+/// Spare capacity, in bytes, from which a finished vector is trimmed:
+/// one 4 KiB page, 512 `f64` or 4096 one-byte codes. A shorter tail
+/// cannot lower the resident set, and reallocating it only fragments
+/// the heap (trimming every column raised `campaign_sweep`'s peak RSS
+/// by 7 %, with its reports of a few hundred snapshots).
+const TRIM_SLACK: usize = 4096;
+
+/// Distinct values a step column codes in one byte before it widens.
+const PALETTE_MAX: usize = 256;
+
+/// Slots of a step column's lookup table, indexed by the top bits of a
+/// multiplicative hash of a value's bits.
+const SLOTS: usize = 64;
 
 /// One snapshot of the system state.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,20 +68,148 @@ pub struct Snapshot {
 /// at the same instant as a grid snapshot) are silently dropped — the
 /// first snapshot at an instant wins.
 ///
-/// Recorders compare by value (every column, sample for sample), which
-/// is what the golden-trace determinism tests rely on.
-#[derive(Debug, Clone, PartialEq)]
+/// Recorders compare by value (every quantity, sample for sample, with
+/// `f64 ==`), which is what the golden-trace determinism tests rely on.
+#[derive(Debug, Clone)]
 pub struct Recorder {
     times: Vec<f64>,
     vc: Vec<f64>,
-    frequency_ghz: Vec<f64>,
-    little_cores: Vec<f64>,
-    big_cores: Vec<f64>,
-    total_cores: Vec<f64>,
-    power_out: Vec<f64>,
     power_in: Vec<f64>,
-    v_high: Vec<f64>,
-    v_low: Vec<f64>,
+    little_cores: Vec<u8>,
+    big_cores: Vec<u8>,
+    /// Frequency, board power, `Vhigh` and `Vlow`, indexed by
+    /// [`FREQUENCY`], [`POWER_OUT`], [`V_HIGH`] and [`V_LOW`].
+    steps: [StepColumn; 4],
+    expansions: Expansions,
+}
+
+/// Indices of the step columns, and of their expansions.
+const FREQUENCY: usize = 0;
+const POWER_OUT: usize = 1;
+const V_HIGH: usize = 2;
+const V_LOW: usize = 3;
+/// Indices of the core-count expansions.
+const LITTLE: usize = 4;
+const BIG: usize = 5;
+const TOTAL: usize = 6;
+
+/// A step-valued column: one-byte codes into the distinct values seen,
+/// keyed by their bits (so `-0.0` and `0.0` keep their own), until a
+/// value past [`PALETTE_MAX`] widens it to plain `f64`.
+#[derive(Debug, Clone)]
+enum StepColumn {
+    Coded {
+        palette: Vec<f64>,
+        codes: Vec<u8>,
+        /// Direct-mapped from a value's bits to the code last found for
+        /// them; a slot whose code names another value is a miss. With
+        /// it a Table II snapshot records as fast as into ten `f64`
+        /// columns; scanning the palette per sample nearly doubled that.
+        slots: [u8; SLOTS],
+    },
+    Plain(Vec<f64>),
+}
+
+impl StepColumn {
+    fn with_capacity(capacity: usize) -> Self {
+        Self::Coded { palette: Vec::new(), codes: Vec::with_capacity(capacity), slots: [0; SLOTS] }
+    }
+
+    #[inline]
+    fn push(&mut self, x: f64) {
+        let (palette, codes, slots) = match self {
+            Self::Plain(values) => return values.push(x),
+            Self::Coded { palette, codes, slots } => (palette, codes, slots),
+        };
+        let bits = x.to_bits();
+        let hash = bits.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (u64::BITS - SLOTS.ilog2());
+        let slot = &mut slots[hash as usize];
+        match palette.get(usize::from(*slot)) {
+            Some(p) if p.to_bits() == bits => {}
+            _ => match code_of(palette, x) {
+                Some(code) => *slot = code,
+                None => return self.widen(x),
+            },
+        }
+        codes.push(*slot);
+    }
+
+    /// Rewrites the coded samples as plain `f64` and appends `x`.
+    #[cold]
+    fn widen(&mut self, x: f64) {
+        if let Self::Coded { palette, codes, .. } = self {
+            let mut values = Vec::with_capacity(codes.capacity());
+            values.extend(codes.iter().map(|&c| palette[usize::from(c)]));
+            values.push(x);
+            *self = Self::Plain(values);
+        }
+    }
+
+    fn trim(&mut self) {
+        match self {
+            Self::Plain(values) => trim(values),
+            Self::Coded { palette, codes, .. } => {
+                trim(palette);
+                trim(codes);
+            }
+        }
+    }
+}
+
+/// The code of `x` in `palette`, adding it when new; `None` when the
+/// palette is full.
+#[cold]
+fn code_of(palette: &mut Vec<f64>, x: f64) -> Option<u8> {
+    let bits = x.to_bits();
+    let code = match palette.iter().position(|p| p.to_bits() == bits) {
+        Some(code) => code,
+        None if palette.len() < PALETTE_MAX => {
+            palette.push(x);
+            palette.len() - 1
+        }
+        None => return None,
+    };
+    Some(code as u8)
+}
+
+/// Releases `column`'s spare capacity when it is [`TRIM_SLACK`] bytes
+/// or more.
+fn trim<T>(column: &mut Vec<T>) {
+    if (column.capacity() - column.len()) * size_of::<T>() >= TRIM_SLACK {
+        column.shrink_to_fit();
+    }
+}
+
+/// `f64` expansions of the narrow columns, each built on its first
+/// read and dropped by the next record.
+#[derive(Debug, Default)]
+struct Expansions {
+    columns: [OnceLock<Vec<f64>>; 7],
+    /// Set when any column is built, so a record tests one flag rather
+    /// than every column. It publishes nothing: `clear` holds `&mut`.
+    built: AtomicBool,
+}
+
+impl Expansions {
+    fn get(&self, column: usize, build: impl FnOnce() -> Vec<f64>) -> &[f64] {
+        self.columns[column].get_or_init(|| {
+            self.built.store(true, Ordering::Relaxed);
+            build()
+        })
+    }
+
+    fn clear(&mut self) {
+        if mem::take(self.built.get_mut()) {
+            *self = Self::default();
+        }
+    }
+}
+
+impl Clone for Expansions {
+    /// A clone starts unexpanded and builds what it reads.
+    fn clone(&self) -> Self {
+        Self::default()
+    }
 }
 
 impl Recorder {
@@ -74,18 +223,14 @@ impl Recorder {
     /// `(t_end − t_start) / record_dt`, so grid snapshots append
     /// without reallocating mid-simulation.
     pub fn with_capacity(capacity: usize) -> Self {
-        let column = || Vec::with_capacity(capacity);
         Self {
-            times: column(),
-            vc: column(),
-            frequency_ghz: column(),
-            little_cores: column(),
-            big_cores: column(),
-            total_cores: column(),
-            power_out: column(),
-            power_in: column(),
-            v_high: column(),
-            v_low: column(),
+            times: Vec::with_capacity(capacity),
+            vc: Vec::with_capacity(capacity),
+            power_in: Vec::with_capacity(capacity),
+            little_cores: Vec::with_capacity(capacity),
+            big_cores: Vec::with_capacity(capacity),
+            steps: std::array::from_fn(|_| StepColumn::with_capacity(capacity)),
+            expansions: Expansions::default(),
         }
     }
 
@@ -95,42 +240,30 @@ impl Recorder {
         if self.times.last().is_some_and(|&last| t <= last) {
             return;
         }
+        self.expansions.clear();
         self.times.push(t);
         self.vc.push(s.vc.value());
-        self.frequency_ghz.push(s.frequency_ghz);
-        self.little_cores.push(f64::from(s.little_cores));
-        self.big_cores.push(f64::from(s.big_cores));
-        self.total_cores.push(f64::from(s.little_cores + s.big_cores));
-        self.power_out.push(s.power_out.value());
         self.power_in.push(s.power_in.value());
-        self.v_high.push(s.v_high.value());
-        self.v_low.push(s.v_low.value());
-    }
-
-    /// Releases each column's spare capacity of [`TRIM_SLACK`] samples
-    /// or more; the engine calls this once a run has taken its last
-    /// snapshot.
-    pub(crate) fn trim(&mut self) {
-        for column in self.columns_mut() {
-            if column.capacity() - column.len() >= TRIM_SLACK {
-                column.shrink_to_fit();
-            }
+        self.little_cores.push(s.little_cores);
+        self.big_cores.push(s.big_cores);
+        let steps = [s.frequency_ghz, s.power_out.value(), s.v_high.value(), s.v_low.value()];
+        for (column, x) in self.steps.iter_mut().zip(steps) {
+            column.push(x);
         }
     }
 
-    fn columns_mut(&mut self) -> [&mut Vec<f64>; 10] {
-        [
-            &mut self.times,
-            &mut self.vc,
-            &mut self.frequency_ghz,
-            &mut self.little_cores,
-            &mut self.big_cores,
-            &mut self.total_cores,
-            &mut self.power_out,
-            &mut self.power_in,
-            &mut self.v_high,
-            &mut self.v_low,
-        ]
+    /// Releases each vector's spare capacity of [`TRIM_SLACK`] bytes or
+    /// more; the engine calls this once a run has taken its last
+    /// snapshot.
+    pub(crate) fn trim(&mut self) {
+        for column in [&mut self.times, &mut self.vc, &mut self.power_in] {
+            trim(column);
+        }
+        trim(&mut self.little_cores);
+        trim(&mut self.big_cores);
+        for column in &mut self.steps {
+            column.trim();
+        }
     }
 
     /// Number of recorded snapshots.
@@ -147,6 +280,21 @@ impl Recorder {
         SeriesView::new(name, &self.times, values)
     }
 
+    /// The values of step column `index`.
+    fn step_values(&self, index: usize) -> &[f64] {
+        match &self.steps[index] {
+            StepColumn::Plain(values) => values,
+            StepColumn::Coded { palette, codes, .. } => self
+                .expansions
+                .get(index, || codes.iter().map(|&c| palette[usize::from(c)]).collect()),
+        }
+    }
+
+    /// Core-count expansion `index`, built by `count` per sample.
+    fn core_values(&self, index: usize, count: impl Fn(usize) -> f64) -> &[f64] {
+        self.expansions.get(index, || (0..self.len()).map(count).collect())
+    }
+
     /// The `VC` trace.
     pub fn vc(&self) -> SeriesView<'_> {
         self.series("vc", &self.vc)
@@ -154,27 +302,28 @@ impl Recorder {
 
     /// The clock-frequency trace (GHz).
     pub fn frequency_ghz(&self) -> SeriesView<'_> {
-        self.series("frequency_ghz", &self.frequency_ghz)
+        self.series("frequency_ghz", self.step_values(FREQUENCY))
     }
 
     /// The online-LITTLE-core trace.
     pub fn little_cores(&self) -> SeriesView<'_> {
-        self.series("little_cores", &self.little_cores)
+        self.series("little_cores", self.core_values(LITTLE, |i| f64::from(self.little_cores[i])))
     }
 
     /// The online-big-core trace.
     pub fn big_cores(&self) -> SeriesView<'_> {
-        self.series("big_cores", &self.big_cores)
+        self.series("big_cores", self.core_values(BIG, |i| f64::from(self.big_cores[i])))
     }
 
     /// The total-online-core trace.
     pub fn total_cores(&self) -> SeriesView<'_> {
-        self.series("total_cores", &self.total_cores)
+        let total = |i| f64::from(self.little_cores[i]) + f64::from(self.big_cores[i]);
+        self.series("total_cores", self.core_values(TOTAL, total))
     }
 
     /// The consumed-power trace.
     pub fn power_out(&self) -> SeriesView<'_> {
-        self.series("power_out", &self.power_out)
+        self.series("power_out", self.step_values(POWER_OUT))
     }
 
     /// The harvested-power trace.
@@ -184,18 +333,59 @@ impl Recorder {
 
     /// The `Vhigh` threshold trace.
     pub fn v_high(&self) -> SeriesView<'_> {
-        self.series("v_high", &self.v_high)
+        self.series("v_high", self.step_values(V_HIGH))
     }
 
     /// The `Vlow` threshold trace.
     pub fn v_low(&self) -> SeriesView<'_> {
-        self.series("v_low", &self.v_low)
+        self.series("v_low", self.step_values(V_LOW))
+    }
+}
+
+impl PartialEq for Recorder {
+    /// Compares every quantity's values, as a store of `f64` columns
+    /// would; the storage format and the expansions play no part.
+    fn eq(&self, other: &Self) -> bool {
+        self.times == other.times
+            && self.vc == other.vc
+            && self.power_in == other.power_in
+            && self.little_cores == other.little_cores
+            && self.big_cores == other.big_cores
+            && (0..self.steps.len()).all(|i| self.step_values(i) == other.step_values(i))
     }
 }
 
 impl Default for Recorder {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+#[cfg(test)]
+impl Recorder {
+    /// `(len, capacity, bytes per element)` of every per-sample vector.
+    fn sample_vectors(&self) -> Vec<(usize, usize, usize)> {
+        fn shape<T>(v: &Vec<T>) -> (usize, usize, usize) {
+            (v.len(), v.capacity(), size_of::<T>())
+        }
+        let mut shapes = vec![shape(&self.times), shape(&self.vc), shape(&self.power_in)];
+        shapes.extend([shape(&self.little_cores), shape(&self.big_cores)]);
+        shapes.extend(self.steps.iter().map(|column| match column {
+            StepColumn::Plain(values) => shape(values),
+            StepColumn::Coded { codes, .. } => shape(codes),
+        }));
+        shapes
+    }
+
+    /// Heap bytes held by the palettes and the expansions.
+    fn side_bytes(&self) -> usize {
+        let f64s = |v: &Vec<f64>| v.capacity() * size_of::<f64>();
+        let palettes = self.steps.iter().filter_map(|column| match column {
+            StepColumn::Coded { palette, .. } => Some(palette),
+            StepColumn::Plain(_) => None,
+        });
+        let expansions = self.expansions.columns.iter().filter_map(OnceLock::get);
+        palettes.chain(expansions).map(f64s).sum()
     }
 }
 
@@ -245,6 +435,12 @@ mod tests {
     }
 
     #[test]
+    fn recorders_are_shareable_values() {
+        fn check<T: Clone + std::fmt::Debug + Send + Sync>() {}
+        check::<Recorder>();
+    }
+
+    #[test]
     fn preallocated_recorder_is_behaviourally_identical() {
         let mut plain = Recorder::new();
         let mut sized = Recorder::with_capacity(64);
@@ -266,15 +462,19 @@ mod tests {
 
     #[test]
     fn trim_releases_page_sized_slack_only() {
-        for (capacity, trimmed) in [(5 + TRIM_SLACK, 5), (4 + TRIM_SLACK, 4 + TRIM_SLACK)] {
-            let mut r = Recorder::with_capacity(capacity);
+        // Slack of a page or more goes, in bytes: 512 spare samples
+        // trim an `f64` column but not a one-byte one.
+        for slack in [511, 512, 4095, 4096] {
+            let mut r = Recorder::with_capacity(5 + slack);
             for k in 0..5 {
                 r.record(&snap(f64::from(k), 5.3));
             }
             r.trim();
-            for column in r.columns_mut() {
-                assert_eq!(column.len(), 5);
-                assert_eq!(column.capacity(), trimmed, "capacity {capacity}");
+            for (len, capacity, width) in r.sample_vectors() {
+                assert_eq!(len, 5);
+                let trimmed = slack * width >= TRIM_SLACK;
+                let expected = if trimmed { 5 } else { 5 + slack };
+                assert_eq!(capacity, expected, "slack {slack}, width {width}");
             }
         }
     }
@@ -288,6 +488,7 @@ mod tests {
             Snapshot { frequency_ghz: 0.2, ..base },
             Snapshot { little_cores: 1, ..base },
             Snapshot { big_cores: 0, ..base },
+            Snapshot { little_cores: 2, big_cores: 4, ..base },
             Snapshot { power_out: Watts::new(1.0), ..base },
             Snapshot { power_in: Watts::new(1.0), ..base },
             Snapshot { v_high: Volts::new(6.0), ..base },
@@ -302,12 +503,91 @@ mod tests {
         }
     }
 
+    #[test]
+    fn signed_zeros_read_back_with_their_own_bits() {
+        let zeros = [0.0, -0.0, 0.0, -0.0];
+        let mut r = Recorder::new();
+        for (k, &z) in zeros.iter().enumerate() {
+            r.record(&Snapshot {
+                frequency_ghz: z,
+                power_out: Watts::new(z),
+                v_high: Volts::new(z),
+                v_low: Volts::new(z),
+                ..snap(k as f64, 5.3)
+            });
+        }
+        let bits = zeros.map(f64::to_bits);
+        for view in [r.frequency_ghz(), r.power_out(), r.v_high(), r.v_low()] {
+            assert!(view.values().iter().map(|x| x.to_bits()).eq(bits), "{view:?}");
+        }
+        // Equality stays `f64 ==`, under which the zeros are equal.
+        let mut positive = Recorder::new();
+        for k in 0..zeros.len() {
+            positive.record(&Snapshot {
+                frequency_ghz: 0.0,
+                power_out: Watts::new(0.0),
+                v_high: Volts::new(0.0),
+                v_low: Volts::new(0.0),
+                ..snap(k as f64, 5.3)
+            });
+        }
+        assert_eq!(r, positive);
+    }
+
+    #[test]
+    fn a_257th_distinct_value_widens_the_column() {
+        let mut r = Recorder::new();
+        for k in 0..300 {
+            r.record(&Snapshot {
+                power_out: Watts::new(f64::from(k) * 0.01),
+                ..snap(f64::from(k), 5.3)
+            });
+        }
+        let widths: Vec<usize> = r.sample_vectors().iter().map(|&(_, _, width)| width).collect();
+        assert_eq!(widths, [8, 8, 8, 1, 1, 1, 8, 1, 1], "only power_out widens");
+        let expected: Vec<f64> = (0..300).map(|k| f64::from(k) * 0.01).collect();
+        assert_eq!(r.power_out().values(), expected);
+    }
+
+    #[test]
+    fn a_step_valued_snapshot_costs_thirty_bytes() {
+        const N: usize = 10_000;
+        let mut r = Recorder::with_capacity(N);
+        for k in 0..N {
+            let step = (k % 256) as f64;
+            r.record(&Snapshot {
+                vc: Volts::new(5.0 + k as f64 * 1e-6),
+                power_in: Watts::new(k as f64 * 1e-3),
+                frequency_ghz: step * 0.01,
+                little_cores: (k % 5) as u8,
+                big_cores: (k % 3) as u8,
+                power_out: Watts::new(step * 0.1),
+                v_high: Volts::new(5.3 + step * 1e-3),
+                v_low: Volts::new(5.3 - step * 1e-3),
+                ..snap(k as f64, 5.3)
+            });
+        }
+        r.trim();
+        let samples: usize = r.sample_vectors().iter().map(|&(_, cap, width)| cap * width).sum();
+        assert_eq!(samples, 30 * N, "3 f64 + 2 core counts + 4 codes per snapshot");
+        assert_eq!(r.side_bytes(), 4 * PALETTE_MAX * size_of::<f64>(), "palettes only");
+        // Reading expands only the columns read, each once.
+        let _ = (r.power_out(), r.total_cores(), r.power_out());
+        let expanded = 2 * N * size_of::<f64>();
+        assert_eq!(r.side_bytes(), 4 * PALETTE_MAX * size_of::<f64>() + expanded);
+    }
+
     proptest! {
         /// The shared-time-column store reads back exactly what nine
         /// independent series, each dropping stale instants, would
-        /// hold — including across equal and earlier instants.
+        /// hold — across equal and earlier instants, across a step
+        /// column widening past 256 distinct values, and when read
+        /// between records.
         #[test]
-        fn columns_match_independent_series(ops in proptest::collection::vec(0u32..1 << 20, 0..120)) {
+        fn columns_match_independent_series(
+            ops in proptest::collection::vec(0u32..1 << 20, 0..1200),
+            wide in proptest::bool::ANY,
+        ) {
             let names = [
                 "vc", "frequency_ghz", "little_cores", "big_cores", "total_cores",
                 "power_out", "power_in", "v_high", "v_low",
@@ -326,16 +606,18 @@ mod tests {
                 let little = (op >> 3 & 3) as u8 + 1;
                 let big = (op >> 5 & 3) as u8;
                 let x = f64::from(op >> 7);
+                // Nearly every `wide` op draws a new board power.
+                let out = if wide { f64::from(op) } else { f64::from(op >> 7 & 63) };
                 let s = Snapshot {
                     t: Seconds::new(t),
                     vc: Volts::new(4.0 + x * 1e-4),
                     frequency_ghz: 0.2 * f64::from(op % 10),
                     little_cores: little,
                     big_cores: big,
-                    power_out: Watts::new(x * 1e-3),
+                    power_out: Watts::new(out * 1e-3),
                     power_in: Watts::new(x * 2e-3 - 1.0),
-                    v_high: Volts::new(5.0 + x * 1e-5),
-                    v_low: Volts::new(5.0 - x * 1e-5),
+                    v_high: Volts::new(5.0 + f64::from(op >> 7 & 127) * 1e-5),
+                    v_low: Volts::new(5.0 - f64::from(op >> 9 & 127) * 1e-5),
                 };
                 recorder.record(&s);
                 let values = [
@@ -351,6 +633,12 @@ mod tests {
                 ];
                 for (series, value) in expected.iter_mut().zip(values) {
                     let _ = series.push(t, value);
+                }
+                // One op in eight reads every column mid-recording.
+                if op >> 12 & 7 == 0 {
+                    for (view, series) in views(&recorder).into_iter().zip(&expected) {
+                        prop_assert_eq!(view, series.as_series());
+                    }
                 }
             }
             prop_assert_eq!(recorder.len(), expected[0].len());

@@ -145,6 +145,41 @@ fn the_table2_hour_is_pinned_bitwise() {
 }
 
 #[test]
+fn a_table2_hour_trace_is_pinned_bitwise() {
+    use power_neutral::sim::campaign::GovernorSpec;
+    // FNV-1a 64 over the bits of the time column, then of each of the
+    // nine traced quantities in accessor order: any change to a
+    // recorded value, or to how a trace stores and reads it, moves one
+    // of these.
+    let pins = [
+        (GovernorSpec::PowerNeutral, 0xc92f_f835_f710_2556_u64),
+        (GovernorSpec::BudgetShift, 0xe7d2_6f54_2a53_92f9),
+    ];
+    let hour = scenario::table2_hour(1);
+    for (governor, digest) in pins {
+        let report = governor.run(&hour).expect("the Table II hour runs");
+        let r = report.recorder();
+        let columns = [
+            r.vc().times(),
+            r.vc().values(),
+            r.frequency_ghz().values(),
+            r.little_cores().values(),
+            r.big_cores().values(),
+            r.total_cores().values(),
+            r.power_out().values(),
+            r.power_in().values(),
+            r.v_high().values(),
+            r.v_low().values(),
+        ];
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        for byte in columns.iter().flat_map(|c| c.iter()).flat_map(|x| x.to_bits().to_le_bytes()) {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        assert_eq!(hash, digest, "{} trace digest {hash:#018x}", governor.slug());
+    }
+}
+
+#[test]
 fn every_table2_hour_keeps_its_transitions_and_lifetime() {
     use power_neutral::sim::campaign::GovernorSpec::{self, *};
     // (seed, governor, transitions, lifetime in seconds or `None` for a
