@@ -34,18 +34,6 @@ impl Aggregate {
         Self::default()
     }
 
-    /// Reassembles an accumulator from its raw statistics — the
-    /// decoding half of persisted campaign summaries. A zero `count`
-    /// yields the empty accumulator regardless of the other fields, so
-    /// `from_parts(count, sum, min?, max?)` round-trips every
-    /// accumulator this crate can produce bitwise.
-    pub fn from_parts(count: u64, sum: f64, min: f64, max: f64) -> Self {
-        if count == 0 {
-            return Self::default();
-        }
-        Self { count, sum, min, max }
-    }
-
     /// Adds one observation.
     pub fn push(&mut self, value: f64) {
         if self.count == 0 {
@@ -123,19 +111,5 @@ mod tests {
         let acc = aggregate_of([5.5]);
         assert_eq!(acc.mean(), Some(5.5));
         assert_eq!(acc.min(), acc.max());
-    }
-
-    #[test]
-    fn from_parts_round_trips_any_accumulator() {
-        let acc = aggregate_of([3.0, -1.0, 7.0]);
-        let rebuilt = Aggregate::from_parts(
-            acc.count(),
-            acc.sum(),
-            acc.min().unwrap(),
-            acc.max().unwrap(),
-        );
-        assert_eq!(rebuilt, acc);
-        // A zero count ignores the scalar fields entirely.
-        assert_eq!(Aggregate::from_parts(0, 99.0, 1.0, 2.0), Aggregate::new());
     }
 }

@@ -888,7 +888,7 @@ pub(crate) fn validate_saved_slice(
     saved: &CampaignReport,
 ) -> Result<(), SimError> {
     let start = saved.start();
-    let end = start + saved.len();
+    let end = start.saturating_add(saved.len());
     if end > cells.len() {
         return Err(SimError::Campaign(format!(
             "saved report covers matrix indices {start}..{end} but the spec enumerates only \
@@ -1176,6 +1176,10 @@ mod tests {
         let full = run_campaign(&spec, &executor).unwrap();
         // A saved report that extends past the matrix.
         let saved = CampaignReport::from_parts(2, full.cells().to_vec());
+        let err = resume_campaign(&spec, &[saved], &executor).unwrap_err();
+        assert!(matches!(err, SimError::Campaign(_)), "{err}");
+        // One whose end index does not fit in usize.
+        let saved = CampaignReport::from_parts(usize::MAX, full.cells()[..1].to_vec());
         let err = resume_campaign(&spec, &[saved], &executor).unwrap_err();
         assert!(matches!(err, SimError::Campaign(_)), "{err}");
         // A saved cell that is not the spec's cell at that index.

@@ -72,7 +72,11 @@
 //!
 //! Every file is written with [`crate::persist::write_atomic`], so a
 //! `SIGKILL` at any instant leaves each artifact either absent or
-//! complete — never torn. On start the daemon rescans the directory:
+//! complete — never torn. A checkpoint's cell lines are the same
+//! [`csv_row`](crate::persist::csv_row)s the watch stream sends, plus
+//! each cell's parameters, duration and idle flag, and a digest line
+//! closes the document, so an edited or corrupted checkpoint fails to
+//! decode. On start the daemon rescans the directory:
 //! valid shard checkpoints are adopted as-is after revalidation
 //! against the job's spec (the same position + label + per-cell
 //! options check [`resume_campaign`](crate::campaign::resume_campaign)
@@ -82,7 +86,9 @@
 //! its checkpoint must cover exactly that range. The merged report
 //! lives only on disk. Because every cell is bitwise deterministic, the
 //! recovered run's merged report and CSV are byte-identical to an
-//! uninterrupted run's.
+//! uninterrupted run's. A job directory no submit could have written
+//! (a spec past [`MAX_JOB_CELLS`], a `job.meta` with more shards than
+//! cells) is skipped like one whose files are missing or torn.
 //!
 //! A panicking cell is contained by the worker (the panic is caught,
 //! the job is marked failed, watchers are told why) without taking the
@@ -483,14 +489,22 @@ fn recover_jobs(shared: &Arc<Shared>) {
 /// Loads one job directory: decode spec + meta, then adopt every shard
 /// checkpoint that decodes *and* matches the spec (position, labels,
 /// per-cell options). Torn or stale checkpoints are deleted so the
-/// shard reruns.
+/// shard reruns. A spec or meta file that asks for more than a submit
+/// could have written (a matrix past [`MAX_JOB_CELLS`], more shards
+/// than cells) fails the load before any cell is enumerated.
 fn load_job(id: u64, dir: &Path) -> Result<Arc<Job>, SimError> {
     let read = |name: &str| {
         std::fs::read_to_string(dir.join(name))
             .map_err(|e| SimError::Daemon(format!("cannot read {name}: {e}")))
     };
     let spec = persist::spec_from_str(&read("spec.pnc")?)?;
+    let cells = job_cells(&spec)?;
     let shard_count = parse_job_meta(&read("job.meta")?)?;
+    if !(1..=cells).contains(&shard_count) {
+        return Err(SimError::Daemon(format!(
+            "job.meta asks for {shard_count} shards of a {cells}-cell matrix"
+        )));
+    }
     let job = Arc::new(Job::new(id, dir.to_path_buf(), &spec, shard_count));
     let mut state = job.state.lock().expect("job state lock");
     for (i, range) in job.shards.iter().enumerate() {
@@ -859,14 +873,10 @@ fn handle_submit(
     }
 }
 
-/// Registers a new job: take a fresh id, persist meta + spec (both
-/// atomic, both before the submit reply), enqueue every shard. Ids come
-/// from one counter, so concurrent submits never share a job directory.
-fn submit_job(
-    shared: &Arc<Shared>,
-    spec: &CampaignSpec,
-    shard_request: usize,
-) -> Result<Arc<Job>, SimError> {
+/// The cell count of a job's matrix, or why the daemon will not hold
+/// it: the matrix is empty or exceeds [`MAX_JOB_CELLS`]. Computed
+/// without enumerating a cell.
+fn job_cells(spec: &CampaignSpec) -> Result<usize, SimError> {
     let cells = spec.cell_count();
     if cells == 0 {
         return Err(SimError::InvalidConfig("campaign matrix is empty"));
@@ -876,6 +886,18 @@ fn submit_job(
             "campaign matrix of {cells} cells exceeds the {MAX_JOB_CELLS}-cell job limit"
         )));
     }
+    Ok(cells)
+}
+
+/// Registers a new job: take a fresh id, persist meta + spec (both
+/// atomic, both before the submit reply), enqueue every shard. Ids come
+/// from one counter, so concurrent submits never share a job directory.
+fn submit_job(
+    shared: &Arc<Shared>,
+    spec: &CampaignSpec,
+    shard_request: usize,
+) -> Result<Arc<Job>, SimError> {
+    let cells = job_cells(spec)?;
     let shard_count = if shard_request == 0 { cells } else { shard_request.min(cells) };
     let job = {
         let id = shared.next_id.fetch_add(1, Ordering::SeqCst);
@@ -1521,6 +1543,34 @@ pub fn shutdown(addr: &str) -> Result<(), SimError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn recovery_skips_jobs_no_submit_could_have_written() {
+        let dir = std::env::temp_dir().join(format!("pn-daemon-load-cap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let write = |name: &str, text: &str| std::fs::write(dir.join(name), text).unwrap();
+        // A hand-edited spec of a few KB whose matrix is just past the
+        // cap: 2 weathers × 513 seeds × 512 buffers × 2 governors.
+        let over_cap = CampaignSpec::smoke()
+            .with_seeds((0..513).collect())
+            .with_buffers_mf((1..=512).map(f64::from).collect());
+        assert!(over_cap.cell_count() > MAX_JOB_CELLS);
+        write("spec.pnc", &persist::spec_to_string(&over_cap));
+        write("job.meta", &job_meta_string(1));
+        let err = load_job(1, &dir).err().expect("an over-cap job must not load");
+        assert!(matches!(err, SimError::Daemon(_)), "{err}");
+        assert!(err.to_string().contains("job limit"), "{err}");
+        // A meta file asking for more shards than cells is refused too.
+        write("spec.pnc", &persist::spec_to_string(&CampaignSpec::smoke()));
+        write("job.meta", &job_meta_string(usize::MAX));
+        let err = load_job(1, &dir).err().expect("an over-sharded job must not load");
+        assert!(matches!(err, SimError::Daemon(_)), "{err}");
+        // The same directory with a meta file a submit writes loads.
+        write("job.meta", &job_meta_string(4));
+        assert_eq!(load_job(1, &dir).unwrap().shards.len(), 4);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     #[test]
     fn parse_request_accepts_the_protocol() {

@@ -38,8 +38,8 @@
 //! * [`daemon`] — the long-running campaign service: submit specs
 //!   over TCP, stream per-cell rows to many concurrent watchers,
 //!   atomic shard checkpoints, byte-exact crash recovery,
-//! * [`persist`] — serialized campaign specs/reports (with group
-//!   summaries) and the campaign + summary CSV exports,
+//! * [`persist`] — serialized campaign specs/reports (a report's cell
+//!   lines are its CSV rows) and the campaign + summary CSV exports,
 //! * [`experiments`] — one module per paper figure/table, producing the
 //!   rows/series the paper reports.
 //!

@@ -130,8 +130,7 @@ impl Default for LatencyModel {
 /// Entry and exit are *not free*: both take wall-clock time during
 /// which the SoC still burns power and cannot respond to interrupts,
 /// and the transition itself dissipates `transition_energy` (cache
-/// flush, rail ramp, context save/restore). A state only pays off when
-/// the idle gap exceeds its [break-even time](Self::break_even).
+/// flush, rail ramp, context save/restore).
 #[derive(Debug, Clone, PartialEq)]
 pub struct IdleState {
     name: &'static str,
@@ -210,31 +209,6 @@ impl IdleState {
     /// Round-trip latency overhead: entry plus exit.
     pub fn overhead(&self) -> Seconds {
         self.entry_latency + self.exit_latency
-    }
-
-    /// The break-even gap length against active draw `active`: the
-    /// shortest idle gap for which entering the state saves energy.
-    ///
-    /// During a gap of length `g` the state spends
-    /// `active·(entry+exit) + E_tr + P_idle·(g − entry − exit)` versus
-    /// `active·g` for staying up, so the saving goes positive at
-    /// `g = (entry+exit) + E_tr/(active − P_idle)` — floored at the
-    /// state's minimum residency plus exit latency. When `active` does
-    /// not exceed the state's own power, the state never pays off and
-    /// the break-even is infinite.
-    pub fn break_even(&self, active: Watts) -> Seconds {
-        let margin = active.value() - self.power.value();
-        if margin <= 0.0 {
-            return Seconds::new(f64::INFINITY);
-        }
-        let payback = self.transition_energy.value() / margin;
-        Seconds::new(self.overhead().value() + payback.max(self.min_residency.value()))
-    }
-
-    /// Whether an idle gap of length `gap` is worth entering the state
-    /// for, given active draw `active`.
-    pub fn worth_entering(&self, active: Watts, gap: Seconds) -> bool {
-        gap >= self.break_even(active)
     }
 }
 
@@ -344,27 +318,6 @@ mod tests {
         assert!(states[1].power() < states[0].power());
         assert!(states[1].overhead() > states[0].overhead());
         assert!(states[1].min_residency() > states[0].min_residency());
-    }
-
-    #[test]
-    fn break_even_magnitudes_are_sane() {
-        let active = Watts::new(2.5);
-        let states = odroid_xu4_idle_states();
-        let shallow = states[0].break_even(active);
-        let deep = states[1].break_even(active);
-        // Shallow: ~1–2 ms; deep: dominated by its 50 ms residency floor.
-        assert!(shallow.to_millis() > 1.0 && shallow.to_millis() < 3.0, "{shallow:?}");
-        assert!(deep.to_millis() > 60.0 && deep.to_millis() < 80.0, "{deep:?}");
-        assert!(deep > shallow);
-    }
-
-    #[test]
-    fn break_even_is_infinite_when_idle_draw_dominates() {
-        let states = odroid_xu4_idle_states();
-        // Active draw below the shallow state's own power: no payoff.
-        let be = states[0].break_even(Watts::new(1.0));
-        assert!(be.value().is_infinite());
-        assert!(!states[0].worth_entering(Watts::new(1.0), Seconds::new(1e9)));
     }
 
     #[test]

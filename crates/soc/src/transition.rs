@@ -211,21 +211,6 @@ pub fn transition_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::latency::{odroid_xu4_idle_states, IdleState};
-    use proptest::prelude::*;
-
-    /// Net energy saved by parking an idle gap of length `gap` in `state`
-    /// rather than staying up at active draw `active`: negative when the
-    /// gap is too short to amortize the state's transition overheads.
-    ///
-    /// This is the costing dual of [`IdleState::break_even`]: the saving
-    /// crosses zero exactly at the break-even gap (when the payback term
-    /// dominates the residency floor).
-    fn idle_savings(state: &IdleState, active: Watts, gap: Seconds) -> Joules {
-        let resident = Seconds::new((gap.value() - state.overhead().value()).max(0.0));
-        let margin = Watts::new(active.value() - state.power().value());
-        margin * resident - state.transition_energy()
-    }
 
     fn setup() -> (FrequencyTable, PowerModel, LatencyModel) {
         (FrequencyTable::paper_levels(), PowerModel::odroid_xu4(), LatencyModel::odroid_xu4())
@@ -343,76 +328,5 @@ mod tests {
             &latency
         )
         .is_err());
-    }
-
-    #[test]
-    fn idle_savings_cross_zero_at_break_even() {
-        // When the payback term dominates the residency floor, the net
-        // saving is exactly zero at the break-even gap.
-        let state = IdleState::new(
-            "test",
-            Watts::new(1.0),
-            Seconds::from_millis(2.0),
-            Seconds::from_millis(3.0),
-            Seconds::ZERO,
-            Joules::new(10e-3),
-        )
-        .unwrap();
-        let active = Watts::new(3.0);
-        let be = state.break_even(active);
-        assert!(idle_savings(&state, active, be).abs() < Joules::new(1e-12));
-        assert!(idle_savings(&state, active, be * 2.0) > Joules::ZERO);
-        assert!(idle_savings(&state, active, be * 0.5) < Joules::ZERO);
-    }
-
-    proptest! {
-        /// Satellite property: a gap shorter than break-even never
-        /// justifies entering the state, a longer one always does —
-        /// across the full grid of entry/exit latency combinations.
-        #[test]
-        fn break_even_splits_gaps_exactly(
-            entry_ms in 0.0f64..20.0,
-            exit_ms in 0.0f64..20.0,
-            residency_ms in 0.0f64..100.0,
-            energy_mj in 0.0f64..50.0,
-            idle_w in 0.2f64..2.0,
-            margin_w in 0.05f64..5.0,
-            ratio in 0.05f64..20.0,
-        ) {
-            let state = IdleState::new(
-                "prop",
-                Watts::new(idle_w),
-                Seconds::from_millis(entry_ms),
-                Seconds::from_millis(exit_ms),
-                Seconds::from_millis(residency_ms),
-                Joules::new(energy_mj * 1e-3),
-            ).unwrap();
-            let active = Watts::new(idle_w + margin_w);
-            let be = state.break_even(active);
-            prop_assert!(be.value().is_finite());
-            prop_assert!(be >= state.overhead());
-            let gap = be * ratio;
-            prop_assert_eq!(state.worth_entering(active, gap), ratio >= 1.0);
-            // Above break-even the saving is guaranteed non-negative
-            // (below it, a dominating residency floor may still leave a
-            // thin positive-saving band that the floor forbids using).
-            if ratio >= 1.0 {
-                prop_assert!(idle_savings(&state, active, gap) >= Joules::new(-1e-12));
-            }
-        }
-
-        /// An active draw at or below the state's own power never pays
-        /// off, no matter the gap.
-        #[test]
-        fn no_margin_means_never_enter(
-            idle_w in 0.2f64..2.0,
-            deficit in 0.0f64..1.0,
-            gap_s in 0.0f64..1e6,
-        ) {
-            for state in odroid_xu4_idle_states() {
-                let active = Watts::new((idle_w - deficit).max(0.0).min(state.power().value()));
-                prop_assert!(!state.worth_entering(active, Seconds::new(gap_s)));
-            }
-        }
     }
 }

@@ -62,8 +62,8 @@ fn golden_adaptive_artifacts_are_stable() {
         include_str!("golden/campaign_adaptive_summary.csv"),
         &summary,
     );
-    // The checked-in wire artifact (with its summary section) must
-    // decode back to today's probe report bitwise.
+    // The checked-in wire artifact (digest line included) must decode
+    // back to today's probe report bitwise.
     if std::env::var_os("PN_BLESS").is_none() {
         let decoded =
             persist::report_from_str(include_str!("golden/campaign_adaptive.pnc")).unwrap();

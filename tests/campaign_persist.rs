@@ -56,9 +56,22 @@ fn golden_csv_artifact_is_stable() {
     assert_matches_golden("campaign_smoke.csv", include_str!("golden/campaign_smoke.csv"), &csv);
 }
 
+/// Every cell line of a report document begins with the cell's
+/// campaign CSV row, byte for byte: the first 23 of its 29 columns.
+fn assert_cell_lines_extend_csv_rows(wire: &str, report: &CampaignReport) {
+    let cell_lines: Vec<&str> = wire.lines().filter(|l| l.contains(',')).collect();
+    assert_eq!(cell_lines.len(), report.len());
+    for (line, c) in cell_lines.iter().zip(report.cells()) {
+        let columns: Vec<&str> = line.split(',').collect();
+        assert_eq!(columns.len(), 29, "{line}");
+        assert_eq!(columns[..23].join(","), persist::csv_row(c), "{line}");
+    }
+}
+
 #[test]
 fn golden_wire_artifact_is_stable_and_decodes() {
     let wire = persist::report_to_string(smoke_report());
+    assert_cell_lines_extend_csv_rows(&wire, smoke_report());
     assert_matches_golden("campaign_smoke.pnc", include_str!("golden/campaign_smoke.pnc"), &wire);
     // The checked-in artifact must decode back to today's report
     // bitwise — serialization never loses precision.
@@ -135,6 +148,7 @@ fn golden_stress_artifacts_pin_throttle_then_recover() {
     let csv = persist::report_csv_string(&report).unwrap();
     assert_matches_golden("campaign_stress.csv", include_str!("golden/campaign_stress.csv"), &csv);
     let wire = persist::report_to_string(&report);
+    assert_cell_lines_extend_csv_rows(&wire, &report);
     assert_matches_golden("campaign_stress.pnc", include_str!("golden/campaign_stress.pnc"), &wire);
     if std::env::var_os("PN_BLESS").is_none() {
         let decoded =
