@@ -6,13 +6,16 @@
 
 use crate::series::SeriesView;
 
-/// Chart geometry and labelling.
+/// Plot width in characters (excluding the axis gutter).
+const WIDTH: usize = 72;
+/// Plot height in rows.
+const HEIGHT: usize = 16;
+/// Length of a bar chart's largest bar, in blocks.
+const BAR_WIDTH: usize = 50;
+
+/// Chart labelling; every chart plots 72×16 characters.
 #[derive(Debug, Clone)]
 pub struct ChartOptions {
-    /// Plot width in characters (excluding the axis gutter).
-    pub width: usize,
-    /// Plot height in rows.
-    pub height: usize,
     /// Chart title printed above the plot.
     pub title: String,
     /// Y-axis label.
@@ -22,11 +25,9 @@ pub struct ChartOptions {
 }
 
 impl ChartOptions {
-    /// A reasonable default: 72×16 characters.
+    /// A chart titled `title`, with no y label and `t` on the x axis.
     pub fn new(title: impl Into<String>) -> Self {
         Self {
-            width: 72,
-            height: 16,
             title: title.into(),
             y_label: String::new(),
             x_label: "t".into(),
@@ -77,13 +78,13 @@ where
     let v_span = if (v_max - v_min).abs() < 1e-12 { 1.0 } else { v_max - v_min };
     let t_span = if (t_max - t_min).abs() < 1e-12 { 1.0 } else { t_max - t_min };
 
-    let (w, h) = (options.width, options.height);
+    let (w, h) = (WIDTH, HEIGHT);
     let mut grid = vec![vec![' '; w]; h];
     for (si, s) in populated.iter().enumerate() {
         let glyph = GLYPHS[si % GLYPHS.len()];
         #[allow(clippy::needless_range_loop)] // each column lands in a different row
         for col in 0..w {
-            let t = t_min + t_span * col as f64 / (w - 1).max(1) as f64;
+            let t = t_min + t_span * col as f64 / (w - 1) as f64;
             if let Ok(v) = s.sample(t) {
                 let norm = ((v - v_min) / v_span).clamp(0.0, 1.0);
                 let row = ((1.0 - norm) * (h - 1) as f64).round() as usize;
@@ -111,7 +112,7 @@ where
         t_min,
         t_max,
         options.x_label,
-        width = w.saturating_sub(12)
+        width = w - 12
     ));
     let legend: Vec<String> = populated
         .iter()
@@ -126,9 +127,10 @@ where
     out
 }
 
-/// Renders a horizontal bar chart from `(label, value)` pairs — used
-/// for the Fig. 13 residency histogram and Table-style comparisons.
-pub fn bar_chart(rows: &[(String, f64)], width: usize, title: &str) -> String {
+/// Renders a horizontal bar chart from `(label, value)` pairs, the
+/// largest bar 50 blocks long — used for the Fig. 13 residency
+/// histogram.
+pub fn bar_chart(rows: &[(String, f64)], title: &str) -> String {
     if rows.is_empty() {
         return String::new();
     }
@@ -136,7 +138,7 @@ pub fn bar_chart(rows: &[(String, f64)], width: usize, title: &str) -> String {
     let label_w = rows.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
     let mut out = format!("  {title}\n");
     for (label, value) in rows {
-        let bar_len = ((value / max) * width as f64).round().max(0.0) as usize;
+        let bar_len = ((value / max) * BAR_WIDTH as f64).round().max(0.0) as usize;
         out.push_str(&format!(
             "  {label:<label_w$} │{} {value:.4}\n",
             "█".repeat(bar_len),
@@ -177,14 +179,15 @@ mod tests {
     #[test]
     fn bar_chart_scales_to_max() {
         let rows = vec![("a".to_string(), 1.0), ("bb".to_string(), 2.0)];
-        let text = bar_chart(&rows, 10, "bars");
+        let text = bar_chart(&rows, "bars");
         assert!(text.contains("bars"));
-        // The largest bar is 10 blocks.
-        assert!(text.contains(&"█".repeat(10)));
+        // The largest bar is the full width, the other half of it.
+        assert!(text.contains(&format!("bb │{} 2", "█".repeat(BAR_WIDTH))));
+        assert!(text.contains(&format!("a  │{} 1", "█".repeat(BAR_WIDTH / 2))));
     }
 
     #[test]
     fn bar_chart_empty_is_empty() {
-        assert!(bar_chart(&[], 10, "x").is_empty());
+        assert!(bar_chart(&[], "x").is_empty());
     }
 }

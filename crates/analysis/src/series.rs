@@ -202,16 +202,6 @@ impl TimeSeries {
         Self { name: name.into(), times: Vec::new(), values: Vec::new() }
     }
 
-    /// Creates an empty series with pre-allocated room for `capacity`
-    /// samples.
-    pub fn with_capacity(name: impl Into<String>, capacity: usize) -> Self {
-        Self {
-            name: name.into(),
-            times: Vec::with_capacity(capacity),
-            values: Vec::with_capacity(capacity),
-        }
-    }
-
     /// Creates a series from parallel sample vectors.
     ///
     /// # Errors

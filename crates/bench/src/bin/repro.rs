@@ -337,7 +337,7 @@ fn fig13() -> Result<(), Box<dyn Error>> {
         .filter(|(_, frac)| *frac > 1e-6)
         .map(|(v, frac)| (format!("{v:.2} V"), *frac))
         .collect();
-    println!("{}", bar_chart(&bars, 50, "fraction of time at each operating voltage"));
+    println!("{}", bar_chart(&bars, "fraction of time at each operating voltage"));
 
     compare("MPP voltage (V)", "5.3", format!("{:.2}", fig.mpp_voltage));
     compare("modal operating voltage (V)", "≈5.3 (at MPP)", format!("{:.2}", fig.modal_voltage));

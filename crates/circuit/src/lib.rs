@@ -5,10 +5,12 @@
 //! simulates the closed loop in Matlab-Simulink with the `ode23` solver.
 //! This crate rebuilds that substrate from scratch:
 //!
-//! * [`newton`] — a safeguarded Newton–Raphson scalar root finder (the
-//!   single-diode equation is implicit in the cell current),
-//! * [`ode`] — the adaptive Bogacki–Shampine 2(3) pair ([`ode::Rk23`],
-//!   the same method family as Matlab `ode23`) and exact level
+//! * [`newton`] — a safeguarded Newton–Raphson scalar root finder at
+//!   fixed tolerances (the single-diode equation is implicit in the
+//!   cell current),
+//! * [`ode`] — the adaptive Bogacki–Shampine 2(3) pair on one scalar
+//!   state ([`ode::Rk23`], the same method family as Matlab `ode23`;
+//!   the engine integrates only the buffer node) and exact level
 //!   crossings on monotone pieces (the replacement for Simulink's
 //!   zero-crossing detection): those of a step's cubic dense output
 //!   ([`ode::StepCubic`]), or of any signal cut into monotone pieces

@@ -8,42 +8,21 @@
 
 use crate::CircuitError;
 
-/// Configuration for [`solve`] and [`solve_bracketed`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NewtonOptions {
-    /// Absolute tolerance on the residual `|f(x)|`.
-    pub residual_tolerance: f64,
-    /// Absolute tolerance on the step `|Δx|`.
-    pub step_tolerance: f64,
-    /// Maximum number of iterations before giving up.
-    pub max_iterations: usize,
-}
+// Tuned for the PV operating-point solve, the only one there is: a
+// tight residual (sub-microamp) with a generous iteration budget.
 
-impl NewtonOptions {
-    /// Defaults tuned for the PV operating-point solve: tight residual
-    /// (sub-microamp) with a generous iteration budget.
-    pub fn new() -> Self {
-        Self {
-            residual_tolerance: 1e-10,
-            step_tolerance: 1e-12,
-            max_iterations: 64,
-        }
-    }
-}
-
-impl Default for NewtonOptions {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Absolute tolerance on the residual `|f(x)|`.
+pub(crate) const RESIDUAL_TOLERANCE: f64 = 1e-10;
+/// Absolute tolerance on the step `|Δx|`.
+const STEP_TOLERANCE: f64 = 1e-12;
+/// Iterations before giving up.
+const MAX_ITERATIONS: usize = 64;
 
 /// Result of a successful root solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NewtonSolution {
     /// The root estimate.
     pub root: f64,
-    /// Residual `|f(root)|`.
-    pub residual: f64,
     /// Iterations consumed.
     pub iterations: usize,
 }
@@ -60,11 +39,11 @@ pub struct NewtonSolution {
 /// # Examples
 ///
 /// ```
-/// use pn_circuit::newton::{solve, NewtonOptions};
+/// use pn_circuit::newton::solve;
 ///
 /// # fn main() -> Result<(), pn_circuit::CircuitError> {
 /// // sqrt(2) as the positive root of x² − 2.
-/// let sol = solve(|x| (x * x - 2.0, 2.0 * x), 1.0, NewtonOptions::new())?;
+/// let sol = solve(|x| (x * x - 2.0, 2.0 * x), 1.0)?;
 /// assert!((sol.root - 2f64.sqrt()).abs() < 1e-10);
 /// # Ok(())
 /// # }
@@ -72,15 +51,14 @@ pub struct NewtonSolution {
 pub fn solve(
     mut f_df: impl FnMut(f64) -> (f64, f64),
     x0: f64,
-    options: NewtonOptions,
 ) -> Result<NewtonSolution, CircuitError> {
     let mut x = x0;
     let mut last_residual = f64::INFINITY;
-    for iteration in 0..options.max_iterations {
+    for iteration in 0..MAX_ITERATIONS {
         let (fx, dfx) = f_df(x);
         last_residual = fx.abs();
-        if last_residual <= options.residual_tolerance {
-            return Ok(NewtonSolution { root: x, residual: last_residual, iterations: iteration });
+        if last_residual <= RESIDUAL_TOLERANCE {
+            return Ok(NewtonSolution { root: x, iterations: iteration });
         }
         if !fx.is_finite() || !dfx.is_finite() || dfx == 0.0 {
             break;
@@ -90,19 +68,14 @@ pub fn solve(
         if !x.is_finite() {
             break;
         }
-        if step.abs() <= options.step_tolerance {
-            let (fx, _) = f_df(x);
-            return Ok(NewtonSolution {
-                root: x,
-                residual: fx.abs(),
-                iterations: iteration + 1,
-            });
+        if step.abs() <= STEP_TOLERANCE {
+            return Ok(NewtonSolution { root: x, iterations: iteration + 1 });
         }
     }
     Err(CircuitError::SolveDiverged {
         last: x,
         residual: last_residual,
-        iterations: options.max_iterations,
+        iterations: MAX_ITERATIONS,
     })
 }
 
@@ -122,10 +95,10 @@ pub fn solve(
 /// # Examples
 ///
 /// ```
-/// use pn_circuit::newton::{solve_bracketed, NewtonOptions};
+/// use pn_circuit::newton::solve_bracketed;
 ///
 /// # fn main() -> Result<(), pn_circuit::CircuitError> {
-/// let sol = solve_bracketed(|x| (x.exp() - 3.0, x.exp()), 0.0, 2.0, NewtonOptions::new())?;
+/// let sol = solve_bracketed(|x| (x.exp() - 3.0, x.exp()), 0.0, 2.0)?;
 /// assert!((sol.root - 3f64.ln()).abs() < 1e-10);
 /// # Ok(())
 /// # }
@@ -134,16 +107,15 @@ pub fn solve_bracketed(
     mut f_df: impl FnMut(f64) -> (f64, f64),
     a: f64,
     b: f64,
-    options: NewtonOptions,
 ) -> Result<NewtonSolution, CircuitError> {
     let (mut lo, mut hi) = if a <= b { (a, b) } else { (b, a) };
     let (f_lo, _) = f_df(lo);
     let (f_hi, _) = f_df(hi);
     if f_lo == 0.0 {
-        return Ok(NewtonSolution { root: lo, residual: 0.0, iterations: 0 });
+        return Ok(NewtonSolution { root: lo, iterations: 0 });
     }
     if f_hi == 0.0 {
-        return Ok(NewtonSolution { root: hi, residual: 0.0, iterations: 0 });
+        return Ok(NewtonSolution { root: hi, iterations: 0 });
     }
     if f_lo.signum() == f_hi.signum() {
         return Err(CircuitError::BracketInvalid { a: lo, b: hi });
@@ -153,11 +125,11 @@ pub fn solve_bracketed(
     let sign_lo = f_lo.signum();
     let mut x = 0.5 * (lo + hi);
     let mut last_residual = f64::INFINITY;
-    for iteration in 0..options.max_iterations {
+    for iteration in 0..MAX_ITERATIONS {
         let (fx, dfx) = f_df(x);
         last_residual = fx.abs();
-        if last_residual <= options.residual_tolerance || (hi - lo) <= options.step_tolerance {
-            return Ok(NewtonSolution { root: x, residual: last_residual, iterations: iteration });
+        if last_residual <= RESIDUAL_TOLERANCE || (hi - lo) <= STEP_TOLERANCE {
+            return Ok(NewtonSolution { root: x, iterations: iteration });
         }
         // Maintain the bracket.
         if fx.signum() == sign_lo {
@@ -180,7 +152,7 @@ pub fn solve_bracketed(
     Err(CircuitError::SolveDiverged {
         last: x,
         residual: last_residual,
-        iterations: options.max_iterations,
+        iterations: MAX_ITERATIONS,
     })
 }
 
@@ -191,7 +163,7 @@ mod tests {
 
     #[test]
     fn plain_newton_finds_sqrt() {
-        let sol = solve(|x| (x * x - 9.0, 2.0 * x), 1.0, NewtonOptions::new()).unwrap();
+        let sol = solve(|x| (x * x - 9.0, 2.0 * x), 1.0).unwrap();
         assert!((sol.root - 3.0).abs() < 1e-10);
         assert!(sol.iterations < 20);
     }
@@ -203,32 +175,32 @@ mod tests {
         let err = solve(
             |x| (x.signum() * x.abs().powf(1.0 / 3.0), (1.0 / 3.0) * x.abs().powf(-2.0 / 3.0)),
             1.0,
-            NewtonOptions { max_iterations: 30, ..NewtonOptions::new() },
         )
         .unwrap_err();
         match err {
-            CircuitError::SolveDiverged { iterations, .. } => assert_eq!(iterations, 30),
+            CircuitError::SolveDiverged { iterations, .. } => {
+                assert_eq!(iterations, MAX_ITERATIONS)
+            }
             other => panic!("unexpected error {other:?}"),
         }
     }
 
     #[test]
     fn bracketed_rejects_same_sign_endpoints() {
-        let err =
-            solve_bracketed(|x| (x * x + 1.0, 2.0 * x), -1.0, 1.0, NewtonOptions::new()).unwrap_err();
+        let err = solve_bracketed(|x| (x * x + 1.0, 2.0 * x), -1.0, 1.0).unwrap_err();
         assert!(matches!(err, CircuitError::BracketInvalid { .. }));
     }
 
     #[test]
     fn bracketed_survives_bad_derivative() {
         // Derivative reported as zero everywhere: must fall back to bisection.
-        let sol = solve_bracketed(|x| (x - 0.25, 0.0), 0.0, 1.0, NewtonOptions::new()).unwrap();
+        let sol = solve_bracketed(|x| (x - 0.25, 0.0), 0.0, 1.0).unwrap();
         assert!((sol.root - 0.25).abs() < 1e-9);
     }
 
     #[test]
     fn bracketed_handles_reversed_endpoints() {
-        let sol = solve_bracketed(|x| (x - 0.5, 1.0), 1.0, 0.0, NewtonOptions::new()).unwrap();
+        let sol = solve_bracketed(|x| (x - 0.5, 1.0), 1.0, 0.0).unwrap();
         assert!((sol.root - 0.5).abs() < 1e-9);
     }
 
@@ -241,7 +213,7 @@ mod tests {
             evaluations += 1;
             (x.exp() - 3.0, x.exp())
         };
-        let sol = solve_bracketed(f, 0.0, 2.0, NewtonOptions::new()).unwrap();
+        let sol = solve_bracketed(f, 0.0, 2.0).unwrap();
         assert!(evaluations <= sol.iterations + 3, "{evaluations} for {sol:?}");
         // The root the solver returned when it also re-evaluated f(lo)
         // at every iteration.
@@ -250,7 +222,7 @@ mod tests {
 
     #[test]
     fn exact_endpoint_root_is_returned_immediately() {
-        let sol = solve_bracketed(|x| (x, 1.0), 0.0, 1.0, NewtonOptions::new()).unwrap();
+        let sol = solve_bracketed(|x| (x, 1.0), 0.0, 1.0).unwrap();
         assert_eq!(sol.root, 0.0);
         assert_eq!(sol.iterations, 0);
     }
@@ -259,18 +231,13 @@ mod tests {
         #[test]
         fn bracketed_finds_roots_of_shifted_exponential(target in 0.05f64..20.0) {
             // Root of e^x − target on a wide bracket.
-            let sol = solve_bracketed(
-                |x| (x.exp() - target, x.exp()),
-                -5.0,
-                5.0,
-                NewtonOptions::new(),
-            ).unwrap();
+            let sol = solve_bracketed(|x| (x.exp() - target, x.exp()), -5.0, 5.0).unwrap();
             prop_assert!((sol.root - target.ln()).abs() < 1e-8);
         }
 
         #[test]
         fn plain_newton_square_roots(target in 0.01f64..1e6) {
-            let sol = solve(|x| (x * x - target, 2.0 * x), target.max(1.0), NewtonOptions::new()).unwrap();
+            let sol = solve(|x| (x * x - target, 2.0 * x), target.max(1.0)).unwrap();
             prop_assert!((sol.root - target.sqrt()).abs() < 1e-6 * (1.0 + target.sqrt()));
         }
     }

@@ -15,71 +15,42 @@
 //! crossings and band residency on monotone pieces from any source
 //! (the step cubic here, a piecewise-linear waveform elsewhere).
 //!
-//! The solver operates on fixed-size state vectors `[f64; N]`; the
-//! power-neutral co-simulation only needs `N = 1` (the PV array's
-//! junction voltage `V_d = VC + R_s·I` under the exact supply model, in
-//! which the single-diode equation is explicit, and the buffer-capacitor
-//! voltage `VC` under the interpolated one), but it is written for
-//! arbitrary small systems and is tested on 2-dimensional oscillators.
-//! The engine integrates only between the discrete events that change
-//! the load, and re-expresses each accepted step in `VC` from its stage
-//! values for event location.
+//! The solver integrates one scalar state, the only one the
+//! power-neutral co-simulation has: the PV array's junction voltage
+//! `V_d = VC + R_s·I` under the exact supply model, in which the
+//! single-diode equation is explicit, and the buffer-capacitor voltage
+//! `VC` under the interpolated one. The engine integrates only between
+//! the discrete events that change the load, and re-expresses each
+//! accepted step in `VC` from its stage values for event location.
 
 use crate::CircuitError;
 
-/// Right-hand side of an ODE system `dy/dt = f(t, y)`.
-///
-/// Implemented for all closures of the matching signature; a named trait
-/// keeps solver signatures readable.
-pub trait OdeSystem<const N: usize> {
-    /// Evaluates the derivative at time `t` and state `y`.
-    fn eval(&mut self, t: f64, y: &[f64; N]) -> [f64; N];
-}
+/// Smallest step the controller may take before reporting underflow,
+/// seconds: the same as the event-location resolution,
+/// [`CROSSING_TOLERANCE`].
+pub const MIN_STEP: f64 = 1e-9;
 
-impl<F, const N: usize> OdeSystem<N> for F
-where
-    F: FnMut(f64, &[f64; N]) -> [f64; N],
-{
-    fn eval(&mut self, t: f64, y: &[f64; N]) -> [f64; N] {
-        self(t, y)
-    }
-}
+/// The first step a fresh solver tries, seconds. The controller grows
+/// or shrinks it from there.
+const INITIAL_STEP: f64 = 1e-4;
 
-fn axpy<const N: usize>(y: &[f64; N], h: f64, k: &[f64; N]) -> [f64; N] {
-    let mut out = *y;
-    for i in 0..N {
-        out[i] += h * k[i];
-    }
-    out
-}
-
-/// Tolerances and step bounds for the adaptive [`Rk23`] solver.
+/// Tolerances and the step ceiling for the adaptive [`Rk23`] solver.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveOptions {
     /// Relative error tolerance.
     pub rtol: f64,
     /// Absolute error tolerance.
     pub atol: f64,
-    /// Smallest step the controller may take before reporting underflow.
-    pub min_step: f64,
     /// Largest step the controller may take (caps how far the simulation
     /// can coast past environment breakpoints).
     pub max_step: f64,
-    /// Initial step size guess.
-    pub initial_step: f64,
 }
 
 impl AdaptiveOptions {
-    /// Defaults matched to the power-neutral co-simulation: millivolt
-    /// accuracy on a volts-scale state with steps between 1 µs and 50 ms.
-    pub fn new() -> Self {
-        Self { rtol: 1e-6, atol: 1e-8, min_step: 1e-9, max_step: 5e-2, initial_step: 1e-4 }
-    }
-
-    /// Sets the maximum step (builder style).
-    pub fn with_max_step(mut self, max_step: f64) -> Self {
-        self.max_step = max_step;
-        self
+    /// Steps of up to `max_step`, seconds, at default tolerances:
+    /// millivolt accuracy on a volts-scale state.
+    pub fn new(max_step: f64) -> Self {
+        Self { rtol: 1e-6, atol: 1e-8, max_step }
     }
 
     /// Sets the tolerances (builder style).
@@ -90,40 +61,32 @@ impl AdaptiveOptions {
     }
 }
 
-impl Default for AdaptiveOptions {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// One accepted adaptive step, including the data needed for dense
 /// output on the step interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AcceptedStep<const N: usize> {
+pub struct AcceptedStep {
     /// Step start time.
     pub t0: f64,
     /// Step end time.
     pub t1: f64,
     /// State at `t0`.
-    pub y0: [f64; N],
+    pub y0: f64,
     /// State at `t1`.
-    pub y1: [f64; N],
+    pub y1: f64,
     /// Derivative at `t0`.
-    pub f0: [f64; N],
+    pub f0: f64,
     /// Derivative at `t1`.
-    pub f1: [f64; N],
-    /// Local error estimate (scaled norm; ≤ 1 means accepted).
-    pub error_norm: f64,
+    pub f1: f64,
 }
 
-impl<const N: usize> AcceptedStep<N> {
+impl AcceptedStep {
     /// Cubic Hermite interpolation of the state at `t ∈ [t0, t1]`.
     ///
     /// # Panics
     ///
     /// Panics if `t` lies outside the step interval by more than a
     /// floating-point sliver.
-    pub fn interpolate(&self, t: f64) -> [f64; N] {
+    pub fn interpolate(&self, t: f64) -> f64 {
         let h = self.t1 - self.t0;
         if h == 0.0 {
             return self.y1;
@@ -142,11 +105,7 @@ impl<const N: usize> AcceptedStep<N> {
         let h10 = s3 - 2.0 * s2 + s;
         let h01 = -2.0 * s3 + 3.0 * s2;
         let h11 = s3 - s2;
-        let mut out = [0.0; N];
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = h00 * self.y0[i] + h10 * h * self.f0[i] + h01 * self.y1[i] + h11 * h * self.f1[i];
-        }
-        out
+        h00 * self.y0 + h10 * h * self.f0 + h01 * self.y1 + h11 * h * self.f1
     }
 }
 
@@ -233,7 +192,7 @@ fn monotone_time_in_band(
 /// on the interpolant the caller reads.
 #[derive(Debug, Clone, Copy)]
 pub struct StepCubic {
-    step: AcceptedStep<1>,
+    step: AcceptedStep,
     /// `(b, c, d)`.
     coef: [f64; 3],
     /// Piece ends `(t, y)`: `t0`, the stationary points inside the
@@ -244,10 +203,10 @@ pub struct StepCubic {
 
 impl StepCubic {
     /// Computes the cubic's coefficients and stationary points.
-    pub fn new(step: &AcceptedStep<1>) -> Self {
+    pub fn new(step: &AcceptedStep) -> Self {
         let h = step.t1 - step.t0;
-        let (y0, b, d1) = (step.y0[0], h * step.f0[0], h * step.f1[0]);
-        let delta = step.y1[0] - y0;
+        let (y0, b, d1) = (step.y0, h * step.f0, h * step.f1);
+        let delta = step.y1 - y0;
         let (c, d) = (3.0 * delta - 2.0 * b - d1, b + d1 - 2.0 * delta);
         // Roots of b + 2c·s + 3d·s²; NaN where there are none.
         let mut roots = if d == 0.0 {
@@ -272,14 +231,14 @@ impl StepCubic {
                 cubic.len += 1;
             }
         }
-        cubic.knots[cubic.len] = (step.t1, step.y1[0]);
+        cubic.knots[cubic.len] = (step.t1, step.y1);
         cubic.len += 1;
         cubic
     }
 
     /// The dense output at `t`: [`AcceptedStep::interpolate`].
     fn value(&self, t: f64) -> f64 {
-        self.step.interpolate(t)[0]
+        self.step.interpolate(t)
     }
 
     /// The output's time derivative at `t`.
@@ -383,14 +342,14 @@ impl StepCubic {
 ///
 /// # fn main() -> Result<(), pn_circuit::CircuitError> {
 /// // dy/dt = -y, y(0) = 1  ⇒  y(1) = e⁻¹, one accepted step at a time.
-/// let mut solver = Rk23::new(AdaptiveOptions::new());
-/// let mut f = |_t: f64, y: &[f64; 1]| [-y[0]];
-/// let (mut t, mut y) = (0.0, [1.0]);
+/// let mut solver = Rk23::new(AdaptiveOptions::new(0.05));
+/// let mut f = |_t: f64, y: f64| -y;
+/// let (mut t, mut y) = (0.0, 1.0);
 /// while t < 1.0 {
-///     let step = solver.step(&mut f, t, &y, 1.0)?;
+///     let step = solver.step(&mut f, t, y, 1.0)?;
 ///     (t, y) = (step.t1, step.y1);
 /// }
-/// assert!((y[0] - (-1.0f64).exp()).abs() < 1e-5);
+/// assert!((y - (-1.0f64).exp()).abs() < 1e-5);
 /// # Ok(())
 /// # }
 /// ```
@@ -403,7 +362,7 @@ pub struct Rk23 {
 impl Rk23 {
     /// Creates a solver with the given options.
     pub fn new(options: AdaptiveOptions) -> Self {
-        Self { h: options.initial_step, options }
+        Self { h: INITIAL_STEP, options }
     }
 
     /// The solver options.
@@ -423,26 +382,27 @@ impl Rk23 {
         // differs enough that a full-size first step would be rejected
         // outright; half the estimate keeps most of the learned size
         // while making first-try acceptance the common case.
-        self.h = (0.5 * self.h).clamp(self.options.min_step, self.options.max_step);
+        self.h = (0.5 * self.h).clamp(MIN_STEP, self.options.max_step);
     }
 
-    /// Performs one accepted adaptive step from `(t, y)`, never stepping
-    /// past `t_limit`.
+    /// Performs one accepted adaptive step of `dy/dt = f(t, y)` from
+    /// `(t, y)`, never stepping past `t_limit`.
     ///
     /// # Errors
     ///
     /// * [`CircuitError::InvalidArgument`] if `t_limit <= t`,
     /// * [`CircuitError::StepSizeUnderflow`] if the error tolerance
-    ///   cannot be met at the minimum step size.
-    pub fn step<const N: usize>(
+    ///   cannot be met at the minimum step size, or the error estimate
+    ///   is not a number there.
+    pub fn step(
         &mut self,
-        system: &mut impl OdeSystem<N>,
+        mut f: impl FnMut(f64, f64) -> f64,
         t: f64,
-        y: &[f64; N],
+        y: f64,
         t_limit: f64,
-    ) -> Result<AcceptedStep<N>, CircuitError> {
-        let f0 = system.eval(t, y);
-        self.step_from(system, t, y, f0, t_limit)
+    ) -> Result<AcceptedStep, CircuitError> {
+        let f0 = f(t, y);
+        self.step_from(f, t, y, f0, t_limit)
     }
 
     /// [`Rk23::step`] with the derivative `f0 = f(t, y)` supplied. The
@@ -450,59 +410,52 @@ impl Rk23 {
     /// derivative at its end point, so a caller continuing from an
     /// accepted step's `(t1, y1)` on an unchanged right-hand side
     /// passes its `f1` and saves one evaluation per step. When `f0` is
-    /// bitwise `system.eval(t, y)` the step is bitwise that of
-    /// [`Rk23::step`].
+    /// bitwise `f(t, y)` the step is bitwise that of [`Rk23::step`].
     ///
     /// # Errors
     ///
     /// Same contract as [`Rk23::step`].
-    pub fn step_from<const N: usize>(
+    pub fn step_from(
         &mut self,
-        system: &mut impl OdeSystem<N>,
+        mut f: impl FnMut(f64, f64) -> f64,
         t: f64,
-        y: &[f64; N],
-        f0: [f64; N],
+        y: f64,
+        f0: f64,
         t_limit: f64,
-    ) -> Result<AcceptedStep<N>, CircuitError> {
+    ) -> Result<AcceptedStep, CircuitError> {
         if !(t_limit > t) {
             return Err(CircuitError::InvalidArgument("t_limit must exceed t"));
         }
         let opts = self.options;
-        let mut h = self.h.clamp(opts.min_step, opts.max_step).min(t_limit - t);
+        let mut h = self.h.clamp(MIN_STEP, opts.max_step).min(t_limit - t);
         loop {
             // Bogacki–Shampine tableau.
             let k1 = f0;
-            let k2 = system.eval(t + 0.5 * h, &axpy(y, 0.5 * h, &k1));
-            let k3 = system.eval(t + 0.75 * h, &axpy(y, 0.75 * h, &k2));
-            let mut y1 = *y;
-            for i in 0..N {
-                y1[i] += h * (2.0 / 9.0 * k1[i] + 1.0 / 3.0 * k2[i] + 4.0 / 9.0 * k3[i]);
-            }
-            let k4 = system.eval(t + h, &y1);
+            let k2 = f(t + 0.5 * h, y + 0.5 * h * k1);
+            let k3 = f(t + 0.75 * h, y + 0.75 * h * k2);
+            let y1 = y + h * (2.0 / 9.0 * k1 + 1.0 / 3.0 * k2 + 4.0 / 9.0 * k3);
+            let k4 = f(t + h, y1);
             // Embedded 2nd-order solution for the error estimate.
-            let mut error_norm: f64 = 0.0;
-            for i in 0..N {
-                let z = y[i]
-                    + h * (7.0 / 24.0 * k1[i] + 0.25 * k2[i] + 1.0 / 3.0 * k3[i] + 0.125 * k4[i]);
-                let scale = opts.atol + opts.rtol * y[i].abs().max(y1[i].abs());
-                error_norm = error_norm.max(((y1[i] - z) / scale).abs());
-            }
-            if error_norm <= 1.0 || h <= opts.min_step {
-                if error_norm > 1.0 && h <= opts.min_step {
-                    // Accept anyway but only if the absolute error is
-                    // small; otherwise report underflow.
-                    if error_norm > 1e3 {
-                        return Err(CircuitError::StepSizeUnderflow { t, step: h });
-                    }
+            let z = y + h * (7.0 / 24.0 * k1 + 0.25 * k2 + 1.0 / 3.0 * k3 + 0.125 * k4);
+            let scale = opts.atol + opts.rtol * y.abs().max(y1.abs());
+            // NaN when the right-hand side was: rejected below.
+            let error_norm = ((y1 - z) / scale).abs();
+            if error_norm <= 1.0 || h <= MIN_STEP {
+                // At the minimum step a step is accepted anyway if its
+                // error is within three orders of the tolerance;
+                // otherwise, or when there is no error estimate, the
+                // tolerance is out of reach.
+                if !(error_norm <= 1e3) {
+                    return Err(CircuitError::StepSizeUnderflow { t, step: h });
                 }
                 // Step accepted: update the stored step estimate for the
                 // next call.
-                self.h = (h * growth(error_norm)).clamp(opts.min_step, opts.max_step);
-                return Ok(AcceptedStep { t0: t, t1: t + h, y0: *y, y1, f0: k1, f1: k4, error_norm });
+                self.h = (h * growth(error_norm)).clamp(MIN_STEP, opts.max_step);
+                return Ok(AcceptedStep { t0: t, t1: t + h, y0: y, y1, f0: k1, f1: k4 });
             }
-            // Step rejected: shrink and retry.
+            // Step rejected (NaN included): shrink and retry.
             let shrink = (0.9 / error_norm.cbrt()).clamp(0.2, 0.9);
-            h = (h * shrink).max(opts.min_step);
+            h = (h * shrink).max(MIN_STEP);
         }
     }
 }
@@ -549,120 +502,124 @@ mod tests {
         }
     }
 
-    fn exp_decay(_t: f64, y: &[f64; 1]) -> [f64; 1] {
-        [-y[0]]
+    fn exp_decay(_t: f64, y: f64) -> f64 {
+        -y
     }
 
     /// Integrates from `t0` to `t_end` and returns the final state;
     /// each step's last stage serves as the next one's first.
-    fn integrate<const N: usize>(
+    fn integrate(
         solver: &mut Rk23,
-        system: &mut impl OdeSystem<N>,
+        mut f: impl FnMut(f64, f64) -> f64,
         t0: f64,
-        y0: [f64; N],
+        y0: f64,
         t_end: f64,
-    ) -> [f64; N] {
+    ) -> f64 {
         let (mut t, mut y) = (t0, y0);
-        let mut f = None;
+        let mut f1 = None;
         while t < t_end {
-            let f0 = f.unwrap_or_else(|| system.eval(t, &y));
-            let step = solver.step_from(system, t, &y, f0, t_end).unwrap();
-            (t, y, f) = (step.t1, step.y1, Some(step.f1));
+            let f0 = f1.unwrap_or_else(|| f(t, y));
+            let step = solver.step_from(&mut f, t, y, f0, t_end).unwrap();
+            (t, y, f1) = (step.t1, step.y1, Some(step.f1));
         }
         y
     }
 
     #[test]
     fn rk23_matches_analytic_exponential() {
-        let mut solver = Rk23::new(AdaptiveOptions::new().with_max_step(0.5));
-        let y = integrate(&mut solver, &mut exp_decay, 0.0, [1.0], 3.0);
-        assert!((y[0] - (-3.0f64).exp()).abs() < 1e-5);
+        let mut solver = Rk23::new(AdaptiveOptions::new(0.5));
+        let y = integrate(&mut solver, exp_decay, 0.0, 1.0, 3.0);
+        assert!((y - (-3.0f64).exp()).abs() < 1e-5);
     }
 
     #[test]
-    fn rk23_two_dimensional_oscillator_conserves_energy_approximately() {
-        // y'' = -y as a 2-system; energy drift must stay tiny over 10 periods.
-        let mut f = |_t: f64, y: &[f64; 2]| [y[1], -y[0]];
-        let mut solver =
-            Rk23::new(AdaptiveOptions::new().with_tolerances(1e-9, 1e-12).with_max_step(0.1));
-        let y = integrate(&mut solver, &mut f, 0.0, [1.0, 0.0], 20.0 * std::f64::consts::PI);
-        let energy = y[0] * y[0] + y[1] * y[1];
-        assert!((energy - 1.0).abs() < 1e-4, "energy drift {energy}");
+    fn a_nan_right_hand_side_is_rejected_down_to_underflow() {
+        // No error estimate exists: the step shrinks to the minimum
+        // and fails there rather than accepting a NaN state.
+        let mut solver = Rk23::new(AdaptiveOptions::new(5e-2));
+        let result = solver.step(|_, _| f64::NAN, 0.0, 1.0, 1.0);
+        assert!(
+            matches!(result, Err(CircuitError::StepSizeUnderflow { step, .. }) if step == MIN_STEP),
+            "{result:?}"
+        );
+        // Past the first stage only, too.
+        let result = solver.step(|t, y| if t > 0.0 { f64::NAN } else { -y }, 0.0, 1.0, 1.0);
+        assert!(matches!(result, Err(CircuitError::StepSizeUnderflow { .. })), "{result:?}");
     }
 
     #[test]
     fn notify_discontinuity_keeps_the_learned_step() {
-        let mut solver = Rk23::new(AdaptiveOptions::new());
+        let mut solver = Rk23::new(AdaptiveOptions::new(5e-2));
         // Let the controller grow the step on an easy problem.
-        integrate(&mut solver, &mut exp_decay, 0.0, [1.0], 2.0);
+        integrate(&mut solver, exp_decay, 0.0, 1.0, 2.0);
         let learned = solver.h;
-        assert!(learned > 10.0 * solver.options().initial_step, "step never grew: {learned}");
+        assert!(learned > 10.0 * INITIAL_STEP, "step never grew: {learned}");
         solver.notify_discontinuity();
         let kept = solver.h;
         assert!((kept - 0.5 * learned).abs() < 1e-15, "kept {kept} vs learned {learned}");
         // And the trimmed estimate stays within the configured bounds.
-        let mut tiny = Rk23::new(AdaptiveOptions::new());
+        let mut tiny = Rk23::new(AdaptiveOptions::new(5e-2));
         for _ in 0..100 {
             tiny.notify_discontinuity();
         }
-        assert!(tiny.h >= tiny.options().min_step);
+        assert!(tiny.h >= MIN_STEP);
     }
 
     #[test]
     fn rk23_respects_t_limit() {
-        let mut solver = Rk23::new(AdaptiveOptions::new());
-        let step = solver.step(&mut exp_decay, 0.0, &[1.0], 1e-6).unwrap();
+        let mut solver = Rk23::new(AdaptiveOptions::new(5e-2));
+        let step = solver.step(exp_decay, 0.0, 1.0, 1e-6).unwrap();
         assert!(step.t1 <= 1e-6 + 1e-18);
     }
 
     #[test]
     fn rk23_rejects_backwards_span() {
-        let mut solver = Rk23::new(AdaptiveOptions::new());
+        let mut solver = Rk23::new(AdaptiveOptions::new(5e-2));
         assert!(matches!(
-            solver.step(&mut exp_decay, 1.0, &[1.0], 0.0),
+            solver.step(exp_decay, 1.0, 1.0, 0.0),
             Err(CircuitError::InvalidArgument(_))
         ));
     }
 
     #[test]
     fn dense_output_endpoints_match() {
-        let mut solver = Rk23::new(AdaptiveOptions::new());
-        let step = solver.step(&mut exp_decay, 0.0, &[1.0], 0.5).unwrap();
+        let mut solver = Rk23::new(AdaptiveOptions::new(5e-2));
+        let step = solver.step(exp_decay, 0.0, 1.0, 0.5).unwrap();
         let at_start = step.interpolate(step.t0);
         let at_end = step.interpolate(step.t1);
-        assert!((at_start[0] - step.y0[0]).abs() < 1e-12);
-        assert!((at_end[0] - step.y1[0]).abs() < 1e-12);
+        assert!((at_start - step.y0).abs() < 1e-12);
+        assert!((at_end - step.y1).abs() < 1e-12);
     }
 
     #[test]
     fn dense_output_midpoint_accuracy() {
-        let mut solver = Rk23::new(AdaptiveOptions::new().with_max_step(0.2));
-        let step = solver.step(&mut exp_decay, 0.0, &[1.0], 0.2).unwrap();
+        let mut solver = Rk23::new(AdaptiveOptions::new(0.2));
+        let step = solver.step(exp_decay, 0.0, 1.0, 0.2).unwrap();
         let tm = 0.5 * (step.t0 + step.t1);
-        let interp = step.interpolate(tm)[0];
+        let interp = step.interpolate(tm);
         assert!((interp - (-tm).exp()).abs() < 1e-6);
     }
 
     /// A non-trivial 1-D system: forced, nonlinear and time-dependent.
-    fn forced(t: f64, y: &[f64; 1]) -> [f64; 1] {
-        [(3.0 * t).sin() - y[0] * y[0] * y[0]]
+    fn forced(t: f64, y: f64) -> f64 {
+        (3.0 * t).sin() - y * y * y
     }
 
     #[test]
     fn reusing_the_last_stage_is_bitwise_a_fresh_first_stage() {
-        let options = AdaptiveOptions::new().with_max_step(0.1);
+        let options = AdaptiveOptions::new(0.1);
         let (mut fresh, mut reused) = (Rk23::new(options), Rk23::new(options));
         let (mut a, mut b) = (Vec::new(), Vec::new());
-        let (mut t, mut y, mut f1) = (0.0, [0.5], None);
+        let (mut t, mut y, mut f1) = (0.0, 0.5, None);
         while t < 4.0 {
-            let step = fresh.step(&mut forced, t, &y, 4.0).unwrap();
+            let step = fresh.step(forced, t, y, 4.0).unwrap();
             (t, y) = (step.t1, step.y1);
             a.push(step);
         }
-        (t, y) = (0.0, [0.5]);
+        (t, y) = (0.0, 0.5);
         while t < 4.0 {
-            let f0 = f1.unwrap_or_else(|| forced(t, &y));
-            let step = reused.step_from(&mut forced, t, &y, f0, 4.0).unwrap();
+            let f0 = f1.unwrap_or_else(|| forced(t, y));
+            let step = reused.step_from(forced, t, y, f0, 4.0).unwrap();
             (t, y, f1) = (step.t1, step.y1, Some(step.f1));
             b.push(step);
         }
@@ -673,18 +630,18 @@ mod tests {
     #[test]
     fn a_reused_last_stage_leaves_three_evaluations_per_step() {
         let evaluations = std::cell::Cell::new(0);
-        let mut counted = |t: f64, y: &[f64; 1]| {
+        let mut counted = |t: f64, y: f64| {
             evaluations.set(evaluations.get() + 1);
             forced(t, y)
         };
         // Steps capped well below what the tolerance allows: none is
         // rejected, so each costs its three new stages and no more.
-        let options = AdaptiveOptions::new().with_tolerances(1e-4, 1e-6).with_max_step(0.01);
+        let options = AdaptiveOptions::new(0.01).with_tolerances(1e-4, 1e-6);
         let mut solver = Rk23::new(options);
-        let (mut t, mut y, mut steps) = (0.0, [0.5], 0);
-        let mut f0 = counted(t, &y);
+        let (mut t, mut y, mut steps) = (0.0, 0.5, 0);
+        let mut f0 = counted(t, y);
         while t < 4.0 {
-            let step = solver.step_from(&mut counted, t, &y, f0, 4.0).unwrap();
+            let step = solver.step_from(&mut counted, t, y, f0, 4.0).unwrap();
             (t, y, f0) = (step.t1, step.y1, step.f1);
             steps += 1;
         }
@@ -695,12 +652,12 @@ mod tests {
     /// Where the 10⁴-point sampled interpolant first reaches `level`
     /// from short of it, refined by bisection to a bracket `(lo, hi]`.
     fn sampled_first_crossing(
-        step: &AcceptedStep<1>,
+        step: &AcceptedStep,
         level: f64,
         rising: bool,
     ) -> Option<(f64, f64)> {
         let reached = |t: f64| {
-            let y = step.interpolate(t)[0];
+            let y = step.interpolate(t);
             if rising { y >= level } else { y <= level }
         };
         const N: usize = 10_000;
@@ -730,13 +687,12 @@ mod tests {
         let step = AcceptedStep {
             t0: 0.0,
             t1: 1.0,
-            y0: [0.0027],
-            y1: [1.7654],
-            f0: [-0.1173],
-            f1: [4.6427],
-            error_norm: 0.0,
+            y0: 0.0027,
+            y1: 1.7654,
+            f0: -0.1173,
+            f1: 4.6427,
         };
-        let signal = |t: f64| step.interpolate(t)[0];
+        let signal = |t: f64| step.interpolate(t);
         let cubic = StepCubic::new(&step);
         let down = cubic.first_crossing(0.0, CrossingDirection::Falling, 0.0).unwrap();
         let up = cubic.first_crossing(0.0, CrossingDirection::Rising, 0.0).unwrap();
@@ -767,18 +723,10 @@ mod tests {
         // dense output is p(s) = s(2s − 1)(s − 1) in s = (t − 10)/2:
         // above zero on (0, 1/2) with its top, ≈0.096 V, at s ≈ 0.211,
         // and below zero on (1/2, 1).
-        let step = AcceptedStep {
-            t0: 10.0,
-            t1: 12.0,
-            y0: [0.0],
-            y1: [0.0],
-            f0: [0.5],
-            f1: [0.5],
-            error_norm: 0.0,
-        };
+        let step = AcceptedStep { t0: 10.0, t1: 12.0, y0: 0.0, y1: 0.0, f0: 0.5, f1: 0.5 };
         let p = |s: f64| s * (2.0 * s - 1.0) * (s - 1.0);
         for s in [0.0, 0.2, 0.5, 0.9, 1.0] {
-            assert!((step.interpolate(10.0 + 2.0 * s)[0] - p(s)).abs() < 1e-15, "at {s}");
+            assert!((step.interpolate(10.0 + 2.0 * s) - p(s)).abs() < 1e-15, "at {s}");
         }
         let cubic = StepCubic::new(&step);
         let band_time = |t_end: f64, band: (f64, f64)| {
@@ -820,11 +768,10 @@ mod tests {
             let step = AcceptedStep {
                 t0,
                 t1: t0 + h,
-                y0: [ends[0]],
-                y1: [ends[1]],
-                f0: [slopes[0]],
-                f1: [slopes[1]],
-                error_norm: 0.0,
+                y0: ends[0],
+                y1: ends[1],
+                f0: slopes[0],
+                f1: slopes[1],
             };
             let direction =
                 if rising { CrossingDirection::Rising } else { CrossingDirection::Falling };
@@ -832,7 +779,7 @@ mod tests {
             let reference = sampled_first_crossing(&step, level, rising);
             prop_assert_eq!(found.is_some(), reference.is_some(), "{:?} vs {:?}", found, reference);
             if let (Some(t), Some((lo, hi))) = (found, reference) {
-                let y = step.interpolate(t)[0];
+                let y = step.interpolate(t);
                 prop_assert!(if rising { y >= level } else { y <= level }, "{} at {}", y, t);
                 prop_assert!(
                     t >= lo - 1e-12 && t - hi <= CROSSING_TOLERANCE,
@@ -843,11 +790,11 @@ mod tests {
 
         #[test]
         fn rk23_exponential_growth(rate in -2.0f64..2.0, t_end in 0.1f64..3.0) {
-            let mut f = move |_t: f64, y: &[f64; 1]| [rate * y[0]];
-            let mut solver = Rk23::new(AdaptiveOptions::new().with_max_step(0.25));
-            let y = integrate(&mut solver, &mut f, 0.0, [1.0], t_end);
+            let f = move |_t: f64, y: f64| rate * y;
+            let mut solver = Rk23::new(AdaptiveOptions::new(0.25));
+            let y = integrate(&mut solver, f, 0.0, 1.0, t_end);
             let exact = (rate * t_end).exp();
-            prop_assert!((y[0] - exact).abs() < 1e-4 * (1.0 + exact.abs()));
+            prop_assert!((y - exact).abs() < 1e-4 * (1.0 + exact.abs()));
         }
     }
 }

@@ -23,7 +23,7 @@
 //! * [`SolarCell::small_cell`] — the 250 cm² cell whose day-long output
 //!   trace appears in Fig. 1 (peak ≈ 1 W).
 
-use crate::newton::{solve, solve_bracketed, NewtonOptions, NewtonSolution};
+use crate::newton::{solve, solve_bracketed, NewtonSolution};
 use crate::CircuitError;
 use pn_units::{Amps, Ohms, Volts, Watts, WattsPerSquareMeter};
 
@@ -286,9 +286,9 @@ impl SolarCell {
 
     /// [`SolarCell::current_seeded`] returning the whole
     /// [`NewtonSolution`]: the root (the current in amps) and the
-    /// residual there. Both solves run with [`NewtonOptions::new`], so
-    /// when the residual is within its `residual_tolerance`, solving
-    /// the same `(v, g)` again seeded with this root returns the root
+    /// iterations spent. Both solves stop at the same residual
+    /// tolerance, so when the root's residual is within it, solving the
+    /// same `(v, g)` again seeded with this root returns the root
     /// unchanged.
     ///
     /// # Errors
@@ -317,7 +317,7 @@ impl SolarCell {
         };
         if let Some(seed) = seed {
             if seed.is_finite() {
-                if let Ok(sol) = solve(&mut residual, seed, NewtonOptions::new()) {
+                if let Ok(sol) = solve(&mut residual, seed) {
                     if sol.root.is_finite() {
                         return Ok(sol);
                     }
@@ -327,7 +327,7 @@ impl SolarCell {
         // Monotone decreasing residual: bracket generously on both sides.
         let hi = il + 1.0;
         let lo = -(20.0 * il.max(0.05) + vv.abs() / rp + 1.0);
-        solve_bracketed(&mut residual, lo, hi, NewtonOptions::new())
+        solve_bracketed(&mut residual, lo, hi)
     }
 
     /// The junction voltage `Vd = V + Rs·I` of the terminal operating
@@ -386,7 +386,7 @@ impl SolarCell {
         };
         // Voc is below n_vt·ln(il/i0 + 1) + a volt of slack.
         let upper = nvt * ((il / i0 + 1.0).ln()) + 1.0;
-        let sol = solve_bracketed(residual, 0.0, upper, NewtonOptions::new())?;
+        let sol = solve_bracketed(residual, 0.0, upper)?;
         Ok(Volts::new(sol.root))
     }
 
@@ -592,7 +592,7 @@ mod tests {
             let i = Amps::new(solved.root);
             let point = cell.at_junction(cell.junction_voltage(v, i), g);
             // `I(Vd) − I` is exactly the Newton residual at the root.
-            let tol = NewtonOptions::new().residual_tolerance;
+            let tol = crate::newton::RESIDUAL_TOLERANCE;
             prop_assert!((point.current - i).value().abs() <= tol, "{} vs {i}", point.current);
             let rs = cell.params().rs.value();
             let off = (point.voltage - v).value().abs();

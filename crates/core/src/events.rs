@@ -111,8 +111,9 @@ pub trait Governor {
     }
 
     /// CPU time consumed by one event handler invocation, used for the
-    /// Fig. 15 overhead accounting. The default matches a lightweight
-    /// kernel-governor callback.
+    /// Fig. 15 overhead accounting. The default, 30 µs, is an
+    /// assumption for a lightweight kernel-governor callback: the paper
+    /// measures no baseline governor's handler.
     fn handler_cost(&self) -> Seconds {
         Seconds::new(30e-6)
     }

@@ -179,9 +179,11 @@ impl Governor for PowerNeutralGovernor {
         true
     }
 
-    /// Interrupt-handler cost: read a GPIO, compute the response,
-    /// queue the OPP change and rewrite two pot wipers over SPI. The
-    /// paper measures the whole scheme at ≈0.104 % CPU (Fig. 15).
+    /// Interrupt-handler cost: read a GPIO, compute the response and
+    /// queue the OPP change; the engine adds the SPI rewrite of the two
+    /// pot wipers from the monitor's reprogram latency. An assumption:
+    /// the paper measures only the whole scheme's CPU share, ≈0.104 %
+    /// (Fig. 15), not a per-interrupt cost.
     fn handler_cost(&self) -> Seconds {
         Seconds::new(180e-6)
     }

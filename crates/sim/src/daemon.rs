@@ -1060,21 +1060,22 @@ pub struct JobStatus {
     pub total_cells: usize,
 }
 
-/// How a client call retries: attempt budget, per-phase deadlines,
-/// and a seeded exponential backoff with jitter. `Default` gives three
-/// attempts, a 5 s connect deadline, 30 s read / 10 s write deadlines,
-/// and 50 ms → 2 s backoff; [`RetryPolicy::no_retry`] keeps the
-/// deadlines but makes exactly one attempt.
+/// A client's deadline for establishing a TCP connection.
+const CLIENT_CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+/// A client's per-read deadline on an established connection.
+const CLIENT_READ_TIMEOUT: Duration = Duration::from_secs(30);
+/// A client's per-write deadline on an established connection.
+const CLIENT_WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How a client call retries: attempt budget and a seeded exponential
+/// backoff with jitter. `Default` gives three attempts and 50 ms → 2 s
+/// backoff; [`RetryPolicy::no_retry`] makes exactly one attempt. Every
+/// attempt connects within 5 s and then reads within 30 s and writes
+/// within 10 s.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total connection attempts (clamped to at least 1).
     pub attempts: u32,
-    /// Deadline for establishing a TCP connection.
-    pub connect_timeout: Duration,
-    /// Per-read deadline on an established connection.
-    pub read_timeout: Duration,
-    /// Per-write deadline on an established connection.
-    pub write_timeout: Duration,
     /// First backoff pause (doubles per retry, jittered ×[0.5, 1.5)).
     pub base_backoff: Duration,
     /// Backoff ceiling.
@@ -1087,9 +1088,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         Self {
             attempts: 3,
-            connect_timeout: Duration::from_secs(5),
-            read_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(10),
             base_backoff: Duration::from_millis(50),
             max_backoff: Duration::from_secs(2),
             seed: 0,
@@ -1098,8 +1096,7 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// One attempt, default deadlines: the behaviour of the plain
-    /// client helpers.
+    /// One attempt: the behaviour of the plain client helpers.
     pub fn no_retry() -> Self {
         Self { attempts: 1, ..Self::default() }
     }
@@ -1181,21 +1178,18 @@ impl From<SimError> for ClientFailure {
     }
 }
 
-/// Connects with the policy's deadlines: `connect_timeout` for the
-/// handshake, then per-read/per-write deadlines on the stream.
-fn connect_once(
-    addr: &str,
-    policy: &RetryPolicy,
-) -> Result<(BufReader<TcpStream>, TcpStream), SimError> {
+/// Connects within [`CLIENT_CONNECT_TIMEOUT`], then sets the client's
+/// per-read and per-write deadlines on the stream.
+fn connect_once(addr: &str) -> Result<(BufReader<TcpStream>, TcpStream), SimError> {
     let io_err = |e: std::io::Error| {
         SimError::Daemon(format!("cannot connect to campaign daemon at {addr}: {e}"))
     };
     let sock: SocketAddr = addr.to_socket_addrs().map_err(io_err)?.next().ok_or_else(|| {
         SimError::Daemon(format!("cannot connect to campaign daemon at {addr}: no address"))
     })?;
-    let stream = TcpStream::connect_timeout(&sock, policy.connect_timeout).map_err(io_err)?;
-    stream.set_read_timeout(Some(policy.read_timeout)).map_err(io_err)?;
-    stream.set_write_timeout(Some(policy.write_timeout)).map_err(io_err)?;
+    let stream = TcpStream::connect_timeout(&sock, CLIENT_CONNECT_TIMEOUT).map_err(io_err)?;
+    stream.set_read_timeout(Some(CLIENT_READ_TIMEOUT)).map_err(io_err)?;
+    stream.set_write_timeout(Some(CLIENT_WRITE_TIMEOUT)).map_err(io_err)?;
     let reader = BufReader::new(stream.try_clone().map_err(io_err)?);
     Ok((reader, stream))
 }
@@ -1227,7 +1221,7 @@ fn connect_with(
     addr: &str,
     policy: &RetryPolicy,
 ) -> Result<(BufReader<TcpStream>, TcpStream), SimError> {
-    retrying(policy, || connect_once(addr, policy).map_err(ClientFailure::from))
+    retrying(policy, || connect_once(addr).map_err(ClientFailure::from))
         .map_err(ClientFailure::into_sim_error)
 }
 
@@ -1335,11 +1329,10 @@ pub fn watch(
 fn watch_conn(
     addr: &str,
     id: u64,
-    policy: &RetryPolicy,
     seen: &mut BTreeMap<usize, String>,
     on_row: &mut dyn FnMut(usize, &str),
 ) -> Result<usize, ClientFailure> {
-    let (mut reader, mut out) = connect_once(addr, policy)?;
+    let (mut reader, mut out) = connect_once(addr)?;
     writeln!(out, "watch {id}")
         .and_then(|()| out.flush())
         .map_err(|e| ClientFailure::Net(format!("cannot send watch: {e}")))?;
@@ -1410,7 +1403,7 @@ pub fn watch_rows_with(
 ) -> Result<usize, SimError> {
     let mut seen = BTreeMap::new();
     retrying(policy, || {
-        let cells = watch_conn(addr, id, policy, &mut seen, on_row)?;
+        let cells = watch_conn(addr, id, &mut seen, on_row)?;
         if seen.len() == cells && seen.keys().copied().eq(0..cells) {
             return Ok(cells);
         }
@@ -1528,7 +1521,7 @@ pub fn status_with(addr: &str, id: u64, policy: &RetryPolicy) -> Result<JobStatu
 /// Returns [`SimError::Daemon`] on connection failures or an
 /// unexpected reply.
 pub fn shutdown(addr: &str) -> Result<(), SimError> {
-    let (mut reader, mut out) = connect_once(addr, &RetryPolicy::no_retry())?;
+    let (mut reader, mut out) = connect_once(addr)?;
     writeln!(out, "shutdown")
         .and_then(|()| out.flush())
         .map_err(|e| SimError::Daemon(format!("cannot send shutdown: {e}")))?;

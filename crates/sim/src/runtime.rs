@@ -195,16 +195,12 @@ impl SocRuntime {
 
     /// Starts dropping into the platform idle state at ladder index
     /// `index` (clamped to the deepest state) at time `t`. Refused —
-    /// returning `false` — while dead, transitioning, already idle, or
-    /// on a platform without idle states.
+    /// returning `false` — while dead, transitioning or already idle.
     pub fn begin_idle(&mut self, index: usize, t: Seconds) -> bool {
         if !self.alive || self.is_transitioning() || self.idle.is_some() {
             return false;
         }
         let states = self.platform.idle_states();
-        if states.is_empty() {
-            return false;
-        }
         let index = index.min(states.len() - 1);
         let entry = states[index].entry_latency();
         self.idle = Some(IdleFlight { index, phase: IdlePhase::Entering });
@@ -559,13 +555,5 @@ mod tests {
         rt.brownout(Seconds::new(1.0));
         assert!(!rt.is_idle());
         assert_eq!(rt.power(), Watts::ZERO);
-    }
-
-    #[test]
-    fn idle_refused_without_ladder() {
-        let platform = Platform::odroid_xu4().with_idle_states(Vec::new());
-        let mut rt = SocRuntime::new(platform, Opp::lowest());
-        assert!(!rt.begin_idle(0, Seconds::ZERO));
-        assert_eq!(rt.idle_entries(), 0);
     }
 }

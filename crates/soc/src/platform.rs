@@ -101,13 +101,6 @@ impl Platform {
         })
     }
 
-    /// Returns a copy with a different idle-state ladder (ordered
-    /// shallow to deep; may be empty to model a SoC that never sleeps).
-    pub fn with_idle_states(mut self, idle_states: Vec<IdleState>) -> Self {
-        self.idle_states = idle_states;
-        self
-    }
-
     /// The ODROID XU4 preset used throughout the paper, with the target
     /// voltage set to the PV array's calibrated maximum power point
     /// (5.3 V, §V-B). The preset is assembled once per process, so
@@ -250,8 +243,6 @@ mod tests {
         let p = Platform::odroid_xu4();
         assert_eq!(p.idle_states().len(), 2);
         assert_eq!(p.idle_states()[0].name(), "shallow");
-        let awake = p.clone().with_idle_states(Vec::new());
-        assert!(awake.idle_states().is_empty());
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::latency::{DvfsDirection, LatencyModel};
 use crate::opp::Opp;
 use crate::power::PowerModel;
 use crate::SocError;
-use pn_units::{Coulombs, Joules, Seconds, Volts, Watts};
+use pn_units::{Coulombs, Seconds, Volts, Watts};
 use std::fmt;
 
 /// The order in which a compound OPP change is executed.
@@ -175,11 +175,9 @@ pub struct TransitionCost {
     pub duration: Seconds,
     /// Charge drawn from the buffer, `Q = ∫ I dt` at the supply voltage.
     pub charge: Coulombs,
-    /// Energy drawn, `E = ∫ P dt`.
-    pub energy: Joules,
 }
 
-/// Integrates the time, charge and energy cost of a transition plan at
+/// Integrates the time and charge cost of a transition plan at
 /// a (roughly constant) supply voltage `v`.
 ///
 /// # Errors
@@ -198,14 +196,12 @@ pub fn transition_cost(
     }
     let mut duration = Seconds::ZERO;
     let mut charge = Coulombs::ZERO;
-    let mut energy = Joules::ZERO;
     for step in steps {
         let p: Watts = step.during.power(power, table)?;
         duration += step.duration;
-        energy += p * step.duration;
         charge += (p / v) * step.duration;
     }
-    Ok(TransitionCost { duration, charge, energy })
+    Ok(TransitionCost { duration, charge })
 }
 
 #[cfg(test)]
