@@ -9,7 +9,7 @@
 //!   operation — length, iteration, span, interpolation, integral,
 //!   mean, extrema, resampling — is implemented once, here.
 //! * [`TimeSeries`] owns its name and both columns and grows by
-//!   [`TimeSeries::push`]. Its read methods delegate to
+//!   [`TimeSeries::push`]. It is read through its view,
 //!   [`TimeSeries::as_series`].
 //!
 //! The metric, summary, histogram and chart functions take
@@ -184,8 +184,8 @@ impl<'a> SeriesView<'a> {
 /// vc.push(0.0, 5.3)?;
 /// vc.push(1.0, 5.25)?;
 /// vc.push(2.0, 5.32)?;
-/// assert_eq!(vc.len(), 3);
-/// assert!((vc.mean()? - 5.28).abs() < 1e-6); // time-weighted trapezoids
+/// assert_eq!(vc.as_series().len(), 3);
+/// assert!((vc.as_series().mean()? - 5.28).abs() < 1e-6); // time-weighted trapezoids
 /// # Ok(())
 /// # }
 /// ```
@@ -250,85 +250,6 @@ impl TimeSeries {
     pub fn name(&self) -> &str {
         &self.name
     }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.as_series().len()
-    }
-
-    /// `true` when the series has no samples.
-    pub fn is_empty(&self) -> bool {
-        self.as_series().is_empty()
-    }
-
-    /// Iterates over `(t, value)` samples.
-    pub fn iter(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
-        self.as_series().iter()
-    }
-
-    /// Sample times.
-    pub fn times(&self) -> &[f64] {
-        self.as_series().times()
-    }
-
-    /// Sample values.
-    pub fn values(&self) -> &[f64] {
-        self.as_series().values()
-    }
-
-    /// First sample time.
-    pub fn start(&self) -> Option<f64> {
-        self.as_series().start()
-    }
-
-    /// Last sample time.
-    pub fn end(&self) -> Option<f64> {
-        self.as_series().end()
-    }
-
-    /// Duration between the first and last sample.
-    pub fn duration(&self) -> f64 {
-        self.as_series().duration()
-    }
-
-    /// Linear interpolation at `t`; see [`SeriesView::sample`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalysisError::NotEnoughSamples`] for an empty series.
-    pub fn sample(&self, t: f64) -> Result<f64, AnalysisError> {
-        self.as_series().sample(t)
-    }
-
-    /// Trapezoidal integral; see [`SeriesView::integrate`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalysisError::NotEnoughSamples`] for fewer than two
-    /// samples.
-    pub fn integrate(&self) -> Result<f64, AnalysisError> {
-        self.as_series().integrate()
-    }
-
-    /// Time-weighted mean value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalysisError::NotEnoughSamples`] for fewer than two
-    /// samples.
-    pub fn mean(&self) -> Result<f64, AnalysisError> {
-        self.as_series().mean()
-    }
-
-    /// Minimum value.
-    pub fn min(&self) -> Option<f64> {
-        self.as_series().min()
-    }
-
-    /// Maximum value.
-    pub fn max(&self) -> Option<f64> {
-        self.as_series().max()
-    }
 }
 
 impl<'a> From<&'a TimeSeries> for SeriesView<'a> {
@@ -367,7 +288,8 @@ mod tests {
 
     #[test]
     fn interpolation() {
-        let s = ramp();
+        let ramp = ramp();
+        let s = ramp.as_series();
         assert_eq!(s.sample(0.5).unwrap(), 0.5);
         assert_eq!(s.sample(-1.0).unwrap(), 0.0);
         assert_eq!(s.sample(9.0).unwrap(), 2.0);
@@ -375,7 +297,8 @@ mod tests {
 
     #[test]
     fn integral_and_mean_of_ramp() {
-        let s = ramp();
+        let ramp = ramp();
+        let s = ramp.as_series();
         assert!((s.integrate().unwrap() - 2.0).abs() < 1e-12);
         assert!((s.mean().unwrap() - 1.0).abs() < 1e-12);
     }
@@ -383,15 +306,15 @@ mod tests {
     #[test]
     fn min_max() {
         let s = TimeSeries::from_samples("m", vec![0.0, 1.0, 2.0], vec![3.0, -1.0, 2.0]).unwrap();
-        assert_eq!(s.min().unwrap(), -1.0);
-        assert_eq!(s.max().unwrap(), 3.0);
+        assert_eq!(s.as_series().min().unwrap(), -1.0);
+        assert_eq!(s.as_series().max().unwrap(), 3.0);
     }
 
     #[test]
     fn degenerate_errors() {
         let empty = TimeSeries::new("e");
-        assert!(empty.sample(0.0).is_err());
-        assert!(empty.integrate().is_err());
+        assert!(empty.as_series().sample(0.0).is_err());
+        assert!(empty.as_series().integrate().is_err());
         assert!(TimeSeries::from_samples("bad", vec![0.0, 0.0], vec![1.0, 2.0]).is_err());
         assert!(TimeSeries::from_samples("bad", vec![0.0], vec![1.0, 2.0]).is_err());
     }
@@ -403,7 +326,7 @@ mod tests {
             let s = TimeSeries::from_samples("p", times, values.clone()).unwrap();
             let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
             let hi = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let m = s.mean().unwrap();
+            let m = s.as_series().mean().unwrap();
             prop_assert!(m >= lo - 1e-9 && m <= hi + 1e-9);
         }
 
@@ -414,7 +337,7 @@ mod tests {
             let s = TimeSeries::from_samples("p", times, values.clone()).unwrap();
             let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
             let hi = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let v = s.sample(query).unwrap();
+            let v = s.as_series().sample(query).unwrap();
             prop_assert!(v >= lo - 1e-9 && v <= hi + 1e-9);
         }
     }

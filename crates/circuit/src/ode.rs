@@ -47,17 +47,10 @@ pub struct AdaptiveOptions {
 }
 
 impl AdaptiveOptions {
-    /// Steps of up to `max_step`, seconds, at default tolerances:
-    /// millivolt accuracy on a volts-scale state.
-    pub fn new(max_step: f64) -> Self {
-        Self { rtol: 1e-6, atol: 1e-8, max_step }
-    }
-
-    /// Sets the tolerances (builder style).
-    pub fn with_tolerances(mut self, rtol: f64, atol: f64) -> Self {
-        self.rtol = rtol;
-        self.atol = atol;
-        self
+    /// Steps of up to `max_step`, seconds, to the tolerance pair
+    /// `(rtol, atol)`.
+    pub fn new(max_step: f64, (rtol, atol): (f64, f64)) -> Self {
+        Self { rtol, atol, max_step }
     }
 }
 
@@ -227,18 +220,13 @@ impl StepCubic {
         for s in roots {
             let t = step.t0 + s * h;
             if t > step.t0 && t < step.t1 {
-                cubic.knots[cubic.len] = (t, cubic.value(t));
+                cubic.knots[cubic.len] = (t, cubic.step.interpolate(t));
                 cubic.len += 1;
             }
         }
         cubic.knots[cubic.len] = (step.t1, step.y1);
         cubic.len += 1;
         cubic
-    }
-
-    /// The dense output at `t`: [`AcceptedStep::interpolate`].
-    fn value(&self, t: f64) -> f64 {
-        self.step.interpolate(t)
     }
 
     /// The output's time derivative at `t`.
@@ -255,7 +243,7 @@ impl StepCubic {
     pub fn pieces(&self, from: f64, to: f64) -> impl Iterator<Item = [(f64, f64); 2]> {
         let at = |t: f64| match self.knots[..self.len].iter().find(|k| k.0 == t) {
             Some(&knot) => knot,
-            None => (t, self.value(t)),
+            None => (t, self.step.interpolate(t)),
         };
         let mut points = [at(from); 4];
         let mut n = 1;
@@ -307,7 +295,7 @@ impl StepCubic {
             if !(t > lo && t < hi) {
                 t = 0.5 * (lo + hi);
             }
-            let y = self.value(t);
+            let y = self.step.interpolate(t);
             let below = !reached(y);
             if below {
                 lo = t;
@@ -342,7 +330,7 @@ impl StepCubic {
 ///
 /// # fn main() -> Result<(), pn_circuit::CircuitError> {
 /// // dy/dt = -y, y(0) = 1  ⇒  y(1) = e⁻¹, one accepted step at a time.
-/// let mut solver = Rk23::new(AdaptiveOptions::new(0.05));
+/// let mut solver = Rk23::new(AdaptiveOptions::new(0.05, (1e-6, 1e-8)));
 /// let mut f = |_t: f64, y: f64| -y;
 /// let (mut t, mut y) = (0.0, 1.0);
 /// while t < 1.0 {
@@ -527,7 +515,7 @@ mod tests {
 
     #[test]
     fn rk23_matches_analytic_exponential() {
-        let mut solver = Rk23::new(AdaptiveOptions::new(0.5));
+        let mut solver = Rk23::new(AdaptiveOptions::new(0.5, (1e-6, 1e-8)));
         let y = integrate(&mut solver, exp_decay, 0.0, 1.0, 3.0);
         assert!((y - (-3.0f64).exp()).abs() < 1e-5);
     }
@@ -536,7 +524,7 @@ mod tests {
     fn a_nan_right_hand_side_is_rejected_down_to_underflow() {
         // No error estimate exists: the step shrinks to the minimum
         // and fails there rather than accepting a NaN state.
-        let mut solver = Rk23::new(AdaptiveOptions::new(5e-2));
+        let mut solver = Rk23::new(AdaptiveOptions::new(5e-2, (1e-6, 1e-8)));
         let result = solver.step(|_, _| f64::NAN, 0.0, 1.0, 1.0);
         assert!(
             matches!(result, Err(CircuitError::StepSizeUnderflow { step, .. }) if step == MIN_STEP),
@@ -549,7 +537,7 @@ mod tests {
 
     #[test]
     fn notify_discontinuity_keeps_the_learned_step() {
-        let mut solver = Rk23::new(AdaptiveOptions::new(5e-2));
+        let mut solver = Rk23::new(AdaptiveOptions::new(5e-2, (1e-6, 1e-8)));
         // Let the controller grow the step on an easy problem.
         integrate(&mut solver, exp_decay, 0.0, 1.0, 2.0);
         let learned = solver.h;
@@ -558,7 +546,7 @@ mod tests {
         let kept = solver.h;
         assert!((kept - 0.5 * learned).abs() < 1e-15, "kept {kept} vs learned {learned}");
         // And the trimmed estimate stays within the configured bounds.
-        let mut tiny = Rk23::new(AdaptiveOptions::new(5e-2));
+        let mut tiny = Rk23::new(AdaptiveOptions::new(5e-2, (1e-6, 1e-8)));
         for _ in 0..100 {
             tiny.notify_discontinuity();
         }
@@ -567,14 +555,14 @@ mod tests {
 
     #[test]
     fn rk23_respects_t_limit() {
-        let mut solver = Rk23::new(AdaptiveOptions::new(5e-2));
+        let mut solver = Rk23::new(AdaptiveOptions::new(5e-2, (1e-6, 1e-8)));
         let step = solver.step(exp_decay, 0.0, 1.0, 1e-6).unwrap();
         assert!(step.t1 <= 1e-6 + 1e-18);
     }
 
     #[test]
     fn rk23_rejects_backwards_span() {
-        let mut solver = Rk23::new(AdaptiveOptions::new(5e-2));
+        let mut solver = Rk23::new(AdaptiveOptions::new(5e-2, (1e-6, 1e-8)));
         assert!(matches!(
             solver.step(exp_decay, 1.0, 1.0, 0.0),
             Err(CircuitError::InvalidArgument(_))
@@ -583,7 +571,7 @@ mod tests {
 
     #[test]
     fn dense_output_endpoints_match() {
-        let mut solver = Rk23::new(AdaptiveOptions::new(5e-2));
+        let mut solver = Rk23::new(AdaptiveOptions::new(5e-2, (1e-6, 1e-8)));
         let step = solver.step(exp_decay, 0.0, 1.0, 0.5).unwrap();
         let at_start = step.interpolate(step.t0);
         let at_end = step.interpolate(step.t1);
@@ -593,7 +581,7 @@ mod tests {
 
     #[test]
     fn dense_output_midpoint_accuracy() {
-        let mut solver = Rk23::new(AdaptiveOptions::new(0.2));
+        let mut solver = Rk23::new(AdaptiveOptions::new(0.2, (1e-6, 1e-8)));
         let step = solver.step(exp_decay, 0.0, 1.0, 0.2).unwrap();
         let tm = 0.5 * (step.t0 + step.t1);
         let interp = step.interpolate(tm);
@@ -607,7 +595,7 @@ mod tests {
 
     #[test]
     fn reusing_the_last_stage_is_bitwise_a_fresh_first_stage() {
-        let options = AdaptiveOptions::new(0.1);
+        let options = AdaptiveOptions::new(0.1, (1e-6, 1e-8));
         let (mut fresh, mut reused) = (Rk23::new(options), Rk23::new(options));
         let (mut a, mut b) = (Vec::new(), Vec::new());
         let (mut t, mut y, mut f1) = (0.0, 0.5, None);
@@ -636,7 +624,7 @@ mod tests {
         };
         // Steps capped well below what the tolerance allows: none is
         // rejected, so each costs its three new stages and no more.
-        let options = AdaptiveOptions::new(0.01).with_tolerances(1e-4, 1e-6);
+        let options = AdaptiveOptions::new(0.01, (1e-4, 1e-6));
         let mut solver = Rk23::new(options);
         let (mut t, mut y, mut steps) = (0.0, 0.5, 0);
         let mut f0 = counted(t, y);
@@ -791,7 +779,7 @@ mod tests {
         #[test]
         fn rk23_exponential_growth(rate in -2.0f64..2.0, t_end in 0.1f64..3.0) {
             let f = move |_t: f64, y: f64| rate * y;
-            let mut solver = Rk23::new(AdaptiveOptions::new(0.25));
+            let mut solver = Rk23::new(AdaptiveOptions::new(0.25, (1e-6, 1e-8)));
             let y = integrate(&mut solver, f, 0.0, 1.0, t_end);
             let exact = (rate * t_end).exp();
             prop_assert!((y - exact).abs() < 1e-4 * (1.0 + exact.abs()));

@@ -78,14 +78,10 @@ use crate::campaign::{
     run_cells, CampaignCell, CampaignReport, CampaignSpec, CellOutcome, GovernorSpec,
 };
 use crate::executor::Executor;
-use crate::supply::SupplyModel;
 use crate::SimError;
-use pn_core::params::ControlParams;
 use pn_harvest::faults::FaultSpec;
 use pn_harvest::weather::Weather;
 use pn_soc::thermal::{RcThermal, ThermalSpec};
-use pn_units::Seconds;
-use pn_workload::arrival::ArrivalSpec;
 use std::fmt;
 
 /// Which campaign axis the adaptive driver bisects.
@@ -326,25 +322,14 @@ impl BoundaryBracket {
 /// Internal per-(weather, governor) search state.
 #[derive(Debug, Clone)]
 struct Probe {
-    weather: Weather,
-    governor: GovernorSpec,
-    axis: AdaptiveAxis,
-    // Probe cells reuse the axes observed for the group, so refinement
-    // evaluates exactly the population the seed report did (except the
-    // probed axis itself, which the probe value replaces).
-    seeds: Vec<u64>,
-    params: Vec<ControlParams>,
-    buffers_mf: Vec<f64>,
-    thermals: Vec<ThermalSpec>,
-    arrivals: Vec<ArrivalSpec>,
-    faults: Vec<FaultSpec>,
-    duration: Seconds,
-    supply_model: SupplyModel,
-    idle: bool,
-    lo_mf: Option<f64>,
-    hi_mf: Option<f64>,
-    status: BracketStatus,
-    probes: usize,
+    /// The group's single-group campaign: its weather and governor,
+    /// the duration and engine options of the cell that opened it, and
+    /// every other axis value observed for the group, in first-seen
+    /// order. Probe cells replay exactly the population the seed report
+    /// did, except the probed axis itself, which the probe value
+    /// replaces.
+    template: CampaignSpec,
+    bracket: BoundaryBracket,
 }
 
 /// What a pending group wants next.
@@ -356,27 +341,72 @@ enum Action {
 impl Probe {
     /// Opens the group of `cell`, whose weather, governor, duration
     /// and engine options every probe of the group replays.
-    fn new(cell: &CampaignCell, axis: AdaptiveAxis) -> Self {
-        Self {
-            weather: cell.weather,
-            governor: cell.governor,
-            axis,
+    fn new(cell: &CampaignCell) -> Self {
+        let template = CampaignSpec {
+            weathers: vec![cell.weather],
             seeds: Vec::new(),
-            params: Vec::new(),
-            buffers_mf: Vec::new(),
             thermals: Vec::new(),
             arrivals: Vec::new(),
             faults: Vec::new(),
+            buffers_mf: Vec::new(),
+            governors: vec![cell.governor],
+            params: Vec::new(),
             duration: cell.duration,
+            // Probe cells replay the seed report's engine options, so
+            // a fast interpolated sweep refines with the same model.
             supply_model: cell.supply_model,
             idle: cell.idle,
+        };
+        let bracket = BoundaryBracket {
+            weather: cell.weather,
+            governor: cell.governor,
             lo_mf: None,
             hi_mf: None,
             status: BracketStatus::Bisecting,
             probes: 0,
-        }
+        };
+        Self { template, bracket }
     }
 
+    /// The single-group campaign spec probing `axis` at `value`: the
+    /// probed axis collapses to that one point, every other axis
+    /// replays what the seed report exercised.
+    fn spec_for(&self, axis: AdaptiveAxis, value: f64) -> CampaignSpec {
+        let mut spec = self.template.clone();
+        match axis {
+            AdaptiveAxis::BufferMf => spec.buffers_mf = vec![value],
+            AdaptiveAxis::ThermalLimitC => {
+                // Substitute the ceiling into the group's RC template,
+                // shifting the release to preserve the hysteresis gap
+                // and dropping the boost so its band cannot pinch the
+                // search range. A group reaches this arm only when it
+                // contributed an RC cell (value_of gates observation).
+                let template = spec.thermals.iter().find_map(|t| match t {
+                    ThermalSpec::Rc(rc) => Some(*rc),
+                    ThermalSpec::Off => None,
+                });
+                if let Some(rc) = template {
+                    let gap = rc.throttle_c - rc.release_c;
+                    spec.thermals = vec![ThermalSpec::Rc(RcThermal {
+                        throttle_c: value,
+                        release_c: value - gap,
+                        boost: None,
+                        ..rc
+                    })];
+                }
+            }
+            AdaptiveAxis::FaultDepth => {
+                let template = spec.faults.iter().find(|f| **f != FaultSpec::None).copied();
+                if let Some(fault) = template {
+                    spec.faults = vec![fault.with_depth(value)];
+                }
+            }
+        }
+        spec
+    }
+}
+
+impl BoundaryBracket {
     /// Folds one settled capacitance point into the bracket.
     fn apply(&mut self, buffer_mf: f64, survived: bool) {
         if survived {
@@ -424,69 +454,6 @@ impl Probe {
             // Unreachable in practice: a probe only exists once an
             // outcome was folded into it.
             (None, None) => Action::Finish(BracketStatus::NonMonotone),
-        }
-    }
-
-    /// The single-group campaign spec probing axis value `value`: the
-    /// probed axis collapses to that one point, every other axis
-    /// replays what the seed report exercised.
-    fn spec_for(&self, value: f64) -> CampaignSpec {
-        let mut spec = CampaignSpec {
-            weathers: vec![self.weather],
-            seeds: self.seeds.clone(),
-            thermals: self.thermals.clone(),
-            arrivals: self.arrivals.clone(),
-            faults: self.faults.clone(),
-            buffers_mf: self.buffers_mf.clone(),
-            governors: vec![self.governor],
-            params: self.params.clone(),
-            duration: self.duration,
-            // Probe cells replay the seed report's engine options, so
-            // a fast interpolated sweep refines with the same model.
-            supply_model: self.supply_model,
-            idle: self.idle,
-        };
-        match self.axis {
-            AdaptiveAxis::BufferMf => spec.buffers_mf = vec![value],
-            AdaptiveAxis::ThermalLimitC => {
-                // Substitute the ceiling into the group's RC template,
-                // shifting the release to preserve the hysteresis gap
-                // and dropping the boost so its band cannot pinch the
-                // search range. A group reaches this arm only when it
-                // contributed an RC cell (value_of gates observation).
-                let template = self.thermals.iter().find_map(|t| match t {
-                    ThermalSpec::Rc(rc) => Some(*rc),
-                    ThermalSpec::Off => None,
-                });
-                if let Some(rc) = template {
-                    let gap = rc.throttle_c - rc.release_c;
-                    spec.thermals = vec![ThermalSpec::Rc(RcThermal {
-                        throttle_c: value,
-                        release_c: value - gap,
-                        boost: None,
-                        ..rc
-                    })];
-                }
-            }
-            AdaptiveAxis::FaultDepth => {
-                let template =
-                    self.faults.iter().find(|f| **f != FaultSpec::None).copied();
-                if let Some(fault) = template {
-                    spec.faults = vec![fault.with_depth(value)];
-                }
-            }
-        }
-        spec
-    }
-
-    fn bracket(&self) -> BoundaryBracket {
-        BoundaryBracket {
-            weather: self.weather,
-            governor: self.governor,
-            lo_mf: self.lo_mf,
-            hi_mf: self.hi_mf,
-            status: self.status,
-            probes: self.probes,
         }
     }
 }
@@ -560,9 +527,10 @@ impl AdaptiveCampaign {
             }
         }
         for (group, value, survived) in points {
-            if !self.probes[group].status.is_terminal() {
+            let bracket = &mut self.probes[group].bracket;
+            if !bracket.status.is_terminal() {
                 let folded = if axis.survives_high() { survived } else { !survived };
-                self.probes[group].apply(value, folded);
+                bracket.apply(value, folded);
             }
         }
     }
@@ -571,35 +539,33 @@ impl AdaptiveCampaign {
     /// the axes it contributes.
     fn group_index(&mut self, outcome: &CellOutcome) -> usize {
         let cell = &outcome.cell;
-        let index = match self
-            .probes
-            .iter()
-            .position(|p| p.weather == cell.weather && p.governor == cell.governor)
-        {
+        let index = match self.probes.iter().position(|p| {
+            p.bracket.weather == cell.weather && p.bracket.governor == cell.governor
+        }) {
             Some(i) => i,
             None => {
-                self.probes.push(Probe::new(cell, self.config.axis));
+                self.probes.push(Probe::new(cell));
                 self.probes.len() - 1
             }
         };
-        let probe = &mut self.probes[index];
-        if !probe.seeds.contains(&cell.seed) {
-            probe.seeds.push(cell.seed);
+        let spec = &mut self.probes[index].template;
+        if !spec.seeds.contains(&cell.seed) {
+            spec.seeds.push(cell.seed);
         }
-        if !probe.params.contains(&cell.params) {
-            probe.params.push(cell.params);
+        if !spec.params.contains(&cell.params) {
+            spec.params.push(cell.params);
         }
-        if !probe.buffers_mf.iter().any(|b| b.to_bits() == cell.buffer_mf.to_bits()) {
-            probe.buffers_mf.push(cell.buffer_mf);
+        if !spec.buffers_mf.iter().any(|b| b.to_bits() == cell.buffer_mf.to_bits()) {
+            spec.buffers_mf.push(cell.buffer_mf);
         }
-        if !probe.thermals.contains(&cell.thermal) {
-            probe.thermals.push(cell.thermal);
+        if !spec.thermals.contains(&cell.thermal) {
+            spec.thermals.push(cell.thermal);
         }
-        if !probe.arrivals.contains(&cell.arrival) {
-            probe.arrivals.push(cell.arrival);
+        if !spec.arrivals.contains(&cell.arrival) {
+            spec.arrivals.push(cell.arrival);
         }
-        if !probe.faults.contains(&cell.fault) {
-            probe.faults.push(cell.fault);
+        if !spec.faults.contains(&cell.fault) {
+            spec.faults.push(cell.fault);
         }
         index
     }
@@ -618,11 +584,12 @@ impl AdaptiveCampaign {
         // Settle statuses first so converged groups emit no probe.
         let mut targets: Vec<(usize, f64)> = Vec::new();
         for (i, probe) in self.probes.iter_mut().enumerate() {
-            if probe.status.is_terminal() {
+            let bracket = &mut probe.bracket;
+            if bracket.status.is_terminal() {
                 continue;
             }
-            match probe.next_action(&self.config) {
-                Action::Finish(status) => probe.status = status,
+            match bracket.next_action(&self.config) {
+                Action::Finish(status) => bracket.status = status,
                 Action::Probe(buffer) => targets.push((i, buffer)),
             }
         }
@@ -631,7 +598,7 @@ impl AdaptiveCampaign {
         }
         if self.rounds >= self.config.max_rounds {
             for &(i, _) in &targets {
-                self.probes[i].status = BracketStatus::RoundLimit;
+                self.probes[i].bracket.status = BracketStatus::RoundLimit;
             }
             return None;
         }
@@ -639,8 +606,8 @@ impl AdaptiveCampaign {
         let mut specs = Vec::with_capacity(targets.len());
         for (i, buffer) in targets {
             let probe = &mut self.probes[i];
-            probe.probes += 1;
-            specs.push(probe.spec_for(buffer));
+            probe.bracket.probes += 1;
+            specs.push(probe.spec_for(self.config.axis, buffer));
         }
         Some(specs)
     }
@@ -665,7 +632,7 @@ impl AdaptiveCampaign {
 
     /// Current per-group brackets, in first-seen group order.
     pub fn brackets(&self) -> Vec<BoundaryBracket> {
-        self.probes.iter().map(Probe::bracket).collect()
+        self.probes.iter().map(|p| p.bracket.clone()).collect()
     }
 
     /// Refinement rounds emitted so far.
@@ -675,7 +642,7 @@ impl AdaptiveCampaign {
 
     /// `true` once no group needs further probes.
     pub fn settled(&self) -> bool {
-        self.probes.iter().all(|p| p.status.is_terminal())
+        self.probes.iter().all(|p| p.bracket.status.is_terminal())
     }
 
     /// Every outcome observed so far (seed report first, then each
@@ -695,6 +662,7 @@ impl AdaptiveCampaign {
 mod tests {
     use super::*;
     use crate::campaign::CampaignCell;
+    use pn_workload::arrival::ArrivalSpec;
 
     /// Fabricates the report a spec would produce under a synthetic
     /// monotone survival rule: a cell survives iff its buffer is at

@@ -496,10 +496,11 @@ impl CampaignCell {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] for a non-positive buffer
-    /// capacitance or duration.
+    /// capacitance, or a duration that is not finite and positive.
     pub fn scenario(&self) -> Result<Scenario, SimError> {
-        if !(self.duration.value() > 0.0) {
-            return Err(SimError::InvalidConfig("cell duration must be positive"));
+        let duration = self.duration.value();
+        if !(duration > 0.0 && duration.is_finite()) {
+            return Err(SimError::InvalidConfig("cell duration must be finite and positive"));
         }
         // Paper-typical leakage; only the capacitance is swept.
         let buffer =
@@ -1043,7 +1044,7 @@ mod tests {
             run_campaign(&spec, &Executor::sequential()),
             Err(SimError::InvalidConfig(_))
         ));
-        let bad_duration = CampaignCell {
+        let cell = CampaignCell {
             weather: Weather::FullSun,
             seed: 1,
             thermal: ThermalSpec::Off,
@@ -1056,7 +1057,11 @@ mod tests {
             supply_model: SupplyModel::Exact,
             idle: true,
         };
-        assert!(bad_duration.scenario().is_err());
+        // An infinite window would never finish its cell.
+        for duration in [Seconds::ZERO, Seconds::new(f64::INFINITY)] {
+            let bad_duration = CampaignCell { duration, ..cell };
+            assert!(bad_duration.scenario().is_err(), "duration {duration:?} was accepted");
+        }
     }
 
     fn outcome(cell: CampaignCell, work: f64) -> CellOutcome {

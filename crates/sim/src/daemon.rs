@@ -281,7 +281,9 @@ struct Job {
 
 /// Mutable progress of a job.
 struct JobState {
-    /// Finished shard reports, indexed by shard number.
+    /// Finished shard reports, indexed by shard number, until the job
+    /// is done: the merge takes them, so a finished job keeps only its
+    /// rows.
     shard_reports: Vec<Option<CampaignReport>>,
     /// Finished rows in completion order: (global matrix index,
     /// formatted CSV row). Watchers replay this from the top.
@@ -309,13 +311,9 @@ impl Job {
 
 /// State shared by the accept loop, connection handlers and workers.
 struct Shared {
-    dir: PathBuf,
+    config: DaemonConfig,
+    /// The address the listener bound (`config.addr` may ask for port 0).
     addr: SocketAddr,
-    throttle: Option<Duration>,
-    policy: Arc<dyn IoPolicy>,
-    read_timeout: Duration,
-    write_timeout: Duration,
-    retry_budget: u32,
     jobs: Mutex<Vec<Arc<Job>>>,
     /// The id the next submitted job gets. Recovery raises it past
     /// every `job-<id>` directory on disk, loadable or not.
@@ -332,9 +330,9 @@ struct Shared {
 fn write_artifact(shared: &Shared, path: &Path, contents: &str) -> Result<(), SimError> {
     let mut retried = 0u32;
     loop {
-        match persist::write_atomic_with(path, contents, shared.policy.as_ref()) {
+        match persist::write_atomic_with(path, contents, shared.config.policy.as_ref()) {
             Ok(()) => return Ok(()),
-            Err(e) if e.is_injected() && retried < shared.retry_budget => retried += 1,
+            Err(e) if e.is_injected() && retried < shared.config.retry_budget => retried += 1,
             Err(e) => return Err(e),
         }
     }
@@ -376,14 +374,10 @@ impl Daemon {
         let addr = listener
             .local_addr()
             .map_err(|e| SimError::Daemon(format!("cannot resolve bound address: {e}")))?;
+        let worker_count = Executor::new(config.workers).threads();
         let shared = Arc::new(Shared {
-            dir: config.dir,
+            config,
             addr,
-            throttle: config.throttle,
-            policy: config.policy,
-            read_timeout: config.read_timeout,
-            write_timeout: config.write_timeout,
-            retry_budget: config.retry_budget,
             jobs: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(1),
             queue: Mutex::new(VecDeque::new()),
@@ -391,7 +385,6 @@ impl Daemon {
             shutdown: AtomicBool::new(false),
         });
         recover_jobs(&shared);
-        let worker_count = Executor::new(config.workers).threads();
         let workers = (0..worker_count)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -464,7 +457,7 @@ fn begin_shutdown(shared: &Shared) {
 /// acknowledged to a client (the meta and spec are written before the
 /// submit reply) and are skipped with a note on stderr.
 fn recover_jobs(shared: &Arc<Shared>) {
-    let Ok(entries) = std::fs::read_dir(&shared.dir) else {
+    let Ok(entries) = std::fs::read_dir(&shared.config.dir) else {
         return;
     };
     let mut found: Vec<(u64, PathBuf)> = entries
@@ -575,7 +568,7 @@ fn register_job(shared: &Arc<Shared>, job: &Arc<Job>) {
     maybe_finish(shared, job);
     let missing: Vec<usize> = {
         let state = job.state.lock().expect("job state lock");
-        if state.done {
+        if state.done || state.failed.is_some() {
             Vec::new()
         } else {
             (0..job.shards.len()).filter(|&i| state.shard_reports[i].is_none()).collect()
@@ -616,7 +609,7 @@ fn worker_loop(shared: &Shared) {
         };
         let executed = run_task(&task, shared);
         if executed {
-            if let Some(pause) = shared.throttle {
+            if let Some(pause) = shared.config.throttle {
                 std::thread::sleep(pause);
             }
         }
@@ -632,7 +625,7 @@ fn run_task(task: &Task, shared: &Shared) -> bool {
     let job = &task.job;
     {
         let state = job.state.lock().expect("job state lock");
-        if state.failed.is_some() || state.shard_reports[task.shard].is_some() {
+        if state.done || state.failed.is_some() || state.shard_reports[task.shard].is_some() {
             return false;
         }
     }
@@ -691,7 +684,8 @@ fn maybe_finish(shared: &Shared, job: &Arc<Job>) {
     if state.shard_reports.iter().any(Option::is_none) {
         return;
     }
-    let parts: Vec<CampaignReport> = state.shard_reports.iter().flatten().cloned().collect();
+    let parts: Vec<CampaignReport> =
+        std::mem::take(&mut state.shard_reports).into_iter().flatten().collect();
     let merged = CampaignReport::merge(parts)
         .and_then(|report| validate_saved_slice(&job.cells, &report).map(|()| report));
     match merged {
@@ -808,8 +802,8 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result
     // Deadlines on both directions: a client that stalls mid-command
     // (or a watcher that stops draining its socket) times out instead
     // of pinning this handler thread forever.
-    stream.set_read_timeout(Some(shared.read_timeout))?;
-    stream.set_write_timeout(Some(shared.write_timeout))?;
+    stream.set_read_timeout(Some(shared.config.read_timeout))?;
+    stream.set_write_timeout(Some(shared.config.write_timeout))?;
     // The byte cap bounds what one connection can make the daemon
     // buffer: past it every read sees end-of-file.
     let mut reader = BufReader::new(stream.try_clone()?.take(MAX_REQUEST_BYTES));
@@ -901,7 +895,7 @@ fn submit_job(
     let shard_count = if shard_request == 0 { cells } else { shard_request.min(cells) };
     let job = {
         let id = shared.next_id.fetch_add(1, Ordering::SeqCst);
-        let dir = shared.dir.join(format!("job-{id}"));
+        let dir = shared.config.dir.join(format!("job-{id}"));
         std::fs::create_dir_all(&dir).map_err(|e| {
             SimError::Daemon(format!("cannot create job dir {}: {e}", dir.display()))
         })?;
@@ -941,7 +935,7 @@ fn handle_watch(id: u64, out: &mut TcpStream, shared: &Arc<Shared>) -> std::io::
     let Some(job) = find_job(shared, id) else {
         return writeln!(out, "error unknown job {id}");
     };
-    let policy = Arc::clone(&shared.policy);
+    let policy = Arc::clone(&shared.config.policy);
     stream_line(out, policy.as_ref(), &format!("header {}", persist::CAMPAIGN_CSV_HEADER))?;
     out.flush()?;
     let mut cursor = 0;
@@ -1056,8 +1050,6 @@ pub struct JobStatus {
     pub state: String,
     /// Cells finished so far.
     pub done_cells: usize,
-    /// Cells in the matrix.
-    pub total_cells: usize,
 }
 
 /// A client's deadline for establishing a TCP connection.
@@ -1502,11 +1494,13 @@ pub fn status_with(addr: &str, id: u64, policy: &RetryPolicy) -> Result<JobStatu
     match fields.as_slice() {
         ["status", rid, state, done, total] => {
             let bad = || SimError::Daemon(format!("malformed status reply: {reply:?}"));
+            // The reply still ends with the matrix size, which the
+            // submit ticket already gave the client: check, then drop.
+            total.parse::<usize>().map_err(|_| bad())?;
             Ok(JobStatus {
                 id: rid.parse().map_err(|_| bad())?,
                 state: (*state).to_string(),
                 done_cells: done.parse().map_err(|_| bad())?,
-                total_cells: total.parse().map_err(|_| bad())?,
             })
         }
         _ => Err(SimError::Daemon(format!("malformed status reply: {reply:?}"))),
@@ -1562,6 +1556,26 @@ mod tests {
         // The same directory with a meta file a submit writes loads.
         write("job.meta", &job_meta_string(4));
         assert_eq!(load_job(1, &dir).unwrap().shards.len(), 4);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_finished_job_keeps_only_its_rows() {
+        let dir = std::env::temp_dir().join(format!("pn-daemon-rows-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let daemon = Daemon::start(DaemonConfig::new(&dir).with_workers(1)).unwrap();
+        let addr = daemon.addr().to_string();
+        let spec = CampaignSpec::smoke().with_duration(pn_units::Seconds::new(2.0));
+        let ticket = submit(&addr, &spec, 2).unwrap();
+        watch_csv(&addr, ticket.id).unwrap();
+        let job = find_job(&daemon.shared, ticket.id).unwrap();
+        let state = job.state.lock().unwrap();
+        assert!(state.done);
+        // The merge took the shard reports; watchers replay the rows.
+        assert!(state.shard_reports.is_empty());
+        assert_eq!(state.rows.len(), spec.cell_count());
+        drop(state);
+        daemon.stop();
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,5 +1,11 @@
 //! The hybrid continuous/discrete simulation engine.
 //!
+//! The engine runs a [`Scenario`] as it stands: the scenario owns the
+//! platform, supply, buffer, initial `VC` and [`SimOptions`], and its
+//! `run_*` methods hand it, a governor and the initial OPP to this
+//! module's one entry, which checks the options, builds the loop state
+//! and steps it to the end of the window.
+//!
 //! Between events the buffer node is integrated with the adaptive RK23
 //! solver (`ode23`, as in the paper's Simulink model). Under the exact
 //! PV model the integrated state is the array's junction voltage
@@ -39,6 +45,7 @@
 
 use crate::recorder::{Recorder, Snapshot};
 use crate::runtime::SocRuntime;
+use crate::scenario::Scenario;
 use crate::supply::{OperatingPoint, Supply, SupplyModel, SupplyState};
 use crate::SimError;
 use pn_circuit::capacitor::Supercapacitor;
@@ -49,7 +56,6 @@ use pn_circuit::ode::{
 use pn_core::events::{Governor, GovernorAction, GovernorEvent, IdleRequest, ThresholdEdge};
 use pn_monitor::monitor::VoltageMonitor;
 use pn_soc::opp::Opp;
-use pn_soc::platform::Platform;
 use pn_soc::thermal::{ThermalSpec, ThermalState};
 use pn_soc::transition::{plan_transition, TransitionStrategy};
 use pn_units::{Amps, Joules, Seconds, Volts, Watts};
@@ -331,28 +337,6 @@ impl SimReport {
     }
 }
 
-/// Builder-assembled simulation of the Fig. 2/8 system.
-pub struct Simulation {
-    platform: Platform,
-    supply: Supply,
-    buffer: Supercapacitor,
-    monitor: VoltageMonitor,
-    governor: Box<dyn Governor>,
-    initial_opp: Opp,
-    initial_vc: Volts,
-    options: SimOptions,
-}
-
-impl std::fmt::Debug for Simulation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Simulation")
-            .field("platform", &self.platform.name())
-            .field("governor", &self.governor.name())
-            .field("options", &self.options)
-            .finish_non_exhaustive()
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CrossKind {
     Brownout,
@@ -412,147 +396,54 @@ impl Accrued {
     }
 }
 
-impl Simulation {
-    /// Assembles a simulation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] for an empty window, an
-    /// initial voltage outside a sane range, a `max_step` that is not
-    /// finite and above the solver's [`MIN_STEP`] or a `record_dt`
-    /// that is not finite and positive, and [`SimError::Soc`] for a
-    /// thermal model that [`ThermalSpec::validate`] rejects.
-    #[allow(clippy::too_many_arguments)] // one parameter per physical subsystem
-    pub fn new(
-        platform: Platform,
-        supply: Supply,
-        buffer: Supercapacitor,
-        monitor: VoltageMonitor,
-        governor: Box<dyn Governor>,
-        initial_opp: Opp,
-        initial_vc: Volts,
-        options: SimOptions,
-    ) -> Result<Self, SimError> {
-        if options.t_end <= options.t_start {
-            return Err(SimError::InvalidConfig("empty simulation window"));
-        }
-        if !(initial_vc.value() > 0.0) || initial_vc.value() > 10.0 {
-            return Err(SimError::InvalidConfig("initial vc out of range"));
-        }
-        // A cap at or below the minimum step leaves the solver no step
-        // to take, and the controlled supply's span no progress.
-        let max_step = options.max_step.value();
-        if !(max_step > MIN_STEP && max_step.is_finite()) {
-            return Err(SimError::InvalidConfig("max_step must be finite and above MIN_STEP"));
-        }
-        let record_dt = options.record_dt.value();
-        if !(record_dt > 0.0 && record_dt.is_finite()) {
-            return Err(SimError::InvalidConfig("record_dt must be finite and positive"));
-        }
-        options.thermal.validate()?;
-        Ok(Self { platform, supply, buffer, monitor, governor, initial_opp, initial_vc, options })
+/// Runs `scenario` under `governor` from `initial_opp` to completion:
+/// the engine entry behind every `Scenario::run_*`.
+///
+/// # Errors
+///
+/// Returns [`SimError::InvalidConfig`] for a window that is empty or
+/// has an end that is not finite, an initial voltage outside a sane
+/// range, a `max_step` that is not finite and above the solver's
+/// [`MIN_STEP`] or a `record_dt` that is not finite and positive, and
+/// [`SimError::Soc`] for a thermal model that [`ThermalSpec::validate`]
+/// rejects. Otherwise propagates solver and monitor failures; these
+/// indicate a mis-assembled scenario, not a brownout (brownouts are
+/// reported in the [`SimReport`]).
+pub(crate) fn run(
+    scenario: &Scenario,
+    governor: Box<dyn Governor>,
+    initial_opp: Opp,
+) -> Result<SimReport, SimError> {
+    let options = scenario.options();
+    let (t_start, t_end) = (options.t_start.value(), options.t_end.value());
+    if !(t_start < t_end && t_start.is_finite() && t_end.is_finite()) {
+        return Err(SimError::InvalidConfig("simulation window must be finite and non-empty"));
     }
-
-    /// Runs the simulation to completion.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver and monitor failures; these indicate a
-    /// mis-assembled scenario, not a brownout (brownouts are reported
-    /// in the [`SimReport`]).
-    pub fn run(self) -> Result<SimReport, SimError> {
-        let mut lane = self.start()?;
-        while !lane.done() {
-            lane.step()?;
-        }
-        lane.finish()
+    let initial_vc = scenario.initial_vc.value();
+    if !(initial_vc > 0.0) || initial_vc > 10.0 {
+        return Err(SimError::InvalidConfig("initial vc out of range"));
     }
-
-    /// Performs the one-time setup (governor start-up, initial
-    /// snapshot) and hands back the per-simulation loop state that
-    /// `run()` steps to completion.
-    fn start(mut self) -> Result<Lane, SimError> {
-        let opts = self.options;
-        let vmin = self.platform.voltage_window().min.value();
-        let uses_irq = self.governor.uses_threshold_interrupts();
-
-        let runtime = SocRuntime::new(self.platform.clone(), self.initial_opp);
-        // Preallocate the trace from the known window and recording
-        // interval (plus slack for event snapshots); clamped so a tiny
-        // record_dt cannot demand absurd memory up front.
-        let expected_snapshots = (((opts.t_end - opts.t_start).value() / opts.record_dt.value())
-            .ceil() as usize)
-            .saturating_add(16)
-            .min(1 << 22);
-        let recorder = Recorder::with_capacity(expected_snapshots);
-        let mut supply_state = SupplyState::new(&self.supply, opts.supply_model)?;
-        let (rtol, atol) = TOLERANCES;
-        let solver =
-            Rk23::new(AdaptiveOptions::new(opts.max_step.value()).with_tolerances(rtol, atol));
-
-        let t_start = opts.t_start.value();
-        let t_end = opts.t_end.value();
-        let t = t_start;
-        let vc = match &self.supply {
-            Supply::Controlled { waveform } => waveform.sample(Seconds::new(t)).value(),
-            Supply::Photovoltaic { .. } => self.initial_vc.value(),
-        };
-        let i_in = supply_state.current(&self.supply, Seconds::new(t), Volts::new(vc))?;
-        let y = supply_state.state(&self.supply, Volts::new(vc), i_in);
-        let i_in = i_in.value();
-        let target = self.platform.target_voltage().value();
-
-        // Governor start-up; its action applies once the lane exists.
-        let action = self.governor.start(Seconds::new(t), Volts::new(vc), runtime.current_opp());
-        let next_tick = self.governor.tick_period().map(|p| t + p.value());
-
-        let thermal = match opts.thermal {
-            ThermalSpec::Off => None,
-            ThermalSpec::Rc(rc) => Some(ThermalState::new(rc)),
-        };
-        let arrival = ArrivalTimeline::build(opts.arrival, opts.arrival_seed, t_start, t_end);
-        let arrival_duty = arrival.duty_at(t_start);
-
-        let mut lane = Lane {
-            supply: self.supply,
-            buffer: self.buffer,
-            monitor: self.monitor,
-            governor: self.governor,
-            opts,
-            vmin,
-            uses_irq,
-            t_start,
-            t_end,
-            runtime,
-            recorder,
-            supply_state,
-            solver,
-            fsal: None,
-            t,
-            vc,
-            y,
-            i_in,
-            band: (target * (1.0 - BAND), target * (1.0 + BAND)),
-            accrued: Accrued::default(),
-            next_tick,
-            recheck_at: None,
-            next_record: t + opts.record_dt.value(),
-            thermal,
-            arrival,
-            arrival_duty,
-        };
-        let _ = lane.apply(action)?;
-        // A stress boost can engage at cold start; the scales must be
-        // in force before the first snapshot and the first advance.
-        lane.refresh_scales();
-        lane.snapshot();
-        Ok(lane)
+    // A cap at or below the minimum step leaves the solver no step
+    // to take, and the controlled supply's span no progress.
+    let max_step = options.max_step.value();
+    if !(max_step > MIN_STEP && max_step.is_finite()) {
+        return Err(SimError::InvalidConfig("max_step must be finite and above MIN_STEP"));
     }
+    let record_dt = options.record_dt.value();
+    if !(record_dt > 0.0 && record_dt.is_finite()) {
+        return Err(SimError::InvalidConfig("record_dt must be finite and positive"));
+    }
+    options.thermal.validate()?;
+    let mut lane = Lane::start(scenario, governor, initial_opp)?;
+    while !lane.done() {
+        lane.step()?;
+    }
+    lane.finish()
 }
 
 /// One in-flight simulation between loop iterations: every variable of
 /// the simulation loop — runtime, recorder, solver, supply state, event
-/// bookkeeping. [`Simulation::run`] is its only driver.
+/// bookkeeping. [`run`] is its only driver.
 struct Lane {
     supply: Supply,
     buffer: Supercapacitor,
@@ -602,6 +493,91 @@ struct Lane {
 }
 
 impl Lane {
+    /// Performs the one-time setup (governor start-up, initial
+    /// snapshot) and hands back the per-simulation loop state that
+    /// [`run`] steps to completion.
+    fn start(
+        scenario: &Scenario,
+        mut governor: Box<dyn Governor>,
+        initial_opp: Opp,
+    ) -> Result<Lane, SimError> {
+        let opts = *scenario.options();
+        let platform = scenario.platform();
+        let vmin = platform.voltage_window().min.value();
+        let uses_irq = governor.uses_threshold_interrupts();
+
+        let runtime = SocRuntime::new(platform.clone(), initial_opp);
+        // Preallocate the trace from the known window and recording
+        // interval (plus slack for event snapshots); clamped so a tiny
+        // record_dt cannot demand absurd memory up front.
+        let expected_snapshots = (((opts.t_end - opts.t_start).value() / opts.record_dt.value())
+            .ceil() as usize)
+            .saturating_add(16)
+            .min(1 << 22);
+        let recorder = Recorder::with_capacity(expected_snapshots);
+        let supply = scenario.supply().clone();
+        let mut supply_state = SupplyState::new(&supply, opts.supply_model)?;
+        let solver = Rk23::new(AdaptiveOptions::new(opts.max_step.value(), TOLERANCES));
+
+        let t_start = opts.t_start.value();
+        let t_end = opts.t_end.value();
+        let t = t_start;
+        let vc = match &supply {
+            Supply::Controlled { waveform } => waveform.sample(Seconds::new(t)).value(),
+            Supply::Photovoltaic { .. } => scenario.initial_vc.value(),
+        };
+        let i_in = supply_state.current(&supply, Seconds::new(t), Volts::new(vc))?;
+        let y = supply_state.state(&supply, Volts::new(vc), i_in);
+        let i_in = i_in.value();
+        let target = platform.target_voltage().value();
+
+        // Governor start-up; its action applies once the lane exists.
+        let action = governor.start(Seconds::new(t), Volts::new(vc), runtime.current_opp());
+        let next_tick = governor.tick_period().map(|p| t + p.value());
+
+        let thermal = match opts.thermal {
+            ThermalSpec::Off => None,
+            ThermalSpec::Rc(rc) => Some(ThermalState::new(rc)),
+        };
+        let arrival = ArrivalTimeline::build(opts.arrival, opts.arrival_seed, t_start, t_end);
+        let arrival_duty = arrival.duty_at(t_start);
+
+        let mut lane = Lane {
+            supply,
+            buffer: scenario.buffer,
+            monitor: VoltageMonitor::paper_board()?,
+            governor,
+            opts,
+            vmin,
+            uses_irq,
+            t_start,
+            t_end,
+            runtime,
+            recorder,
+            supply_state,
+            solver,
+            fsal: None,
+            t,
+            vc,
+            y,
+            i_in,
+            band: (target * (1.0 - BAND), target * (1.0 + BAND)),
+            accrued: Accrued::default(),
+            next_tick,
+            recheck_at: None,
+            next_record: t + opts.record_dt.value(),
+            thermal,
+            arrival,
+            arrival_duty,
+        };
+        let _ = lane.apply(action)?;
+        // A stress boost can engage at cold start; the scales must be
+        // in force before the first snapshot and the first advance.
+        lane.refresh_scales();
+        lane.snapshot();
+        Ok(lane)
+    }
+
     /// `true` once the lane has reached its window end or browned out
     /// (Table II semantics); `step` must not be called again.
     fn done(&self) -> bool {
@@ -1253,6 +1229,7 @@ mod tests {
     use pn_core::params::ControlParams;
     use pn_governors::{Performance, Powersave};
     use pn_harvest::irradiance::IrradianceTrace;
+    use pn_soc::platform::Platform;
     use pn_soc::thermal::RcThermal;
     use pn_units::WattsPerSquareMeter;
 
@@ -1268,23 +1245,25 @@ mod tests {
         )
     }
 
-    fn build(
+    /// Runs `governor` from `initial_opp` on the paper's board and
+    /// buffer from 5.3 V, powered by `supply` under `options`.
+    fn run_on(
+        governor: Box<dyn Governor>,
+        supply: Supply,
+        options: SimOptions,
+        initial_opp: Opp,
+    ) -> Result<SimReport, SimError> {
+        run(&Scenario::new(supply, options), governor, initial_opp)
+    }
+
+    /// [`run_on`] over `[0, t_end]` with the default options.
+    fn simulate(
         governor: Box<dyn Governor>,
         supply: Supply,
         t_end: f64,
         initial_opp: Opp,
-    ) -> Simulation {
-        Simulation::new(
-            Platform::odroid_xu4(),
-            supply,
-            Supercapacitor::paper_buffer(),
-            VoltageMonitor::paper_board().unwrap(),
-            governor,
-            initial_opp,
-            Volts::new(5.3),
-            SimOptions::new(Seconds::new(t_end)),
-        )
-        .unwrap()
+    ) -> SimReport {
+        run_on(governor, supply, SimOptions::new(Seconds::new(t_end)), initial_opp).unwrap()
     }
 
     fn pn_governor() -> Box<dyn Governor> {
@@ -1300,49 +1279,38 @@ mod tests {
     #[test]
     fn performance_governor_browns_out_fast_on_weak_sun() {
         // ~560 W/m² gives ≈3.3 W available; performance draws ≈7 W.
-        let sim = build(
+        let report = simulate(
             Box::new(Performance::new()),
             pv_supply(560.0, 30.0),
             30.0,
             Opp::new(pn_soc::cores::CoreConfig::MAX, 0),
         );
-        let report = sim.run().unwrap();
         assert!(!report.survived(), "performance should brown out");
         assert!(report.lifetime().unwrap().value() < 5.0);
     }
 
     #[test]
     fn powersave_survives_weak_sun() {
-        let sim = build(
+        let report = simulate(
             Box::new(Powersave::new()),
             pv_supply(560.0, 30.0),
             30.0,
             Opp::new(pn_soc::cores::CoreConfig::MAX, 0),
         );
-        let report = sim.run().unwrap();
         assert!(report.survived(), "powersave must survive ≈3.3 W harvest");
         assert!(report.work().instructions() > 0.0);
     }
 
     #[test]
     fn power_neutral_survives_and_outperforms_powersave() {
-        let pn = build(
-            pn_governor(),
-            pv_supply(560.0, 60.0),
-            60.0,
-            Opp::lowest(),
-        )
-        .run()
-        .unwrap();
+        let pn = simulate(pn_governor(), pv_supply(560.0, 60.0), 60.0, Opp::lowest());
         assert!(pn.survived(), "power-neutral must survive");
-        let ps = build(
+        let ps = simulate(
             Box::new(Powersave::new()),
             pv_supply(560.0, 60.0),
             60.0,
             Opp::new(pn_soc::cores::CoreConfig::MAX, 0),
-        )
-        .run()
-        .unwrap();
+        );
         assert!(
             pn.work().instructions() > ps.work().instructions(),
             "pn {} vs powersave {}",
@@ -1353,8 +1321,7 @@ mod tests {
 
     #[test]
     fn power_neutral_tracks_mpp_voltage() {
-        let report =
-            build(pn_governor(), pv_supply(560.0, 120.0), 120.0, Opp::lowest()).run().unwrap();
+        let report = simulate(pn_governor(), pv_supply(560.0, 120.0), 120.0, Opp::lowest());
         assert!(report.survived());
         // After convergence VC must hover near the MPP (5.3 V target).
         let vc = report.recorder().vc();
@@ -1381,8 +1348,7 @@ mod tests {
         ])
         .unwrap();
         let start = Opp::new(pn_soc::cores::CoreConfig::MAX, 7);
-        let sim = build(pn_governor(), Supply::Controlled { waveform }, 20.0, start);
-        let report = sim.run().unwrap();
+        let report = simulate(pn_governor(), Supply::Controlled { waveform }, 20.0, start);
         assert!(report.survived());
         let freq = report.recorder().frequency_ghz();
         let first = freq.values()[0];
@@ -1437,8 +1403,7 @@ mod tests {
         .unwrap();
         let edges = std::rc::Rc::default();
         let governor = Box::new(Retune(std::rc::Rc::clone(&edges), true));
-        let report =
-            build(governor, Supply::Controlled { waveform }, 10.0, Opp::lowest()).run().unwrap();
+        let report = simulate(governor, Supply::Controlled { waveform }, 10.0, Opp::lowest());
         assert!(report.survived());
         let edges = edges.borrow();
         assert_eq!(edges.len(), 2, "{edges:?}");
@@ -1462,7 +1427,7 @@ mod tests {
         let supply = Supply::Controlled { waveform: waveform.clone() };
         let edges = std::rc::Rc::default();
         let governor = Box::new(Retune(std::rc::Rc::clone(&edges), false));
-        build(governor, supply, 0.05, Opp::lowest()).run().unwrap();
+        simulate(governor, supply, 0.05, Opp::lowest());
         let (high, _) = VoltageMonitor::paper_board()
             .unwrap()
             .set_thresholds(Volts::new(5.3), Volts::new(4.5))
@@ -1487,8 +1452,7 @@ mod tests {
         ])
         .unwrap();
         let performance = Box::new(Performance::new());
-        let report =
-            build(performance, Supply::Controlled { waveform }, 1.0, Opp::lowest()).run().unwrap();
+        let report = simulate(performance, Supply::Controlled { waveform }, 1.0, Opp::lowest());
         let stability = report.vc_stability();
         assert!((stability - (1.0 - 0.335 / 60.0)).abs() < 1e-9, "{stability}");
     }
@@ -1496,13 +1460,12 @@ mod tests {
     #[test]
     fn brownout_is_reported_with_interpolated_time() {
         // Darkness: the board discharges the 47 mF buffer and dies.
-        let sim = build(
+        let report = simulate(
             Box::new(Performance::new()),
             pv_supply(0.0, 10.0),
             10.0,
             Opp::new(pn_soc::cores::CoreConfig::MAX, 7),
         );
-        let report = sim.run().unwrap();
         let life = report.lifetime().unwrap().value();
         // ~7 W from 47 mF between 5.3 and 4.1 V: C·ΔV/I ≈ 0.047·1.2/1.4 ≈ 40 ms.
         assert!(life > 0.005 && life < 0.5, "lifetime {life}");
@@ -1512,8 +1475,7 @@ mod tests {
 
     #[test]
     fn report_accessors_are_consistent() {
-        let report =
-            build(pn_governor(), pv_supply(560.0, 10.0), 10.0, Opp::lowest()).run().unwrap();
+        let report = simulate(pn_governor(), pv_supply(560.0, 10.0), 10.0, Opp::lowest());
         assert_eq!(report.governor(), "power-neutral");
         assert!(report.duration().value() > 9.9);
         assert!(report.recorder().len() > 5);
@@ -1523,19 +1485,8 @@ mod tests {
     #[test]
     fn interpolated_model_tracks_the_exact_engine() {
         let run = |model: SupplyModel| {
-            Simulation::new(
-                Platform::odroid_xu4(),
-                pv_supply(560.0, 30.0),
-                Supercapacitor::paper_buffer(),
-                VoltageMonitor::paper_board().unwrap(),
-                pn_governor(),
-                Opp::lowest(),
-                Volts::new(5.3),
-                SimOptions::new(Seconds::new(30.0)).with_supply_model(model),
-            )
-            .unwrap()
-            .run()
-            .unwrap()
+            let options = SimOptions::new(Seconds::new(30.0)).with_supply_model(model);
+            run_on(pn_governor(), pv_supply(560.0, 30.0), options, Opp::lowest()).unwrap()
         };
         let exact = run(SupplyModel::Exact);
         let interp = run(SupplyModel::interpolated());
@@ -1555,19 +1506,8 @@ mod tests {
     #[test]
     fn record_dt_override_decimates_the_trace() {
         let run = |options: SimOptions| {
-            Simulation::new(
-                Platform::odroid_xu4(),
-                pv_supply(560.0, 10.0),
-                Supercapacitor::paper_buffer(),
-                VoltageMonitor::paper_board().unwrap(),
-                Box::new(Powersave::new()),
-                Opp::new(pn_soc::cores::CoreConfig::MAX, 0),
-                Volts::new(5.3),
-                options,
-            )
-            .unwrap()
-            .run()
-            .unwrap()
+            let max = Opp::new(pn_soc::cores::CoreConfig::MAX, 0);
+            run_on(Box::new(Powersave::new()), pv_supply(560.0, 10.0), options, max).unwrap()
         };
         let options = SimOptions::new(Seconds::new(10.0));
         let dense = run(options); // default 0.5 s grid
@@ -1590,7 +1530,7 @@ mod tests {
         // latest three. Pin that on a step whose first attempt, far too
         // long for y' = −50y, is rejected: eight exact steps on a flat
         // right-hand side first grow the step ×5 each, to the 1 s cap.
-        let mut solver = Rk23::new(AdaptiveOptions::new(1.0));
+        let mut solver = Rk23::new(AdaptiveOptions::new(1.0, (1e-6, 1e-8)));
         let mut t = 0.0;
         for _ in 0..8 {
             t = solver.step(|_, _| 0.0, t, 1.0, 100.0).unwrap().t1;
@@ -1615,14 +1555,12 @@ mod tests {
         // Explicitly setting thermal Off + saturated arrivals must
         // reproduce the untouched-options run bit for bit: no scale,
         // cap, or boundary code may fire on the default path.
-        let base = build(pn_governor(), pv_supply(560.0, 20.0), 20.0, Opp::lowest());
-        let plain = base.run().unwrap();
-        let mut spelled = build(pn_governor(), pv_supply(560.0, 20.0), 20.0, Opp::lowest());
-        spelled.options = spelled
-            .options
+        let plain = simulate(pn_governor(), pv_supply(560.0, 20.0), 20.0, Opp::lowest());
+        let options = SimOptions::new(Seconds::new(20.0))
             .with_thermal(ThermalSpec::Off)
             .with_arrival(ArrivalSpec::Saturated, 99);
-        assert_eq!(plain, spelled.run().unwrap());
+        let spelled = run_on(pn_governor(), pv_supply(560.0, 20.0), options, Opp::lowest());
+        assert_eq!(plain, spelled.unwrap());
     }
 
     #[test]
@@ -1634,14 +1572,13 @@ mod tests {
             (Seconds::new(400.0), Volts::new(5.3)),
         ])
         .unwrap();
-        let mut sim = build(
+        let report = run_on(
             Box::new(Performance::new()),
             Supply::Controlled { waveform },
-            400.0,
+            SimOptions::new(Seconds::new(400.0)).with_thermal(ThermalSpec::stress()),
             Opp::new(pn_soc::cores::CoreConfig::MAX, 7),
-        );
-        sim.options = sim.options.with_thermal(ThermalSpec::stress());
-        let report = sim.run().unwrap();
+        )
+        .unwrap();
         assert!(report.survived());
         assert!(report.peak_temp_c() > 74.0, "peak {}", report.peak_temp_c());
         assert!(
@@ -1665,8 +1602,7 @@ mod tests {
 
     #[test]
     fn thermal_off_reports_zero_heat() {
-        let report =
-            build(pn_governor(), pv_supply(560.0, 10.0), 10.0, Opp::lowest()).run().unwrap();
+        let report = simulate(pn_governor(), pv_supply(560.0, 10.0), 10.0, Opp::lowest());
         assert_eq!(report.peak_temp_c(), 0.0);
         assert_eq!(report.throttle_time(), Seconds::ZERO);
         assert_eq!(report.boost_time(), Seconds::ZERO);
@@ -1674,18 +1610,17 @@ mod tests {
 
     #[test]
     fn bursty_arrivals_cut_work_and_power() {
-        let make = |arrival: ArrivalSpec| {
-            let mut sim = build(
+        let make = |arrival: ArrivalSpec, seed: u64| {
+            run_on(
                 Box::new(Powersave::new()),
                 pv_supply(560.0, 300.0),
-                300.0,
+                SimOptions::new(Seconds::new(300.0)).with_arrival(arrival, seed),
                 Opp::new(pn_soc::cores::CoreConfig::MAX, 0),
-            );
-            sim.options = sim.options.with_arrival(arrival, 17);
-            sim.run().unwrap()
+            )
+            .unwrap()
         };
-        let saturated = make(ArrivalSpec::Saturated);
-        let bursty = make(ArrivalSpec::bursty_stress());
+        let saturated = make(ArrivalSpec::Saturated, 17);
+        let bursty = make(ArrivalSpec::bursty_stress(), 17);
         assert!(
             bursty.work().instructions() < saturated.work().instructions(),
             "gaps must cost work: {} vs {}",
@@ -1693,31 +1628,16 @@ mod tests {
             saturated.work().instructions()
         );
         // Same arrival seed replays bitwise.
-        assert_eq!(bursty, make(ArrivalSpec::bursty_stress()));
+        assert_eq!(bursty, make(ArrivalSpec::bursty_stress(), 17));
         // A different seed produces a different trajectory.
-        let mut other = build(
-            Box::new(Powersave::new()),
-            pv_supply(560.0, 300.0),
-            300.0,
-            Opp::new(pn_soc::cores::CoreConfig::MAX, 0),
-        );
-        other.options = other.options.with_arrival(ArrivalSpec::bursty_stress(), 18);
-        assert_ne!(bursty, other.run().unwrap());
+        assert_ne!(bursty, make(ArrivalSpec::bursty_stress(), 18));
     }
 
     #[test]
     fn rejects_an_invalid_thermal_model() {
         let with_thermal = |thermal: ThermalSpec| {
-            Simulation::new(
-                Platform::odroid_xu4(),
-                pv_supply(560.0, 20.0),
-                Supercapacitor::paper_buffer(),
-                VoltageMonitor::paper_board().unwrap(),
-                pn_governor(),
-                Opp::lowest(),
-                Volts::new(5.3),
-                SimOptions::new(Seconds::new(20.0)).with_thermal(thermal),
-            )
+            let options = SimOptions::new(Seconds::new(20.0)).with_thermal(thermal);
+            run_on(pn_governor(), pv_supply(560.0, 20.0), options, Opp::lowest())
         };
         let ThermalSpec::Rc(stress) = ThermalSpec::stress() else {
             panic!("the stress preset is an RC model")
@@ -1730,7 +1650,7 @@ mod tests {
             assert!(matches!(result, Err(SimError::Soc(_))), "{bad:?} was accepted");
         }
         for good in [ThermalSpec::Off, ThermalSpec::stress()] {
-            with_thermal(good).unwrap().run().unwrap();
+            with_thermal(good).unwrap();
         }
     }
 
@@ -1743,16 +1663,7 @@ mod tests {
         .unwrap();
         for supply in [pv_supply(560.0, 20.0), Supply::Controlled { waveform }] {
             let with = |options: SimOptions| {
-                Simulation::new(
-                    Platform::odroid_xu4(),
-                    supply.clone(),
-                    Supercapacitor::paper_buffer(),
-                    VoltageMonitor::paper_board().unwrap(),
-                    pn_governor(),
-                    Opp::lowest(),
-                    Volts::new(5.3),
-                    options,
-                )
+                run_on(pn_governor(), supply.clone(), options, Opp::lowest())
             };
             let base = SimOptions::new(Seconds::new(20.0));
             // A step cap the solver cannot take, and one that lets the
@@ -1765,22 +1676,18 @@ mod tests {
                 let result = with(base.with_record_dt(Seconds::new(bad)));
                 assert!(matches!(result, Err(SimError::InvalidConfig(_))), "record_dt {bad}");
             }
-            with(base.with_max_step(Seconds::new(1e-3))).unwrap().run().unwrap();
+            with(base.with_max_step(Seconds::new(1e-3))).unwrap();
         }
     }
 
     #[test]
     fn rejects_empty_window() {
-        let r = Simulation::new(
-            Platform::odroid_xu4(),
-            pv_supply(500.0, 1.0),
-            Supercapacitor::paper_buffer(),
-            VoltageMonitor::paper_board().unwrap(),
-            pn_governor(),
-            Opp::lowest(),
-            Volts::new(5.3),
-            SimOptions::new(Seconds::ZERO),
-        );
-        assert!(r.is_err());
+        // An infinite end never finishes, and a NaN end makes no
+        // progress: neither is a window.
+        for t_end in [0.0, f64::INFINITY, f64::NAN] {
+            let options = SimOptions::new(Seconds::new(t_end));
+            let r = run_on(pn_governor(), pv_supply(500.0, 1.0), options, Opp::lowest());
+            assert!(r.is_err(), "t_end {t_end} was accepted");
+        }
     }
 }

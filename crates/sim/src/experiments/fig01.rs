@@ -40,7 +40,7 @@ pub fn run(seed: u64, dt: Seconds) -> Result<Fig01, SimError> {
         }
         prev = Some(p);
     }
-    let peak_watts = power.max().unwrap_or(0.0);
+    let peak_watts = power.as_series().max().unwrap_or(0.0);
     let micro_variability = if diffs.is_empty() || peak_watts <= 0.0 {
         0.0
     } else {
@@ -59,7 +59,7 @@ mod tests {
         // Fig. 1's y-axis spans 0–1 W.
         assert!(fig.peak_watts > 0.6 && fig.peak_watts < 1.3, "peak {}", fig.peak_watts);
         // Night-time power is zero.
-        assert_eq!(fig.power.sample(0.0).unwrap(), 0.0);
+        assert_eq!(fig.power.as_series().sample(0.0).unwrap(), 0.0);
         // Micro variability exists (shadowing) but is not total chaos.
         assert!(fig.micro_variability > 0.001, "no micro variability");
         assert!(fig.micro_variability < 0.5);

@@ -55,6 +55,6 @@ mod tests {
         // ...with scaling it rides through every trough.
         assert!(fig.scaled_lifetime.is_none(), "scaled system must survive");
         // And the scaled trace never dips below the brownout voltage.
-        assert!(fig.vc_scaled.min().unwrap() >= 4.0);
+        assert!(fig.vc_scaled.as_series().min().unwrap() >= 4.0);
     }
 }

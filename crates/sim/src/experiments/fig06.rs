@@ -58,16 +58,16 @@ mod tests {
         assert!(fig.controlled_survived);
         assert!(fig.uncontrolled_lifetime.is_some(), "uncontrolled must die");
         // VC stays above the 4.1 V minimum under control...
-        assert!(fig.vc_controlled.min().unwrap() >= 4.05);
+        assert!(fig.vc_controlled.as_series().min().unwrap() >= 4.05);
         // ...and the controller actually scaled: fewer cores and a
         // lower clock after the shadow than before it.
-        let cores_before = fig.big_cores.sample(1.5).unwrap() + fig.little_cores.sample(1.5).unwrap();
-        let t_end = fig.big_cores.end().unwrap();
-        let cores_after =
-            fig.big_cores.sample(t_end).unwrap() + fig.little_cores.sample(t_end).unwrap();
+        let (big, little) = (fig.big_cores.as_series(), fig.little_cores.as_series());
+        let cores_before = big.sample(1.5).unwrap() + little.sample(1.5).unwrap();
+        let t_end = big.end().unwrap();
+        let cores_after = big.sample(t_end).unwrap() + little.sample(t_end).unwrap();
         assert!(cores_after < cores_before, "{cores_before} → {cores_after}");
-        let f_before = fig.frequency_ghz.sample(1.5).unwrap();
-        let f_after = fig.frequency_ghz.sample(t_end).unwrap();
+        let f_before = fig.frequency_ghz.as_series().sample(1.5).unwrap();
+        let f_after = fig.frequency_ghz.as_series().sample(t_end).unwrap();
         assert!(f_after <= f_before);
     }
 }

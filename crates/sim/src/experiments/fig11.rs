@@ -50,12 +50,13 @@ mod tests {
         let fig = run().unwrap();
         assert!(fig.transitions > 4, "governor barely acted: {}", fig.transitions);
         // Rising phase (0–40 s): frequency climbs.
-        let f_early = fig.frequency_mhz.sample(2.0).unwrap();
-        let f_peak = fig.frequency_mhz.sample(85.0).unwrap();
+        let (freq, cores) = (fig.frequency_mhz.as_series(), fig.total_cores.as_series());
+        let f_early = freq.sample(2.0).unwrap();
+        let f_peak = freq.sample(85.0).unwrap();
         assert!(f_peak > f_early, "{f_early} → {f_peak}");
         // Feature B (the sudden drop at ~90 s) forces cores offline.
-        let cores_at_peak = fig.total_cores.sample(88.0).unwrap();
-        let cores_after_b = fig.total_cores.sample(110.0).unwrap();
+        let cores_at_peak = cores.sample(88.0).unwrap();
+        let cores_after_b = cores.sample(110.0).unwrap();
         assert!(
             cores_after_b < cores_at_peak,
             "cores {cores_at_peak} → {cores_after_b} across feature B"
@@ -68,7 +69,7 @@ mod tests {
         // frequency scaling: count distinct value changes.
         let fig = run().unwrap();
         let changes = |s: &TimeSeries| {
-            s.values().windows(2).filter(|w| (w[1] - w[0]).abs() > 1e-9).count()
+            s.as_series().values().windows(2).filter(|w| (w[1] - w[0]).abs() > 1e-9).count()
         };
         let core_changes = changes(&fig.total_cores);
         let freq_changes = changes(&fig.frequency_mhz);

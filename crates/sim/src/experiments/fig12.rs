@@ -60,6 +60,6 @@ mod tests {
             fig.within_5pct * 100.0
         );
         // VC never left the operating window downward.
-        assert!(fig.vc.min().unwrap() > 4.1);
+        assert!(fig.vc.as_series().min().unwrap() > 4.1);
     }
 }

@@ -57,15 +57,15 @@ pub fn run(seed: u64, duration: Seconds) -> Result<Fig14, SimError> {
 
     // The twin array logs Voc on the same time base.
     let mut available = TimeSeries::new("available_w");
-    for t in consumed.times() {
+    for t in consumed.as_series().times() {
         let g = irradiance.sample(Seconds::new(*t));
         let voc = cell.open_circuit_voltage(g)?;
         available.push(*t, estimator.estimate(voc).value())?;
     }
 
     let utilisation = mean_utilisation(&consumed, &available, 0.5)?;
-    let overdraw_fraction =
-        overdraw_fraction(consumed.times(), consumed.values(), available.values());
+    let (used, avail) = (consumed.as_series(), available.as_series());
+    let overdraw_fraction = overdraw_fraction(used.times(), used.values(), avail.values());
     Ok(Fig14 { available, consumed, utilisation, overdraw_fraction })
 }
 
@@ -146,7 +146,7 @@ mod tests {
         assert!(fig.overdraw_fraction < 0.35, "overdraw {}", fig.overdraw_fraction);
         assert!(fig.overdraw_fraction < 0.02, "overdraw {}", fig.overdraw_fraction);
         // The available estimate is in the paper's 1.5–3.5 W band.
-        let peak = fig.available.max().unwrap();
+        let peak = fig.available.as_series().max().unwrap();
         assert!(peak > 2.0 && peak < 4.5, "peak available {peak}");
     }
 

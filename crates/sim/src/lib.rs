@@ -21,7 +21,8 @@
 //! * [`engine`] — the hybrid continuous/discrete simulation loop
 //!   (adaptive RK23 between the discrete events that change the load,
 //!   event location on each step's dense output, interrupt masking
-//!   during transitions),
+//!   during transitions), which runs a scenario through its `run_*`
+//!   methods,
 //! * [`chaos`] — the deterministic fault plane: a seeded `FaultPlan`
 //!   injecting I/O and network faults behind the `IoPolicy` seam, so
 //!   the persistence and daemon layers are testable under chaos,

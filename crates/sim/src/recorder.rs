@@ -641,7 +641,7 @@ mod tests {
                     }
                 }
             }
-            prop_assert_eq!(recorder.len(), expected[0].len());
+            prop_assert_eq!(recorder.len(), expected[0].as_series().len());
             for (view, series) in views(&recorder).into_iter().zip(&expected) {
                 prop_assert_eq!(view, series.as_series());
             }

@@ -4,7 +4,7 @@
 //! options, and can be run under the power-neutral governor, any
 //! baseline governor, or a static (uncontrolled) configuration.
 
-use crate::engine::{SimOptions, SimReport, Simulation};
+use crate::engine::{self, SimOptions, SimReport};
 use crate::supply::{Supply, VoltageWaveform};
 use crate::SimError;
 use pn_circuit::capacitor::Supercapacitor;
@@ -27,16 +27,18 @@ use std::sync::Arc;
 pub struct Scenario {
     platform: Platform,
     supply: Supply,
-    buffer: Supercapacitor,
+    pub(crate) buffer: Supercapacitor,
     params: ControlParams,
     initial_opp: Opp,
-    initial_vc: Volts,
+    pub(crate) initial_vc: Volts,
     options: SimOptions,
 }
 
 impl Scenario {
-    /// Generic constructor used by the canned builders below.
-    fn new(supply: Supply, options: SimOptions) -> Self {
+    /// Generic constructor used by the canned builders below: the
+    /// ODROID-XU4 on the paper's buffer at its target voltage, under
+    /// the paper's control parameters from the lowest OPP.
+    pub(crate) fn new(supply: Supply, options: SimOptions) -> Self {
         let platform = Platform::odroid_xu4();
         Self {
             initial_vc: platform.target_voltage(),
@@ -124,17 +126,7 @@ impl Scenario {
         } else {
             Opp::new(CoreConfig::MAX, 0)
         };
-        Simulation::new(
-            self.platform.clone(),
-            self.supply.clone(),
-            self.buffer,
-            pn_monitor::monitor::VoltageMonitor::paper_board()?,
-            governor,
-            initial,
-            self.initial_vc,
-            self.options,
-        )?
-        .run()
+        engine::run(self, governor, initial)
     }
 
     /// Runs with a fixed OPP and no control at all (the red "small
@@ -144,17 +136,7 @@ impl Scenario {
     ///
     /// Propagates engine failures.
     pub fn run_static(&self, opp: Opp) -> Result<SimReport, SimError> {
-        Simulation::new(
-            self.platform.clone(),
-            self.supply.clone(),
-            self.buffer,
-            pn_monitor::monitor::VoltageMonitor::paper_board()?,
-            Box::new(Hold::new()),
-            opp,
-            self.initial_vc,
-            self.options,
-        )?
-        .run()
+        engine::run(self, Box::new(Hold::new()), opp)
     }
 
     /// Runs the paper's powersave baseline (Table II's only surviving

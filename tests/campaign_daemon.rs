@@ -155,14 +155,19 @@ fn a_failing_job_is_contained_and_the_daemon_keeps_serving() {
     let daemon = Daemon::start(DaemonConfig::new(&dir).with_workers(1)).expect("start");
     let addr = daemon.addr().to_string();
 
-    // A matrix whose cells are invalid (negative buffer capacitance):
-    // the job fails with the engine's message, the daemon survives.
-    let broken = spec().with_buffers_mf(vec![-1.0]);
-    let ticket = daemon::submit(&addr, &broken, 1).expect("submit broken");
-    let err = daemon::watch_csv(&addr, ticket.id).expect_err("job must fail");
-    assert!(err.to_string().contains("failed"), "{err}");
-    let status = daemon::status(&addr, ticket.id).expect("status");
-    assert_eq!(status.state, "failed");
+    // Matrices whose cells are invalid (a negative buffer capacitance,
+    // a window that never ends): each job fails with the engine's
+    // message, and the daemon survives.
+    for broken in [
+        spec().with_buffers_mf(vec![-1.0]),
+        spec().with_duration(Seconds::new(f64::INFINITY)),
+    ] {
+        let ticket = daemon::submit(&addr, &broken, 1).expect("submit broken");
+        let err = daemon::watch_csv(&addr, ticket.id).expect_err("job must fail");
+        assert!(err.to_string().contains("failed"), "{err}");
+        let status = daemon::status(&addr, ticket.id).expect("status");
+        assert_eq!(status.state, "failed");
+    }
 
     // The daemon still schedules and completes fresh jobs.
     let good = spec();

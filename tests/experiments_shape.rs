@@ -10,8 +10,9 @@ fn fig01_day_trace_has_macro_and_micro_structure() {
     assert!(fig.peak_watts > 0.6 && fig.peak_watts < 1.3);
     assert!(fig.micro_variability > 0.001);
     // Macro structure: the first and last samples (night) are dark.
-    assert_eq!(fig.power.values()[0], 0.0);
-    assert_eq!(*fig.power.values().last().unwrap(), 0.0);
+    let power = fig.power.as_series().values();
+    assert_eq!(power[0], 0.0);
+    assert_eq!(*power.last().unwrap(), 0.0);
 }
 
 #[test]
@@ -67,10 +68,11 @@ fn fig11_transient_vs_long_term_response_separation() {
     let fig = fig11::run().expect("fig11");
     // Feature A (minor fluctuation): core count does not move between
     // 44 s and 88 s.
-    let cores_a_start = fig.total_cores.sample(44.0).expect("sample");
-    let cores_a_end = fig.total_cores.sample(88.0).expect("sample");
+    let cores = fig.total_cores.as_series();
+    let cores_a_start = cores.sample(44.0).expect("sample");
+    let cores_a_end = cores.sample(88.0).expect("sample");
     assert_eq!(cores_a_start, cores_a_end, "cores changed across feature A");
     // Feature B (sudden drop at 90 s): cores shed within seconds.
-    let cores_after_b = fig.total_cores.sample(100.0).expect("sample");
+    let cores_after_b = cores.sample(100.0).expect("sample");
     assert!(cores_after_b < cores_a_end);
 }
