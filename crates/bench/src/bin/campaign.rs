@@ -501,6 +501,19 @@ fn run_client(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
+/// Reads and decodes saved report files, each error tagged with its
+/// path: the inputs of `--resume` and `--merge`.
+fn read_reports(paths: &[String]) -> Result<Vec<CampaignReport>, String> {
+    paths
+        .iter()
+        .map(|path| {
+            let text =
+                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            persist::report_from_str(&text).map_err(|e| format!("{path}: {e}"))
+        })
+        .collect()
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cli = parse_cli()?;
     if cli.submit.is_some() || cli.watch.is_some() {
@@ -513,13 +526,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let spec = build_spec(&cli);
         let t0 = std::time::Instant::now();
         let report = if !cli.resume.is_empty() {
-            let mut parts = Vec::with_capacity(cli.resume.len());
-            for path in &cli.resume {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("cannot read {path}: {e}"))?;
-                parts
-                    .push(persist::report_from_str(&text).map_err(|e| format!("{path}: {e}"))?);
-            }
+            let parts = read_reports(&cli.resume)?;
             let saved_cells: usize = parts.iter().map(CampaignReport::len).sum();
             banner(
                 "campaign",
@@ -548,13 +555,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (report, Some(t0.elapsed()))
     } else {
         banner("campaign", &format!("merging {} saved shard reports", cli.merge.len()));
-        let mut parts = Vec::with_capacity(cli.merge.len());
-        for path in &cli.merge {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {path}: {e}"))?;
-            parts.push(persist::report_from_str(&text).map_err(|e| format!("{path}: {e}"))?);
-        }
-        (CampaignReport::merge(parts)?, None)
+        (CampaignReport::merge(read_reports(&cli.merge)?)?, None)
     };
 
     let rows: Vec<Vec<String>> = report

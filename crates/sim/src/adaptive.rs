@@ -121,12 +121,9 @@ impl AdaptiveAxis {
 
     /// Parses an [`AdaptiveAxis::slug`] token back into an axis.
     pub fn from_slug(slug: &str) -> Option<AdaptiveAxis> {
-        match slug {
-            "buffer" => Some(AdaptiveAxis::BufferMf),
-            "thermal" => Some(AdaptiveAxis::ThermalLimitC),
-            "fault" => Some(AdaptiveAxis::FaultDepth),
-            _ => None,
-        }
+        [AdaptiveAxis::BufferMf, AdaptiveAxis::ThermalLimitC, AdaptiveAxis::FaultDepth]
+            .into_iter()
+            .find(|axis| axis.slug() == slug)
     }
 
     /// `true` when survival is monotone increasing in the axis value.

@@ -98,19 +98,14 @@ pub enum GovernorSpec {
 
 impl GovernorSpec {
     /// Scheme label used in reports (matches `SimReport::governor`
-    /// names).
+    /// names): the [`slug`](GovernorSpec::slug), except that a
+    /// userspace level reads `userspace@<level>` and every `Hold` reads
+    /// `static`.
     pub fn label(&self) -> String {
         match self {
-            GovernorSpec::PowerNeutral => "power-neutral".into(),
-            GovernorSpec::Performance => "performance".into(),
-            GovernorSpec::Powersave => "powersave".into(),
             GovernorSpec::Userspace(level) => format!("userspace@{level}"),
-            GovernorSpec::Ondemand => "ondemand".into(),
-            GovernorSpec::Conservative => "conservative".into(),
-            GovernorSpec::Interactive => "interactive".into(),
-            GovernorSpec::RaceToIdle => "race-to-idle".into(),
-            GovernorSpec::BudgetShift => "budget-shift".into(),
             GovernorSpec::Hold(_) => "static".into(),
+            _ => self.slug(),
         }
     }
 

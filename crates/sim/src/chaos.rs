@@ -153,12 +153,9 @@ impl ChaosProfile {
 
     /// Inverse of [`ChaosProfile::slug`].
     fn from_slug(slug: &str) -> Option<Self> {
-        match slug {
-            "io" => Some(ChaosProfile::Io),
-            "net" => Some(ChaosProfile::Net),
-            "all" => Some(ChaosProfile::All),
-            _ => None,
-        }
+        [ChaosProfile::Io, ChaosProfile::Net, ChaosProfile::All]
+            .into_iter()
+            .find(|profile| profile.slug() == slug)
     }
 }
 

@@ -64,8 +64,8 @@
 //! subdirectory:
 //!
 //! ```text
-//! <dir>/job-<id>/job.meta       shard count ("pn-campaignd-job v1")
-//! <dir>/job-<id>/spec.pnc       the submitted spec (spec wire format)
+//! <dir>/job-<id>/submit.pnc     the submit request as received: the
+//!                               command line, then the spec document
 //! <dir>/job-<id>/shard-<i>.pnc  one finished shard (report wire format)
 //! <dir>/job-<id>/report.pnc     the merged report, once complete
 //! ```
@@ -76,7 +76,9 @@
 //! [`csv_row`](crate::persist::csv_row)s the watch stream sends, plus
 //! each cell's parameters, duration and idle flag, and a digest line
 //! closes the document, so an edited or corrupted checkpoint fails to
-//! decode. On start the daemon rescans the directory:
+//! decode. On start the daemon rescans the directory and reopens each
+//! job from its `submit.pnc` through the same decoder a live submit
+//! uses, so a recovered job is the job the submit opened. Then its
 //! valid shard checkpoints are adopted as-is after revalidation
 //! against the job's spec (the same position + label + per-cell
 //! options check [`resume_campaign`](crate::campaign::resume_campaign)
@@ -86,9 +88,11 @@
 //! its checkpoint must cover exactly that range. The merged report
 //! lives only on disk. Because every cell is bitwise deterministic, the
 //! recovered run's merged report and CSV are byte-identical to an
-//! uninterrupted run's. A job directory no submit could have written
-//! (a spec past [`MAX_JOB_CELLS`], a `job.meta` with more shards than
-//! cells) is skipped like one whose files are missing or torn.
+//! uninterrupted run's. A `submit.pnc` that a live submit would refuse
+//! (a matrix past [`MAX_JOB_CELLS`], no submit command line) is
+//! skipped like one that is missing or torn, and a shard count past
+//! the matrix is clamped to one shard per cell, as a live submit
+//! clamps it.
 //!
 //! A panicking cell is contained by the worker (the panic is caught,
 //! the job is marked failed, watchers are told why) without taking the
@@ -138,10 +142,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// Header line of a job's `job.meta` file.
-const JOB_META_HEADER: &str = "pn-campaignd-job v1";
-/// How long blocked waits sleep between shutdown-flag checks.
-const WAIT_TICK: Duration = Duration::from_millis(100);
 /// Default per-connection read/write deadline: long enough for any
 /// legitimate pause (a watch stream between rows is written, not
 /// read), short enough that a stalled client frees its handler thread
@@ -315,9 +315,10 @@ struct Shared {
     /// The address the listener bound (`config.addr` may ask for port 0).
     addr: SocketAddr,
     jobs: Mutex<Vec<Arc<Job>>>,
-    /// The id the next submitted job gets. Recovery raises it past
-    /// every `job-<id>` directory on disk, loadable or not.
-    next_id: AtomicU64,
+    /// The highest job id taken, by a submit or by a `job-<id>`
+    /// directory on disk, loadable or not (`0`: none). A submit takes
+    /// the id above it; past `u64::MAX` no id is left.
+    last_id: AtomicU64,
     queue: Mutex<VecDeque<Task>>,
     queue_cond: Condvar,
     shutdown: AtomicBool,
@@ -379,7 +380,7 @@ impl Daemon {
             config,
             addr,
             jobs: Mutex::new(Vec::new()),
-            next_id: AtomicU64::new(1),
+            last_id: AtomicU64::new(0),
             queue: Mutex::new(VecDeque::new()),
             queue_cond: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -438,11 +439,18 @@ impl Daemon {
 }
 
 /// Flags shutdown, wakes every blocked worker and watcher, and pokes
-/// the accept loop so its blocking `accept` returns.
+/// the accept loop so its blocking `accept` returns. Each notify is
+/// sent under its waiters' mutex, so none lands between a waiter's
+/// check of the flag and its wait. The jobs list is locked before a
+/// job's state, the order every path takes them in.
 fn begin_shutdown(shared: &Shared) {
     shared.shutdown.store(true, Ordering::SeqCst);
-    shared.queue_cond.notify_all();
+    {
+        let _queue = shared.queue.lock().expect("queue lock");
+        shared.queue_cond.notify_all();
+    }
     for job in shared.jobs.lock().expect("jobs lock").iter() {
+        let _state = job.state.lock().expect("job state lock");
         job.cond.notify_all();
     }
     let _ = TcpStream::connect(shared.addr);
@@ -453,9 +461,9 @@ fn begin_shutdown(shared: &Shared) {
 // ---------------------------------------------------------------------
 
 /// Rescans the checkpoint directory and re-registers every decodable
-/// job. Jobs whose spec or meta file is missing or torn were never
-/// acknowledged to a client (the meta and spec are written before the
-/// submit reply) and are skipped with a note on stderr.
+/// job. A job whose `submit.pnc` is missing or torn was never
+/// acknowledged to a client (the request is written before the submit
+/// reply) and is skipped with a note on stderr.
 fn recover_jobs(shared: &Arc<Shared>) {
     let Ok(entries) = std::fs::read_dir(&shared.config.dir) else {
         return;
@@ -471,7 +479,7 @@ fn recover_jobs(shared: &Arc<Shared>) {
     found.sort_by_key(|&(id, _)| id);
     for (id, dir) in found {
         // A skipped directory still holds files; never hand its id out.
-        shared.next_id.fetch_max(id + 1, Ordering::SeqCst);
+        shared.last_id.fetch_max(id, Ordering::SeqCst);
         match load_job(id, &dir) {
             Ok(job) => register_job(shared, &job),
             Err(e) => eprintln!("campaignd: skipping {}: {e}", dir.display()),
@@ -479,25 +487,14 @@ fn recover_jobs(shared: &Arc<Shared>) {
     }
 }
 
-/// Loads one job directory: decode spec + meta, then adopt every shard
-/// checkpoint that decodes *and* matches the spec (position, labels,
-/// per-cell options). Torn or stale checkpoints are deleted so the
-/// shard reruns. A spec or meta file that asks for more than a submit
-/// could have written (a matrix past [`MAX_JOB_CELLS`], more shards
-/// than cells) fails the load before any cell is enumerated.
+/// Loads one job directory: reopen the job from its `submit.pnc` with
+/// [`decode_submit`], then adopt every shard checkpoint that decodes
+/// *and* matches the spec (position, labels, per-cell options). Torn or
+/// stale checkpoints are deleted so the shard reruns.
 fn load_job(id: u64, dir: &Path) -> Result<Arc<Job>, SimError> {
-    let read = |name: &str| {
-        std::fs::read_to_string(dir.join(name))
-            .map_err(|e| SimError::Daemon(format!("cannot read {name}: {e}")))
-    };
-    let spec = persist::spec_from_str(&read("spec.pnc")?)?;
-    let cells = job_cells(&spec)?;
-    let shard_count = parse_job_meta(&read("job.meta")?)?;
-    if !(1..=cells).contains(&shard_count) {
-        return Err(SimError::Daemon(format!(
-            "job.meta asks for {shard_count} shards of a {cells}-cell matrix"
-        )));
-    }
+    let request = std::fs::read_to_string(dir.join("submit.pnc"))
+        .map_err(|e| SimError::Daemon(format!("cannot read submit.pnc: {e}")))?;
+    let (spec, shard_count) = decode_submit(&request)?;
     let job = Arc::new(Job::new(id, dir.to_path_buf(), &spec, shard_count));
     let mut state = job.state.lock().expect("job state lock");
     for (i, range) in job.shards.iter().enumerate() {
@@ -544,23 +541,6 @@ fn decode_checkpoint(
     Ok(report)
 }
 
-fn parse_job_meta(text: &str) -> Result<usize, SimError> {
-    let mut lines = text.lines().map(str::trim).filter(|l| !l.is_empty());
-    if lines.next() != Some(JOB_META_HEADER) {
-        return Err(SimError::Daemon("job.meta header mismatch".into()));
-    }
-    let shards = lines
-        .next()
-        .and_then(|l| l.strip_prefix("shards "))
-        .and_then(|n| n.parse::<usize>().ok())
-        .ok_or_else(|| SimError::Daemon("job.meta shards line malformed".into()))?;
-    Ok(shards)
-}
-
-fn job_meta_string(shard_count: usize) -> String {
-    format!("{JOB_META_HEADER}\nshards {shard_count}\nend\n")
-}
-
 /// Adds a job to the registry and enqueues its unfinished shards (in
 /// shard order); a fully checkpointed job is merged immediately.
 fn register_job(shared: &Arc<Shared>, job: &Arc<Job>) {
@@ -600,11 +580,7 @@ fn worker_loop(shared: &Shared) {
                 if let Some(task) = queue.pop_front() {
                     break task;
                 }
-                let (guard, _) = shared
-                    .queue_cond
-                    .wait_timeout(queue, WAIT_TICK)
-                    .expect("queue lock");
-                queue = guard;
+                queue = shared.queue_cond.wait(queue).expect("queue lock");
             }
         };
         let executed = run_task(&task, shared);
@@ -816,7 +792,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result
         return writeln!(out, "error {}", over_cap());
     }
     match parse_request(&line) {
-        Ok(Request::Submit { shards }) => handle_submit(shards, &mut reader, &mut out, shared),
+        Ok(Request::Submit { .. }) => handle_submit(line, &mut reader, &mut out, shared),
         Ok(Request::Watch { id }) => handle_watch(id, &mut out, shared),
         Ok(Request::Status { id }) => handle_status(id, &mut out, shared),
         Ok(Request::Shutdown) => {
@@ -833,14 +809,14 @@ fn over_cap() -> String {
     format!("request exceeds the {MAX_REQUEST_BYTES}-byte limit")
 }
 
+/// Reads the spec document that follows a submit command line, up to
+/// its own `end` line, and opens the job the whole request describes.
 fn handle_submit(
-    shards: usize,
+    mut request: String,
     reader: &mut BufReader<Take<TcpStream>>,
     out: &mut TcpStream,
     shared: &Arc<Shared>,
 ) -> std::io::Result<()> {
-    // The spec document follows, terminated by its own `end` line.
-    let mut doc = String::new();
     loop {
         let mut line = String::new();
         if reader.read_line(&mut line)? == 0 {
@@ -850,16 +826,12 @@ fn handle_submit(
             return writeln!(out, "error submit ended before the spec document's end line");
         }
         let done = line.trim() == "end";
-        doc.push_str(&line);
+        request.push_str(&line);
         if done {
             break;
         }
     }
-    let spec = match persist::spec_from_str(&doc) {
-        Ok(spec) => spec,
-        Err(e) => return writeln!(out, "error {e}"),
-    };
-    match submit_job(shared, &spec, shards) {
+    match submit_job(shared, &request) {
         Ok(job) => {
             writeln!(out, "job {} cells {} shards {}", job.id, job.cells.len(), job.shards.len())
         }
@@ -883,26 +855,38 @@ fn job_cells(spec: &CampaignSpec) -> Result<usize, SimError> {
     Ok(cells)
 }
 
-/// Registers a new job: take a fresh id, persist meta + spec (both
-/// atomic, both before the submit reply), enqueue every shard. Ids come
-/// from one counter, so concurrent submits never share a job directory.
-fn submit_job(
-    shared: &Arc<Shared>,
-    spec: &CampaignSpec,
-    shard_request: usize,
-) -> Result<Arc<Job>, SimError> {
-    let cells = job_cells(spec)?;
-    let shard_count = if shard_request == 0 { cells } else { shard_request.min(cells) };
-    let job = {
-        let id = shared.next_id.fetch_add(1, Ordering::SeqCst);
-        let dir = shared.config.dir.join(format!("job-{id}"));
-        std::fs::create_dir_all(&dir).map_err(|e| {
-            SimError::Daemon(format!("cannot create job dir {}: {e}", dir.display()))
-        })?;
-        write_artifact(shared, &dir.join("job.meta"), &job_meta_string(shard_count))?;
-        write_artifact(shared, &dir.join("spec.pnc"), &persist::spec_to_string(spec))?;
-        Arc::new(Job::new(id, dir, spec, shard_count))
+/// Decodes a submit request, the `submit shards <n>` line and then the
+/// spec document, into the job's spec and shard count: `0` asks for one
+/// shard per cell, and any count past the matrix is clamped to it. A
+/// live submit and recovery both open their job through here.
+fn decode_submit(request: &str) -> Result<(CampaignSpec, usize), SimError> {
+    let (line, doc) = request.split_once('\n').unwrap_or((request, ""));
+    let Ok(Request::Submit { shards }) = parse_request(line) else {
+        return Err(SimError::Daemon(format!("not a submit request: {line:?}")));
     };
+    let spec = persist::spec_from_str(doc)?;
+    let cells = job_cells(&spec)?;
+    let shard_count = if shards == 0 { cells } else { shards.min(cells) };
+    Ok((spec, shard_count))
+}
+
+/// Registers a new job: decode the request, take a fresh id, persist
+/// the request (atomic, before the submit reply), enqueue every shard.
+/// Ids come from one counter that never wraps, so no two jobs share a
+/// job directory; once `u64::MAX` is taken, a submit is refused.
+fn submit_job(shared: &Arc<Shared>, request: &str) -> Result<Arc<Job>, SimError> {
+    let (spec, shard_count) = decode_submit(request)?;
+    let id = shared
+        .last_id
+        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |last| last.checked_add(1))
+        .map_err(|last| SimError::Daemon(format!("no job id is left above {last}")))?
+        + 1;
+    let dir = shared.config.dir.join(format!("job-{id}"));
+    std::fs::create_dir_all(&dir).map_err(|e| {
+        SimError::Daemon(format!("cannot create job dir {}: {e}", dir.display()))
+    })?;
+    write_artifact(shared, &dir.join("submit.pnc"), request)?;
+    let job = Arc::new(Job::new(id, dir, &spec, shard_count));
     register_job(shared, &job);
     Ok(job)
 }
@@ -965,9 +949,7 @@ fn handle_watch(id: u64, out: &mut TcpStream, shared: &Arc<Shared>) -> std::io::
                 if shared.shutdown.load(Ordering::SeqCst) {
                     break Step::Shutdown;
                 }
-                let (guard, _) =
-                    job.cond.wait_timeout(state, WAIT_TICK).expect("job state lock");
-                state = guard;
+                state = job.cond.wait(state).expect("job state lock");
             }
         };
         match step {
@@ -1357,10 +1339,17 @@ fn watch_conn(
                     ))));
                 }
             }
-        } else if let Some(rest) = line.strip_prefix("done ") {
-            let cells = rest.split_whitespace().nth(2).and_then(|n| n.parse::<usize>().ok());
+        } else if line.starts_with("done ") {
+            // `done <id> cells <c>`, about the job this watch asked for.
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            let cells = match fields.as_slice() {
+                ["done", rid, "cells", cells] if rid.parse() == Ok(id) => cells.parse().ok(),
+                _ => None,
+            };
             return cells.ok_or_else(|| {
-                ClientFailure::Typed(SimError::Daemon(format!("malformed done line: {line:?}")))
+                ClientFailure::Typed(SimError::Daemon(format!(
+                    "malformed done line for job {id}: {line:?}"
+                )))
             });
         } else if let Some(rest) = line.strip_prefix("failed ") {
             return Err(ClientFailure::Typed(SimError::Daemon(format!(
@@ -1393,11 +1382,22 @@ pub fn watch_rows_with(
     policy: &RetryPolicy,
     on_row: &mut dyn FnMut(usize, &str),
 ) -> Result<usize, SimError> {
+    watch_rows(addr, id, policy, on_row).map(|rows| rows.len())
+}
+
+/// The reconnect loop behind [`watch_rows_with`]: every row once, keyed
+/// by matrix index, checked to cover the matrix exactly.
+fn watch_rows(
+    addr: &str,
+    id: u64,
+    policy: &RetryPolicy,
+    on_row: &mut dyn FnMut(usize, &str),
+) -> Result<BTreeMap<usize, String>, SimError> {
     let mut seen = BTreeMap::new();
     retrying(policy, || {
         let cells = watch_conn(addr, id, &mut seen, on_row)?;
         if seen.len() == cells && seen.keys().copied().eq(0..cells) {
-            return Ok(cells);
+            return Ok(());
         }
         // A finished stream from the top that still leaves a gap is a
         // deterministic protocol violation, not a transport fault.
@@ -1412,7 +1412,8 @@ pub fn watch_rows_with(
             policy.attempts.max(1),
         )),
         ClientFailure::Typed(e) => e,
-    })
+    })?;
+    Ok(seen)
 }
 
 /// [`watch_rows_with`], assembled into the canonical CSV document —
@@ -1420,12 +1421,10 @@ pub fn watch_rows_with(
 ///
 /// # Errors
 ///
-/// As [`watch_rows_with`], plus a coverage check via [`rows_to_csv`].
+/// As [`watch_rows_with`].
 pub fn watch_csv_with(addr: &str, id: u64, policy: &RetryPolicy) -> Result<String, SimError> {
-    let mut rows: Vec<(usize, String)> = Vec::new();
-    let cells =
-        watch_rows_with(addr, id, policy, &mut |index, row| rows.push((index, row.to_string())))?;
-    rows_to_csv(cells, rows)
+    let rows = watch_rows(addr, id, policy, &mut |_, _| {})?;
+    Ok(persist::csv_document(rows.values()))
 }
 
 /// [`watch`], assembled into a complete CSV document — byte-identical
@@ -1457,14 +1456,7 @@ pub fn rows_to_csv(cells: usize, mut rows: Vec<(usize, String)>) -> Result<Strin
             rows.len(),
         )));
     }
-    let mut doc = String::with_capacity((cells + 1) * 96);
-    doc.push_str(persist::CAMPAIGN_CSV_HEADER);
-    doc.push('\n');
-    for (_, row) in rows {
-        doc.push_str(&row);
-        doc.push('\n');
-    }
-    Ok(doc)
+    Ok(persist::csv_document(rows.iter().map(|(_, row)| row)))
 }
 
 /// Queries a job's progress.
@@ -1492,18 +1484,18 @@ pub fn status_with(addr: &str, id: u64, policy: &RetryPolicy) -> Result<JobStatu
     let reply = read_reply(&mut reader)?;
     let fields: Vec<&str> = reply.split_whitespace().collect();
     match fields.as_slice() {
-        ["status", rid, state, done, total] => {
+        ["status", rid, state, done, total] if rid.parse() == Ok(id) => {
             let bad = || SimError::Daemon(format!("malformed status reply: {reply:?}"));
             // The reply still ends with the matrix size, which the
             // submit ticket already gave the client: check, then drop.
             total.parse::<usize>().map_err(|_| bad())?;
             Ok(JobStatus {
-                id: rid.parse().map_err(|_| bad())?,
+                id,
                 state: (*state).to_string(),
                 done_cells: done.parse().map_err(|_| bad())?,
             })
         }
-        _ => Err(SimError::Daemon(format!("malformed status reply: {reply:?}"))),
+        _ => Err(SimError::Daemon(format!("malformed status reply for job {id}: {reply:?}"))),
     }
 }
 
@@ -1531,41 +1523,124 @@ pub fn shutdown(addr: &str) -> Result<(), SimError> {
 mod tests {
     use super::*;
 
+    /// A fresh per-test checkpoint directory under the system temp dir.
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("pn-daemon-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A short smoke matrix (four cells) that finishes in milliseconds.
+    fn quick_spec() -> CampaignSpec {
+        CampaignSpec::smoke().with_duration(pn_units::Seconds::new(2.0))
+    }
+
+    /// The bytes a submit of `spec` in `shards` shards sends.
+    fn submit_request(spec: &CampaignSpec, shards: usize) -> String {
+        format!("submit shards {shards}\n{}", persist::spec_to_string(spec))
+    }
+
     #[test]
     fn recovery_skips_jobs_no_submit_could_have_written() {
-        let dir = std::env::temp_dir().join(format!("pn-daemon-load-cap-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("load-cap");
         std::fs::create_dir_all(&dir).unwrap();
-        let write = |name: &str, text: &str| std::fs::write(dir.join(name), text).unwrap();
+        let write = |text: &str| std::fs::write(dir.join("submit.pnc"), text).unwrap();
         // A hand-edited spec of a few KB whose matrix is just past the
         // cap: 2 weathers × 513 seeds × 512 buffers × 2 governors.
         let over_cap = CampaignSpec::smoke()
             .with_seeds((0..513).collect())
             .with_buffers_mf((1..=512).map(f64::from).collect());
         assert!(over_cap.cell_count() > MAX_JOB_CELLS);
-        write("spec.pnc", &persist::spec_to_string(&over_cap));
-        write("job.meta", &job_meta_string(1));
+        write(&submit_request(&over_cap, 1));
         let err = load_job(1, &dir).err().expect("an over-cap job must not load");
         assert!(matches!(err, SimError::Daemon(_)), "{err}");
         assert!(err.to_string().contains("job limit"), "{err}");
-        // A meta file asking for more shards than cells is refused too.
-        write("spec.pnc", &persist::spec_to_string(&CampaignSpec::smoke()));
-        write("job.meta", &job_meta_string(usize::MAX));
-        let err = load_job(1, &dir).err().expect("an over-sharded job must not load");
+        // A spec document without its submit line is refused too.
+        write(&persist::spec_to_string(&CampaignSpec::smoke()));
+        let err = load_job(1, &dir).err().expect("a bare spec must not load");
         assert!(matches!(err, SimError::Daemon(_)), "{err}");
-        // The same directory with a meta file a submit writes loads.
-        write("job.meta", &job_meta_string(4));
-        assert_eq!(load_job(1, &dir).unwrap().shards.len(), 4);
+        // A request for more shards than cells loads clamped to one
+        // shard per cell, as a live submit clamps it.
+        write(&submit_request(&CampaignSpec::smoke(), usize::MAX));
+        let job = load_job(1, &dir).unwrap();
+        assert_eq!(job.shards, (0..4).map(|i| i..i + 1).collect::<Vec<_>>());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn live_and_recovered_jobs_agree() {
+        let dir = scratch_dir("agree");
+        let daemon = Daemon::start(DaemonConfig::new(&dir).with_workers(1)).unwrap();
+        let addr = daemon.addr().to_string();
+        let spec = quick_spec();
+        let cells = spec.cell_count();
+        for shards in [0, 1, 3, cells + 5, usize::MAX] {
+            let ticket = submit(&addr, &spec, shards).unwrap();
+            let live = find_job(&daemon.shared, ticket.id).unwrap();
+            let recovered = load_job(ticket.id, &live.dir).unwrap();
+            assert_eq!(recovered.cells, live.cells, "shards {shards}");
+            assert_eq!(recovered.shards, live.shards, "shards {shards}");
+            assert_eq!(live.shards.len(), if shards == 0 { cells } else { shards.min(cells) });
+            watch_csv(&addr, ticket.id).unwrap();
+        }
+        daemon.stop();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_job_directory_at_the_last_id_is_recovered_and_no_id_is_left() {
+        let dir = scratch_dir("last-id");
+        let last = dir.join(format!("job-{}", u64::MAX));
+        std::fs::create_dir_all(&last).unwrap();
+        let spec = quick_spec();
+        std::fs::write(last.join("submit.pnc"), submit_request(&spec, 2)).unwrap();
+        let daemon = Daemon::start(DaemonConfig::new(&dir).with_workers(1)).unwrap();
+        let addr = daemon.addr().to_string();
+        let err = submit(&addr, &spec, 0).expect_err("no job id is left");
+        assert!(matches!(err, SimError::Daemon(_)), "{err}");
+        // The daemon keeps serving: the recovered job streams its CSV.
+        let expected = persist::report_csv_string(
+            &crate::campaign::run_campaign(&spec, &Executor::sequential()).unwrap(),
+        )
+        .unwrap();
+        assert_eq!(watch_csv(&addr, u64::MAX).unwrap(), expected);
+        daemon.stop();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn submits_never_reuse_an_id_a_job_directory_holds() {
+        let dir = scratch_dir("wrap");
+        let spec = quick_spec();
+        let first = dir.join("job-1");
+        std::fs::create_dir_all(&first).unwrap();
+        std::fs::write(first.join("submit.pnc"), submit_request(&spec, 1)).unwrap();
+        std::fs::create_dir_all(dir.join(format!("job-{}", u64::MAX - 1))).unwrap();
+        let daemon = Daemon::start(DaemonConfig::new(&dir).with_workers(1)).unwrap();
+        let addr = daemon.addr().to_string();
+        let other = spec.clone().with_seeds(vec![7]);
+        assert_eq!(submit(&addr, &other, 0).unwrap().id, u64::MAX);
+        for _ in 0..2 {
+            let err = submit(&addr, &other, 0).expect_err("no job id is left");
+            assert!(matches!(err, SimError::Daemon(_)), "{err}");
+        }
+        // Job 1 is still the job its directory holds, on disk and on
+        // the wire.
+        let on_disk = std::fs::read_to_string(first.join("submit.pnc")).unwrap();
+        assert_eq!(on_disk, submit_request(&spec, 1));
+        let job = find_job(&daemon.shared, 1).unwrap();
+        assert_eq!(job.cells, spec.cells());
+        assert_eq!(job.shards.len(), 1);
+        daemon.stop();
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn a_finished_job_keeps_only_its_rows() {
-        let dir = std::env::temp_dir().join(format!("pn-daemon-rows-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("rows");
         let daemon = Daemon::start(DaemonConfig::new(&dir).with_workers(1)).unwrap();
         let addr = daemon.addr().to_string();
-        let spec = CampaignSpec::smoke().with_duration(pn_units::Seconds::new(2.0));
+        let spec = quick_spec();
         let ticket = submit(&addr, &spec, 2).unwrap();
         watch_csv(&addr, ticket.id).unwrap();
         let job = find_job(&daemon.shared, ticket.id).unwrap();
@@ -1575,6 +1650,13 @@ mod tests {
         assert!(state.shard_reports.is_empty());
         assert_eq!(state.rows.len(), spec.cell_count());
         drop(state);
+        // On disk: the request, one checkpoint per shard, the report.
+        let mut files: Vec<String> = std::fs::read_dir(&job.dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["report.pnc", "shard-0.pnc", "shard-1.pnc", "submit.pnc"]);
         daemon.stop();
         std::fs::remove_dir_all(&dir).ok();
     }

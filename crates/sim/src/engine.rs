@@ -340,8 +340,7 @@ impl SimReport {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CrossKind {
     Brownout,
-    High,
-    Low,
+    Edge(ThresholdEdge),
 }
 
 struct AdvanceOutcome {
@@ -633,12 +632,9 @@ impl Lane {
             // with or past it leaves the thresholds unarmed and waits
             // for the discrete phase, which keeps the handling order
             // at coincident instants.
-            let live = self.uses_irq
-                && !self.runtime.is_transitioning()
-                && !self.runtime.idle_masks_interrupts();
             let (armed, recheck) = match self.recheck_at {
                 Some(r) if r >= boundary - 1e-9 => (false, None),
-                recheck => (live, recheck),
+                recheck => (self.interrupts_live(), recheck),
             };
             let (high, low) = if armed {
                 let (h, l) = self.monitor.effective_thresholds();
@@ -673,12 +669,8 @@ impl Lane {
                     self.snapshot();
                     return Ok(());
                 }
-                Some(kind) => {
-                    self.deliver_edge(if kind == CrossKind::High {
-                        ThresholdEdge::High
-                    } else {
-                        ThresholdEdge::Low
-                    })?;
+                Some(CrossKind::Edge(edge)) => {
+                    self.deliver_edge(edge)?;
                     self.snapshot();
                     return Ok(());
                 }
@@ -719,15 +711,10 @@ impl Lane {
         // boundary: one before it fell due inside an advance.
         if self.recheck_at.is_some_and(|r| (r - self.t).abs() <= 1e-9) {
             self.recheck_at = None;
-            if self.uses_irq
-                && !self.runtime.is_transitioning()
-                && !self.runtime.idle_masks_interrupts()
-            {
+            if self.interrupts_live() {
                 let (high, low) = self.monitor.effective_thresholds();
-                if self.vc >= high.value() {
-                    self.deliver_edge(ThresholdEdge::High)?;
-                } else if self.vc <= low.value() {
-                    self.deliver_edge(ThresholdEdge::Low)?;
+                if let Some(edge) = level_edge(self.vc, Some(high.value()), Some(low.value())) {
+                    self.deliver_edge(edge)?;
                 }
             }
         }
@@ -753,6 +740,15 @@ impl Lane {
         }
         self.record_due();
         Ok(())
+    }
+
+    /// Whether threshold interrupts reach the governor now: it asked for
+    /// them, and neither a transition nor an interrupt-masking idle
+    /// state is in progress.
+    fn interrupts_live(&self) -> bool {
+        self.uses_irq
+            && !self.runtime.is_transitioning()
+            && !self.runtime.idle_masks_interrupts()
     }
 
     /// Takes the grid snapshot once the lane has reached the next
@@ -810,17 +806,9 @@ impl Lane {
                 let target = Opp::new(requested.config(), level);
                 if target != self.runtime.current_opp() {
                     let strategy = action.strategy.unwrap_or(TransitionStrategy::FrequencyFirst);
-                    let plan = plan_transition(
-                        self.runtime.current_opp(),
-                        target,
-                        strategy,
-                        self.runtime.platform().frequencies(),
-                        self.runtime.platform().latency(),
-                    )?;
-                    if !plan.is_empty() {
+                    if self.start_transition(target, strategy)? {
                         changed = true;
                     }
-                    self.runtime.begin_transition(plan, t);
                 }
             }
         }
@@ -882,16 +870,28 @@ impl Lane {
         if current.level() <= cap {
             return Ok(());
         }
-        let target = Opp::new(current.config(), cap);
+        self.start_transition(Opp::new(current.config(), cap), TransitionStrategy::FrequencyFirst)?;
+        Ok(())
+    }
+
+    /// Plans the move from the running OPP to `target` on the
+    /// platform's frequency table and latency model, and starts it at
+    /// the current instant. Returns whether the plan has any step.
+    fn start_transition(
+        &mut self,
+        target: Opp,
+        strategy: TransitionStrategy,
+    ) -> Result<bool, SimError> {
         let plan = plan_transition(
-            current,
+            self.runtime.current_opp(),
             target,
-            TransitionStrategy::FrequencyFirst,
+            strategy,
             self.runtime.platform().frequencies(),
             self.runtime.platform().latency(),
         )?;
+        let stepped = !plan.is_empty();
         self.runtime.begin_transition(plan, Seconds::new(self.t));
-        Ok(())
+        Ok(stepped)
     }
 
     /// Takes the final snapshot and assembles the report.
@@ -1177,11 +1177,8 @@ fn first_event(
         return brownout;
     }
     let r = r.max(a);
-    let level = f(r);
-    let edge = if high.is_some_and(|h| level >= h) {
-        Some((r, CrossKind::High))
-    } else if low.is_some_and(|l| level <= l) {
-        Some((r, CrossKind::Low))
+    let edge = if let Some(edge) = level_edge(f(r), high, low) {
+        Some((r, CrossKind::Edge(edge)))
     } else if r < b {
         earliest_crossing(&locate, r, None, high, low)
     } else {
@@ -1192,6 +1189,19 @@ fn first_event(
         (Some(down), Some(up)) if up.0 < down.0 => Some(up),
         (None, edge) => edge,
         (down, _) => down,
+    }
+}
+
+/// The edge a level at or beyond an armed threshold raises, the high
+/// threshold tested first: how a recheck resolves a comparator that is
+/// already asserted.
+fn level_edge(level: f64, high: Option<f64>, low: Option<f64>) -> Option<ThresholdEdge> {
+    if high.is_some_and(|h| level >= h) {
+        Some(ThresholdEdge::High)
+    } else if low.is_some_and(|l| level <= l) {
+        Some(ThresholdEdge::Low)
+    } else {
+        None
     }
 }
 
@@ -1207,8 +1217,8 @@ fn earliest_crossing(
     let mut best: Option<(f64, CrossKind)> = None;
     let levels = [
         (vmin, CrossingDirection::Falling, CrossKind::Brownout),
-        (high, CrossingDirection::Rising, CrossKind::High),
-        (low, CrossingDirection::Falling, CrossKind::Low),
+        (high, CrossingDirection::Rising, CrossKind::Edge(ThresholdEdge::High)),
+        (low, CrossingDirection::Falling, CrossKind::Edge(ThresholdEdge::Low)),
     ];
     for (level, want, kind) in levels {
         let Some(level) = level else { continue };

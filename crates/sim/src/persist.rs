@@ -542,12 +542,19 @@ pub fn csv_row(c: &CellOutcome) -> String {
 /// None today; the `Result` keeps the export's call sites uniform
 /// with the other persistence entry points.
 pub fn report_csv_string(report: &CampaignReport) -> Result<String, SimError> {
+    Ok(csv_document(report.cells().iter().map(csv_row)))
+}
+
+/// Assembles a campaign CSV document: [`CAMPAIGN_CSV_HEADER`], then each
+/// row as given, every line ending in `\n`. The batch export and the
+/// daemon's streamed-row reassembly both write their documents here.
+pub(crate) fn csv_document(rows: impl IntoIterator<Item = impl AsRef<str>>) -> String {
     let mut out = format!("{CAMPAIGN_CSV_HEADER}\n");
-    for c in report.cells() {
-        out.push_str(&csv_row(c));
+    for row in rows {
+        out.push_str(row.as_ref());
         out.push('\n');
     }
-    Ok(out)
+    out
 }
 
 /// The report's summary-only CSV document: [`SUMMARY_CSV_HEADER`] plus

@@ -130,15 +130,15 @@ fn stale_checkpoints_from_an_edited_spec_are_recomputed_not_merged() {
         daemon.stop();
     }
 
-    // Edit the persisted spec (interpolated supply instead of the
-    // default): the existing checkpoints still match by label, but
+    // Edit the persisted request's spec (interpolated supply instead of
+    // the default): the existing checkpoints still match by label, but
     // their options no longer match the spec, so recovery must discard
     // them and recompute under the edited spec — whose CSV names the
     // new model in every row.
     let edited = spec.with_supply_model(SupplyModel::interpolated());
     let job_dir = dir.join("job-1");
-    std::fs::write(job_dir.join("spec.pnc"), persist::spec_to_string(&edited))
-        .expect("edit spec");
+    let request = format!("submit shards 2\n{}", persist::spec_to_string(&edited));
+    std::fs::write(job_dir.join("submit.pnc"), request).expect("edit spec");
     std::fs::remove_file(job_dir.join("report.pnc")).expect("drop merged report");
 
     let daemon = Daemon::start(DaemonConfig::new(&dir).with_workers(2)).expect("restart");
@@ -239,6 +239,44 @@ fn poke(addr: &str, payload: &[u8], half_close: bool) -> Option<String> {
         Ok(_) => Some(line),
         Err(_) => None, // reset mid-reply is a clean disconnect too
     }
+}
+
+/// A one-connection stand-in for the daemon on a free loopback port:
+/// it reads one command line, answers with `reply`, and closes.
+fn scripted_daemon(reply: String) -> (String, std::thread::JoinHandle<String>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("bound address").to_string();
+    let server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut command = String::new();
+        BufReader::new(&mut stream).read_line(&mut command).expect("command line");
+        stream.write_all(reply.as_bytes()).expect("reply");
+        command
+    });
+    (addr, server)
+}
+
+#[test]
+fn watch_and_status_refuse_a_reply_about_another_job() {
+    let spec = spec();
+    let csv = oneshot_csv(&spec);
+    let mut stream = format!("header {}\n", persist::CAMPAIGN_CSV_HEADER);
+    for (index, row) in csv.lines().skip(1).enumerate() {
+        stream.push_str(&format!("row {index} {row}\n"));
+    }
+    stream.push_str(&format!("done 99 cells {}\n", spec.cell_count()));
+    // Retries allowed: a typed refusal must still come after one
+    // connection, since the stand-in answers only once.
+    let policy = RetryPolicy::default().with_attempts(3).with_seed(1);
+    let (addr, server) = scripted_daemon(stream);
+    let err = daemon::watch_csv_with(&addr, 1, &policy).expect_err("done names job 99");
+    assert!(err.to_string().contains("done 99"), "{err}");
+    assert_eq!(server.join().expect("server"), "watch 1\n");
+
+    let (addr, server) = scripted_daemon("status 99 done 4 4\n".into());
+    let err = daemon::status_with(&addr, 1, &policy).expect_err("status names job 99");
+    assert!(err.to_string().contains("status 99"), "{err}");
+    assert_eq!(server.join().expect("server"), "status 1\n");
 }
 
 #[test]
