@@ -487,6 +487,8 @@ impl CampaignCell {
     /// `(weather, seed, duration)` shares a single rendered window. The
     /// window's samples are bitwise the full day's, so the cell runs
     /// exactly as it would on the full [`scenario::weather_day`] trace.
+    /// Like that day, it asks for a trace every 5 s;
+    /// [`CampaignCell::evaluate`] drops the request.
     ///
     /// # Errors
     ///
@@ -529,21 +531,22 @@ impl CampaignCell {
         Ok(Arc::new(self.fault.attenuate(&shared, self.seed)?))
     }
 
-    /// Runs the cell and reduces the report to a [`CellOutcome`].
+    /// Runs the cell, unrecorded, and reduces the report to a
+    /// [`CellOutcome`].
     ///
     /// # Errors
     ///
     /// Propagates scenario and engine failures.
     pub fn evaluate(&self) -> Result<CellOutcome, SimError> {
-        let scenario = self.scenario()?;
+        let scenario = self.scenario()?.unrecorded();
         let report = self.governor.run(&scenario)?;
         Ok(self.outcome(&scenario, &report))
     }
 
     /// The [`CellOutcome`] of `report`, a run of `scenario` (this cell's
-    /// [`CampaignCell::scenario`], whose recording interval may differ:
-    /// every field is read from what the engine accrued, none from the
-    /// recorded trace).
+    /// [`CampaignCell::scenario`], recorded at any interval or not at
+    /// all: every field is read from what the engine accrued, none from
+    /// a recorded trace).
     pub fn outcome(&self, scenario: &Scenario, report: &SimReport) -> CellOutcome {
         let alive = report.lifetime_or_duration();
         let opts = scenario.options();

@@ -1352,9 +1352,12 @@ fn watch_conn(
                 )))
             });
         } else if let Some(rest) = line.strip_prefix("failed ") {
-            return Err(ClientFailure::Typed(SimError::Daemon(format!(
-                "job {id} failed: {rest}"
-            ))));
+            // `failed <id> <why>`, about the job this watch asked for.
+            let why = rest.split_once(' ').filter(|(rid, _)| rid.parse() == Ok(id));
+            return Err(ClientFailure::Typed(SimError::Daemon(match why {
+                Some((_, why)) => format!("job {id} failed: {why}"),
+                None => format!("malformed failed line for job {id}: {line:?}"),
+            })));
         } else {
             return Err(ClientFailure::Typed(SimError::Daemon(format!(
                 "unexpected watch line: {line:?}"

@@ -40,8 +40,9 @@
 //! A run's outcomes are accrued as it steps: work, transitions and
 //! residencies by the SoC runtime, and energy and `VC` band residency
 //! by the lane over each accepted step (see [`SimReport`]). The
-//! recorder only observes, so no reported number depends on
-//! [`SimOptions::record_dt`].
+//! recorder is the lane's optional observer: a run records a trace
+//! only when [`SimOptions::record_dt`] asks for one, and no reported
+//! number depends on whether, or how often, it records.
 
 use crate::recorder::{Recorder, Snapshot};
 use crate::runtime::SocRuntime;
@@ -97,14 +98,16 @@ pub struct SimOptions {
     pub t_start: Seconds,
     /// Simulation end time.
     pub t_end: Seconds,
-    /// Trace recording interval. Recording only observes the run: the
-    /// grid snapshot for each instant `t_start + k·record_dt` is taken
-    /// at the end of the first accepted step ending at or after it (one
+    /// Trace recording interval, or `None` (the default) for a run that
+    /// records no trace. Recording only observes the run: besides the
+    /// start, every threshold edge, a brownout and the end, the grid
+    /// snapshot for each instant `t_start + k·record_dt` is taken at
+    /// the end of the first accepted step ending at or after it (one
     /// snapshot serves every instant a step passes), so sample times
     /// are step ends, and no step is shortened to land on the grid.
     /// Every number a [`SimReport`] reports besides the recorder itself
-    /// is bitwise independent of this interval.
-    pub record_dt: Seconds,
+    /// is bitwise the same at any interval and with none.
+    pub record_dt: Option<Seconds>,
     /// Maximum step length. It caps each RK23 step on the PV supply and
     /// each advance on the controlled supply, which has no ODE to step.
     /// Threshold crossings are located exactly at any cap, so it bounds
@@ -135,7 +138,7 @@ impl SimOptions {
         Self {
             t_start: Seconds::ZERO,
             t_end,
-            record_dt: Seconds::new(0.5),
+            record_dt: None,
             max_step: Seconds::new(0.05),
             idle_enabled: true,
             supply_model: SupplyModel::Exact,
@@ -152,9 +155,9 @@ impl SimOptions {
         self
     }
 
-    /// Sets the recording interval (builder style).
+    /// Asks for a trace recorded every `dt` (builder style).
     pub fn with_record_dt(mut self, dt: Seconds) -> Self {
-        self.record_dt = dt;
+        self.record_dt = Some(dt);
         self
     }
 
@@ -193,8 +196,10 @@ impl SimOptions {
 
 /// Outcome of a completed simulation.
 ///
-/// Reports compare by value — including the full recorded traces — so
-/// two runs of the same scenario can be checked for bitwise identity.
+/// Reports compare by value, the recorded trace included, so two runs
+/// of the same scenario can be checked for bitwise identity. A run that
+/// recorded no trace holds an empty [`Recorder`], so it equals a
+/// recorded run of the same scenario in every field but that one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     governor: String,
@@ -222,7 +227,8 @@ impl SimReport {
         &self.governor
     }
 
-    /// The recorded traces.
+    /// The recorded traces: empty, with nothing allocated, when the run
+    /// was not asked to record ([`SimOptions::record_dt`]).
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
     }
@@ -428,9 +434,10 @@ pub(crate) fn run(
     if !(max_step > MIN_STEP && max_step.is_finite()) {
         return Err(SimError::InvalidConfig("max_step must be finite and above MIN_STEP"));
     }
-    let record_dt = options.record_dt.value();
-    if !(record_dt > 0.0 && record_dt.is_finite()) {
-        return Err(SimError::InvalidConfig("record_dt must be finite and positive"));
+    if let Some(record_dt) = options.record_dt.map(Seconds::value) {
+        if !(record_dt > 0.0 && record_dt.is_finite()) {
+            return Err(SimError::InvalidConfig("record_dt must be finite and positive"));
+        }
     }
     options.thermal.validate()?;
     let mut lane = Lane::start(scenario, governor, initial_opp)?;
@@ -454,7 +461,8 @@ struct Lane {
     t_start: f64,
     t_end: f64,
     runtime: SocRuntime,
-    recorder: Recorder,
+    /// The trace, when the run was asked to record one.
+    recorder: Option<Recorder>,
     supply_state: SupplyState,
     solver: Rk23,
     /// The last stage of the step that ended at `(t, y)`, if it ended
@@ -506,14 +514,15 @@ impl Lane {
         let uses_irq = governor.uses_threshold_interrupts();
 
         let runtime = SocRuntime::new(platform.clone(), initial_opp);
-        // Preallocate the trace from the known window and recording
-        // interval (plus slack for event snapshots); clamped so a tiny
-        // record_dt cannot demand absurd memory up front.
-        let expected_snapshots = (((opts.t_end - opts.t_start).value() / opts.record_dt.value())
-            .ceil() as usize)
-            .saturating_add(16)
-            .min(1 << 22);
-        let recorder = Recorder::with_capacity(expected_snapshots);
+        // Preallocate a requested trace from the known window and
+        // recording interval (plus slack for event snapshots); clamped
+        // so a tiny record_dt cannot demand absurd memory up front.
+        let recorder = opts.record_dt.map(|dt| {
+            let expected = (((opts.t_end - opts.t_start) / dt).ceil() as usize)
+                .saturating_add(16)
+                .min(1 << 22);
+            Recorder::with_capacity(expected)
+        });
         let supply = scenario.supply().clone();
         let mut supply_state = SupplyState::new(&supply, opts.supply_model)?;
         let solver = Rk23::new(AdaptiveOptions::new(opts.max_step.value(), TOLERANCES));
@@ -564,7 +573,7 @@ impl Lane {
             accrued: Accrued::default(),
             next_tick,
             recheck_at: None,
-            next_record: t + opts.record_dt.value(),
+            next_record: t + opts.record_dt.map_or(0.0, Seconds::value),
             thermal,
             arrival,
             arrival_duty,
@@ -751,12 +760,14 @@ impl Lane {
             && !self.runtime.idle_masks_interrupts()
     }
 
-    /// Takes the grid snapshot once the lane has reached the next
-    /// recording instant, then moves that instant past `t`.
+    /// Takes the grid snapshot once a recorded lane has reached the
+    /// next recording instant, then moves that instant past `t`.
     fn record_due(&mut self) {
+        let Some(dt) = self.opts.record_dt.map(Seconds::value) else {
+            return;
+        };
         if self.t >= self.next_record - 1e-9 {
             self.snapshot();
-            let dt = self.opts.record_dt.value();
             let k = ((self.t + 1e-9 - self.t_start) / dt).floor() + 1.0;
             self.next_record = self.t_start + k * dt;
         }
@@ -901,10 +912,13 @@ impl Lane {
         // Event snapshots grow the trace past its grid-sized capacity,
         // and a brownout leaves most of it unused: a finished report
         // keeps no page-sized slack.
-        self.recorder.trim();
+        let recorder = self.recorder.map_or_else(Recorder::new, |mut recorder| {
+            recorder.trim();
+            recorder
+        });
         Ok(SimReport {
             governor: self.governor.name().to_string(),
-            recorder: self.recorder,
+            recorder,
             lifetime: self.runtime.death_time().map(|d| d - Seconds::new(self.t_start)),
             duration: Seconds::new(self.t_end - self.t_start),
             work: *self.runtime.work(),
@@ -923,8 +937,11 @@ impl Lane {
         })
     }
 
-    /// Records the lane's current state into its trace.
+    /// Records the lane's current state into its trace, if it keeps one.
     fn snapshot(&mut self) {
+        let Some(recorder) = self.recorder.as_mut() else {
+            return;
+        };
         let opp = self.runtime.effective_opp();
         let freq = self
             .runtime
@@ -952,7 +969,7 @@ impl Lane {
         } else {
             (0, 0)
         };
-        self.recorder.record(&Snapshot {
+        recorder.record(&Snapshot {
             t: Seconds::new(self.t),
             vc: Volts::new(self.vc),
             frequency_ghz: if self.runtime.is_alive() { freq } else { 0.0 },
@@ -1266,14 +1283,19 @@ mod tests {
         run(&Scenario::new(supply, options), governor, initial_opp)
     }
 
-    /// [`run_on`] over `[0, t_end]` with the default options.
+    /// The default options over `[0, t_end]`, recorded every 0.5 s.
+    fn recorded(t_end: f64) -> SimOptions {
+        SimOptions::new(Seconds::new(t_end)).with_record_dt(Seconds::new(0.5))
+    }
+
+    /// [`run_on`] under [`recorded`] options.
     fn simulate(
         governor: Box<dyn Governor>,
         supply: Supply,
         t_end: f64,
         initial_opp: Opp,
     ) -> SimReport {
-        run_on(governor, supply, SimOptions::new(Seconds::new(t_end)), initial_opp).unwrap()
+        run_on(governor, supply, recorded(t_end), initial_opp).unwrap()
     }
 
     fn pn_governor() -> Box<dyn Governor> {
@@ -1495,7 +1517,7 @@ mod tests {
     #[test]
     fn interpolated_model_tracks_the_exact_engine() {
         let run = |model: SupplyModel| {
-            let options = SimOptions::new(Seconds::new(30.0)).with_supply_model(model);
+            let options = recorded(30.0).with_supply_model(model);
             run_on(pn_governor(), pv_supply(560.0, 30.0), options, Opp::lowest()).unwrap()
         };
         let exact = run(SupplyModel::Exact);
@@ -1519,18 +1541,24 @@ mod tests {
             let max = Opp::new(pn_soc::cores::CoreConfig::MAX, 0);
             run_on(Box::new(Powersave::new()), pv_supply(560.0, 10.0), options, max).unwrap()
         };
-        let options = SimOptions::new(Seconds::new(10.0));
-        let dense = run(options); // default 0.5 s grid
-        let sparse = run(options.with_record_dt(Seconds::new(5.0)));
+        let unrecorded = run(SimOptions::new(Seconds::new(10.0)));
+        let dense = run(recorded(10.0));
+        let sparse = run(recorded(10.0).with_record_dt(Seconds::new(5.0)));
         assert!(
             sparse.recorder().len() * 2 < dense.recorder().len(),
             "decimation had no effect: {} vs {}",
             sparse.recorder().len(),
             dense.recorder().len()
         );
+        // An unrecorded run keeps an empty trace with nothing allocated.
+        let trace = unrecorded.recorder();
+        assert!(trace.sample_vectors().iter().all(|&(len, capacity, _)| len + capacity == 0));
+        assert_eq!(trace.side_bytes(), 0);
         // Recording only observes: every other field is bitwise equal.
-        let unrecorded = |report: SimReport| SimReport { recorder: Recorder::new(), ..report };
-        assert_eq!(unrecorded(dense), unrecorded(sparse));
+        for report in [dense, sparse] {
+            assert!(!report.recorder().is_empty());
+            assert_eq!(SimReport { recorder: Recorder::new(), ..report }, unrecorded);
+        }
     }
 
     #[test]
@@ -1566,7 +1594,7 @@ mod tests {
         // reproduce the untouched-options run bit for bit: no scale,
         // cap, or boundary code may fire on the default path.
         let plain = simulate(pn_governor(), pv_supply(560.0, 20.0), 20.0, Opp::lowest());
-        let options = SimOptions::new(Seconds::new(20.0))
+        let options = recorded(20.0)
             .with_thermal(ThermalSpec::Off)
             .with_arrival(ArrivalSpec::Saturated, 99);
         let spelled = run_on(pn_governor(), pv_supply(560.0, 20.0), options, Opp::lowest());
@@ -1585,7 +1613,7 @@ mod tests {
         let report = run_on(
             Box::new(Performance::new()),
             Supply::Controlled { waveform },
-            SimOptions::new(Seconds::new(400.0)).with_thermal(ThermalSpec::stress()),
+            recorded(400.0).with_thermal(ThermalSpec::stress()),
             Opp::new(pn_soc::cores::CoreConfig::MAX, 7),
         )
         .unwrap();
@@ -1624,7 +1652,7 @@ mod tests {
             run_on(
                 Box::new(Powersave::new()),
                 pv_supply(560.0, 300.0),
-                SimOptions::new(Seconds::new(300.0)).with_arrival(arrival, seed),
+                recorded(300.0).with_arrival(arrival, seed),
                 Opp::new(pn_soc::cores::CoreConfig::MAX, 0),
             )
             .unwrap()

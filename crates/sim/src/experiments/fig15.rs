@@ -24,7 +24,7 @@ pub struct Fig15 {
 ///
 /// Propagates engine failures.
 pub fn run(seed: u64, duration: Seconds) -> Result<Fig15, SimError> {
-    let scenario = scenario::full_sun_day(seed).with_duration(duration);
+    let scenario = scenario::full_sun_day(seed).with_duration(duration).unrecorded();
     let report = scenario.run_power_neutral()?;
 
     let platform = scenario.platform();

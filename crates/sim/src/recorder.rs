@@ -364,7 +364,7 @@ impl Default for Recorder {
 #[cfg(test)]
 impl Recorder {
     /// `(len, capacity, bytes per element)` of every per-sample vector.
-    fn sample_vectors(&self) -> Vec<(usize, usize, usize)> {
+    pub(crate) fn sample_vectors(&self) -> Vec<(usize, usize, usize)> {
         fn shape<T>(v: &Vec<T>) -> (usize, usize, usize) {
             (v.len(), v.capacity(), size_of::<T>())
         }
@@ -378,7 +378,7 @@ impl Recorder {
     }
 
     /// Heap bytes held by the palettes and the expansions.
-    fn side_bytes(&self) -> usize {
+    pub(crate) fn side_bytes(&self) -> usize {
         let f64s = |v: &Vec<f64>| v.capacity() * size_of::<f64>();
         let palettes = self.steps.iter().filter_map(|column| match column {
             StepColumn::Coded { palette, .. } => Some(palette),

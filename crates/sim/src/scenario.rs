@@ -81,6 +81,13 @@ impl Scenario {
         self
     }
 
+    /// Drops the trace request, for a caller that reads only the report's
+    /// accrued outcomes (builder style).
+    pub(crate) fn unrecorded(mut self) -> Self {
+        self.options.record_dt = None;
+        self
+    }
+
     /// Shortens (or lengthens) the simulated window to `duration` from
     /// its start (builder style).
     pub fn with_duration(mut self, duration: Seconds) -> Self {
@@ -232,7 +239,9 @@ pub fn weather_day_with_trace(irradiance: impl Into<Arc<IrradianceTrace>>) -> Sc
 
 /// The Table II hour: 60 minutes around solar noon with gentle
 /// (shallow-cloud) full-sun conditions, matching the power envelope of
-/// the paper's Fig. 14 midday.
+/// the paper's Fig. 14 midday. Table II reports verdicts, not
+/// trajectories, so the hour records no trace unless its options ask
+/// for one.
 pub fn table2_hour(seed: u64) -> Scenario {
     let start = Seconds::from_hours(12.0);
     let end = Seconds::from_hours(13.0);
@@ -247,10 +256,7 @@ pub fn table2_hour(seed: u64) -> Scenario {
         .render(&sky, start, end, Seconds::new(1.0))
         .expect("trace valid");
     let supply = Supply::photovoltaic(SolarCell::odroid_array(), irradiance);
-    let options = SimOptions::new(end)
-        .with_span(start, end)
-        .with_record_dt(Seconds::new(2.0))
-        .with_max_step(Seconds::new(0.25));
+    let options = SimOptions::new(end).with_span(start, end).with_max_step(Seconds::new(0.25));
     // The paper's governor had been tracking the supply since morning;
     // by noon the gentle macro ramp has carried it to the
     // LITTLE-saturated ceiling (the Fig. 12 regime). Start there
@@ -352,12 +358,13 @@ pub fn controlled_supply_demo() -> Scenario {
 pub fn constant_sun(g: WattsPerSquareMeter, duration: Seconds) -> Scenario {
     let irradiance = IrradianceTrace::constant(Seconds::ZERO, duration, g).expect("trace valid");
     let supply = Supply::photovoltaic(SolarCell::odroid_array(), irradiance);
-    Scenario::new(supply, SimOptions::new(duration))
+    Scenario::new(supply, SimOptions::new(duration).with_record_dt(Seconds::new(0.5)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::CampaignSpec;
 
     #[test]
     fn shadowing_scenario_keeps_the_controlled_system_alive() {
@@ -388,6 +395,27 @@ mod tests {
             .unwrap();
         assert!(report.survived());
         assert!(report.work().instructions() > 0.0);
+    }
+
+    #[test]
+    fn only_the_builders_whose_traces_are_read_ask_for_one() {
+        let s = Seconds::new;
+        let g = WattsPerSquareMeter::new(560.0);
+        let cell = CampaignSpec::smoke().cells()[0].scenario().expect("cell builds");
+        let requests = [
+            ("table2_hour", table2_hour(1), None),
+            ("weather_day", weather_day(Weather::PartialSun, 1), Some(s(5.0))),
+            ("full_sun_day", full_sun_day(1), Some(s(5.0))),
+            ("shadowing", shadowing(s(2.0), s(8.0)), Some(s(0.02))),
+            ("sinusoid", sinusoid(s(4.0), s(8.0)), Some(s(0.02))),
+            ("controlled_supply_demo", controlled_supply_demo(), Some(s(0.25))),
+            ("constant_sun", constant_sun(g, s(1.0)), Some(s(0.5))),
+            ("CampaignCell::scenario", cell, Some(s(5.0))),
+        ];
+        for (name, scenario, record_dt) in requests {
+            assert_eq!(scenario.options().record_dt, record_dt, "{name}");
+            assert_eq!(scenario.unrecorded().options().record_dt, None, "{name}");
+        }
     }
 
     #[test]

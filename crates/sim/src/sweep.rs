@@ -101,7 +101,7 @@ pub fn run_sweep(
 }
 
 fn evaluate(scenario: &Scenario, params: ControlParams) -> Result<SweepResult, SimError> {
-    let report = scenario.clone().with_params(params).run_power_neutral()?;
+    let report = scenario.clone().with_params(params).unrecorded().run_power_neutral()?;
     Ok(SweepResult { params, stability: report.vc_stability(), survived: report.survived() })
 }
 

@@ -273,6 +273,13 @@ fn watch_and_status_refuse_a_reply_about_another_job() {
     assert!(err.to_string().contains("done 99"), "{err}");
     assert_eq!(server.join().expect("server"), "watch 1\n");
 
+    let stream = format!("header {}\nfailed 99 worker panicked\n", persist::CAMPAIGN_CSV_HEADER);
+    let (addr, server) = scripted_daemon(stream);
+    let err = daemon::watch_csv_with(&addr, 1, &policy).expect_err("failed names job 99");
+    assert!(err.to_string().contains("failed 99"), "{err}");
+    assert!(!err.to_string().contains("job 1 failed"), "{err}");
+    assert_eq!(server.join().expect("server"), "watch 1\n");
+
     let (addr, server) = scripted_daemon("status 99 done 4 4\n".into());
     let err = daemon::status_with(&addr, 1, &policy).expect_err("status names job 99");
     assert!(err.to_string().contains("status 99"), "{err}");

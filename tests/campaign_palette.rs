@@ -15,6 +15,7 @@ use power_neutral::harvest::weather::Weather;
 use power_neutral::sim::campaign::{
     run_campaign, CampaignCell, CampaignReport, CampaignSpec, GovernorSpec,
 };
+use power_neutral::sim::engine::SimOptions;
 use power_neutral::sim::executor::Executor;
 use power_neutral::sim::supply::SupplyModel;
 use power_neutral::soc::opp::Opp;
@@ -148,8 +149,9 @@ const CLOSURE_ABSOLUTE: f64 = 1e-6;
 
 proptest! {
     /// The outcome of a cell is bitwise the same whether its run is
-    /// recorded every 5 s (the campaign default) or every 50 ms:
-    /// recording observes, it does not steer.
+    /// recorded every 5 s (the cell scenario's interval), every 50 ms
+    /// or not at all (as `evaluate` runs it): recording observes, it
+    /// does not steer.
     #[test]
     fn cell_outcomes_do_not_depend_on_the_recording_interval(
         g in 0usize..10,
@@ -161,14 +163,16 @@ proptest! {
     ) {
         let cell = palette_cell(g, w, seed, [t, a, f]);
         let scenario = cell.scenario().expect("cell builds");
-        let outcome_at = |record_dt: f64| {
-            let options = scenario.options().with_record_dt(Seconds::new(record_dt));
-            let recorded = scenario.clone().with_options(options);
-            let report = cell.governor.run(&recorded).expect("cell runs");
-            cell.outcome(&recorded, &report)
+        let outcome_with = |record_dt: Option<f64>| {
+            let options =
+                SimOptions { record_dt: record_dt.map(Seconds::new), ..*scenario.options() };
+            let run = scenario.clone().with_options(options);
+            let report = cell.governor.run(&run).expect("cell runs");
+            cell.outcome(&run, &report)
         };
-        prop_assert_eq!(cell.evaluate().expect("cell runs"), outcome_at(5.0));
-        prop_assert_eq!(outcome_at(5.0), outcome_at(0.05));
+        prop_assert_eq!(cell.evaluate().expect("cell runs"), outcome_with(Some(5.0)));
+        prop_assert_eq!(outcome_with(Some(5.0)), outcome_with(Some(0.05)));
+        prop_assert_eq!(outcome_with(Some(5.0)), outcome_with(None));
     }
 
     /// Harvested energy is consumed, leaked or stored:

@@ -155,7 +155,10 @@ fn a_table2_hour_trace_is_pinned_bitwise() {
         (GovernorSpec::PowerNeutral, 0xc92f_f835_f710_2556_u64),
         (GovernorSpec::BudgetShift, 0xe7d2_6f54_2a53_92f9),
     ];
+    // The hour records no trace unless asked: ask for the 2 s grid the
+    // digests were pinned on.
     let hour = scenario::table2_hour(1);
+    let hour = hour.clone().with_options(hour.options().with_record_dt(Seconds::new(2.0)));
     for (governor, digest) in pins {
         let report = governor.run(&hour).expect("the Table II hour runs");
         let r = report.recorder();

@@ -61,7 +61,10 @@ fn harvest_extraction_beats_powersave_by_construction() {
     // pulled from the array.
     // Compare around solar noon, where the headroom above powersave's
     // fixed draw is widest (morning harvest barely covers it).
+    // The utilisation check reads the traces, which the hour records
+    // only when asked.
     let base = scenario::table2_hour(13).with_duration(Seconds::from_minutes(10.0));
+    let base = base.clone().with_options(base.options().with_record_dt(Seconds::new(2.0)));
     let pn = base.run_power_neutral().expect("pn run");
     let ps = base.run_powersave().expect("powersave run");
     let harvested = |r: &SimReport| r.energy_in().value();
